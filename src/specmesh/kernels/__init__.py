@@ -2,8 +2,8 @@
 
 The compiled extension is preferred when it imported cleanly; the NumPy
 fallback is always available and semantically identical. Set
-``SPECMESH_NO_EXT=1`` to force the fallback (used by the benchmark and the
-equivalence tests).
+``SPECMESH_NO_EXT=1`` to force the fallback even where the extension is
+built.
 """
 import os
 

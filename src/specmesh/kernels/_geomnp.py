@@ -2,27 +2,99 @@
 
 These are the reference semantics for the compiled backend: parametric
 ray-triangle crossing counts with grazing detection, brute-force nearest
-vertex queries, and point-to-triangle distances. Vectorized over faces in
-point chunks to bound temporary memory.
+vertex queries, and point-to-triangle distances. Every kernel works on
+chunks of query points to bound temporary memory.
+
+``ray_crossings`` does not test every ray against every face. It sorts the
+faces along a Morton curve of their centroids (Karras, HPG 2012) and cuts
+them into clusters of ``_CLUSTER`` faces, each with a conservative bounding
+sphere. A chunk of rays is tested against all spheres at once, and the
+Moller-Trumbore pair test (Moller & Trumbore, JGT 1997) runs only on the
+faces of the clusters a ray reaches. A ray lying in the plane of a face
+grazes it even where it never reaches the face, so a near-parallel
+prefilter, one ``dirs @ normals.T`` product per chunk, adds those few pairs.
+The counts and grazing flags are the same as from testing every pair.
 """
 from __future__ import annotations
 
 import numpy as np
 
 _CHUNK = 256
+_RAY_CHUNK = 64  # rays per chunk; keeps ray_crossings' temporaries small
+_CLUSTER = 8  # faces per bounding sphere
 _EPS_BARY = 1e-9  # barycentric closeness to an edge counts as grazing
 _EPS_T = 1e-9  # ray parameter closeness to the origin counts as grazing
 _EPS_PLANE = 1e-9  # origin-to-plane distance for parallel rays
+# Culling slack, orders of magnitude above rounding error: relative growth
+# of each bounding sphere, and the |d . n| / (|d| |e1| |e2|) the parallel
+# prefilter keeps.
+_SPHERE_SLACK = 1e-6
+_PARALLEL_SLACK = 1e-9
 
 
-def ray_crossings(origins, dirs, tri, excl_indptr=None, excl_indices=None):
+def _morton_order(centroids):
+    """Order of the points along a 30-bit Morton curve over their bounding box."""
+    lo = centroids.min(axis=0)
+    extent = max(float((centroids.max(axis=0) - lo).max()), 1e-300)
+    grid = np.clip((centroids - lo) * (1023.0 / extent), 0, 1023).astype(np.uint64)
+    code = np.zeros(len(centroids), dtype=np.uint64)
+    for bit in range(10):
+        for axis in range(3):
+            code |= ((grid[:, axis] >> np.uint64(bit)) & np.uint64(1)) << np.uint64(3 * bit + axis)
+    return np.argsort(code, kind="stable")
+
+
+def _pair_test(ray, face):
+    """Moller-Trumbore test of matching columns: (inside, grazing) per pair.
+
+    ``ray`` rows are origin and direction components, ``face`` rows are v0,
+    e1, e2, normal components, |normal| and the parallel threshold.
+    """
+    px, py, pz, dx, dy, dz = ray
+    ax, ay, az, e1x, e1y, e1z, e2x, e2y, e2z, nx, ny, nz, norm_n, det_eps = face
+    pvx = dy * e2z - dz * e2y
+    pvy = dz * e2x - dx * e2z
+    pvz = dx * e2y - dy * e2x
+    det = e1x * pvx + e1y * pvy + e1z * pvz
+    tvx = px - ax
+    tvy = py - ay
+    tvz = pz - az
+    parallel = np.abs(det) < det_eps
+    safe_det = np.where(parallel, 1.0, det)
+    u = (tvx * pvx + tvy * pvy + tvz * pvz) / safe_det
+    qvx = tvy * e1z - tvz * e1y
+    qvy = tvz * e1x - tvx * e1z
+    qvz = tvx * e1y - tvy * e1x
+    v = (dx * qvx + dy * qvy + dz * qvz) / safe_det
+    t = (e2x * qvx + e2y * qvy + e2z * qvz) / safe_det
+    inside = (
+        ~parallel
+        & (u > _EPS_BARY)
+        & (v > _EPS_BARY)
+        & (u + v < 1.0 - _EPS_BARY)
+        & (t > _EPS_T)
+    )
+    loose = (
+        ~parallel
+        & (u > -_EPS_BARY)
+        & (v > -_EPS_BARY)
+        & (u + v < 1.0 + _EPS_BARY)
+        & (t > -_EPS_T)
+    )
+    plane_dist = np.abs(tvx * nx + tvy * ny + tvz * nz) / np.maximum(norm_n, 1e-30)
+    on_plane = parallel & (plane_dist < _EPS_PLANE)
+    return inside, (loose & ~inside) | on_plane
+
+
+def ray_crossings(origins, dirs, tri):
     """Count ray-triangle crossings per point.
 
     Returns (counts, grazing): crossings use strict interior tests; the
     grazing flag marks rays that pass within epsilon of a triangle edge,
     plane, or the origin itself and should be retried with a new direction.
-    ``excl_indptr``/``excl_indices`` (CSR layout) name faces to ignore per
-    point (used for self-tests).
+    Only faces in the bounding spheres a ray reaches, and faces the ray is
+    nearly parallel to, get the pair test; the result equals testing every
+    pair.
     """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -30,52 +102,66 @@ def ray_crossings(origins, dirs, tri, excl_indptr=None, excl_indices=None):
     n_pts = origins.shape[0]
     counts = np.zeros(n_pts, dtype=np.int64)
     grazing = np.zeros(n_pts, dtype=np.uint8)
-    if tri.shape[0] == 0:
+    n_tri = tri.shape[0]
+    if n_tri == 0:
         return counts, grazing
+    tri = tri[_morton_order(tri.mean(axis=1))]
     v0 = tri[:, 0]
     e1 = tri[:, 1] - v0
     e2 = tri[:, 2] - v0
     normal = np.cross(e1, e2)
     norm_n = np.linalg.norm(normal, axis=1)
     det_eps = 1e-12 * np.maximum(norm_n, 1e-30)
-    for lo in range(0, n_pts, _CHUNK):
-        hi = min(lo + _CHUNK, n_pts)
+    parallel_tol = _PARALLEL_SLACK * np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
+    ray_cols = np.concatenate([origins.T, dirs.T])
+    face_cols = np.concatenate([v0.T, e1.T, e2.T, normal.T, norm_n[None], det_eps[None]])
+
+    # clusters are runs of _CLUSTER faces in Morton order; the last one may
+    # be short, and its padding repeats a face for the sphere only
+    n_clusters = -(-n_tri // _CLUSTER)
+    members = np.arange(n_clusters * _CLUSTER).reshape(n_clusters, _CLUSTER)
+    cluster_of = np.arange(n_tri) // _CLUSTER
+    corners = tri[np.minimum(members, n_tri - 1)].reshape(n_clusters, 3 * _CLUSTER, 3)
+    center = 0.5 * (corners.min(axis=1) + corners.max(axis=1))
+    radius = np.linalg.norm(corners - center[:, None, :], axis=2).max(axis=1)
+    radius *= 1.0 + _SPHERE_SLACK
+    center_sq = np.einsum("kc,kc->k", center, center)
+
+    for lo in range(0, n_pts, _RAY_CHUNK):
+        hi = min(lo + _RAY_CHUNK, n_pts)
         p = origins[lo:hi]
         d = dirs[lo:hi]
-        pvec = np.cross(d[:, None, :], e2[None, :, :])
-        det = np.einsum("fc,pfc->pf", e1, pvec)
-        tvec = p[:, None, :] - v0[None, :, :]
-        parallel = np.abs(det) < det_eps[None, :]
-        safe_det = np.where(parallel, 1.0, det)
-        u = np.einsum("pfc,pfc->pf", tvec, pvec) / safe_det
-        qvec = np.cross(tvec, e1[None, :, :])
-        v = np.einsum("pc,pfc->pf", d, qvec) / safe_det
-        t = np.einsum("fc,pfc->pf", e2, qvec) / safe_det
-        inside = (
-            ~parallel
-            & (u > _EPS_BARY)
-            & (v > _EPS_BARY)
-            & (u + v < 1.0 - _EPS_BARY)
-            & (t > _EPS_T)
-        )
-        loose = (
-            ~parallel
-            & (u > -_EPS_BARY)
-            & (v > -_EPS_BARY)
-            & (u + v < 1.0 + _EPS_BARY)
-            & (t > -_EPS_T)
-        )
-        near_edge = loose & ~inside
-        plane_dist = np.abs(np.einsum("pfc,fc->pf", tvec, normal)) / np.maximum(norm_n, 1e-30)
-        on_plane = parallel & (plane_dist < _EPS_PLANE)
-        graz = near_edge | on_plane
-        if excl_indptr is not None:
-            for row in range(lo, hi):
-                faces = excl_indices[excl_indptr[row]:excl_indptr[row + 1]]
-                inside[row - lo, faces] = False
-                graz[row - lo, faces] = False
-        counts[lo:hi] = inside.sum(axis=1)
-        grazing[lo:hi] = graz.any(axis=1)
+        d_norm = np.linalg.norm(d, axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            unit = d / d_norm[:, None]
+        # Squared distance from each sphere center to the ray, a half-line
+        # that may start up to _EPS_T behind its origin; expanding |c - p|^2
+        # rounds by under 1e-14 (|p|^2 + |c|^2), which the last term covers.
+        p_sq = np.einsum("rc,rc->r", p, p)
+        along = np.maximum(unit @ center.T - np.einsum("rc,rc->r", unit, p)[:, None], 0.0)
+        gap_sq = p_sq[:, None] - 2.0 * (p @ center.T) + center_sq - along * along
+        reach = radius + (2.0 * _EPS_T) * d_norm[:, None]
+        hit = gap_sq <= reach * reach + 1e-12 * (p_sq + center_sq.max())[:, None]
+        ray, cl = np.nonzero(hit)
+        ray = np.repeat(ray, _CLUSTER)
+        face = members[cl].reshape(-1)
+        if n_tri % _CLUSTER:
+            keep = face < n_tri
+            ray, face = ray[keep], face[keep]
+        # Rays in a face's plane graze it wherever they are: keep the
+        # near-parallel pairs that the sphere test dropped.
+        with np.errstate(divide="ignore"):
+            tol = parallel_tol * np.fmax.reduce(d_norm) + det_eps / np.fmin.reduce(d_norm)
+        dn = d @ normal.T
+        near = np.abs(dn, out=dn) <= tol
+        if near.any():
+            near_ray, near_face = np.nonzero(near)
+            missed = ~hit[near_ray, cluster_of[near_face]]
+            ray = np.concatenate([ray, near_ray[missed]])
+            face = np.concatenate([face, near_face[missed]])
+        inside, graz = _pair_test(ray_cols[:, lo + ray], face_cols[:, face])
+        counts[lo:hi] = np.bincount(ray[inside], minlength=hi - lo)
+        grazing[lo:hi] = np.bincount(ray[graz], minlength=hi - lo) > 0
     return counts, grazing
 
 

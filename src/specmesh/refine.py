@@ -84,8 +84,7 @@ def _random_directions(n: int, rng: np.random.Generator) -> np.ndarray:
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
-def points_interior(points: np.ndarray, mesh: TriMesh, seed: int,
-                    excl_indptr=None, excl_indices=None):
+def points_interior(points: np.ndarray, mesh: TriMesh, seed: int):
     """Ray-parity interior test for a batch of points.
 
     Grazing rays are retried with fresh seeded directions up to
@@ -101,19 +100,7 @@ def points_interior(points: np.ndarray, mesh: TriMesh, seed: int,
         if active.size == 0:
             break
         dirs = _random_directions(active.size, rng)
-        if excl_indptr is not None:
-            sub_ptr = np.zeros(active.size + 1, dtype=np.int64)
-            chunks = []
-            total = 0
-            for i, row in enumerate(active):
-                faces = excl_indices[excl_indptr[row]:excl_indptr[row + 1]]
-                chunks.append(faces)
-                total += faces.size
-                sub_ptr[i + 1] = total
-            sub_idx = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-            counts, grazing = ray_crossings(points[active], dirs, tri, sub_ptr, sub_idx)
-        else:
-            counts, grazing = ray_crossings(points[active], dirs, tri)
+        counts, grazing = ray_crossings(points[active], dirs, tri)
         ok = grazing == 0
         interior[active[ok]] = (counts[ok] % 2) == 1
         active = active[~ok]
@@ -137,20 +124,12 @@ def point_in_mesh(p, mesh: TriMesh, seed: int = 0) -> bool:
     return bool(interior[0])
 
 
-def _incident_faces_csr(mesh: TriMesh):
-    order = np.argsort(mesh.faces.reshape(-1), kind="stable")
-    flat_faces = np.repeat(np.arange(mesh.n_faces), 3)[order]
-    verts = mesh.faces.reshape(-1)[order]
-    indptr = np.searchsorted(verts, np.arange(mesh.n_vertices + 1))
-    return indptr.astype(np.int64), flat_faces.astype(np.int64)
-
-
 def collision_mask(source: TriMesh, target: TriMesh, seed: int = 0) -> CollisionMask:
     """Interior flags of source vertices against the target surface.
 
     Pass the same mesh object twice for self-penetration: origins are then
-    nudged outward along the vertex normal and the vertex's incident faces
-    are excluded, so healthy surface points test exterior.
+    nudged outward along the vertex normal, so healthy surface points test
+    exterior.
 
     Raises:
         ArgumentError: target is not watertight.
@@ -233,6 +212,9 @@ def _arap_rotations(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray,
         vt_f = vt[flip].copy()
         vt_f[:, -1, :] *= -1.0
         r[flip] = np.transpose(vt_f, (0, 2, 1)) @ np.transpose(u[flip], (0, 2, 1))
+    # the SVD of an unmoved cell rounds to a rotation a few ulp off identity
+    moved = np.any(e_def != e_rest, axis=1)
+    r[np.bincount(owner, weights=moved, minlength=n_vertices) == 0] = np.eye(3)
     return r, owner, e_rest, e_def
 
 

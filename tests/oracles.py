@@ -104,6 +104,57 @@ def chamfer_loop(a, b) -> float:
     return 0.5 * (directed(a, b) + directed(b, a))
 
 
+def ray_crossings_loop(origins, dirs, tri):
+    """Moller-Trumbore test of every ray against every face, one pair at a time.
+
+    Same rules as the geometry kernels: a hit strictly inside the face and
+    ahead of the origin counts; a hit within 1e-9 of an edge or of the
+    origin, or a ray parallel to a face and within 1e-9 of its plane, marks
+    the ray as grazing. Returns (counts, grazing) as Python lists.
+    """
+    eps = 1e-9
+
+    def sub(a, b):
+        return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    def cross(a, b):
+        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+    faces = [tuple(tuple(float(x) for x in corner) for corner in face) for face in tri]
+    counts, grazing = [], []
+    for origin, direction in zip(origins, dirs):
+        o = tuple(float(x) for x in origin)
+        d = tuple(float(x) for x in direction)
+        hits = 0
+        graze = 0
+        for a, b, c in faces:
+            e1 = sub(b, a)
+            e2 = sub(c, a)
+            n = cross(e1, e2)
+            n_len = max(math.sqrt(dot(n, n)), 1e-30)
+            tvec = sub(o, a)
+            pvec = cross(d, e2)
+            det = dot(e1, pvec)
+            if abs(det) < 1e-12 * n_len:
+                if abs(dot(tvec, n)) / n_len < eps:
+                    graze = 1
+                continue
+            qvec = cross(tvec, e1)
+            u = dot(tvec, pvec) / det
+            v = dot(d, qvec) / det
+            t = dot(e2, qvec) / det
+            if u > eps and v > eps and u + v < 1.0 - eps and t > eps:
+                hits += 1
+            elif u > -eps and v > -eps and u + v < 1.0 + eps and t > -eps:
+                graze = 1
+        counts.append(hits)
+        grazing.append(graze)
+    return counts, grazing
+
+
 def edge_loss_direct(lengths) -> float:
     """Direct evaluation: mean |l^2 - mean(l^2)|."""
     sq = [float(l) ** 2 for l in lengths]

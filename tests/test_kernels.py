@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import ray_crossings_loop
 
 from specmesh.kernels import BACKEND, _geomnp
 from specmesh.primitives import cube, icosphere
@@ -33,18 +34,6 @@ class TestBackendsAgree:
         assert np.array_equal(g1, g2)
 
     @pytest.mark.skipif(_geomfast is None, reason="compiled kernels unavailable")
-    def test_ray_crossings_with_exclusions_match(self):
-        n_pts = 162
-        _, dirs, tri, mesh = _ray_workload(7, n_pts=n_pts)
-        pts = mesh.positions
-        indptr = np.arange(n_pts + 1, dtype=np.int64) * 2
-        indices = np.tile(np.array([0, 1], dtype=np.int64), n_pts)
-        c1, g1 = _geomnp.ray_crossings(pts, dirs, tri, indptr, indices)
-        c2, g2 = _geomfast.ray_crossings(pts, dirs, tri, indptr, indices)
-        assert np.array_equal(c1, c2)
-        assert np.array_equal(g1, g2)
-
-    @pytest.mark.skipif(_geomfast is None, reason="compiled kernels unavailable")
     @pytest.mark.parametrize("seed", range(3))
     def test_nearest_vertex_match(self, seed):
         rng = np.random.default_rng(seed)
@@ -69,6 +58,102 @@ class TestBackendsAgree:
         d1 = _geomnp.point_triangle_dists(pts, tri)
         d2 = _geomfast.point_triangle_dists(pts, tri)
         assert np.allclose(d1, d2, atol=1e-12)
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _fixture_around_sphere():
+    """Seeded points inside, outside and across an icosphere."""
+    return _ray_workload(21, n_pts=150)[:3]
+
+
+def _fixture_near_surface():
+    """Points within 1e-3 of the surface, on both sides of it."""
+    rng = np.random.default_rng(22)
+    mesh = icosphere(2, radius=0.75)
+    scale = 1.0 + rng.uniform(-1e-3, 1e-3, size=(mesh.n_vertices, 1)) / 0.75
+    return mesh.positions * scale, _unit(rng.normal(size=(mesh.n_vertices, 3))), \
+        mesh.positions[mesh.faces]
+
+
+def _fixture_far():
+    """Points a kilometre out, half of them aimed near the mesh."""
+    rng = np.random.default_rng(23)
+    mesh = icosphere(2, radius=0.75)
+    pts = 1e3 * _unit(rng.normal(size=(40, 3)))
+    dirs = _unit(rng.normal(size=(40, 3)))
+    dirs[:20] = _unit(-pts[:20] + rng.uniform(-0.5, 0.5, size=(20, 3)))
+    return pts, dirs, mesh.positions[mesh.faces]
+
+
+def _fixture_vertex_aim():
+    """A ray aimed straight at a vertex, plus one from inside at another."""
+    mesh = icosphere(1)
+    pts = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    dirs = _unit([mesh.positions[0] - pts[0], mesh.positions[5]])
+    return pts, dirs, mesh.positions[mesh.faces]
+
+
+def _fixture_in_plane():
+    """Rays lying in the plane of the cube's +y faces, none reaching them."""
+    mesh = cube(1.0)
+    pts = np.array([[2.0, 0.5, 0.0], [2.0, 0.5, 0.0], [0.0, 0.5, 3.0]])
+    dirs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    return pts, dirs, mesh.positions[mesh.faces]
+
+
+def _fixture_cube():
+    """Seeded points around a 12-face mesh, whose last cluster is short."""
+    rng = np.random.default_rng(25)
+    mesh = cube(1.0)
+    pts = rng.uniform(-1.0, 1.0, size=(100, 3))
+    return pts, _unit(rng.normal(size=(100, 3))), mesh.positions[mesh.faces]
+
+
+def _fixture_long_unscaled():
+    """More points than one chunk, with directions of assorted lengths."""
+    rng = np.random.default_rng(24)
+    mesh = icosphere(1)
+    pts = rng.uniform(-1.3, 1.3, size=(300, 3))
+    dirs = _unit(rng.normal(size=(300, 3))) * rng.uniform(0.1, 10.0, size=(300, 1))
+    return pts, dirs, mesh.positions[mesh.faces]
+
+
+RAY_FIXTURES = {
+    "around_sphere": _fixture_around_sphere,
+    "near_surface": _fixture_near_surface,
+    "far": _fixture_far,
+    "vertex_aim": _fixture_vertex_aim,
+    "in_plane": _fixture_in_plane,
+    "cube": _fixture_cube,
+    "long_unscaled": _fixture_long_unscaled,
+}
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.split("_")[-1])
+class TestRayCrossingsOracle:
+    @pytest.mark.parametrize("name", RAY_FIXTURES)
+    def test_matches_loop_oracle(self, impl, name):
+        pts, dirs, tri = RAY_FIXTURES[name]()
+        counts, grazing = impl.ray_crossings(pts, dirs, tri)
+        want_counts, want_grazing = ray_crossings_loop(pts, dirs, tri)
+        assert counts.tolist() == want_counts
+        assert grazing.tolist() == want_grazing
+
+    def test_in_plane_ray_grazes(self, impl):
+        # the ray never reaches the +y faces, yet lies in their plane
+        counts, grazing = impl.ray_crossings(*_fixture_in_plane())
+        assert counts.tolist() == [0, 0, 0]
+        assert grazing.tolist() == [1, 1, 1]
+
+    def test_empty_mesh(self, impl):
+        pts, dirs, _ = _fixture_around_sphere()
+        counts, grazing = impl.ray_crossings(pts, dirs, np.zeros((0, 3, 3)))
+        assert counts.tolist() == ray_crossings_loop(pts, dirs, [])[0] == [0] * len(pts)
+        assert grazing.tolist() == [0] * len(pts)
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.split("_")[-1])
