@@ -259,10 +259,6 @@ def init_parameters(config: ModelConfig, assets: TemplateAssets) -> dict:
     return p
 
 
-def new_bn_state() -> dict:
-    return {}
-
-
 # --------------------------------------------------------------------------
 # forward pieces
 

@@ -136,6 +136,11 @@ def collision_mask(source: TriMesh, target: TriMesh, seed: int = 0) -> Collision
     """
     if not is_watertight(target):
         raise ArgumentError("collision mask requires a watertight target")
+    return _collision_mask(source, target, seed)
+
+
+def _collision_mask(source: TriMesh, target: TriMesh, seed: int) -> CollisionMask:
+    """``collision_mask`` without the watertightness check."""
     if source is target:
         # Nudging each origin just off its own surface keeps full-surface
         # parity meaningful: a healthy vertex tests exterior from either
@@ -176,18 +181,19 @@ def collision_loss(source: TriMesh, mask: CollisionMask, target: TriMesh) -> flo
 
 
 def _collision_grad(source: TriMesh, mask: CollisionMask, target: TriMesh):
-    """(loss, d loss / d source positions) with pairs and gate held fixed."""
+    """(loss, d loss / d source positions, source idx, target idx) with the
+    gated pairs held fixed."""
     grad = np.zeros_like(source.positions)
     src_idx, tgt_idx = _gated_pairs(source, mask, target)
     if src_idx.size == 0:
-        return 0.0, grad
+        return 0.0, grad, src_idx, tgt_idx
     diff = source.positions[src_idx] - target.positions[tgt_idx]
     dist = np.linalg.norm(diff, axis=1)
     unit = diff / np.maximum(dist, 1e-12)[:, None]
     np.add.at(grad, src_idx, unit)
     if source is target:
         np.add.at(grad, tgt_idx, -unit)
-    return float(dist.sum()), grad
+    return float(dist.sum()), grad, src_idx, tgt_idx
 
 
 def _arap_rotations(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray,
@@ -226,18 +232,24 @@ def arap_energy(rest: TriMesh, deformed_positions: np.ndarray) -> float:
     deformed_positions = np.asarray(deformed_positions, dtype=np.float64)
     if deformed_positions.shape != rest.positions.shape:
         raise ArgumentError("deformed positions must match rest topology")
-    edges = edge_set(rest).edges.astype(np.int64)
-    r, owner, e_rest, e_def = _arap_rotations(
-        rest.positions, deformed_positions, edges, rest.n_vertices)
-    residual = e_def - np.einsum("nab,nb->na", r[owner], e_rest)
-    return float(np.sum(residual**2))
+    return _arap_energy(rest, deformed_positions, edge_set(rest).edges.astype(np.int64))
+
+
+def _arap_residual(rest: TriMesh, deformed: np.ndarray, edges: np.ndarray):
+    """Per half-edge residual after the best per-cell rotation."""
+    r, owner, e_rest, e_def = _arap_rotations(rest.positions, deformed, edges,
+                                              rest.n_vertices)
+    return e_def - np.einsum("nab,nb->na", r[owner], e_rest)
+
+
+def _arap_energy(rest: TriMesh, deformed: np.ndarray, edges: np.ndarray) -> float:
+    """``arap_energy`` on precomputed edges, without the shape check."""
+    return float(np.sum(_arap_residual(rest, deformed, edges)**2))
 
 
 def _arap_grad(rest: TriMesh, deformed: np.ndarray, edges: np.ndarray):
     """(energy, gradient) with rotations held at their per-cell optimum."""
-    r, owner, e_rest, e_def = _arap_rotations(rest.positions, deformed, edges,
-                                              rest.n_vertices)
-    residual = e_def - np.einsum("nab,nb->na", r[owner], e_rest)
+    residual = _arap_residual(rest, deformed, edges)
     energy = float(np.sum(residual**2))
     grad = np.zeros_like(deformed)
     half = edges.shape[0]
@@ -278,8 +290,8 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
         iterations = it + 1
         current = rest.with_positions(x)
         opposite = current if self_mode else target
-        mask = collision_mask(current, opposite, config.ray_direction_seed)
-        col_loss, col_grad = _collision_grad(current, mask, opposite)
+        mask = _collision_mask(current, opposite, config.ray_direction_seed)
+        col_loss, col_grad, src_idx, tgt_idx = _collision_grad(current, mask, opposite)
         if config.arap_weight > 0:
             arap_val, arap_g = _arap_grad(rest, x, edges)
         else:
@@ -307,7 +319,6 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
         if gnorm2 == 0.0:
             break
         step = config.step_size
-        src_idx, tgt_idx = _gated_pairs(current, mask, opposite)
 
         def surrogate(pos):
             # collision pairs and gates frozen for the line search
@@ -316,11 +327,10 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
                 anchors = pos[tgt_idx] if self_mode else target.positions[tgt_idx]
                 val += float(np.linalg.norm(pos[src_idx] - anchors, axis=1).sum())
             if config.arap_weight > 0:
-                e, _ = _arap_grad(rest, pos, edges)
-                val += config.arap_weight * e
+                val += config.arap_weight * _arap_energy(rest, pos, edges)
             return val
 
-        base = surrogate(x)
+        base = loss  # the surrogate at x
         accepted = False
         for _ in range(20):
             candidate = x - step * grad

@@ -155,6 +155,91 @@ def ray_crossings_loop(origins, dirs, tri):
     return counts, grazing
 
 
+def nearest_vertex_loop(query, ref, exclude=None):
+    """Nearest reference vertex per query point, one pair at a time.
+
+    ``exclude`` gives one reference index per query to skip, ``-1`` for
+    none. Ties go to the lowest index; a query with no reference left gets
+    (0, inf). The squared distance adds the axes in order, x then y then z,
+    as a NumPy sum over the last axis does. Returns (indices, distances) as
+    Python lists.
+    """
+    refs = [tuple(float(x) for x in r) for r in ref]
+    idx, dist = [], []
+    for i, q in enumerate(query):
+        qx, qy, qz = (float(x) for x in q)
+        skip = -1 if exclude is None else int(exclude[i])
+        best_j, best_d2 = 0, math.inf
+        for j, (rx, ry, rz) in enumerate(refs):
+            if j == skip:
+                continue
+            dx, dy, dz = qx - rx, qy - ry, qz - rz
+            d2 = dx * dx + dy * dy + dz * dz
+            if d2 < best_d2:
+                best_j, best_d2 = j, d2
+        idx.append(best_j)
+        dist.append(math.sqrt(best_d2))
+    return idx, dist
+
+
+def point_triangle_dists_dense(points, tri):
+    """Distance from each point to the nearest triangle, testing every face.
+
+    Ericson's closest-point case split (Real-Time Collision Detection,
+    5.1.5) on dense (points x faces) arrays: the brute-force reference the
+    culled kernel must equal bit for bit.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    tri = np.asarray(tri, dtype=np.float64)
+    n = points.shape[0]
+    out = np.full(n, np.inf)
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    ab = b - a
+    ac = c - a
+    chunk = 256  # points per dense block
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        p = points[lo:hi][:, None, :]  # (P, 1, 3)
+        ap = p - a[None, :, :]
+        d1 = np.einsum("fc,pfc->pf", ab, ap)
+        d2 = np.einsum("fc,pfc->pf", ac, ap)
+        bp = p - b[None, :, :]
+        d3 = np.einsum("fc,pfc->pf", ab, bp)
+        d4 = np.einsum("fc,pfc->pf", ac, bp)
+        cp = p - c[None, :, :]
+        d5 = np.einsum("fc,pfc->pf", ab, cp)
+        d6 = np.einsum("fc,pfc->pf", ac, cp)
+        va = d3 * d6 - d5 * d4
+        vb = d5 * d2 - d1 * d6
+        vc = d1 * d4 - d3 * d2
+        denom_ab = d1 - d3
+        denom_ac = d2 - d6
+        # closest point per region of the triangle (Ericson's case split)
+        closest = a[None, :, :] + np.zeros_like(ap)
+        region_b = (d3 >= 0) & (d4 <= d3)
+        region_c = (d6 >= 0) & (d5 <= d6)
+        t_ab = np.divide(d1, denom_ab, out=np.zeros_like(d1), where=denom_ab != 0)
+        edge_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
+        t_ac = np.divide(d2, denom_ac, out=np.zeros_like(d2), where=denom_ac != 0)
+        edge_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
+        seg = (d4 - d3) / np.where((d4 - d3) + (d5 - d6) == 0, 1.0, (d4 - d3) + (d5 - d6))
+        edge_bc = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
+        denom = va + vb + vc
+        vv = np.divide(vb, denom, out=np.zeros_like(vb), where=denom != 0)
+        ww = np.divide(vc, denom, out=np.zeros_like(vc), where=denom != 0)
+        interior = a[None] + vv[..., None] * ab[None] + ww[..., None] * ac[None]
+        closest = np.where(edge_bc[..., None], b[None] + seg[..., None] * (c - b)[None], interior)
+        closest = np.where(edge_ac[..., None], a[None] + np.clip(t_ac, 0, 1)[..., None] * ac[None], closest)
+        closest = np.where(edge_ab[..., None], a[None] + np.clip(t_ab, 0, 1)[..., None] * ab[None], closest)
+        closest = np.where(region_c[..., None], c[None] + np.zeros_like(ap), closest)
+        closest = np.where(region_b[..., None], b[None] + np.zeros_like(ap), closest)
+        vertex_a = (d1 <= 0) & (d2 <= 0)
+        closest = np.where(vertex_a[..., None], a[None] + np.zeros_like(ap), closest)
+        dists = np.linalg.norm(p - closest, axis=2)
+        out[lo:hi] = dists.min(axis=1)
+    return out
+
+
 def edge_loss_direct(lengths) -> float:
     """Direct evaluation: mean |l^2 - mean(l^2)|."""
     sq = [float(l) ** 2 for l in lengths]

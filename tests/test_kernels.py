@@ -1,63 +1,9 @@
 import numpy as np
 import pytest
-from oracles import ray_crossings_loop
+from oracles import nearest_vertex_loop, point_triangle_dists_dense, ray_crossings_loop
 
-from specmesh.kernels import BACKEND, _geomnp
+from specmesh import kernels
 from specmesh.primitives import cube, icosphere
-
-try:
-    from specmesh.kernels import _geomfast
-    BACKENDS = [_geomnp, _geomfast]
-except ImportError:  # extension not built; fallback still fully covered
-    _geomfast = None
-    BACKENDS = [_geomnp]
-
-
-def _ray_workload(seed, n_pts=200):
-    rng = np.random.default_rng(seed)
-    mesh = icosphere(2, radius=0.75)
-    tri = mesh.positions[mesh.faces]
-    pts = rng.uniform(-1.2, 1.2, size=(n_pts, 3))
-    dirs = rng.normal(size=(n_pts, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return pts, dirs, tri, mesh
-
-
-class TestBackendsAgree:
-    @pytest.mark.skipif(_geomfast is None, reason="compiled kernels unavailable")
-    @pytest.mark.parametrize("seed", range(3))
-    def test_ray_crossings_match(self, seed):
-        pts, dirs, tri, _ = _ray_workload(seed)
-        c1, g1 = _geomnp.ray_crossings(pts, dirs, tri)
-        c2, g2 = _geomfast.ray_crossings(pts, dirs, tri)
-        assert np.array_equal(c1, c2)
-        assert np.array_equal(g1, g2)
-
-    @pytest.mark.skipif(_geomfast is None, reason="compiled kernels unavailable")
-    @pytest.mark.parametrize("seed", range(3))
-    def test_nearest_vertex_match(self, seed):
-        rng = np.random.default_rng(seed)
-        q = rng.normal(size=(50, 3))
-        r = rng.normal(size=(80, 3))
-        i1, d1 = _geomnp.nearest_vertex(q, r)
-        i2, d2 = _geomfast.nearest_vertex(q, r)
-        assert np.array_equal(i1, i2)
-        assert np.allclose(d1, d2, atol=1e-14)
-        excl = rng.integers(-1, 80, size=50)
-        i1, d1 = _geomnp.nearest_vertex(q, r, excl)
-        i2, d2 = _geomfast.nearest_vertex(q, r, excl)
-        assert np.array_equal(i1, i2)
-
-    @pytest.mark.skipif(_geomfast is None, reason="compiled kernels unavailable")
-    @pytest.mark.parametrize("seed", range(3))
-    def test_point_triangle_match(self, seed):
-        rng = np.random.default_rng(seed)
-        mesh = cube(0.8)
-        tri = mesh.positions[mesh.faces]
-        pts = rng.uniform(-1, 1, size=(60, 3))
-        d1 = _geomnp.point_triangle_dists(pts, tri)
-        d2 = _geomfast.point_triangle_dists(pts, tri)
-        assert np.allclose(d1, d2, atol=1e-12)
 
 
 def _unit(v):
@@ -67,7 +13,10 @@ def _unit(v):
 
 def _fixture_around_sphere():
     """Seeded points inside, outside and across an icosphere."""
-    return _ray_workload(21, n_pts=150)[:3]
+    rng = np.random.default_rng(21)
+    mesh = icosphere(2, radius=0.75)
+    pts = rng.uniform(-1.2, 1.2, size=(150, 3))
+    return pts, _unit(rng.normal(size=(150, 3))), mesh.positions[mesh.faces]
 
 
 def _fixture_near_surface():
@@ -133,68 +82,155 @@ RAY_FIXTURES = {
 }
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.split("_")[-1])
 class TestRayCrossingsOracle:
     @pytest.mark.parametrize("name", RAY_FIXTURES)
-    def test_matches_loop_oracle(self, impl, name):
+    def test_matches_loop_oracle(self, name):
         pts, dirs, tri = RAY_FIXTURES[name]()
-        counts, grazing = impl.ray_crossings(pts, dirs, tri)
+        counts, grazing = kernels.ray_crossings(pts, dirs, tri)
         want_counts, want_grazing = ray_crossings_loop(pts, dirs, tri)
         assert counts.tolist() == want_counts
         assert grazing.tolist() == want_grazing
 
-    def test_in_plane_ray_grazes(self, impl):
+    def test_in_plane_ray_grazes(self):
         # the ray never reaches the +y faces, yet lies in their plane
-        counts, grazing = impl.ray_crossings(*_fixture_in_plane())
+        counts, grazing = kernels.ray_crossings(*_fixture_in_plane())
         assert counts.tolist() == [0, 0, 0]
         assert grazing.tolist() == [1, 1, 1]
 
-    def test_empty_mesh(self, impl):
+    def test_empty_mesh(self):
         pts, dirs, _ = _fixture_around_sphere()
-        counts, grazing = impl.ray_crossings(pts, dirs, np.zeros((0, 3, 3)))
+        counts, grazing = kernels.ray_crossings(pts, dirs, np.zeros((0, 3, 3)))
         assert counts.tolist() == ray_crossings_loop(pts, dirs, [])[0] == [0] * len(pts)
         assert grazing.tolist() == [0] * len(pts)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.split("_")[-1])
+def _fixture_hairline():
+    """Vertices, edge midpoints and face centroids of an icosphere, pushed
+    off its surface by at most 1e-6, plus its exact vertices."""
+    rng = np.random.default_rng(26)
+    mesh = icosphere(2, radius=0.75)
+    tri = mesh.positions[mesh.faces]
+    on = np.concatenate([mesh.positions, 0.5 * (tri[:, 0] + tri[:, 1]), tri.mean(axis=1)])
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    push = np.concatenate([_unit(mesh.positions), _unit(normal), _unit(normal)])
+    pts = on + rng.uniform(-1e-6, 1e-6, size=(len(on), 1)) * push
+    return np.concatenate([pts, mesh.positions]), tri
+
+
+# (query points, faces): the ray fixtures' points and meshes, and one more
+DISTANCE_FIXTURES = {name: (lambda make=make: make()[::2]) for name, make in RAY_FIXTURES.items()}
+DISTANCE_FIXTURES["hairline"] = _fixture_hairline
+
+
+def _assert_nearest_matches_loop(query, ref, exclude=None):
+    idx, dist = kernels.nearest_vertex(query, ref, exclude)
+    want_idx, want_dist = nearest_vertex_loop(query, ref, exclude)
+    assert idx.dtype == np.int64
+    assert np.array_equal(idx, np.array(want_idx, dtype=np.int64))
+    assert np.array_equal(dist, np.array(want_dist, dtype=np.float64))
+
+
+class TestNearestVertexOracle:
+    @pytest.mark.parametrize("name", DISTANCE_FIXTURES)
+    def test_fixture_against_face_corners(self, name):
+        # every vertex repeats once per incident face, so ties are everywhere
+        pts, tri = DISTANCE_FIXTURES[name]()
+        ref = np.asarray(tri).reshape(-1, 3)
+        _assert_nearest_matches_loop(pts, ref)
+        rng = np.random.default_rng(len(name))
+        _assert_nearest_matches_loop(pts, ref, rng.integers(-1, len(ref), size=len(pts)))
+
+    @pytest.mark.parametrize("subdivisions", [1, 2])
+    def test_icosphere_self_query(self, subdivisions):
+        # symmetric: each vertex has several neighbours at nearly one distance
+        pts = icosphere(subdivisions).positions
+        _assert_nearest_matches_loop(pts, pts, np.arange(len(pts)))
+        _assert_nearest_matches_loop(pts, pts)
+
+    def test_duplicated_references(self):
+        rng = np.random.default_rng(28)
+        base = rng.normal(size=(30, 3))
+        ref = np.concatenate([base, base[::3], base[:5]])
+        query = np.concatenate([rng.normal(size=(40, 3)), base])
+        _assert_nearest_matches_loop(query, ref)
+        _assert_nearest_matches_loop(query, ref, rng.integers(-1, len(ref), size=len(query)))
+
+    def test_equidistant_query_takes_lowest_index(self):
+        ref = np.array([[0.0, 5.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        query = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        idx, dist = kernels.nearest_vertex(query, ref, np.array([-1, -1, 1]))
+        assert idx.tolist() == [1, 1, 2]
+        _assert_nearest_matches_loop(query, ref)
+        _assert_nearest_matches_loop(query, ref, np.array([-1, -1, 1]))
+
+    def test_empty_query(self):
+        idx, dist = kernels.nearest_vertex(np.zeros((0, 3)), icosphere(1).positions)
+        assert idx.shape == dist.shape == (0,)
+        idx, dist = kernels.nearest_vertex(np.zeros((0, 3)), icosphere(1).positions,
+                                           np.zeros(0, dtype=np.int64))
+        assert idx.shape == dist.shape == (0,)
+
+    def test_only_reference_excluded(self):
+        ref = np.array([[0.0, 0.0, 0.0]])
+        query = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        idx, dist = kernels.nearest_vertex(query, ref, np.array([0, 0, -1]))
+        assert idx.tolist() == [0, 0, 0]
+        assert dist.tolist() == [np.inf, np.inf, 1.0]
+        _assert_nearest_matches_loop(query, ref, np.array([0, 0, -1]))
+
+
+class TestPointTriangleOracle:
+    @pytest.mark.parametrize("name", DISTANCE_FIXTURES)
+    def test_matches_dense_oracle(self, name):
+        pts, tri = DISTANCE_FIXTURES[name]()
+        dists = kernels.point_triangle_dists(pts, tri)
+        assert np.array_equal(dists, point_triangle_dists_dense(pts, tri))
+
+    def test_empty_inputs(self):
+        tri = cube(1.0).positions[cube(1.0).faces]
+        assert kernels.point_triangle_dists(np.zeros((0, 3)), tri).shape == (0,)
+        pts = np.ones((2, 3))
+        assert kernels.point_triangle_dists(pts, np.zeros((0, 3, 3))).tolist() == [np.inf] * 2
+
+
 class TestKernelSemantics:
-    def test_parity_inside_outside(self, impl):
+    def test_parity_inside_outside(self):
         mesh = icosphere(1)
         tri = mesh.positions[mesh.faces]
         pts = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
         dirs = np.array([[0.2, 0.3, 0.93], [0.5, 0.5, 0.7]])
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        counts, grazing = impl.ray_crossings(pts, dirs, tri)
+        counts, grazing = kernels.ray_crossings(pts, dirs, tri)
         assert grazing[0] == 0 and grazing[1] == 0
         assert counts[0] % 2 == 1
         assert counts[1] % 2 == 0
 
-    def test_grazing_flagged_on_vertex_hit(self, impl):
+    def test_grazing_flagged_on_vertex_hit(self):
         mesh = icosphere(1)
         tri = mesh.positions[mesh.faces]
         # aim straight at a vertex: must be flagged, not silently counted
         origin = np.array([[2.0, 0.0, 0.0]])
         towards = mesh.positions[0] - origin[0]
         towards /= np.linalg.norm(towards)
-        _, grazing = impl.ray_crossings(origin, towards[None, :], tri)
+        _, grazing = kernels.ray_crossings(origin, towards[None, :], tri)
         assert grazing[0] == 1
 
-    def test_nearest_vertex_brute_force(self, impl):
+    def test_nearest_vertex_brute_force(self):
         rng = np.random.default_rng(11)
         q = rng.normal(size=(25, 3))
         r = rng.normal(size=(40, 3))
-        idx, dist = impl.nearest_vertex(q, r)
+        idx, dist = kernels.nearest_vertex(q, r)
         d2 = np.sum((q[:, None] - r[None]) ** 2, axis=2)
         assert np.array_equal(idx, np.argmin(d2, axis=1))
         assert np.allclose(dist, np.sqrt(d2.min(axis=1)), atol=1e-14)
 
-    def test_nearest_vertex_excludes_self(self, impl):
+    def test_nearest_vertex_excludes_self(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
-        idx, dist = impl.nearest_vertex(pts, pts, np.array([0, 1, 2]))
+        idx, dist = kernels.nearest_vertex(pts, pts, np.array([0, 1, 2]))
         assert idx.tolist() == [1, 0, 1]
         assert np.allclose(dist, [1.0, 1.0, 2.0])
 
-    def test_point_triangle_analytic(self, impl):
+    def test_point_triangle_analytic(self):
         tri = np.array([[[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]])
         pts = np.array([
             [0.25, 0.25, 0.5],   # above interior: distance = height
@@ -202,15 +238,15 @@ class TestKernelSemantics:
             [0.5, -2.0, 0.0],    # below edge ab
             [2.0, 2.0, 0.0],     # beyond edge bc
         ])
-        d = impl.point_triangle_dists(pts, tri)
+        d = kernels.point_triangle_dists(pts, tri)
         expected = [0.5, np.sqrt(2.0), 2.0, 1.5 * np.sqrt(2.0)]
         assert np.allclose(d, expected, atol=1e-12)
 
-    def test_point_triangle_sampling_oracle(self, impl):
+    def test_point_triangle_sampling_oracle(self):
         rng = np.random.default_rng(5)
         tri = rng.normal(size=(3, 3, 3))
         pts = rng.normal(size=(10, 3)) * 1.5
-        d = impl.point_triangle_dists(pts, tri)
+        d = kernels.point_triangle_dists(pts, tri)
         # oracle: dense barycentric sampling of each triangle
         grid = []
         n = 220
@@ -228,4 +264,4 @@ class TestKernelSemantics:
 
 
 def test_backend_reports_name():
-    assert BACKEND in ("numpy", "cython")
+    assert kernels.BACKEND == "numpy"
