@@ -127,8 +127,8 @@ class TemplateAssets:
     hands: tuple  # (right, left) TriMesh at rest pose
     token_positions: np.ndarray  # (V', 3)
     token_labels: np.ndarray  # (V',) cluster ids
-    pyramids: tuple  # per hand GraphPyramid over decoder_sizes
-    scaled_ops: tuple  # per hand, scaled Laplacians for all but the finest level
+    pyramid: GraphPyramid  # over decoder_sizes; the mirrored hand shares it
+    scaled_ops: tuple  # scaled Laplacians of all but the finest level, both hands
     mesh_edges: np.ndarray  # (E, 2) edges of the combined two-hand mesh
 
     @property
@@ -144,7 +144,7 @@ class TemplateAssets:
 
 
 def build_assets(config: ModelConfig) -> TemplateAssets:
-    """Template meshes, segmentation, token layout, and decoder pyramids."""
+    """Template meshes, segmentation, token layout, and the decoder pyramid."""
     if config.template == "hand":
         right = hand_template()
         right = right.with_positions(right.positions + np.array([0.09, 0.0, 0.0]))
@@ -163,18 +163,15 @@ def build_assets(config: ModelConfig) -> TemplateAssets:
     kept = smap.kept_indices
     token_positions = np.concatenate([right.positions[kept], left.positions[kept]])
     token_labels = np.concatenate([labels_hand[kept], labels_hand[kept]])
-    # mirrored hand shares topology, so one pyramid seed serves both shapes
-    pyramids = []
-    scaled_ops = []
-    for mesh in (right, left):
-        g = build_mesh_graph(mesh.positions, mesh.faces)
-        pyr = build_pyramid(g, list(config.decoder_sizes), seed=config.seed)
-        ops = []
-        for level in range(pyr.n_levels - 1):
-            lap = laplacian(pyr.levels[level])
-            ops.append(scaled_laplacian(lap, lambda_max(lap)))
-        pyramids.append(pyr)
-        scaled_ops.append(tuple(ops))
+    # Mirroring only reverses face winding, so the left hand has the same
+    # adjacency, hence the same pyramid levels, parent maps and operators;
+    # only the coarse positions would differ, and the decoder never reads
+    # them. One pyramid and one operator set serve both hands.
+    pyramid = build_pyramid(graph_r, list(config.decoder_sizes), seed=config.seed)
+    ops = []
+    for level in range(pyramid.n_levels - 1):
+        lap = laplacian(pyramid.levels[level])
+        ops.append(scaled_laplacian(lap, lambda_max(lap)))
     offset = right.n_vertices
     combined_faces = np.concatenate([right.faces, left.faces + offset])
     combined = TriMesh(positions=np.concatenate([right.positions, left.positions]),
@@ -183,8 +180,8 @@ def build_assets(config: ModelConfig) -> TemplateAssets:
         hands=(right, left),
         token_positions=token_positions,
         token_labels=token_labels,
-        pyramids=tuple(pyramids),
-        scaled_ops=tuple(scaled_ops),
+        pyramid=pyramid,
+        scaled_ops=tuple(ops),
         mesh_edges=edge_set(combined).edges.astype(np.int64),
     )
 
@@ -441,6 +438,7 @@ def decoder_forward(f_c: ad.Tensor, assets: TemplateAssets, params: dict,
 
     Each level applies a learned vertex-count map followed by Chebyshev
     filtering on that level's graph; the finest map has no filter after it.
+    Both hands filter with the same operators and their own weights.
     """
     t = config.tokens_per_hand
     outputs = []
@@ -449,7 +447,7 @@ def decoder_forward(f_c: ad.Tensor, assets: TemplateAssets, params: dict,
         for i, size in enumerate(config.decoder_sizes):
             x = ad.add(ad.matmul(params[f"dec{h}_up{i}_w"], x), params[f"dec{h}_up{i}_b"])
             if i + 1 < len(config.decoder_sizes):
-                x = ad.cheb_filter(assets.scaled_ops[h][i], params[f"dec{h}_cheb{i}"], x)
+                x = ad.cheb_filter(assets.scaled_ops[i], params[f"dec{h}_cheb{i}"], x)
         outputs.append(x)
     return ad.concat(outputs, axis=0)
 

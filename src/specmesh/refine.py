@@ -362,11 +362,11 @@ def plausibility_metrics(a: TriMesh, b: TriMesh, voxel_cm: float = 0.5,
     if not voxel_cm > 0:
         raise ArgumentError("voxel_cm must be positive")
     self_mode = a is b
-    for mesh in (a, b):
+    for mesh in (a,) if self_mode else (a, b):
         if not is_watertight(mesh):
             raise ArgumentError("plausibility metrics require watertight meshes")
     if self_mode:
-        mask = collision_mask(a, a, seed)
+        mask = _collision_mask(a, a, seed)
         interior_pts = a.positions[mask.interior]
         tri = a.positions[a.faces]
         max_pen = float(point_triangle_dists(interior_pts, tri).max()) if interior_pts.size else 0.0
@@ -374,7 +374,7 @@ def plausibility_metrics(a: TriMesh, b: TriMesh, voxel_cm: float = 0.5,
                                   intersection_volume_cm3=0.0, voxel_size_cm=voxel_cm)
     pen = 0.0
     for src, dst in ((a, b), (b, a)):
-        mask = collision_mask(src, dst, seed)
+        mask = _collision_mask(src, dst, seed)
         pts = src.positions[mask.interior]
         if pts.size:
             pen = max(pen, float(point_triangle_dists(pts, dst.positions[dst.faces]).max()))

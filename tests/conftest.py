@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from specmesh.graphs import build_mesh_graph
 from specmesh.primitives import hand_template, icosphere
+from specmesh.pyramid import build_pyramid
 
 
 def random_mesh_graph(n: int, seed: int, extra_edges: int = 0):
@@ -33,6 +34,13 @@ def hand_mesh():
 @pytest.fixture(scope="session")
 def hand_graph(hand_mesh):
     return build_mesh_graph(hand_mesh.positions, hand_mesh.faces)
+
+
+@pytest.fixture(scope="session")
+def hand_pyramid(hand_graph):
+    """The full config's decoder levels; the coarse ones are large enough for
+    the spectral solvers' ARPACK path."""
+    return build_pyramid(hand_graph, (617, 1234, 2468, 4023), seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from conftest import random_mesh_graph
 from oracles import jacobi_eigh, union_find_components
-from specmesh.errors import ArgumentError, StructuralError
+from specmesh import graphs
+from specmesh.errors import ArgumentError, NumericalError, StructuralError
 from specmesh.graphs import (
     Laplacian,
     build_mesh_graph,
@@ -168,6 +171,63 @@ class TestEigendecompose:
             eigendecompose(laplacian(g), 0)
         with pytest.raises(ArgumentError):
             eigendecompose(laplacian(g), 5)
+
+
+def _sign_fixed(vectors):
+    """Columns flipped so the first component above 1e-10 in magnitude is positive."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        lead = out[np.argmax(np.abs(out[:, j]) > 1e-10), j]
+        if lead < 0:
+            out[:, j] *= -1.0
+    return out
+
+
+class TestArpackPath:
+    """Graphs above the dense/ARPACK crossover: the hand pyramid's coarse levels."""
+
+    K = 8  # what segmentation asks for with the default 7 clusters
+
+    @pytest.fixture(scope="class", params=[0, 1], ids=["617", "1234"])
+    def lap(self, request, hand_pyramid):
+        lap = laplacian(hand_pyramid.levels[request.param])
+        assert graphs._use_arpack(lap.n_vertices, self.K)
+        return lap
+
+    def test_matches_dense_eigh(self, lap):
+        spec = eigendecompose(lap, self.K)
+        vals, vecs = scipy.linalg.eigh(lap.matrix.toarray(), subset_by_index=[0, self.K])
+        assert np.max(np.abs(spec.eigenvalues - vals[:self.K])) < 1e-12
+        gaps = np.diff(vals)
+        simple = np.minimum(np.r_[np.inf, gaps[:-1]], gaps) > 1e-6
+        assert simple.sum() >= self.K - 1
+        expected = _sign_fixed(vecs[:, :self.K])
+        assert np.max(np.abs(spec.eigenvectors[:, simple] - expected[:, simple])) < 1e-10
+
+    def test_lambda_max_matches_dense(self, lap):
+        dense = scipy.linalg.eigvalsh(lap.matrix.toarray())[-1]
+        assert abs(lambda_max(lap) - dense) / dense < 1e-13
+
+    def test_deterministic_bitwise(self, lap):
+        a, b = eigendecompose(lap, self.K), eigendecompose(lap, self.K)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        assert lambda_max(lap) == lambda_max(lap)
+
+    def test_nonconvergence_is_numerical_error(self, lap, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        with pytest.raises(NumericalError):
+            eigendecompose(lap, self.K)
+        with pytest.raises(NumericalError):
+            lambda_max(lap)
+
+    def test_small_graphs_stay_dense(self):
+        assert not graphs._use_arpack(162, 8)  # toy template segmentation
+        assert not graphs._use_arpack(81, 1)  # toy decoder levels
+        assert not graphs._use_arpack(1234, 1234)  # full spectrum
 
 
 class TestScaledLaplacian:

@@ -1,0 +1,92 @@
+import json
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from specmesh import autodiff as ad
+from specmesh import model as M
+from specmesh.errors import ArgumentError
+from specmesh.graphs import build_mesh_graph, lambda_max, laplacian, scaled_laplacian
+from specmesh.pyramid import build_pyramid
+from specmesh.scenes import SceneSpec, build_scene
+
+
+@pytest.fixture(scope="module")
+def full():
+    config = M.ModelConfig()
+    return config, M.build_assets(config)
+
+
+class TestFullConfigAssets:
+    def test_one_operator_per_coarse_level(self, full):
+        config, assets = full
+        assert [op.n_vertices for op in assets.scaled_ops] == [617, 1234, 2468]
+        assert assets.pyramid.level_sizes == list(config.decoder_sizes)
+
+    def test_operators_equal_mirrored_hands_own(self, full):
+        config, assets = full
+        left = assets.hands[1]
+        pyramid = build_pyramid(build_mesh_graph(left.positions, left.faces),
+                                config.decoder_sizes, seed=config.seed)
+        for level, op in enumerate(assets.scaled_ops):
+            lap = laplacian(pyramid.levels[level])
+            own = scaled_laplacian(lap, lambda_max(lap)).matrix
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(op.matrix, attr), getattr(own, attr))
+
+    def test_spectra_inside_unit_interval(self, full):
+        _, assets = full
+        for op in assets.scaled_ops:
+            vals = scipy.linalg.eigvalsh(op.matrix.toarray())
+            assert vals[0] >= -1.0 - 1e-12
+            assert vals[-1] <= 1.0 + 1e-12
+
+    def test_no_dense_eigensolve(self, monkeypatch):
+        def dense_solve(*args, **kwargs):
+            raise AssertionError("dense eigensolver called during full-config set-up")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", dense_solve)
+        assets = M.build_assets(M.ModelConfig())
+        assert len(assets.scaled_ops) == 3
+
+
+@pytest.fixture(scope="module")
+def trained_toy():
+    """Toy config after one train step: parameters and BN statistics are non-trivial."""
+    config = M.toy_config()
+    assets = M.build_assets(config)
+    params = M.init_parameters(config, assets)
+    opt = ad.Adam(params, lr=config.learning_rate)
+    bn_state = {}
+    scene = build_scene(SceneSpec(seed=1), assets, config)
+    M.train_step(params, opt, scene, assets, config, bn_state)
+    return config, params, bn_state
+
+
+class TestCheckpoint:
+    def test_roundtrip_bit_exact(self, trained_toy, tmp_path):
+        config, params, bn_state = trained_toy
+        M.save_checkpoint(tmp_path, params, config, bn_state)
+        loaded, loaded_config, loaded_bn = M.load_checkpoint(tmp_path)
+        assert loaded_config == config
+        assert loaded_config.config_hash() == config.config_hash()
+        assert sorted(loaded) == sorted(params)
+        for name, tensor in params.items():
+            assert loaded[name].data.dtype == np.float64
+            assert loaded[name].data.shape == tensor.data.shape
+            assert loaded[name].data.tobytes() == tensor.data.tobytes()
+        assert bn_state and sorted(loaded_bn) == sorted(bn_state)
+        for key, stats in bn_state.items():
+            for stat in ("mean", "var"):
+                assert loaded_bn[key][stat].tobytes() == stats[stat].tobytes()
+
+    def test_config_hash_mismatch_rejected(self, trained_toy, tmp_path):
+        config, params, bn_state = trained_toy
+        M.save_checkpoint(tmp_path, params, config, bn_state)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["seed"] += 1  # edited config, stale hash
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ArgumentError, match="hash"):
+            M.load_checkpoint(tmp_path)

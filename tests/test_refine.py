@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import central_difference, collision_loss_loop, sphere_contains
+from specmesh import refine
 from specmesh.errors import ArgumentError
 from specmesh.meshes import TriMesh, edge_set
 from specmesh.primitives import apply_rigid, cube, icosphere, rotation_matrix
@@ -244,6 +245,25 @@ class TestPlausibilityMetrics:
         holed = TriMesh(positions=a.positions, faces=a.faces[:-1])
         with pytest.raises(ArgumentError):
             plausibility_metrics(a, holed)
+
+    def test_checks_each_mesh_once(self, monkeypatch):
+        checked = []
+
+        def counting(mesh):
+            checked.append(mesh)
+            return is_watertight(mesh)
+
+        is_watertight = refine.is_watertight
+        monkeypatch.setattr(refine, "is_watertight", counting)
+        a, b = overlapping_spheres(radius=0.03)
+        assert plausibility_metrics(a, b).max_penetration_mm > 0
+        assert len(checked) == 2 and checked[0] is a and checked[1] is b
+        checked.clear()
+        plausibility_metrics(a, a)
+        assert len(checked) == 1 and checked[0] is a
+        holed = TriMesh(positions=b.positions, faces=b.faces[:-1])
+        with pytest.raises(ArgumentError):
+            plausibility_metrics(holed, a)
 
     def test_bad_voxel_rejected(self):
         a = icosphere(1, radius=0.03)

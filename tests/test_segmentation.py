@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_mesh_graph
+from specmesh import graphs
 from specmesh.errors import ArgumentError
-from specmesh.graphs import build_mesh_graph, graph_from_edges
+from specmesh.graphs import build_mesh_graph, eigendecompose, graph_from_edges, laplacian
 from specmesh.primitives import icosphere
 from specmesh.segmentation import (
     ClusterAssignment,
@@ -89,6 +90,26 @@ class TestSegment:
         partition = lambda lab: {frozenset(np.flatnonzero(lab == k).tolist()) for k in range(4)}
         original_on_permuted = base[perm]
         assert partition(labels) == partition(original_on_permuted)
+
+    @pytest.mark.parametrize("level", [0, 1], ids=["617", "1234"])
+    def test_arpack_labels_equal_dense(self, hand_pyramid, level, monkeypatch):
+        g = hand_pyramid.levels[level]
+        assert graphs._use_arpack(g.n_vertices, 8)
+        arpack = segment(g, K=7, seed=0).labels
+        monkeypatch.setattr(graphs, "ARPACK_MIN_VERTICES", 10**9)
+        dense = segment(g, K=7, seed=0).labels
+        assert np.array_equal(arpack, dense)
+
+    def test_two_large_disjoint_spheres_arpack(self):
+        g, sizes = _disjoint_spheres_graph(2, subdivisions=3)
+        assert g.n_vertices == 1284 and graphs._use_arpack(g.n_vertices, 3)
+        spec = eigendecompose(laplacian(g), 3)
+        null = spec.eigenvalues < graphs.ZERO_EIGENVALUE_TOL
+        assert null.tolist() == [True, True, False]
+        labels = segment(g, K=2, seed=0).labels
+        assert len(set(labels[: sizes[0]].tolist())) == 1
+        assert len(set(labels[sizes[0]:].tolist())) == 1
+        assert labels[0] != labels[-1]
 
     def test_bad_arguments(self):
         g = random_mesh_graph(10, seed=0)
