@@ -376,8 +376,9 @@ def axis_matrix(a: Tensor, matrix: np.ndarray, axis: int) -> Tensor:
 def cheb_filter(scaled_l, theta: Tensor, signal: Tensor) -> Tensor:
     """Chebyshev spectral filtering as a differentiable primitive.
 
-    Forward and adjoint delegate to the filter module's recurrence and its
-    analytic gradient.
+    ``scaled_l`` is the rescaled Laplacian as a CSR matrix. Forward and
+    adjoint delegate to the filter module's recurrence and its analytic
+    gradient.
     """
     out_data = _cheb_forward(scaled_l, theta.data, signal.data)
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ArgumentError
-from .graphs import Laplacian, Spectrum
+from .graphs import Spectrum
 
 
 @dataclass(frozen=True)
@@ -113,18 +114,18 @@ def dense_spectral_filter(spectrum: Spectrum, filt: FilterSpec, signal: np.ndarr
     raise ArgumentError(f"unknown filter spec {type(filt).__name__}")
 
 
-def _cheb_basis(scaled_l, signal: np.ndarray, order: int) -> list[np.ndarray]:
+def _cheb_basis(scaled_l: sp.csr_matrix, signal: np.ndarray, order: int) -> list[np.ndarray]:
     """T_0 x .. T_{order-1} x via the recurrence T_k = 2 L~ T_{k-1} - T_{k-2}."""
-    mat = scaled_l.matrix if isinstance(scaled_l, Laplacian) else scaled_l
     basis = [signal]
     if order >= 2:
-        basis.append(mat @ signal)
+        basis.append(scaled_l @ signal)
     for _ in range(2, order):
-        basis.append(2.0 * (mat @ basis[-1]) - basis[-2])
+        basis.append(2.0 * (scaled_l @ basis[-1]) - basis[-2])
     return basis
 
 
-def chebyshev_filter(scaled_l: Laplacian, theta: np.ndarray, signal: np.ndarray) -> np.ndarray:
+def chebyshev_filter(scaled_l: sp.csr_matrix, theta: np.ndarray,
+                     signal: np.ndarray) -> np.ndarray:
     """Fast spectral filtering: sum_k T_k(L~) signal theta_k.
 
     ``scaled_l`` must already be rescaled into [-1, 1]; theta is
@@ -139,7 +140,7 @@ def chebyshev_filter(scaled_l: Laplacian, theta: np.ndarray, signal: np.ndarray)
         raise ArgumentError(f"theta must be (order, F_in, F_out), got {theta.shape}")
     if signal.ndim != 2:
         raise ArgumentError(f"signal must be (|V|, F_in), got {signal.shape}")
-    n = scaled_l.n_vertices
+    n = scaled_l.shape[0]
     if signal.shape[0] != n:
         raise ArgumentError(f"signal rows {signal.shape[0]} != |V| {n}")
     if signal.shape[1] != theta.shape[1]:
@@ -151,7 +152,7 @@ def chebyshev_filter(scaled_l: Laplacian, theta: np.ndarray, signal: np.ndarray)
     return out
 
 
-def filter_gradient(scaled_l: Laplacian, theta: np.ndarray, signal: np.ndarray,
+def filter_gradient(scaled_l: sp.csr_matrix, theta: np.ndarray, signal: np.ndarray,
                     upstream_grad: np.ndarray):
     """Analytic gradients of :func:`chebyshev_filter`.
 

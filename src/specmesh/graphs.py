@@ -1,8 +1,11 @@
 """Undirected mesh graphs and their spectral operators.
 
 A triangular mesh is treated as an undirected graph: the adjacency matrix
-holds one symmetric 0/1 entry per face edge, the degree matrix is diagonal
-row sums, and the (unnormalized) Laplacian is degree minus adjacency.
+holds one symmetric 0/1 entry per face edge, and the (unnormalized)
+Laplacian is the diagonal of its row sums minus the adjacency. Adjacency and
+operators are plain ``scipy.sparse`` CSR matrices with sorted indices; the
+Laplacian is positive semi-definite with zero row sums, and its rescaled form
+(``scaled_laplacian``) has its spectrum in [-1, 1].
 
 The spectral solvers pick their method from the graph size and the number of
 eigenpairs requested, nothing else. Small graphs, and requests for much of
@@ -47,15 +50,13 @@ _SHIFT = -1e-2
 
 @dataclass(frozen=True)
 class MeshGraph:
-    """Undirected graph of a mesh: positions, faces, adjacency, degrees.
+    """Undirected graph of a mesh: positions, adjacency, degrees.
 
     ``adjacency`` is a symmetric CSR 0/1 matrix with zero diagonal and
-    canonically sorted indices; ``degrees`` holds its row sums (the diagonal
-    of the degree matrix).
+    canonically sorted indices; ``degrees`` holds its row sums.
     """
 
     positions: np.ndarray  # (V, 3) float64, meters
-    faces: np.ndarray  # (F, 3) int32, may be empty for edge-built graphs
     adjacency: sp.csr_matrix  # (V, V)
     degrees: np.ndarray = field(repr=False)  # (V,)
 
@@ -63,31 +64,12 @@ class MeshGraph:
     def n_vertices(self) -> int:
         return self.adjacency.shape[0]
 
-    def degree_matrix(self) -> sp.csr_matrix:
-        return sp.diags(self.degrees, format="csr")
-
     def edge_array(self) -> np.ndarray:
         """Unique undirected edges as an (E, 2) array with i < j, sorted."""
         coo = sp.triu(self.adjacency, k=1).tocoo()
         edges = np.stack([coo.row, coo.col], axis=1).astype(np.int64)
         order = np.lexsort((edges[:, 1], edges[:, 0]))
         return edges[order]
-
-
-@dataclass(frozen=True)
-class Laplacian:
-    """Symmetric |V| x |V| graph operator.
-
-    Outputs of :func:`laplacian` satisfy zero row sums and positive
-    semi-definiteness; outputs of :func:`scaled_laplacian` instead have
-    spectrum inside [-1, 1]. The wrapper itself does not re-validate.
-    """
-
-    matrix: sp.csr_matrix
-
-    @property
-    def n_vertices(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -142,10 +124,10 @@ def build_mesh_graph(positions, faces) -> MeshGraph:
         if degenerate.any():
             raise StructuralError(f"degenerate face {int(np.argmax(degenerate))}: repeated vertex index")
     edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0)
-    return graph_from_edges(positions, edges, faces=faces.astype(np.int32))
+    return graph_from_edges(positions, edges)
 
 
-def graph_from_edges(positions, edges, faces=None) -> MeshGraph:
+def graph_from_edges(positions, edges) -> MeshGraph:
     """Build a MeshGraph from an explicit edge list (duplicates allowed)."""
     positions = np.ascontiguousarray(positions, dtype=np.float64)
     n = positions.shape[0]
@@ -159,22 +141,29 @@ def graph_from_edges(positions, edges, faces=None) -> MeshGraph:
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     data = np.ones(rows.shape[0], dtype=np.float64)
     adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    adj.data[:] = 1.0  # collapse duplicate entries to 0/1
-    adj.sort_indices()
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
-    if faces is None:
-        faces = np.zeros((0, 3), dtype=np.int32)
-    return MeshGraph(positions=positions, faces=faces, adjacency=adj, degrees=degrees)
+    return graph_from_adjacency(positions, adj)
 
 
-def laplacian(g: MeshGraph) -> Laplacian:
-    """The unnormalized Laplacian: degree matrix minus adjacency."""
-    mat = (g.degree_matrix() - g.adjacency).tocsr()
+def graph_from_adjacency(positions, adjacency: sp.csr_matrix) -> MeshGraph:
+    """Build a MeshGraph from a symmetric CSR pattern with an empty diagonal.
+
+    Stored entries become 1 whatever their values (duplicate edges collapse
+    to 0/1) and the indices are sorted in place.
+    """
+    adjacency.data[:] = 1.0
+    adjacency.sort_indices()
+    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    return MeshGraph(positions=positions, adjacency=adjacency, degrees=degrees)
+
+
+def laplacian(g: MeshGraph) -> sp.csr_matrix:
+    """The unnormalized Laplacian: diagonal degree matrix minus adjacency."""
+    mat = (sp.diags(g.degrees, format="csr") - g.adjacency).tocsr()
     mat.sort_indices()
-    return Laplacian(matrix=mat)
+    return mat
 
 
-def eigendecompose(l: Laplacian, k: int) -> Spectrum:
+def eigendecompose(l: sp.csr_matrix, k: int) -> Spectrum:
     """The k smallest eigenpairs of a Laplacian, ascending, sign-fixed.
 
     Graphs with fewer than ``ARPACK_MIN_VERTICES + 8 k`` vertices take
@@ -191,7 +180,7 @@ def eigendecompose(l: Laplacian, k: int) -> Spectrum:
         ArgumentError: k outside [1, |V|].
         NumericalError: the eigensolver failed to converge.
     """
-    n = l.n_vertices
+    n = l.shape[0]
     if not 1 <= k <= n:
         raise ArgumentError(f"k must be in [1, {n}], got {k}")
     if _use_arpack(n, k):
@@ -200,7 +189,7 @@ def eigendecompose(l: Laplacian, k: int) -> Spectrum:
         eigenvalues = eigenvalues[order]
         eigenvectors = eigenvectors[:, order]
     else:
-        dense = l.matrix.toarray()
+        dense = l.toarray()
         try:
             if k == n:
                 eigenvalues, eigenvectors = scipy.linalg.eigh(dense, driver="ev")
@@ -229,16 +218,16 @@ def _use_arpack(n: int, k: int) -> bool:
     return n >= ARPACK_MIN_VERTICES + 8 * k
 
 
-def _arpack(l: Laplacian, k: int, **kwargs):
+def _arpack(l: sp.csr_matrix, k: int, **kwargs):
     """``eigsh`` from a fixed start vector; ARPACK failures as NumericalError.
 
     The start vector is seeded noise: ARPACK's default is a random draw,
     which would make repeated runs differ in the last bits, and the constant
     vector is the Laplacian's null vector, whose Krylov space is trivial.
     """
-    v0 = np.random.default_rng(0).standard_normal(l.n_vertices)
+    v0 = np.random.default_rng(0).standard_normal(l.shape[0])
     try:
-        return scipy.sparse.linalg.eigsh(l.matrix, k=k, v0=v0, **kwargs)
+        return scipy.sparse.linalg.eigsh(l, k=k, v0=v0, **kwargs)
     except scipy.sparse.linalg.ArpackError as exc:
         raise NumericalError(f"ARPACK failed to converge: {exc}") from exc
 
@@ -254,7 +243,7 @@ def _fix_signs(vectors: np.ndarray) -> None:
                 col *= -1.0
 
 
-def lambda_max(l: Laplacian) -> float:
+def lambda_max(l: sp.csr_matrix) -> float:
     """Largest eigenvalue of a Laplacian, to rounding.
 
     ARPACK's Lanczos iteration on the sparse matrix from
@@ -264,16 +253,16 @@ def lambda_max(l: Laplacian) -> float:
     Raises:
         NumericalError: ARPACK failed to converge.
     """
-    n = l.n_vertices
+    n = l.shape[0]
     if _use_arpack(n, 1):
         values = _arpack(l, 1, which="LA", return_eigenvectors=False)
     else:
-        values = scipy.linalg.eigh(l.matrix.toarray(), driver="evr",
+        values = scipy.linalg.eigh(l.toarray(), driver="evr",
                                    subset_by_index=[n - 1, n - 1], eigvals_only=True)
     return float(values[0])
 
 
-def scaled_laplacian(l: Laplacian, lam_max: float) -> Laplacian:
+def scaled_laplacian(l: sp.csr_matrix, lam_max: float) -> sp.csr_matrix:
     """Rescale so the spectrum lands in [-1, 1]: 2 L / lambda_max - I.
 
     Raises:
@@ -281,7 +270,7 @@ def scaled_laplacian(l: Laplacian, lam_max: float) -> Laplacian:
     """
     if not lam_max > 0:
         raise ArgumentError(f"lambda_max must be positive, got {lam_max}")
-    n = l.n_vertices
-    mat = (l.matrix * (2.0 / lam_max) - sp.identity(n, format="csr")).tocsr()
+    n = l.shape[0]
+    mat = (l * (2.0 / lam_max) - sp.identity(n, format="csr")).tocsr()
     mat.sort_indices()
-    return Laplacian(matrix=mat)
+    return mat

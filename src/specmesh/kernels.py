@@ -208,12 +208,11 @@ def ray_crossings(origins, dirs, tri):
     return counts, grazing
 
 
-def nearest_vertex(query, ref, exclude=None):
+def nearest_vertex(query, ref):
     """Index and distance of the nearest reference vertex per query point.
 
-    ``exclude`` optionally gives one reference index per query to skip
-    (self-queries); ``-1`` skips nothing. Ties resolve to the lowest index.
-    A query with no reference left gets index 0 and distance inf.
+    Ties resolve to the lowest index. With no reference vertices, every
+    query gets index 0 and distance inf.
     """
     query = np.asarray(query, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
@@ -223,23 +222,15 @@ def nearest_vertex(query, ref, exclude=None):
     if n == 0:
         return idx, dist
     tree = _kdtree(ref)
-    if exclude is None:
-        radius, _ = tree.query(query)
-    else:
-        exclude = np.asarray(exclude, dtype=np.int64)
-        near_d, near_i = tree.query(query, k=2)
-        radius = np.where(near_i[:, 0] == exclude, near_d[:, 1], near_d[:, 0])
+    radius, _ = tree.query(query)
     # The tree rounds distances its own way: widen the radius so every vertex
-    # that ties with the nearest after re-scoring is gathered. A query whose
-    # only vertex is excluded has an infinite radius and gathers nothing.
+    # that ties with the nearest after re-scoring is gathered. With no
+    # reference vertices the radius is infinite and gathers nothing.
     radius = np.where(np.isfinite(radius), radius * (1.0 + _BALL_SLACK), 0.0)
     ball = tree.query_ball_point(query, radius)
     sizes = np.fromiter(map(len, ball), dtype=np.int64, count=n)
     row = np.repeat(np.arange(n), sizes)
     col = np.fromiter(itertools.chain.from_iterable(ball), dtype=np.int64, count=row.size)
-    if exclude is not None:
-        keep = col != exclude[row]
-        row, col = row[keep], col[keep]
     d2 = np.sum((query[row] - ref[col]) ** 2, axis=1)
     order = np.lexsort((col, d2, row))
     row, col, d2 = row[order], col[order], d2[order]

@@ -1,9 +1,13 @@
 """Triangle mesh ingestion and topology utilities.
 
 Handles Wavefront OBJ round-tripping (quads are split into triangle pairs),
-area-weighted vertex normals, watertightness checks, unique edge extraction
-with lengths, and deterministic farthest-point subsampling used to build the
-coarse token templates.
+area-weighted vertex normals, and deterministic farthest-point subsampling,
+which returns the sorted indices of the kept vertices (the coarse token
+templates). Topology queries share one step: every face edge, sorted so
+i <= j, is summed into a sparse matrix, whose stored entries are the unique
+edges and whose values count the faces at each edge. That gives the unique
+edges with their lengths, the watertightness check and the non-manifold
+flag.
 
 All positions are meters. OBJ text is ASCII with 1-based ``v``/``f`` records;
 ``#`` comments and unknown record types are ignored.
@@ -14,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ArgumentError, ParseError
 
@@ -61,23 +66,6 @@ class EdgeSet:
     @property
     def n_edges(self) -> int:
         return self.edges.shape[0]
-
-
-@dataclass(frozen=True)
-class SubsampleMap:
-    """Result of uniform subsampling: which vertices were kept.
-
-    ``kept_indices`` is strictly increasing; ``coarse_faces`` re-triangulates
-    the surviving vertices by nearest-kept-vertex projection and is only used
-    for visualization.
-    """
-
-    kept_indices: np.ndarray  # (V',) int32
-    coarse_faces: np.ndarray  # (F', 3) int32 over coarse indices
-
-    @property
-    def n_kept(self) -> int:
-        return self.kept_indices.shape[0]
 
 
 def vertex_normals(positions: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -150,7 +138,7 @@ def load_obj(source) -> TriMesh:
     pos = np.array(positions, dtype=np.float64).reshape(n, 3)
     fac = np.array(faces, dtype=np.int32).reshape(len(faces), 3)
     mesh = TriMesh(positions=pos, faces=fac)
-    counts = _edge_face_counts(fac)
+    _, counts = _edge_counts(fac)
     mesh.non_manifold = bool(counts.size and counts.max() > 2)
     return mesh
 
@@ -165,27 +153,24 @@ def save_obj(mesh: TriMesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _unique_edges(faces: np.ndarray) -> np.ndarray:
+def _edge_counts(faces: np.ndarray):
+    """Unique face edges (E, 2) with i <= j in lexicographic order, and the
+    number of faces that share each one."""
     if faces.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
+        return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
     e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0)
     e = np.sort(e.astype(np.int64), axis=1)
-    e = np.unique(e, axis=0)
-    return e
-
-
-def _edge_face_counts(faces: np.ndarray) -> np.ndarray:
-    if faces.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0)
-    e = np.sort(e.astype(np.int64), axis=1)
-    _, counts = np.unique(e, axis=0, return_counts=True)
-    return counts
+    n = int(e.max()) + 1
+    counts = sp.coo_matrix((np.ones(e.shape[0], dtype=np.int64), (e[:, 0], e[:, 1])),
+                           shape=(n, n)).tocsr()
+    counts.sum_duplicates()  # one entry per edge, columns sorted within rows
+    rows = np.repeat(np.arange(n), np.diff(counts.indptr))
+    return np.stack([rows, counts.indices], axis=1).astype(np.int64), counts.data
 
 
 def edge_set(mesh: TriMesh) -> EdgeSet:
     """Every undirected face edge exactly once, with its current length."""
-    edges = _unique_edges(mesh.faces)
+    edges, _ = _edge_counts(mesh.faces)
     lengths = np.linalg.norm(
         mesh.positions[edges[:, 0]] - mesh.positions[edges[:, 1]], axis=1
     )
@@ -194,16 +179,17 @@ def edge_set(mesh: TriMesh) -> EdgeSet:
 
 def is_watertight(mesh: TriMesh) -> bool:
     """True iff every edge is shared by exactly two faces."""
-    counts = _edge_face_counts(mesh.faces)
+    _, counts = _edge_counts(mesh.faces)
     return bool(counts.size) and bool((counts == 2).all())
 
 
-def subsample_to_count(mesh: TriMesh, n_keep: int, seed: int) -> SubsampleMap:
-    """Keep exactly ``n_keep`` vertices by farthest-point sampling.
+def subsample_to_count(mesh: TriMesh, n_keep: int, seed: int) -> np.ndarray:
+    """Indices of ``n_keep`` vertices kept by farthest-point sampling.
 
     The walk starts at vertex ``seed mod V`` and repeatedly adds the vertex
     farthest from the kept set (ties broken by lowest index), so the result
-    is deterministic in (mesh, n_keep, seed).
+    is deterministic in (mesh, n_keep, seed). Returns a strictly increasing
+    int32 array.
     """
     n = mesh.n_vertices
     if not 1 <= n_keep <= n:
@@ -215,13 +201,11 @@ def subsample_to_count(mesh: TriMesh, n_keep: int, seed: int) -> SubsampleMap:
         nxt = int(np.argmax(dist))
         kept.append(nxt)
         np.minimum(dist, np.linalg.norm(mesh.positions - mesh.positions[nxt], axis=1), out=dist)
-    kept_sorted = np.array(sorted(kept), dtype=np.int32)
-    coarse_faces = _project_faces(mesh, kept_sorted)
-    return SubsampleMap(kept_indices=kept_sorted, coarse_faces=coarse_faces)
+    return np.array(sorted(kept), dtype=np.int32)
 
 
-def subsample_uniform(mesh: TriMesh, factor: int, seed: int) -> SubsampleMap:
-    """Uniform surface subsampling keeping ceil(V / factor) vertices.
+def subsample_uniform(mesh: TriMesh, factor: int, seed: int) -> np.ndarray:
+    """Indices of ceil(V / factor) vertices kept by uniform surface subsampling.
 
     Raises:
         ArgumentError: factor < 1 or factor > V.
@@ -231,31 +215,7 @@ def subsample_uniform(mesh: TriMesh, factor: int, seed: int) -> SubsampleMap:
     if factor > mesh.n_vertices:
         raise ArgumentError(f"factor {factor} exceeds vertex count {mesh.n_vertices}")
     if factor == 1:
-        identity = np.arange(mesh.n_vertices, dtype=np.int32)
-        return SubsampleMap(kept_indices=identity, coarse_faces=mesh.faces.copy())
+        return np.arange(mesh.n_vertices, dtype=np.int32)
     n_keep = math.ceil(mesh.n_vertices / factor)
     return subsample_to_count(mesh, n_keep, seed)
 
-
-def _project_faces(mesh: TriMesh, kept: np.ndarray) -> np.ndarray:
-    """Re-triangulate over kept vertices by nearest-kept projection."""
-    kept_pos = mesh.positions[kept]
-    # nearest kept vertex for every original vertex, chunked to bound memory
-    owner = np.empty(mesh.n_vertices, dtype=np.int64)
-    chunk = 2048
-    for lo in range(0, mesh.n_vertices, chunk):
-        hi = min(lo + chunk, mesh.n_vertices)
-        d = np.linalg.norm(mesh.positions[lo:hi, None, :] - kept_pos[None, :, :], axis=2)
-        owner[lo:hi] = np.argmin(d, axis=1)
-    mapped = owner[mesh.faces.astype(np.int64)]
-    valid = (
-        (mapped[:, 0] != mapped[:, 1])
-        & (mapped[:, 1] != mapped[:, 2])
-        & (mapped[:, 0] != mapped[:, 2])
-    )
-    mapped = mapped[valid]
-    if mapped.size == 0:
-        return np.zeros((0, 3), dtype=np.int32)
-    canon = np.sort(mapped, axis=1)
-    _, first = np.unique(canon, axis=0, return_index=True)
-    return mapped[np.sort(first)].astype(np.int32)

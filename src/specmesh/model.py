@@ -25,8 +25,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ArgumentError, NumericalError
 from .filters import init_theta
-from .graphs import Laplacian, build_mesh_graph, lambda_max, laplacian, scaled_laplacian
-from .meshes import EdgeSet, TriMesh, edge_set, subsample_to_count
+from .graphs import build_mesh_graph, lambda_max, laplacian, scaled_laplacian
+from .meshes import EdgeSet, subsample_to_count
 from .primitives import hand_template, icosphere, mirror_x
 from .pyramid import GraphPyramid, build_pyramid
 from .segmentation import segment
@@ -75,10 +75,6 @@ class ModelConfig:
         return widths
 
     @property
-    def output_width(self) -> int:
-        return 3  # final projection always lands at 3D coordinates
-
-    @property
     def tokens_per_hand(self) -> int:
         return self.n_tokens // 2
 
@@ -125,22 +121,15 @@ class TemplateAssets:
     """Template-derived constants shared by every forward pass."""
 
     hands: tuple  # (right, left) TriMesh at rest pose
-    token_positions: np.ndarray  # (V', 3)
-    token_labels: np.ndarray  # (V',) cluster ids
+    token_positions: np.ndarray  # (2 V', 3): the right hand's kept vertices, then the left's
+    token_labels: np.ndarray  # (2 V',) cluster ids
     pyramid: GraphPyramid  # over decoder_sizes; the mirrored hand shares it
-    scaled_ops: tuple  # scaled Laplacians of all but the finest level, both hands
-    mesh_edges: np.ndarray  # (E, 2) edges of the combined two-hand mesh
+    scaled_ops: tuple  # CSR scaled Laplacians of all but the finest level, both hands
+    mesh_edges: np.ndarray  # (2 E, 2) int64 edges of the two hands, left offset by V
 
     @property
     def n_hand_vertices(self) -> int:
         return self.hands[0].n_vertices
-
-    def combined_rest_positions(self) -> np.ndarray:
-        return np.concatenate([self.hands[0].positions, self.hands[1].positions])
-
-    def combined_faces(self) -> np.ndarray:
-        offset = self.hands[0].n_vertices
-        return np.concatenate([self.hands[0].faces, self.hands[1].faces + offset])
 
 
 def build_assets(config: ModelConfig) -> TemplateAssets:
@@ -158,31 +147,29 @@ def build_assets(config: ModelConfig) -> TemplateAssets:
             f"vertex count {right.n_vertices}")
     left = mirror_x(right)
     graph_r = build_mesh_graph(right.positions, right.faces)
-    labels_hand = segment(graph_r, config.n_clusters, seed=config.seed).labels
-    smap = subsample_to_count(right, config.tokens_per_hand, seed=config.seed)
-    kept = smap.kept_indices
+    labels_hand = segment(graph_r, config.n_clusters).labels
+    kept = subsample_to_count(right, config.tokens_per_hand, seed=config.seed)
     token_positions = np.concatenate([right.positions[kept], left.positions[kept]])
     token_labels = np.concatenate([labels_hand[kept], labels_hand[kept]])
     # Mirroring only reverses face winding, so the left hand has the same
-    # adjacency, hence the same pyramid levels, parent maps and operators;
-    # only the coarse positions would differ, and the decoder never reads
-    # them. One pyramid and one operator set serve both hands.
+    # adjacency, hence the same edges, pyramid levels, parent maps and
+    # operators; only the coarse positions would differ, and the decoder
+    # never reads them. The right hand's CSR adjacency serves both hands:
+    # it gives the edge-loss edges, and build_pyramid coarsens it by
+    # P^T A P into the levels whose scaled Laplacians the decoder filters on.
     pyramid = build_pyramid(graph_r, list(config.decoder_sizes), seed=config.seed)
     ops = []
     for level in range(pyramid.n_levels - 1):
         lap = laplacian(pyramid.levels[level])
         ops.append(scaled_laplacian(lap, lambda_max(lap)))
-    offset = right.n_vertices
-    combined_faces = np.concatenate([right.faces, left.faces + offset])
-    combined = TriMesh(positions=np.concatenate([right.positions, left.positions]),
-                       faces=combined_faces)
+    edges = graph_r.edge_array()
     return TemplateAssets(
         hands=(right, left),
         token_positions=token_positions,
         token_labels=token_labels,
         pyramid=pyramid,
         scaled_ops=tuple(ops),
-        mesh_edges=edge_set(combined).edges.astype(np.int64),
+        mesh_edges=np.concatenate([edges, edges + right.n_vertices]),
     )
 
 

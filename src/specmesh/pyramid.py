@@ -3,8 +3,10 @@
 Each coarser level is produced by greedy edge collapse (matching passes over
 the finer graph) stopped exactly when the requested vertex count is reached,
 so level sizes are hit exactly with real vertices and every coarse vertex
-keeps at least one child. Coarse positions are child means; coarse edges are
-contracted fine edges.
+keeps at least one child. Coarse positions are child means. Coarse edges are
+contracted fine edges: with P the (n, n') 0/1 matrix that assigns each fine
+vertex to its coarse vertex, the coarse adjacency is the off-diagonal pattern
+of P^T A P, computed on the CSR adjacency.
 
 Pyramids persist as a JSON manifest plus a little-endian binary sidecar
 (magic ``SGPY``) holding positions, edge lists, and parent arrays.
@@ -17,9 +19,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ArgumentError, StructuralError
-from .graphs import MeshGraph, graph_from_edges
+from .graphs import MeshGraph, graph_from_adjacency, graph_from_edges
 
 _MAGIC = b"SGPY"
 _VERSION = 1
@@ -89,13 +92,15 @@ def _contract_exact(graph: MeshGraph, target: int, rng: np.random.Generator):
     n = graph.n_vertices
     if target >= n:
         raise StructuralError(f"coarse target {target} not below level size {n}")
-    adj = _adjacency_lists(graph)
+    adj = graph.adjacency
     total_parent = np.arange(n, dtype=np.int64)
     positions = graph.positions.copy()
     weights = np.ones(n)  # children counts, for mean positions
     cur_n = n
     while cur_n > target:
         needed = cur_n - target
+        neighbours = adj.indices.tolist()  # sorted within each row
+        start = adj.indptr.tolist()
         match = np.full(cur_n, -1, dtype=np.int64)
         merges = 0
         for u in rng.permutation(cur_n):
@@ -103,7 +108,7 @@ def _contract_exact(graph: MeshGraph, target: int, rng: np.random.Generator):
                 break
             if match[u] >= 0:
                 continue
-            for v in adj[u]:
+            for v in neighbours[start[u]:start[u + 1]]:
                 if match[v] < 0:
                     match[u] = v
                     match[v] = u
@@ -112,45 +117,27 @@ def _contract_exact(graph: MeshGraph, target: int, rng: np.random.Generator):
         if merges == 0:
             raise StructuralError(
                 f"cannot coarsen level of {cur_n} vertices to {target}: no edges left to collapse")
-        # new ids in order of first appearance scanning old ids ascending
-        new_id = np.full(cur_n, -1, dtype=np.int64)
-        nxt = 0
-        for u in range(cur_n):
-            if new_id[u] >= 0:
-                continue
-            new_id[u] = nxt
-            if match[u] >= 0:
-                new_id[match[u]] = nxt
-            nxt += 1
+        # a pair takes the rank of its smaller old id, so new ids follow the
+        # first appearance of each pair scanning old ids ascending
+        ids = np.arange(cur_n)
+        kept, new_id = np.unique(np.where(match >= 0, np.minimum(ids, match), ids),
+                                 return_inverse=True)
+        nxt = kept.size
         new_positions = np.zeros((nxt, 3))
         new_weights = np.zeros(nxt)
         np.add.at(new_positions, new_id, positions * weights[:, None])
         np.add.at(new_weights, new_id, weights)
         positions = new_positions / new_weights[:, None]
         weights = new_weights
-        adj = _contract_lists(adj, new_id, nxt)
+        assign = sp.csr_matrix((np.ones(cur_n), (ids, new_id)), shape=(cur_n, nxt))
+        contracted = (assign.T @ adj @ assign).tocsr()
+        # the diagonal counts the edge inside each merged pair: drop it
+        adj = contracted - sp.diags(contracted.diagonal(), format="csr")
+        adj.eliminate_zeros()
+        adj.sort_indices()
         total_parent = new_id[total_parent]
         cur_n = nxt
-    edges = [(u, v) for u in range(cur_n) for v in adj[u] if u < v]
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    coarse = graph_from_edges(positions, edges)
-    return coarse, total_parent
-
-
-def _adjacency_lists(graph: MeshGraph) -> list[list[int]]:
-    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
-    return [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(graph.n_vertices)]
-
-
-def _contract_lists(adj, new_id, n_new):
-    sets: list[set[int]] = [set() for _ in range(n_new)]
-    for u, neigh in enumerate(adj):
-        nu = new_id[u]
-        for v in neigh:
-            nv = new_id[v]
-            if nu != nv:
-                sets[nu].add(int(nv))
-    return [sorted(s) for s in sets]
+    return graph_from_adjacency(positions, adj), total_parent
 
 
 def upsample_signal(pyramid: GraphPyramid, level: int, signal: np.ndarray,

@@ -6,6 +6,10 @@ other surface, and regularized by an as-rigid-as-possible energy with
 closed-form per-cell rotations. Plausibility is reported as maximum
 penetration depth (mm) and voxelized intersection volume (cm^3).
 
+Every check is between two distinct meshes, as for the two hands: passing
+one mesh object as both source and target is rejected, because a vertex
+measured against its own surface always reads zero depth.
+
 Meshes are in meters; watertightness is required wherever parity or volume
 is computed.
 """
@@ -23,7 +27,6 @@ from .meshes import TriMesh, edge_set, is_watertight
 _LOGGER = logging.getLogger(__name__)
 
 MAX_RAY_RETRIES = 8
-_SELF_OFFSET_FACTOR = 1e-3  # of mean edge length, along the vertex normal
 _MAX_VOXELS = 4_000_000
 
 
@@ -32,7 +35,6 @@ class CollisionMask:
     """Per-vertex interior flags against a watertight target surface."""
 
     interior: np.ndarray  # (V,) bool
-    ray_failures: int = 0  # points whose retries ran out (treated exterior)
 
     @property
     def any(self) -> bool:
@@ -45,7 +47,6 @@ class RefineConfig:
     max_iters: int = 200
     step_size: float = 1e-2
     convergence_tol: float = 1e-7
-    ray_direction_seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -89,7 +90,11 @@ def points_interior(points: np.ndarray, mesh: TriMesh, seed: int):
 
     Grazing rays are retried with fresh seeded directions up to
     MAX_RAY_RETRIES times; points that never resolve are reported exterior
-    and counted in the second return value.
+    and counted in the second return value. A point on the surface, such as
+    a vertex that coincides with a vertex of the other mesh to rounding,
+    never resolves: every ray from it grazes the surface at its origin. The
+    surface is the boundary of the interior, so exterior is the right answer
+    there too.
     """
     tri = mesh.positions[mesh.faces]
     rng = np.random.default_rng(seed)
@@ -115,6 +120,8 @@ def point_in_mesh(p, mesh: TriMesh, seed: int = 0) -> bool:
 
     Raises:
         ArgumentError: mesh is not watertight.
+        NumericalError: every ray grazed, as it does from a point on the
+            surface.
     """
     if not is_watertight(mesh):
         raise ArgumentError("point_in_mesh requires a watertight mesh")
@@ -124,35 +131,28 @@ def point_in_mesh(p, mesh: TriMesh, seed: int = 0) -> bool:
     return bool(interior[0])
 
 
+def _reject_self(source: TriMesh, target: TriMesh, what: str) -> None:
+    if source is target:
+        raise ArgumentError(f"{what} needs two distinct meshes; got one mesh twice")
+
+
 def collision_mask(source: TriMesh, target: TriMesh, seed: int = 0) -> CollisionMask:
     """Interior flags of source vertices against the target surface.
 
-    Pass the same mesh object twice for self-penetration: origins are then
-    nudged outward along the vertex normal, so healthy surface points test
-    exterior.
-
     Raises:
-        ArgumentError: target is not watertight.
+        ArgumentError: source and target are one mesh, or target is not
+            watertight.
     """
+    _reject_self(source, target, "collision mask")
     if not is_watertight(target):
         raise ArgumentError("collision mask requires a watertight target")
     return _collision_mask(source, target, seed)
 
 
 def _collision_mask(source: TriMesh, target: TriMesh, seed: int) -> CollisionMask:
-    """``collision_mask`` without the watertightness check."""
-    if source is target:
-        # Nudging each origin just off its own surface keeps full-surface
-        # parity meaningful: a healthy vertex tests exterior from either
-        # side of its sheet, a penetrated one stays wrapped by the other
-        # sheet. Excluding the incident fan instead would punch a hole in
-        # the closed surface and flip the parity of rays passing through it.
-        eps = _SELF_OFFSET_FACTOR * float(edge_set(source).lengths.mean())
-        origins = source.positions + eps * source.normals
-        interior, failures = points_interior(origins, target, seed)
-    else:
-        interior, failures = points_interior(source.positions, target, seed)
-    return CollisionMask(interior=interior, ray_failures=failures)
+    """``collision_mask`` without its checks."""
+    interior, _ = points_interior(source.positions, target, seed)
+    return CollisionMask(interior=interior)
 
 
 def _gated_pairs(source: TriMesh, mask: CollisionMask, target: TriMesh):
@@ -160,9 +160,7 @@ def _gated_pairs(source: TriMesh, mask: CollisionMask, target: TriMesh):
     masked = np.flatnonzero(mask.interior)
     if masked.size == 0:
         return masked, masked
-    self_mode = source is target
-    exclude = masked if self_mode else None
-    nn_idx, _ = nearest_vertex(source.positions[masked], target.positions, exclude)
+    nn_idx, _ = nearest_vertex(source.positions[masked], target.positions)
     dots = np.einsum("ij,ij->i", source.normals[masked], target.normals[nn_idx])
     keep = dots < 0.0
     return masked[keep], nn_idx[keep]
@@ -191,8 +189,6 @@ def _collision_grad(source: TriMesh, mask: CollisionMask, target: TriMesh):
     dist = np.linalg.norm(diff, axis=1)
     unit = diff / np.maximum(dist, 1e-12)[:, None]
     np.add.at(grad, src_idx, unit)
-    if source is target:
-        np.add.at(grad, tgt_idx, -unit)
     return float(dist.sum()), grad, src_idx, tgt_idx
 
 
@@ -271,12 +267,13 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     with before/after plausibility reports; topology is untouched.
 
     Raises:
-        ArgumentError: target is not watertight.
+        ArgumentError: source and target are one mesh, or target is not
+            watertight.
     """
+    _reject_self(source, target, "refinement")
     if not is_watertight(target):
         raise ArgumentError("refinement requires a watertight target")
-    self_mode = source is target
-    before = plausibility_metrics(source, source if self_mode else target)
+    before = plausibility_metrics(source, target)
     rest = source
     edges = edge_set(rest).edges.astype(np.int64)
     x = source.positions.copy()
@@ -289,9 +286,8 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     for it in range(config.max_iters):
         iterations = it + 1
         current = rest.with_positions(x)
-        opposite = current if self_mode else target
-        mask = _collision_mask(current, opposite, config.ray_direction_seed)
-        col_loss, col_grad, src_idx, tgt_idx = _collision_grad(current, mask, opposite)
+        mask = _collision_mask(current, target, seed=0)
+        col_loss, col_grad, src_idx, tgt_idx = _collision_grad(current, mask, target)
         if config.arap_weight > 0:
             arap_val, arap_g = _arap_grad(rest, x, edges)
         else:
@@ -324,8 +320,8 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
             # collision pairs and gates frozen for the line search
             val = 0.0
             if src_idx.size:
-                anchors = pos[tgt_idx] if self_mode else target.positions[tgt_idx]
-                val += float(np.linalg.norm(pos[src_idx] - anchors, axis=1).sum())
+                val += float(np.linalg.norm(pos[src_idx] - target.positions[tgt_idx],
+                                            axis=1).sum())
             if config.arap_weight > 0:
                 val += config.arap_weight * _arap_energy(rest, pos, edges)
             return val
@@ -342,7 +338,7 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
         if not accepted:
             break
     refined = rest.with_positions(best_x)
-    after = plausibility_metrics(refined, refined if self_mode else target)
+    after = plausibility_metrics(refined, target)
     return RefineResult(mesh=refined, before=before, after=after,
                         diverged=diverged, iterations=iterations)
 
@@ -356,22 +352,15 @@ def plausibility_metrics(a: TriMesh, b: TriMesh, voxel_cm: float = 0.5,
     (edge ``voxel_cm``) interior to both meshes.
 
     Raises:
-        ArgumentError: a mesh is not watertight or the voxel grid would
-            exceed the supported size.
+        ArgumentError: a and b are one mesh, a mesh is not watertight or the
+            voxel grid would exceed the supported size.
     """
+    _reject_self(a, b, "plausibility metrics")
     if not voxel_cm > 0:
         raise ArgumentError("voxel_cm must be positive")
-    self_mode = a is b
-    for mesh in (a,) if self_mode else (a, b):
+    for mesh in (a, b):
         if not is_watertight(mesh):
             raise ArgumentError("plausibility metrics require watertight meshes")
-    if self_mode:
-        mask = _collision_mask(a, a, seed)
-        interior_pts = a.positions[mask.interior]
-        tri = a.positions[a.faces]
-        max_pen = float(point_triangle_dists(interior_pts, tri).max()) if interior_pts.size else 0.0
-        return PlausibilityReport(max_penetration_mm=1000.0 * max_pen,
-                                  intersection_volume_cm3=0.0, voxel_size_cm=voxel_cm)
     pen = 0.0
     for src, dst in ((a, b), (b, a)):
         mask = _collision_mask(src, dst, seed)

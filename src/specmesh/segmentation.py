@@ -34,8 +34,7 @@ class ClusterAssignment:
         return np.bincount(self.labels, minlength=self.K)
 
 
-def segment(g: MeshGraph, K: int, n_eigvecs: int | None = None, seed: int = 0,
-            row_normalize: bool = False) -> ClusterAssignment:
+def segment(g: MeshGraph, K: int, n_eigvecs: int | None = None) -> ClusterAssignment:
     """Spectral clustering of a mesh graph into K clusters.
 
     ``n_eigvecs`` defaults to K. The embedding uses eigenvectors 2..n+1 when
@@ -64,25 +63,20 @@ def segment(g: MeshGraph, K: int, n_eigvecs: int | None = None, seed: int = 0,
         embedding = spectrum.eigenvectors[:, 1:k_request]
     else:
         embedding = spectrum.eigenvectors[:, : min(n_eigvecs, k_request)]
-    if row_normalize:
-        norms = np.linalg.norm(embedding, axis=1, keepdims=True)
-        embedding = embedding / np.maximum(norms, 1e-12)
-    labels, centroids, converged = _kmeans(embedding, K, seed)
+    labels, centroids, converged = _kmeans(embedding, K)
     return ClusterAssignment(labels=labels.astype(np.int32), K=K,
                              centroids=centroids, converged=converged)
 
 
-def _kmeans(points: np.ndarray, K: int, seed: int):
+def _kmeans(points: np.ndarray, K: int):
     """Lloyd iterations with greedy (deterministic) k-means++ seeding.
 
     Seeding is value-driven (max-norm start, then argmax of min squared
     distance), which makes the partition invariant to vertex relabeling on
-    graphs without exact embedding ties; ``seed`` is accepted for interface
-    stability but the routine is deterministic regardless. Assignment ties
-    go to the lowest cluster index; empty clusters are repaired by splitting
-    the largest one.
+    graphs without exact embedding ties, and needs no random seed.
+    Assignment ties go to the lowest cluster index; empty clusters are
+    repaired by splitting the largest one.
     """
-    del seed  # deterministic seeding needs no randomness
     centroids = _kmeans_pp_init(points, K)
     labels = np.zeros(points.shape[0], dtype=np.int64)
     converged = False

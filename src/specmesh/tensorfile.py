@@ -23,7 +23,9 @@ def write_tensor(array: np.ndarray, version: int = 1) -> bytes:
     """Serialize an array; version 1 casts to float32, version 2 keeps float64."""
     if version not in _DTYPES:
         raise ParseError(f"unsupported SGTF version {version}")
-    array = np.ascontiguousarray(array, dtype=_DTYPES[version])
+    # asarray keeps a 0-d array at rank 0 (ascontiguousarray promotes it to
+    # rank 1); tobytes writes row-major order whatever the layout
+    array = np.asarray(array, dtype=_DTYPES[version])
     header = MAGIC + struct.pack("<HH", version, array.ndim)
     header += struct.pack(f"<{array.ndim}Q", *array.shape)
     return header + array.tobytes()

@@ -155,24 +155,20 @@ def ray_crossings_loop(origins, dirs, tri):
     return counts, grazing
 
 
-def nearest_vertex_loop(query, ref, exclude=None):
+def nearest_vertex_loop(query, ref):
     """Nearest reference vertex per query point, one pair at a time.
 
-    ``exclude`` gives one reference index per query to skip, ``-1`` for
-    none. Ties go to the lowest index; a query with no reference left gets
+    Ties go to the lowest index; with no reference vertices a query gets
     (0, inf). The squared distance adds the axes in order, x then y then z,
     as a NumPy sum over the last axis does. Returns (indices, distances) as
     Python lists.
     """
     refs = [tuple(float(x) for x in r) for r in ref]
     idx, dist = [], []
-    for i, q in enumerate(query):
+    for q in query:
         qx, qy, qz = (float(x) for x in q)
-        skip = -1 if exclude is None else int(exclude[i])
         best_j, best_d2 = 0, math.inf
         for j, (rx, ry, rz) in enumerate(refs):
-            if j == skip:
-                continue
             dx, dy, dz = qx - rx, qy - ry, qz - rz
             d2 = dx * dx + dy * dy + dz * dz
             if d2 < best_d2:

@@ -8,7 +8,6 @@ from oracles import jacobi_eigh, union_find_components
 from specmesh import graphs
 from specmesh.errors import ArgumentError, NumericalError, StructuralError
 from specmesh.graphs import (
-    Laplacian,
     build_mesh_graph,
     eigendecompose,
     graph_from_edges,
@@ -61,16 +60,16 @@ class TestBuildMeshGraph:
 class TestLaplacian:
     def test_single_edge(self):
         g = graph_from_edges(np.zeros((2, 3)), [(0, 1)])
-        assert np.array_equal(laplacian(g).matrix.toarray(), [[1, -1], [-1, 1]])
+        assert np.array_equal(laplacian(g).toarray(), [[1, -1], [-1, 1]])
 
     def test_k3(self):
         g = build_mesh_graph(np.eye(3), [[0, 1, 2]])
         expected = 2 * np.eye(3) - (np.ones((3, 3)) - np.eye(3))
-        assert np.array_equal(laplacian(g).matrix.toarray(), expected)
+        assert np.array_equal(laplacian(g).toarray(), expected)
 
     def test_p3_eigenvalues(self):
         lap = laplacian(_path_graph(3))
-        oracle_vals, _ = jacobi_eigh(lap.matrix.toarray())
+        oracle_vals, _ = jacobi_eigh(lap.toarray())
         assert np.allclose(oracle_vals, [0.0, 1.0, 3.0], atol=1e-10)
         spec = eigendecompose(lap, 3)
         assert np.allclose(spec.eigenvalues, [0.0, 1.0, 3.0], atol=1e-10)
@@ -78,7 +77,7 @@ class TestLaplacian:
     @pytest.mark.parametrize("seed", range(5))
     def test_row_sums_and_psd(self, seed):
         g = random_mesh_graph(30, seed=seed)
-        mat = laplacian(g).matrix
+        mat = laplacian(g)
         assert np.max(np.abs(np.asarray(mat.sum(axis=1)).ravel())) < 1e-10
         rng = np.random.default_rng(seed)
         for _ in range(100):
@@ -103,7 +102,7 @@ class TestEigendecompose:
         g = random_mesh_graph(50, seed=7)
         lap = laplacian(g)
         spec = eigendecompose(lap, 50)
-        dense = lap.matrix.toarray()
+        dense = lap.toarray()
         np_vals = np.linalg.eigvalsh(dense)
         assert np.max(np.abs(spec.eigenvalues - np_vals)) < 1e-6
         jac_vals, _ = jacobi_eigh(dense)
@@ -116,7 +115,7 @@ class TestEigendecompose:
         u = spec.eigenvectors
         assert np.max(np.abs(u.T @ u - np.eye(40))) < 1e-8
         for i in range(40):
-            res = lap.matrix @ u[:, i] - spec.eigenvalues[i] * u[:, i]
+            res = lap @ u[:, i] - spec.eigenvalues[i] * u[:, i]
             scale = max(spec.eigenvalues[i], 1.0)
             assert np.linalg.norm(res) / scale < 1e-6
 
@@ -125,7 +124,7 @@ class TestEigendecompose:
         lap = laplacian(g)
         spec = eigendecompose(lap, 30)
         rebuilt = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.T
-        dense = lap.matrix.toarray()
+        dense = lap.toarray()
         assert np.linalg.norm(rebuilt - dense) / np.linalg.norm(dense) < 1e-6
 
     def test_deterministic_bitwise(self):
@@ -191,12 +190,12 @@ class TestArpackPath:
     @pytest.fixture(scope="class", params=[0, 1], ids=["617", "1234"])
     def lap(self, request, hand_pyramid):
         lap = laplacian(hand_pyramid.levels[request.param])
-        assert graphs._use_arpack(lap.n_vertices, self.K)
+        assert graphs._use_arpack(lap.shape[0], self.K)
         return lap
 
     def test_matches_dense_eigh(self, lap):
         spec = eigendecompose(lap, self.K)
-        vals, vecs = scipy.linalg.eigh(lap.matrix.toarray(), subset_by_index=[0, self.K])
+        vals, vecs = scipy.linalg.eigh(lap.toarray(), subset_by_index=[0, self.K])
         assert np.max(np.abs(spec.eigenvalues - vals[:self.K])) < 1e-12
         gaps = np.diff(vals)
         simple = np.minimum(np.r_[np.inf, gaps[:-1]], gaps) > 1e-6
@@ -205,7 +204,7 @@ class TestArpackPath:
         assert np.max(np.abs(spec.eigenvectors[:, simple] - expected[:, simple])) < 1e-10
 
     def test_lambda_max_matches_dense(self, lap):
-        dense = scipy.linalg.eigvalsh(lap.matrix.toarray())[-1]
+        dense = scipy.linalg.eigvalsh(lap.toarray())[-1]
         assert abs(lambda_max(lap) - dense) / dense < 1e-13
 
     def test_deterministic_bitwise(self, lap):
@@ -234,12 +233,12 @@ class TestScaledLaplacian:
     def test_single_edge(self):
         g = graph_from_edges(np.zeros((2, 3)), [(0, 1)])
         scaled = scaled_laplacian(laplacian(g), 2.0)
-        assert np.allclose(scaled.matrix.toarray(), [[0, -1], [-1, 0]])
+        assert np.allclose(scaled.toarray(), [[0, -1], [-1, 0]])
 
     def test_k3_eigenvalues(self):
         g = build_mesh_graph(np.eye(3), [[0, 1, 2]])
         scaled = scaled_laplacian(laplacian(g), 3.0)
-        vals, _ = jacobi_eigh(scaled.matrix.toarray())
+        vals, _ = jacobi_eigh(scaled.toarray())
         assert np.allclose(vals, [-1.0, 1.0, 1.0], atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -247,7 +246,7 @@ class TestScaledLaplacian:
         g = random_mesh_graph(25, seed=seed)
         lap = laplacian(g)
         scaled = scaled_laplacian(lap, lambda_max(lap))
-        vals = np.linalg.eigvalsh(scaled.matrix.toarray())
+        vals = np.linalg.eigvalsh(scaled.toarray())
         assert vals.min() >= -1.0 - 1e-9
         assert vals.max() <= 1.0 + 1e-9
 

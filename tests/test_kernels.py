@@ -122,9 +122,9 @@ DISTANCE_FIXTURES = {name: (lambda make=make: make()[::2]) for name, make in RAY
 DISTANCE_FIXTURES["hairline"] = _fixture_hairline
 
 
-def _assert_nearest_matches_loop(query, ref, exclude=None):
-    idx, dist = kernels.nearest_vertex(query, ref, exclude)
-    want_idx, want_dist = nearest_vertex_loop(query, ref, exclude)
+def _assert_nearest_matches_loop(query, ref):
+    idx, dist = kernels.nearest_vertex(query, ref)
+    want_idx, want_dist = nearest_vertex_loop(query, ref)
     assert idx.dtype == np.int64
     assert np.array_equal(idx, np.array(want_idx, dtype=np.int64))
     assert np.array_equal(dist, np.array(want_dist, dtype=np.float64))
@@ -137,15 +137,16 @@ class TestNearestVertexOracle:
         pts, tri = DISTANCE_FIXTURES[name]()
         ref = np.asarray(tri).reshape(-1, 3)
         _assert_nearest_matches_loop(pts, ref)
-        rng = np.random.default_rng(len(name))
-        _assert_nearest_matches_loop(pts, ref, rng.integers(-1, len(ref), size=len(pts)))
 
     @pytest.mark.parametrize("subdivisions", [1, 2])
     def test_icosphere_self_query(self, subdivisions):
-        # symmetric: each vertex has several neighbours at nearly one distance
-        pts = icosphere(subdivisions).positions
-        _assert_nearest_matches_loop(pts, pts, np.arange(len(pts)))
+        # symmetric: each edge midpoint ties, or nearly ties, between the
+        # edge's two ends
+        mesh = icosphere(subdivisions)
+        pts = mesh.positions
+        edges = mesh.faces[:, :2]
         _assert_nearest_matches_loop(pts, pts)
+        _assert_nearest_matches_loop(0.5 * (pts[edges[:, 0]] + pts[edges[:, 1]]), pts)
 
     def test_duplicated_references(self):
         rng = np.random.default_rng(28)
@@ -153,30 +154,17 @@ class TestNearestVertexOracle:
         ref = np.concatenate([base, base[::3], base[:5]])
         query = np.concatenate([rng.normal(size=(40, 3)), base])
         _assert_nearest_matches_loop(query, ref)
-        _assert_nearest_matches_loop(query, ref, rng.integers(-1, len(ref), size=len(query)))
 
     def test_equidistant_query_takes_lowest_index(self):
         ref = np.array([[0.0, 5.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        query = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        idx, dist = kernels.nearest_vertex(query, ref, np.array([-1, -1, 1]))
-        assert idx.tolist() == [1, 1, 2]
+        query = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        idx, dist = kernels.nearest_vertex(query, ref)
+        assert idx.tolist() == [1, 1]
         _assert_nearest_matches_loop(query, ref)
-        _assert_nearest_matches_loop(query, ref, np.array([-1, -1, 1]))
 
     def test_empty_query(self):
         idx, dist = kernels.nearest_vertex(np.zeros((0, 3)), icosphere(1).positions)
         assert idx.shape == dist.shape == (0,)
-        idx, dist = kernels.nearest_vertex(np.zeros((0, 3)), icosphere(1).positions,
-                                           np.zeros(0, dtype=np.int64))
-        assert idx.shape == dist.shape == (0,)
-
-    def test_only_reference_excluded(self):
-        ref = np.array([[0.0, 0.0, 0.0]])
-        query = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        idx, dist = kernels.nearest_vertex(query, ref, np.array([0, 0, -1]))
-        assert idx.tolist() == [0, 0, 0]
-        assert dist.tolist() == [np.inf, np.inf, 1.0]
-        _assert_nearest_matches_loop(query, ref, np.array([0, 0, -1]))
 
 
 class TestPointTriangleOracle:
@@ -223,12 +211,6 @@ class TestKernelSemantics:
         d2 = np.sum((q[:, None] - r[None]) ** 2, axis=2)
         assert np.array_equal(idx, np.argmin(d2, axis=1))
         assert np.allclose(dist, np.sqrt(d2.min(axis=1)), atol=1e-14)
-
-    def test_nearest_vertex_excludes_self(self):
-        pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
-        idx, dist = kernels.nearest_vertex(pts, pts, np.array([0, 1, 2]))
-        assert idx.tolist() == [1, 0, 1]
-        assert np.allclose(dist, [1.0, 1.0, 2.0])
 
     def test_point_triangle_analytic(self):
         tri = np.array([[[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]])

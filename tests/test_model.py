@@ -21,7 +21,7 @@ def full():
 class TestFullConfigAssets:
     def test_one_operator_per_coarse_level(self, full):
         config, assets = full
-        assert [op.n_vertices for op in assets.scaled_ops] == [617, 1234, 2468]
+        assert [op.shape[0] for op in assets.scaled_ops] == [617, 1234, 2468]
         assert assets.pyramid.level_sizes == list(config.decoder_sizes)
 
     def test_operators_equal_mirrored_hands_own(self, full):
@@ -31,14 +31,14 @@ class TestFullConfigAssets:
                                 config.decoder_sizes, seed=config.seed)
         for level, op in enumerate(assets.scaled_ops):
             lap = laplacian(pyramid.levels[level])
-            own = scaled_laplacian(lap, lambda_max(lap)).matrix
+            own = scaled_laplacian(lap, lambda_max(lap))
             for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(op.matrix, attr), getattr(own, attr))
+                assert np.array_equal(getattr(op, attr), getattr(own, attr))
 
     def test_spectra_inside_unit_interval(self, full):
         _, assets = full
         for op in assets.scaled_ops:
-            vals = scipy.linalg.eigvalsh(op.matrix.toarray())
+            vals = scipy.linalg.eigvalsh(op.toarray())
             assert vals[0] >= -1.0 - 1e-12
             assert vals[-1] <= 1.0 + 1e-12
 

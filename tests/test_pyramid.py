@@ -47,6 +47,19 @@ class TestBuildPyramid:
         for g in ico_pyramid.levels:
             assert union_find_components(g.n_vertices, g.edge_array()) == 1
 
+    def test_coarse_graph_is_contracted_fine_graph(self, ico_pyramid):
+        for i, pmap in enumerate(ico_pyramid.parent_maps):
+            fine, coarse = ico_pyramid.levels[i + 1], ico_pyramid.levels[i]
+            contracted = {(int(pmap[u]), int(pmap[v])) for u, v in fine.edge_array()
+                          if pmap[u] != pmap[v]}
+            contracted |= {(v, u) for u, v in contracted}
+            rows, cols = coarse.adjacency.nonzero()
+            assert set(zip(rows.tolist(), cols.tolist())) == contracted
+            assert np.all(coarse.adjacency.data == 1.0)
+            # coarse ids are numbered in order of each one's first fine child
+            first_child = [int(np.flatnonzero(pmap == c)[0]) for c in range(coarse.n_vertices)]
+            assert np.all(np.diff(first_child) > 0)
+
     def test_deterministic(self, ico_graph):
         a = build_pyramid(ico_graph, [41, 81, 162], seed=7)
         b = build_pyramid(ico_graph, [41, 81, 162], seed=7)

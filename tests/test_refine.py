@@ -3,7 +3,7 @@ import pytest
 
 from oracles import central_difference, collision_loss_loop, sphere_contains
 from specmesh import refine
-from specmesh.errors import ArgumentError
+from specmesh.errors import ArgumentError, NumericalError
 from specmesh.meshes import TriMesh, edge_set
 from specmesh.primitives import apply_rigid, cube, icosphere, rotation_matrix
 from specmesh.refine import (
@@ -70,6 +70,17 @@ class TestPointInMesh:
         for r in results[1:]:
             assert np.array_equal(r, results[0])
 
+    def test_surface_point_grazes_and_reads_exterior(self):
+        # every ray from a corner grazes the faces that meet there, so no
+        # retry resolves it; the surface bounds the interior, hence exterior
+        c = cube(1.0)
+        corner = c.positions[:1]
+        interior, failures = points_interior(corner, c, seed=0)
+        assert failures == 1
+        assert not interior[0]
+        with pytest.raises(NumericalError):
+            point_in_mesh(corner[0], c, seed=0)
+
 
 class TestCollisionMask:
     def test_disjoint_spheres_all_false(self):
@@ -95,10 +106,15 @@ class TestCollisionMask:
         with pytest.raises(ArgumentError):
             collision_mask(a, holed, seed=0)
 
-    def test_self_mask_clean_mesh_empty(self):
+    def test_one_mesh_twice_rejected(self):
+        # against its own faces a vertex always reads zero depth
         mesh = icosphere(2, radius=0.05)
-        mask = collision_mask(mesh, mesh, seed=0)
-        assert not mask.interior.any()
+        with pytest.raises(ArgumentError, match="distinct"):
+            collision_mask(mesh, mesh, seed=0)
+        with pytest.raises(ArgumentError, match="distinct"):
+            refine_mesh(mesh, mesh, RefineConfig())
+        with pytest.raises(ArgumentError, match="distinct"):
+            plausibility_metrics(mesh, mesh)
 
 
 class TestCollisionLoss:
@@ -258,14 +274,11 @@ class TestPlausibilityMetrics:
         a, b = overlapping_spheres(radius=0.03)
         assert plausibility_metrics(a, b).max_penetration_mm > 0
         assert len(checked) == 2 and checked[0] is a and checked[1] is b
-        checked.clear()
-        plausibility_metrics(a, a)
-        assert len(checked) == 1 and checked[0] is a
         holed = TriMesh(positions=b.positions, faces=b.faces[:-1])
         with pytest.raises(ArgumentError):
             plausibility_metrics(holed, a)
 
     def test_bad_voxel_rejected(self):
-        a = icosphere(1, radius=0.03)
+        a, b = overlapping_spheres(radius=0.03)
         with pytest.raises(ArgumentError):
-            plausibility_metrics(a, a, voxel_cm=0.0)
+            plausibility_metrics(a, b, voxel_cm=0.0)

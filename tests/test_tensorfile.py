@@ -15,7 +15,7 @@ def _special_values(shape, seed=0):
     return x
 
 
-@pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 5), (0, 4)])
+@pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 5), (0, 4), ()])
 def test_version2_roundtrip_bit_exact(shape):
     x = _special_values(shape)
     y = read_tensor(write_tensor(x, version=2))
