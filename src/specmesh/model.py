@@ -287,7 +287,7 @@ def _conv3x3_valid(x: ad.Tensor, weight: ad.Tensor, bias: ad.Tensor) -> ad.Tenso
     patches = ad.take(flat, idx, axis=1)  # (N, ho*wo*9, cin)
     patches = ad.reshape(patches, (n, ho * wo, 9 * cin))
     kernel = ad.reshape(weight, (9 * cin, weight.shape[3]))
-    out = ad.add(ad.matmul(patches, kernel), bias)
+    out = ad.linear(patches, kernel, bias)
     return ad.reshape(out, (n, ho, wo, weight.shape[3]))
 
 
@@ -349,8 +349,8 @@ def fusion_forward(features, params: dict, config: ModelConfig, bn_state: dict,
     fb = _fusion_branch(x, params, "fuse_b", bn_state, train)
     hw = fa.shape[1] * fa.shape[2]
     f_prime = ad.reshape(fa, (n, hw, config.feature_width))
-    logits = ad.add(ad.matmul(ad.reshape(fb, (n, hw, config.feature_width)),
-                              params["mask_conv_w"]), params["mask_conv_b"])
+    logits = ad.linear(ad.reshape(fb, (n, hw, config.feature_width)),
+                       params["mask_conv_w"], params["mask_conv_b"])
     mask = ad.softmax(logits, axis=1)  # distribution over spatial positions
     if not np.all(np.isfinite(f_prime.data)) or not np.all(np.isfinite(mask.data)):
         raise NumericalError("non-finite values in fusion forward")
@@ -369,27 +369,19 @@ def camera_head(f_r: ad.Tensor, params: dict, config: ModelConfig) -> ad.Tensor:
     Row n is (scale_n, tx_n, ty_n) with scale = exp(raw) kept positive.
     """
     pooled = ad.reduce_mean(f_r, axis=0, keepdims=True)  # (1, C)
-    raw = ad.reshape(ad.add(ad.matmul(pooled, params["camera_w"]), params["camera_b"]),
+    raw = ad.reshape(ad.linear(pooled, params["camera_w"], params["camera_b"]),
                      (config.n_views, 3))
     scale = ad.exp(raw[:, 0:1])
     return ad.concat([scale, raw[:, 1:3]], axis=1)
 
 
 def _attention(x: ad.Tensor, params: dict, prefix: str, heads: int) -> ad.Tensor:
-    tokens, width = x.shape
-    dk = math.ceil(width / heads)
-
-    def split(t):  # (tokens, heads*dk) -> (heads, tokens, dk)
-        return ad.transpose(ad.reshape(t, (tokens, heads, dk)), (1, 0, 2))
-
-    q = split(ad.linear(x, params[f"{prefix}_q_w"], params[f"{prefix}_q_b"]))
-    k = split(ad.linear(x, params[f"{prefix}_k_w"], params[f"{prefix}_k_b"]))
-    v = split(ad.linear(x, params[f"{prefix}_v_w"], params[f"{prefix}_v_b"]))
-    scores = ad.matmul(q, ad.transpose(k, (0, 2, 1))) * ad.constant(1.0 / math.sqrt(dk))
-    attn = ad.softmax(scores, axis=-1)
-    ctx = ad.matmul(attn, v)  # (heads, tokens, dk)
-    merged = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (tokens, heads * dk))
-    return ad.linear(merged, params[f"{prefix}_o_w"], params[f"{prefix}_o_b"])
+    # Projections to (tokens, heads * dk); the per-head scaled dot-product
+    # attention, softmax included, is the single tape node ad.attention.
+    q, k, v = (ad.linear(x, params[f"{prefix}_{p}_w"], params[f"{prefix}_{p}_b"])
+               for p in ("q", "k", "v"))
+    return ad.linear(ad.attention(q, k, v, heads), params[f"{prefix}_o_w"],
+                     params[f"{prefix}_o_b"])
 
 
 def _encoder_layer(x: ad.Tensor, params: dict, prefix: str, heads: int) -> ad.Tensor:

@@ -1,13 +1,17 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately naive (loops, dense math, classic textbook
-iterations) and shares no code with the library paths it checks.
+iterations) and shares no code with the library paths it checks. The
+autodiff references at the end are the exception: they compose the fused
+tape nodes out of the primitive ones, whose own gradients the tests check.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from specmesh import autodiff as ad
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
@@ -298,3 +302,59 @@ def central_difference(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
 def sphere_contains(points: np.ndarray, center, radius: float) -> np.ndarray:
     """Analytic interior test for a sphere."""
     return np.linalg.norm(points - np.asarray(center), axis=1) < radius
+
+
+class WholeArrayAdam:
+    """Adam with one new array per expression, the reference for the
+    in-place, chunked ``autodiff.Adam``."""
+
+    def __init__(self, params: dict, lr: float = 1e-4, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self, params: dict):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for key, p in params.items():
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            self.m[key] = b1 * self.m[key] + (1 - b1) * g
+            self.v[key] = b2 * self.v[key] + (1 - b2) * g * g
+            m_hat = self.m[key] / (1 - b1**self.t)
+            v_hat = self.v[key] / (1 - b2**self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def layer_norm_composed(a, gain, bias, eps: float = 1e-6):
+    """Layer normalization built from 13 primitive tape nodes."""
+    mu = ad.reduce_mean(a, axis=-1, keepdims=True)
+    centered = a - mu
+    var = ad.reduce_mean(ad.mul(centered, centered), axis=-1, keepdims=True)
+    inv = ad.div(ad.constant(1.0), ad.sqrt(ad.add(var, ad.constant(eps))))
+    return ad.add(ad.mul(ad.mul(centered, inv), gain), bias)
+
+
+def linear_composed(x, weight, bias=None):
+    """x @ weight (+ bias) as a matmul node and a broadcasting add node."""
+    out = ad.matmul(x, weight)
+    return out if bias is None else ad.add(out, bias)
+
+
+def attention_composed(q, k, v, heads: int):
+    """Multi-head scaled dot-product attention from primitive tape nodes:
+    split heads, q k^T, scale, softmax, times v, merge heads."""
+    tokens, inner = q.shape
+    dk = inner // heads
+
+    def split(t):
+        return ad.transpose(ad.reshape(t, (tokens, heads, dk)), (1, 0, 2))
+
+    scores = ad.matmul(split(q), ad.transpose(split(k), (0, 2, 1)))
+    weights = ad.softmax(scores * ad.constant(1.0 / math.sqrt(dk)), axis=-1)
+    ctx = ad.matmul(weights, split(v))
+    return ad.reshape(ad.transpose(ctx, (1, 0, 2)), (tokens, inner))

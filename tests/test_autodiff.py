@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import central_difference
+from oracles import (WholeArrayAdam, attention_composed, central_difference,
+                     layer_norm_composed, linear_composed)
 from specmesh import autodiff as ad
 from specmesh.errors import ArgumentError
 from specmesh.graphs import graph_from_edges, lambda_max, laplacian, scaled_laplacian
@@ -114,6 +117,148 @@ class TestSoftmaxAndNorm:
                "b": RNG.normal(size=(6,))})
 
 
+def backward_keeps_upstream_grads(loss):
+    """Run ``loss.backward()`` and assert that no node's gradient changed
+    after its own backward ran, i.e. no later accumulation wrote into an
+    array that a node's ``grad`` still holds."""
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    consumed = []
+    for node in nodes:
+        if node._backward is not None:
+            def spy(g, node=node, original=node._backward):
+                consumed.append((node, g.copy()))
+                original(g)
+
+            node._backward = spy
+    loss.backward()
+    assert consumed
+    for node, grad in consumed:
+        assert np.array_equal(node.grad, grad), node
+
+
+def ownership_ok(build_loss, arrays: dict):
+    fd_ok(build_loss, arrays)
+    backward_keeps_upstream_grads(build_loss({k: ad.parameter(v) for k, v in arrays.items()}))
+
+
+class TestGradientOwnership:
+    """A node's backward may hand ``_accumulate`` its gradient array as the
+    first gradient of a parent only if nothing else holds that array."""
+
+    def test_add_same_tensor_twice(self):
+        probe = ad.constant(RNG.normal(size=(3, 4)))
+        ownership_ok(lambda t: (ad.add(t["x"], t["x"]) * probe).sum(),
+                     {"x": RNG.normal(size=(3, 4))})
+
+    def test_mul_same_tensor_twice(self):
+        probe = ad.constant(RNG.normal(size=(3, 4)))
+        ownership_ok(lambda t: (ad.mul(t["x"], t["x"]) * probe).sum(),
+                     {"x": RNG.normal(size=(3, 4))})
+
+    def test_add_operands_reached_by_different_paths(self):
+        probe = ad.constant(RNG.normal(size=(3, 4)))
+
+        def loss(t):
+            x = t["x"]
+            summed = ad.add(ad.reshape(ad.reshape(x, (12,)), (3, 4)), ad.relu(x))
+            return (ad.add(summed, t["y"]) * probe).sum() + (t["y"] * t["y"]).sum()
+
+        ownership_ok(loss, {"x": RNG.normal(size=(3, 4)) + 0.3, "y": RNG.normal(size=(3, 4))})
+
+    def test_add_passes_one_array_to_both_operands(self):
+        probe = ad.constant(RNG.normal(size=(2, 5)))
+        ownership_ok(lambda t: (ad.add(t["a"], t["b"]) * probe).sum() + ad.exp(t["a"]).sum(),
+                     {"a": RNG.normal(size=(2, 5)) * 0.3, "b": RNG.normal(size=(2, 5))})
+
+    @pytest.mark.parametrize("view", [
+        lambda x: ad.reshape(x, (4, 3)),
+        lambda x: ad.transpose(x, (1, 0)),
+        lambda x: ad.concat([ad.exp(x), x], axis=1),
+        lambda x: x[1:3],
+    ], ids=["reshape", "transpose", "concat", "getitem"])
+    @pytest.mark.parametrize("view_first", [True, False])
+    def test_view_gradient_then_accumulate(self, view, view_first):
+        x = RNG.normal(size=(3, 4))
+        probe = ad.constant(RNG.normal(size=view(ad.constant(x)).shape))
+
+        def loss(t):
+            through_view = (view(t["x"]) * probe).sum()
+            direct = (t["x"] * t["x"]).sum()
+            # add's first operand reaches x first in the backward pass
+            return through_view + direct if view_first else direct + through_view
+
+        ownership_ok(loss, {"x": x})
+
+
+def rel_err(a, b) -> float:
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+def assert_fused_matches(fused, composed, arrays: dict, tol=1e-12):
+    """Forward and every input gradient of ``fused`` equal ``composed``'s
+    within ``tol`` relative to the reference's largest magnitude."""
+    probe = RNG.normal(size=fused(*(ad.constant(a) for a in arrays.values())).shape)
+    results = []
+    for build in (fused, composed):
+        inputs = [ad.parameter(a) for a in arrays.values()]
+        out = build(*inputs)
+        (out * ad.constant(probe)).sum().backward()
+        results.append([out.data] + [t.grad for t in inputs])
+    for name, got, want in zip(["forward", *arrays], *results):
+        assert rel_err(got, want) < tol, f"{name}: {rel_err(got, want):.3e}"
+
+
+class TestFusedNodes:
+    def test_attention_matches_composition(self):
+        arrays = {k: RNG.normal(size=(7, 6)) for k in "qkv"}
+        assert_fused_matches(lambda q, k, v: ad.attention(q, k, v, 2),
+                             lambda q, k, v: attention_composed(q, k, v, 2), arrays)
+
+    def test_attention_gradient(self):
+        probe = RNG.normal(size=(5, 6))
+        fd_ok(lambda t: (ad.attention(t["q"], t["k"], t["v"], 3) * ad.constant(probe)).sum(),
+              {k: RNG.normal(size=(5, 6)) for k in "qkv"})
+
+    def test_attention_forward_bits_equal_composition(self):
+        q, k, v = (ad.constant(RNG.normal(size=(9, 6))) for _ in range(3))
+        assert np.array_equal(ad.attention(q, k, v, 3).data, attention_composed(q, k, v, 3).data)
+
+    def test_attention_rejects_ragged_heads(self):
+        q = ad.constant(np.ones((4, 5)))
+        with pytest.raises(ArgumentError):
+            ad.attention(q, q, q, 2)
+
+    def test_layer_norm_matches_composition(self):
+        arrays = {"x": RNG.normal(size=(4, 6)), "g": RNG.uniform(0.5, 1.5, size=(6,)),
+                  "b": RNG.normal(size=(6,))}
+        assert_fused_matches(ad.layer_norm, layer_norm_composed, arrays)
+
+    def test_layer_norm_forward_bits_equal_composition(self):
+        x, g, b = (ad.constant(RNG.normal(size=s)) for s in ((5, 7), (7,), (7,)))
+        assert np.array_equal(ad.layer_norm(x, g, b).data, layer_norm_composed(x, g, b).data)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+    def test_linear_matches_composition(self, shape):
+        arrays = {"x": RNG.normal(size=shape), "w": RNG.normal(size=(4, 3)),
+                  "b": RNG.normal(size=(3,))}
+        assert_fused_matches(ad.linear, linear_composed, arrays)
+        del arrays["b"]
+        assert_fused_matches(ad.linear, linear_composed, arrays)
+
+    def test_linear_gradient(self):
+        probe = RNG.normal(size=(2, 3, 5))
+        fd_ok(lambda t: (ad.linear(t["x"], t["w"], t["b"]) * ad.constant(probe)).sum(),
+              {"x": RNG.normal(size=(2, 3, 4)), "w": RNG.normal(size=(4, 5)),
+               "b": RNG.normal(size=(5,))})
+
+
 class TestChebPrimitive:
     def test_gradcheck_theta_and_signal(self):
         g = graph_from_edges(np.zeros((8, 3)),
@@ -151,6 +296,48 @@ class TestMachinery:
         (p * p).sum().backward()
         opt.step({"p": p})
         assert np.array_equal(p.data, before)
+
+    def test_adam_equals_whole_array_adam_bits(self):
+        shapes = {"w": (70_000,), "b": (3, 5), "idle": (4,), "m": (33, 1001)}
+        rng = np.random.default_rng(7)
+        start = {k: rng.normal(size=s) for k, s in shapes.items()}
+        mine = {k: ad.parameter(v) for k, v in start.items()}
+        ref = {k: ad.parameter(v) for k, v in start.items()}
+        opt, oracle = ad.Adam(mine, lr=1e-2), WholeArrayAdam(ref, lr=1e-2)
+        for _ in range(20):
+            for key, shape in shapes.items():
+                g = None if key == "idle" else rng.normal(size=shape) * rng.uniform(1e-6, 1e2)
+                mine[key].grad = ref[key].grad = g
+            opt.step(mine)
+            oracle.step(ref)
+        for key in shapes:
+            for got, want in ((mine[key].data, ref[key].data), (opt.m[key], oracle.m[key]),
+                              (opt.v[key], oracle.v[key])):
+                assert got.tobytes() == want.tobytes(), key
+
+    def test_adam_step_allocates_no_parameter_sized_array(self):
+        rng = np.random.default_rng(3)
+        shapes = [(2048, 1024), (1_500_000,), (257, 3001), (7,)]
+        params = {str(i): ad.parameter(rng.normal(size=s)) for i, s in enumerate(shapes)}
+        assert sum(p.data.size for p in params.values()) >= 4_000_000
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape)
+        opt = ad.Adam(params)
+        tracemalloc.start()
+        try:
+            opt.step(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_adam_rejects_strided_parameter(self):
+        p = ad.parameter(np.ones((3, 4)))
+        opt = ad.Adam({"p": p})
+        p.data = np.ones((4, 3)).T
+        p.grad = np.ones((3, 4))
+        with pytest.raises(ArgumentError):
+            opt.step({"p": p})
 
     def test_adam_descends_quadratic(self):
         p = ad.parameter(np.array([5.0, -3.0]))

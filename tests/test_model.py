@@ -90,3 +90,48 @@ class TestCheckpoint:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ArgumentError, match="hash"):
             M.load_checkpoint(tmp_path)
+
+
+# One tensor per parameter group, three seeded entries each.
+GRADCHECK_TENSORS = (
+    "fuse_a_conv1_w", "fuse_b_conv2_w", "fuse_a_conv2_b", "fuse_a_bn1_gain",
+    "fuse_b_bn2_bias", "mask_conv_w", "enc0_0_q_w", "enc0_1_k_w", "enc1_0_v_w",
+    "enc1_3_o_w", "enc0_2_q_b", "enc1_1_v_b", "enc0_0_o_b", "enc0_0_ln1_gain",
+    "enc1_2_ln2_bias", "enc0_3_ffn1_w", "enc1_0_ffn2_b", "reduce0_w", "reduce0_b",
+    "project_w", "project_b", "dec0_up0_w", "dec1_up2_b", "dec0_cheb1", "dec1_cheb0",
+    "camera_w", "camera_b",
+)
+
+
+class TestWholeModelGradient:
+    """Backward through forward and compute_losses (toy config, train mode)
+    against central differences of the total loss."""
+
+    def test_every_parameter_group(self, trained_toy):
+        config, params, _ = trained_toy
+        assets = M.build_assets(config)
+        scene = build_scene(SceneSpec(seed=2), assets, config)
+
+        def total() -> ad.Tensor:
+            out = M.forward(scene.features, params, assets, config, {}, train=True)
+            return M.compute_losses(out, scene, assets, config)["total"]
+
+        for p in params.values():
+            p.grad = None
+        total().backward()
+        rng = np.random.default_rng(11)
+        h = 1e-5
+        for name in GRADCHECK_TENSORS:
+            flat = params[name].data.reshape(-1)
+            analytic = params[name].grad.reshape(-1)
+            for i in rng.choice(flat.size, size=min(3, flat.size), replace=False):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = total().item()
+                flat[i] = orig - h
+                down = total().item()
+                flat[i] = orig
+                numeric = (up - down) / (2 * h)
+                err = abs(analytic[i] - numeric)
+                assert err <= 1e-5 * max(abs(numeric), abs(analytic[i])) + 1e-10, \
+                    f"{name}[{i}]: analytic {analytic[i]:.9e} numeric {numeric:.9e}"
