@@ -190,18 +190,17 @@ def init_parameters(config: ModelConfig, assets: TemplateAssets) -> dict:
     def par(name, value):
         p[name] = ad.parameter(value, name=name)
 
+    # the fusion convs, the mask conv and the key projections have no bias:
+    # the forward would remove its effect (see where each is applied)
     c, bc, k = config.feature_width, config.backbone_channels, config.n_clusters
     for branch, cin1 in (("fuse_a", bc), ("fuse_b", bc)):
         par(f"{branch}_conv1_w", _uniform(rng, 9 * cin1, (3, 3, cin1, c)))
-        par(f"{branch}_conv1_b", np.zeros(c))
         par(f"{branch}_bn1_gain", np.ones(c))
         par(f"{branch}_bn1_bias", np.zeros(c))
         par(f"{branch}_conv2_w", _uniform(rng, 9 * c, (3, 3, c, c)))
-        par(f"{branch}_conv2_b", np.zeros(c))
         par(f"{branch}_bn2_gain", np.ones(c))
         par(f"{branch}_bn2_bias", np.zeros(c))
     par("mask_conv_w", _uniform(rng, c, (c, k)))
-    par("mask_conv_b", np.zeros(k))
     par("camera_w", np.zeros((c, config.n_views * 3)))  # start at scale 1, shift 0
     par("camera_b", np.zeros(config.n_views * 3))
 
@@ -216,7 +215,8 @@ def init_parameters(config: ModelConfig, assets: TemplateAssets) -> dict:
             par(f"{prefix}_ln1_bias", np.zeros(w))
             for proj in ("q", "k", "v"):
                 par(f"{prefix}_{proj}_w", _uniform(rng, w, (w, inner)))
-                par(f"{prefix}_{proj}_b", np.zeros(inner))
+                if proj != "k":
+                    par(f"{prefix}_{proj}_b", np.zeros(inner))
             par(f"{prefix}_o_w", _uniform(rng, inner, (inner, w)))
             par(f"{prefix}_o_b", np.zeros(w))
             par(f"{prefix}_ln2_gain", np.ones(w))
@@ -271,8 +271,8 @@ def _bilinear_up2(x: ad.Tensor) -> ad.Tensor:
 _CONV_IDX_CACHE: dict = {}
 
 
-def _conv3x3_valid(x: ad.Tensor, weight: ad.Tensor, bias: ad.Tensor) -> ad.Tensor:
-    """3x3 valid convolution on (N, H, W, C) via gather + matmul."""
+def _conv3x3_valid(x: ad.Tensor, weight: ad.Tensor) -> ad.Tensor:
+    """3x3 valid convolution on (N, H, W, C) via gather + matmul, no bias."""
     n, h, w, cin = x.shape
     ho, wo = h - 2, w - 2
     key = (h, w)
@@ -287,7 +287,7 @@ def _conv3x3_valid(x: ad.Tensor, weight: ad.Tensor, bias: ad.Tensor) -> ad.Tenso
     patches = ad.take(flat, idx, axis=1)  # (N, ho*wo*9, cin)
     patches = ad.reshape(patches, (n, ho * wo, 9 * cin))
     kernel = ad.reshape(weight, (9 * cin, weight.shape[3]))
-    out = ad.linear(patches, kernel, bias)
+    out = ad.linear(patches, kernel)
     return ad.reshape(out, (n, ho, wo, weight.shape[3]))
 
 
@@ -325,7 +325,8 @@ def _fusion_branch(x: ad.Tensor, params: dict, prefix: str, bn_state: dict,
                    train: bool) -> ad.Tensor:
     for stage in ("1", "2"):
         x = _bilinear_up2(x)
-        x = _conv3x3_valid(x, params[f"{prefix}_conv{stage}_w"], params[f"{prefix}_conv{stage}_b"])
+        # no conv bias: train-mode batch norm subtracts the channel mean next
+        x = _conv3x3_valid(x, params[f"{prefix}_conv{stage}_w"])
         x = _batch_norm(x, params[f"{prefix}_bn{stage}_gain"], params[f"{prefix}_bn{stage}_bias"],
                         f"{prefix}_bn{stage}", bn_state, train)
         x = ad.relu(x)
@@ -349,8 +350,8 @@ def fusion_forward(features, params: dict, config: ModelConfig, bn_state: dict,
     fb = _fusion_branch(x, params, "fuse_b", bn_state, train)
     hw = fa.shape[1] * fa.shape[2]
     f_prime = ad.reshape(fa, (n, hw, config.feature_width))
-    logits = ad.linear(ad.reshape(fb, (n, hw, config.feature_width)),
-                       params["mask_conv_w"], params["mask_conv_b"])
+    # no bias: it would be constant along the spatial axis the softmax runs over
+    logits = ad.linear(ad.reshape(fb, (n, hw, config.feature_width)), params["mask_conv_w"])
     mask = ad.softmax(logits, axis=1)  # distribution over spatial positions
     if not np.all(np.isfinite(f_prime.data)) or not np.all(np.isfinite(mask.data)):
         raise NumericalError("non-finite values in fusion forward")
@@ -377,9 +378,12 @@ def camera_head(f_r: ad.Tensor, params: dict, config: ModelConfig) -> ad.Tensor:
 
 def _attention(x: ad.Tensor, params: dict, prefix: str, heads: int) -> ad.Tensor:
     # Projections to (tokens, heads * dk); the per-head scaled dot-product
-    # attention, softmax included, is the single tape node ad.attention.
-    q, k, v = (ad.linear(x, params[f"{prefix}_{p}_w"], params[f"{prefix}_{p}_b"])
-               for p in ("q", "k", "v"))
+    # attention, softmax included, is the single tape node ad.attention. The
+    # key has no bias: it would shift each score row by a constant, which
+    # the softmax removes.
+    q, v = (ad.linear(x, params[f"{prefix}_{p}_w"], params[f"{prefix}_{p}_b"])
+            for p in ("q", "v"))
+    k = ad.linear(x, params[f"{prefix}_k_w"])
     return ad.linear(ad.attention(q, k, v, heads), params[f"{prefix}_o_w"],
                      params[f"{prefix}_o_b"])
 
@@ -588,8 +592,14 @@ def compute_losses(output: ModelOutput, batch, assets: TemplateAssets,
 
 
 def _first_nonfinite(params: dict) -> str | None:
+    """Name of the first tensor, in name order, holding a NaN or an inf."""
     for name in sorted(params):
-        if not np.all(np.isfinite(params[name].data)):
+        data = params[name].data
+        # a sum is finite only if every term is, so one read without a
+        # temporary clears a tensor; the element test settles an overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = data.sum()
+        if not np.isfinite(total) and not np.all(np.isfinite(data)):
             return name
     return None
 

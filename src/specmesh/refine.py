@@ -1,10 +1,13 @@
 """Inference-time mesh refinement and plausibility metrics.
 
 Interior vertices are found by ray-parity tests (seeded directions, grazing
-hits retried), pulled toward their nearest opposing-normal vertex on the
-other surface, and regularized by an as-rigid-as-possible energy with
-closed-form per-cell rotations. Plausibility is reported as maximum
-penetration depth (mm) and voxelized intersection volume (cm^3).
+hits retried) and pulled toward their nearest opposing-normal vertex on the
+other surface, while an as-rigid-as-possible energy keeps the source locally
+rigid. Refinement alternates ARAP's local step (closed-form per-cell
+rotations) with a global step, one sparse linear solve in which the L1 pull
+is reweighted least squares; it stops when no vertex penetrates.
+Plausibility is reported as maximum penetration depth (mm) and voxelized
+intersection volume (cm^3).
 
 Every check is between two distinct meshes, as for the two hands: passing
 one mesh object as both source and target is rejected, because a vertex
@@ -19,6 +22,9 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from .errors import ArgumentError, NumericalError
 from .kernels import nearest_vertex, point_triangle_dists, ray_crossings
@@ -28,6 +34,7 @@ _LOGGER = logging.getLogger(__name__)
 
 MAX_RAY_RETRIES = 8
 _MAX_VOXELS = 4_000_000
+_DIST_FLOOR = 1e-9  # meters; caps a pair's collision weight 1 / d in the solve
 
 
 @dataclass(frozen=True)
@@ -45,16 +52,14 @@ class CollisionMask:
 class RefineConfig:
     arap_weight: float = 1.0
     max_iters: int = 200
-    step_size: float = 1e-2
     convergence_tol: float = 1e-7
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ArgumentError("max_iters must be >= 1")
-        if not self.step_size > 0:
-            raise ArgumentError("step_size must be positive")
-        if self.arap_weight < 0:
-            raise ArgumentError("arap_weight must be >= 0")
+        # with no rigidity term the global step has no unique solution
+        if not self.arap_weight > 0:
+            raise ArgumentError("arap_weight must be positive")
 
 
 @dataclass(frozen=True)
@@ -178,20 +183,6 @@ def collision_loss(source: TriMesh, mask: CollisionMask, target: TriMesh) -> flo
         source.positions[src_idx] - target.positions[tgt_idx], axis=1).sum())
 
 
-def _collision_grad(source: TriMesh, mask: CollisionMask, target: TriMesh):
-    """(loss, d loss / d source positions, source idx, target idx) with the
-    gated pairs held fixed."""
-    grad = np.zeros_like(source.positions)
-    src_idx, tgt_idx = _gated_pairs(source, mask, target)
-    if src_idx.size == 0:
-        return 0.0, grad, src_idx, tgt_idx
-    diff = source.positions[src_idx] - target.positions[tgt_idx]
-    dist = np.linalg.norm(diff, axis=1)
-    unit = diff / np.maximum(dist, 1e-12)[:, None]
-    np.add.at(grad, src_idx, unit)
-    return float(dist.sum()), grad, src_idx, tgt_idx
-
-
 def _arap_rotations(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray,
                     n_vertices: int):
     """Per-cell optimal rotations (orthogonal Procrustes with det +1)."""
@@ -220,6 +211,13 @@ def _arap_rotations(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray,
     return r, owner, e_rest, e_def
 
 
+def _arap_local(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray):
+    """(energy, per-cell rotations) at the deformed positions."""
+    r, owner, e_rest, e_def = _arap_rotations(rest, deformed, edges, rest.shape[0])
+    residual = e_def - np.einsum("nab,nb->na", r[owner], e_rest)
+    return float(np.sum(residual**2)), r
+
+
 def arap_energy(rest: TriMesh, deformed_positions: np.ndarray) -> float:
     """Sum over cells of the residual after the best per-cell rotation.
 
@@ -228,43 +226,67 @@ def arap_energy(rest: TriMesh, deformed_positions: np.ndarray) -> float:
     deformed_positions = np.asarray(deformed_positions, dtype=np.float64)
     if deformed_positions.shape != rest.positions.shape:
         raise ArgumentError("deformed positions must match rest topology")
-    return _arap_energy(rest, deformed_positions, edge_set(rest).edges.astype(np.int64))
+    edges = edge_set(rest).edges.astype(np.int64)
+    return _arap_local(rest.positions, deformed_positions, edges)[0]
 
 
-def _arap_residual(rest: TriMesh, deformed: np.ndarray, edges: np.ndarray):
-    """Per half-edge residual after the best per-cell rotation."""
-    r, owner, e_rest, e_def = _arap_rotations(rest.positions, deformed, edges,
-                                              rest.n_vertices)
-    return e_def - np.einsum("nab,nb->na", r[owner], e_rest)
+class _GlobalStep:
+    """The global step of the local-global scheme on one source topology.
 
+    With the rotations R held, the rigidity energy is the quadratic
+    ``4 (x^T L x / 2 - b^T x) + const``, with L the uniform edge Laplacian and
+    ``b_i = sum_j (R_i + R_j) (r_i - r_j) / 2``; each pair's ``|x_s - y_t|``
+    is majorized by ``|x_s - y_t|^2 / (2 d_s) + d_s / 2``, d_s its current
+    length (at least ``_DIST_FLOOR``). Both bounds touch the objective at the
+    current iterate, so their minimizer, one sparse SPD solve, does not raise
+    it while the pairs hold.
+    """
 
-def _arap_energy(rest: TriMesh, deformed: np.ndarray, edges: np.ndarray) -> float:
-    """``arap_energy`` on precomputed edges, without the shape check."""
-    return float(np.sum(_arap_residual(rest, deformed, edges)**2))
+    def __init__(self, rest: np.ndarray, edges: np.ndarray, weight: float):
+        n, m = rest.shape[0], edges.shape[0]
+        i, j = edges[:, 0], edges[:, 1]
+        cols = np.tile(np.arange(m), 2)
+        # signed edge incidence B (+1 at i, -1 at j for edge (i, j)): L = B B^T,
+        # and b = B h with h_e = (R_i + R_j) (r_i - r_j) / 2
+        self._inc = sp.csr_matrix((np.repeat([1.0, -1.0], m), (np.concatenate([i, j]), cols)),
+                                  shape=(n, m))
+        self._four_w_lap = 4.0 * weight * (self._inc @ self._inc.T).tocsr()
+        _, self._component = connected_components(self._four_w_lap, directed=False)
+        self._i, self._j = i, j
+        self._e_rest = rest[i] - rest[j]
+        self._weight = weight
 
-
-def _arap_grad(rest: TriMesh, deformed: np.ndarray, edges: np.ndarray):
-    """(energy, gradient) with rotations held at their per-cell optimum."""
-    residual = _arap_residual(rest, deformed, edges)
-    energy = float(np.sum(residual**2))
-    grad = np.zeros_like(deformed)
-    half = edges.shape[0]
-    i, j = edges[:, 0], edges[:, 1]
-    np.add.at(grad, i, 2.0 * residual[:half])
-    np.add.at(grad, j, -2.0 * residual[:half])
-    np.add.at(grad, j, 2.0 * residual[half:])
-    np.add.at(grad, i, -2.0 * residual[half:])
-    return energy, grad
+    def __call__(self, x: np.ndarray, rot: np.ndarray, src_idx: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
+        """Minimizer of both majorizers at x; src_idx holds at least one pair."""
+        h = 0.5 * np.einsum("eab,eb->ea", rot[self._i] + rot[self._j], self._e_rest)
+        rhs = 4.0 * self._weight * (self._inc @ h)
+        diag = np.zeros(x.shape[0])
+        diag[src_idx] = 1.0 / np.maximum(np.linalg.norm(x[src_idx] - y, axis=1), _DIST_FLOOR)
+        rhs[src_idx] += diag[src_idx, None] * y
+        # a component without a pair is free to translate in L, so its solve
+        # is arbitrary: it stays where it is, bit for bit
+        live = np.flatnonzero(np.isin(self._component, self._component[src_idx]))
+        system = (self._four_w_lap + sp.diags(diag, format="csr"))[live][:, live]
+        out = x.copy()
+        out[live] = splu(system.tocsc()).solve(rhs[live])
+        return out
 
 
 def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> RefineResult:
     """Push interior vertices out of the target while keeping the source
     shape locally rigid.
 
-    Gradient descent with backtracking line search on
-    ``collision + arap_weight * rigidity``; the interior mask is recomputed
-    every iteration. Returns the best iterate (never worse than the input)
-    with before/after plausibility reports; topology is untouched.
+    Minimizes ``collision + arap_weight * rigidity`` by local-global steps
+    (ARAP's scheme, with the L1 collision term as iteratively reweighted
+    least squares). Each iteration finds the interior vertices and their
+    gated pairs at the current positions and stops once none remains; the
+    local step fits the per-cell rotations and the global step is one
+    sparse solve (``_GlobalStep``). It also stops when the objective changes
+    by less than ``convergence_tol`` or after ``max_iters`` iterations, and
+    reports divergence after 10 consecutive rises. Returns the best iterate
+    (never worse than the input) with before/after plausibility reports;
+    topology is untouched, and an input with no pair is returned as is.
 
     Raises:
         ArgumentError: source and target are one mesh, or target is not
@@ -274,33 +296,30 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     if not is_watertight(target):
         raise ArgumentError("refinement requires a watertight target")
     before = plausibility_metrics(source, target)
-    rest = source
-    edges = edge_set(rest).edges.astype(np.int64)
-    x = source.positions.copy()
-    best_x = x.copy()
-    best_loss = np.inf
-    prev_loss = np.inf
+    rest = source.positions
+    edges = edge_set(source).edges.astype(np.int64)
+    global_step = _GlobalStep(rest, edges, config.arap_weight)
+    x = best_x = rest.copy()
+    best_loss = prev_loss = np.inf
     rises = 0
     diverged = False
     iterations = 0
     for it in range(config.max_iters):
         iterations = it + 1
-        current = rest.with_positions(x)
-        mask = _collision_mask(current, target, seed=0)
-        col_loss, col_grad, src_idx, tgt_idx = _collision_grad(current, mask, target)
-        if config.arap_weight > 0:
-            arap_val, arap_g = _arap_grad(rest, x, edges)
-        else:
-            arap_val, arap_g = 0.0, np.zeros_like(x)
-        loss = col_loss + config.arap_weight * arap_val
-        if loss < best_loss:
-            best_loss = loss
-            best_x = x.copy()
-        if it == 0 and col_loss == 0.0 and not mask.any:
+        current = source.with_positions(x)
+        src_idx, tgt_idx = _gated_pairs(current, _collision_mask(current, target, seed=0),
+                                        target)
+        if src_idx.size == 0 and it == 0:
             # nothing penetrates: the input is already the answer
             return RefineResult(mesh=source, before=before, after=before,
                                 diverged=False, iterations=1)
-        if abs(prev_loss - loss) < config.convergence_tol:
+        y = target.positions[tgt_idx]
+        energy, rot = _arap_local(rest, x, edges)
+        loss = float(np.linalg.norm(x[src_idx] - y, axis=1).sum()) \
+            + config.arap_weight * energy
+        if loss < best_loss:
+            best_loss, best_x = loss, x
+        if src_idx.size == 0 or abs(prev_loss - loss) < config.convergence_tol:
             break
         if loss > prev_loss:
             rises += 1
@@ -310,34 +329,8 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
         else:
             rises = 0
         prev_loss = loss
-        grad = col_grad + config.arap_weight * arap_g
-        gnorm2 = float(np.sum(grad**2))
-        if gnorm2 == 0.0:
-            break
-        step = config.step_size
-
-        def surrogate(pos):
-            # collision pairs and gates frozen for the line search
-            val = 0.0
-            if src_idx.size:
-                val += float(np.linalg.norm(pos[src_idx] - target.positions[tgt_idx],
-                                            axis=1).sum())
-            if config.arap_weight > 0:
-                val += config.arap_weight * _arap_energy(rest, pos, edges)
-            return val
-
-        base = loss  # the surrogate at x
-        accepted = False
-        for _ in range(20):
-            candidate = x - step * grad
-            if surrogate(candidate) <= base - 1e-4 * step * gnorm2:
-                x = candidate
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    refined = rest.with_positions(best_x)
+        x = global_step(x, rot, src_idx, y)
+    refined = source.with_positions(best_x)
     after = plausibility_metrics(refined, target)
     return RefineResult(mesh=refined, before=before, after=after,
                         diverged=diverged, iterations=iterations)

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from specmesh import autodiff as ad
 from specmesh import model as M
-from specmesh.errors import ArgumentError
+from specmesh.errors import ArgumentError, NumericalError
 from specmesh.graphs import build_mesh_graph, lambda_max, laplacian, scaled_laplacian
 from specmesh.pyramid import build_pyramid
 from specmesh.scenes import SceneSpec, build_scene
@@ -92,9 +92,24 @@ class TestCheckpoint:
             M.load_checkpoint(tmp_path)
 
 
+@pytest.fixture(scope="module")
+def perturbed_toy():
+    """Toy parameters at init plus a seeded perturbation: a generic state
+    whose every bit comes from seeds. A trained state would not do, because
+    Adam's first step is about lr * sign(g), and the sign of a near-zero
+    gradient entry depends on the BLAS's rounding and thread count."""
+    config = M.toy_config()
+    assets = M.build_assets(config)
+    params = M.init_parameters(config, assets)
+    rng = np.random.default_rng(5)
+    for name in sorted(params):
+        params[name].data += 1e-2 * rng.standard_normal(params[name].data.shape)
+    return config, assets, params
+
+
 # One tensor per parameter group, three seeded entries each.
 GRADCHECK_TENSORS = (
-    "fuse_a_conv1_w", "fuse_b_conv2_w", "fuse_a_conv2_b", "fuse_a_bn1_gain",
+    "fuse_a_conv1_w", "fuse_b_conv2_w", "fuse_a_bn2_gain", "fuse_a_bn1_gain",
     "fuse_b_bn2_bias", "mask_conv_w", "enc0_0_q_w", "enc0_1_k_w", "enc1_0_v_w",
     "enc1_3_o_w", "enc0_2_q_b", "enc1_1_v_b", "enc0_0_o_b", "enc0_0_ln1_gain",
     "enc1_2_ln2_bias", "enc0_3_ffn1_w", "enc1_0_ffn2_b", "reduce0_w", "reduce0_b",
@@ -107,9 +122,8 @@ class TestWholeModelGradient:
     """Backward through forward and compute_losses (toy config, train mode)
     against central differences of the total loss."""
 
-    def test_every_parameter_group(self, trained_toy):
-        config, params, _ = trained_toy
-        assets = M.build_assets(config)
+    def test_every_parameter_group(self, perturbed_toy):
+        config, assets, params = perturbed_toy
         scene = build_scene(SceneSpec(seed=2), assets, config)
 
         def total() -> ad.Tensor:
@@ -135,3 +149,34 @@ class TestWholeModelGradient:
                 err = abs(analytic[i] - numeric)
                 assert err <= 1e-5 * max(abs(numeric), abs(analytic[i])) + 1e-10, \
                     f"{name}[{i}]: analytic {analytic[i]:.9e} numeric {numeric:.9e}"
+
+
+class TestFirstNonfinite:
+    def params(self, **arrays):
+        return {name: ad.parameter(np.asarray(a, dtype=np.float64), name=name)
+                for name, a in arrays.items()}
+
+    def test_names_first_nan_or_inf_in_name_order(self):
+        params = self.params(a=[1.0, 2.0], b=[0.0, np.inf], c=[np.nan, 1.0])
+        assert M._first_nonfinite(params) == "b"
+        params["b"].data[1] = -np.inf
+        assert M._first_nonfinite(params) == "b"
+        params["b"].data[1] = 0.0
+        assert M._first_nonfinite(params) == "c"
+
+    def test_finite_tensor_whose_sum_overflows_passes(self):
+        big = np.finfo(np.float64).max
+        params = self.params(a=[big, big, big], b=[-big, -big, big, 1.0])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(params["a"].data.sum())
+        assert M._first_nonfinite(params) is None
+
+    def test_train_step_names_the_tensor(self):
+        config = M.toy_config()
+        assets = M.build_assets(config)
+        params = M.init_parameters(config, assets)
+        params["project_b"].data[1] = np.nan
+        opt = ad.Adam(params, lr=config.learning_rate)
+        scene = build_scene(SceneSpec(seed=1), assets, config)
+        with pytest.raises(NumericalError, match="'project_b' before step"):
+            M.train_step(params, opt, scene, assets, config, {})
