@@ -1,8 +1,7 @@
 """Exception hierarchy shared by every specmesh module.
 
 The CLI maps these onto its exit-code contract:
-parse errors -> 2, argument/structural errors -> 3, numerical aborts -> 4,
-verification failures -> 5.
+parse errors -> 2, argument/structural errors -> 3, numerical aborts -> 4.
 """
 
 
@@ -26,6 +25,3 @@ class StructuralError(SpecmeshError):
 class NumericalError(SpecmeshError):
     """A numerical routine failed: non-finite values, non-convergence."""
 
-
-class VerificationError(SpecmeshError):
-    """An oracle or gradient check exceeded its tolerance."""

@@ -14,7 +14,6 @@ All positions are meters. OBJ text is ASCII with 1-based ``v``/``f`` records;
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,20 +201,4 @@ def subsample_to_count(mesh: TriMesh, n_keep: int, seed: int) -> np.ndarray:
         kept.append(nxt)
         np.minimum(dist, np.linalg.norm(mesh.positions - mesh.positions[nxt], axis=1), out=dist)
     return np.array(sorted(kept), dtype=np.int32)
-
-
-def subsample_uniform(mesh: TriMesh, factor: int, seed: int) -> np.ndarray:
-    """Indices of ceil(V / factor) vertices kept by uniform surface subsampling.
-
-    Raises:
-        ArgumentError: factor < 1 or factor > V.
-    """
-    if factor < 1:
-        raise ArgumentError(f"factor must be >= 1, got {factor}")
-    if factor > mesh.n_vertices:
-        raise ArgumentError(f"factor {factor} exceeds vertex count {mesh.n_vertices}")
-    if factor == 1:
-        return np.arange(mesh.n_vertices, dtype=np.int32)
-    n_keep = math.ceil(mesh.n_vertices / factor)
-    return subsample_to_count(mesh, n_keep, seed)
 

@@ -4,10 +4,9 @@ Multi-view backbone features are fused into region-specific features by a
 soft-attention mask, broadcast onto a subsampled two-hand template as
 transformer tokens, encoded with progressive width halving down to 3D, and
 decoded per hand by alternating learned vertex upsampling with Chebyshev
-spectral filtering on a precomputed graph pyramid. Training minimizes a
-weighted sum of mesh L1, weak-perspective 2D reprojection, and edge-length
-regularity losses (squared-distance and Chamfer terms are available but off
-by default).
+spectral filtering on a precomputed graph pyramid. Training minimizes the
+plain sum of three losses: mesh L1, weak-perspective 2D reprojection, and
+edge-length regularity.
 
 Everything runs on the in-package autodiff tape in float64, so every
 differentiable piece is checkable against central finite differences.
@@ -17,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from . import autodiff as ad
 from .errors import ArgumentError, NumericalError
 from .filters import init_theta
 from .graphs import build_mesh_graph, lambda_max, laplacian, scaled_laplacian
-from .meshes import EdgeSet, subsample_to_count
+from .meshes import subsample_to_count
 from .primitives import hand_template, icosphere, mirror_x
 from .pyramid import GraphPyramid, build_pyramid
 from .segmentation import segment
@@ -53,8 +52,6 @@ class ModelConfig:
     backbone_grid: int = 7
     ffn_factor: int = 2
     template: str = "hand"  # "hand" or "icosphere" (toy)
-    loss_weights: dict = field(default_factory=lambda: {
-        "mesh": 1.0, "reproj2d": 1.0, "edge": 1.0, "mse": 0.0, "chamfer": 0.0})
     learning_rate: float = 1e-4
     seed: int = 0
 
@@ -461,7 +458,7 @@ def forward(features, params: dict, assets: TemplateAssets, config: ModelConfig,
 
 
 # --------------------------------------------------------------------------
-# losses (public array ops plus tape-side counterparts)
+# losses
 
 
 def synth_backbone_features(scene_seed: int, config: ModelConfig) -> np.ndarray:
@@ -472,22 +469,6 @@ def synth_backbone_features(scene_seed: int, config: ModelConfig) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=shape)
 
 
-def loss_l1_mesh(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Mean absolute deviation over all vertex coordinates."""
-    pred, gt = np.asarray(pred, float), np.asarray(gt, float)
-    if pred.shape != gt.shape:
-        raise ArgumentError(f"shape mismatch {pred.shape} vs {gt.shape}")
-    return float(np.mean(np.abs(pred - gt)))
-
-
-def loss_mse(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Mean squared per-vertex Euclidean distance."""
-    pred, gt = np.asarray(pred, float), np.asarray(gt, float)
-    if pred.shape != gt.shape:
-        raise ArgumentError(f"shape mismatch {pred.shape} vs {gt.shape}")
-    return float(np.mean(np.sum((pred - gt) ** 2, axis=1)))
-
-
 def mpve(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean per-vertex Euclidean error in millimeters (inputs in meters)."""
     pred, gt = np.asarray(pred, float), np.asarray(gt, float)
@@ -496,47 +477,8 @@ def mpve(pred: np.ndarray, gt: np.ndarray) -> float:
     return float(1000.0 * np.mean(np.linalg.norm(pred - gt, axis=1)))
 
 
-def loss_edge(edges: EdgeSet) -> float:
-    """Edge regularity: mean |l^2 - mean(l^2)| over the edge set."""
-    if edges.n_edges == 0:
-        raise ArgumentError("edge loss needs at least one edge")
-    sq = edges.lengths**2
-    return float(np.mean(np.abs(sq - sq.mean())))
-
-
-def loss_chamfer(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric mean of nearest-neighbor squared distances."""
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    if a.size == 0 or b.size == 0:
-        raise ArgumentError("chamfer needs non-empty point sets")
-    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-    return float(0.5 * (d2.min(axis=1).mean() + d2.min(axis=0).mean()))
-
-
-def loss_reproject_2d(pred: np.ndarray, gt2d: np.ndarray, cams) -> float:
-    """Weak-perspective reprojection L1 averaged over views/vertices/coords."""
-    pred = np.asarray(pred, float)
-    gt2d = np.asarray(gt2d, float)
-    if gt2d.ndim != 3 or gt2d.shape[1] != pred.shape[0] or gt2d.shape[2] != 2:
-        raise ArgumentError(f"gt2d must be (N, {pred.shape[0]}, 2), got {gt2d.shape}")
-    if len(cams) != gt2d.shape[0]:
-        raise ArgumentError("one camera per view required")
-    total = 0.0
-    for n, cam in enumerate(cams):
-        if not cam.scale > 0:
-            raise ArgumentError(f"camera {n} scale must be positive")
-        proj = cam.scale * pred[:, :2] + cam.translation
-        total += float(np.mean(np.abs(proj - gt2d[n])))
-    return total / len(cams)
-
-
 def _ad_l1(pred: ad.Tensor, gt: np.ndarray) -> ad.Tensor:
     return ad.reduce_mean(ad.absolute(pred - ad.constant(gt)))
-
-
-def _ad_mse(pred: ad.Tensor, gt: np.ndarray) -> ad.Tensor:
-    diff = pred - ad.constant(gt)
-    return ad.reduce_mean(ad.reduce_sum(ad.mul(diff, diff), axis=1))
 
 
 def _ad_edge(pred: ad.Tensor, edges: np.ndarray) -> ad.Tensor:
@@ -554,40 +496,15 @@ def _ad_reproject(pred: ad.Tensor, cams: ad.Tensor, gt2d: np.ndarray) -> ad.Tens
     return ad.reduce_mean(ad.absolute(proj - ad.constant(gt2d)))
 
 
-def _ad_chamfer(pred: ad.Tensor, target: np.ndarray) -> ad.Tensor:
-    # nearest assignments held fixed during the step (locally exact a.e.)
-    d2 = np.sum((pred.data[:, None, :] - target[None, :, :]) ** 2, axis=2)
-    nn_ab = np.argmin(d2, axis=1)
-    nn_ba = np.argmin(d2, axis=0)
-    fwd = pred - ad.constant(target[nn_ab])
-    bwd = ad.take(pred, nn_ba, axis=0) - ad.constant(target)
-    return ad.constant(0.5) * (ad.reduce_mean(ad.reduce_sum(ad.mul(fwd, fwd), axis=1))
-                               + ad.reduce_mean(ad.reduce_sum(ad.mul(bwd, bwd), axis=1)))
-
-
-def compute_losses(output: ModelOutput, batch, assets: TemplateAssets,
-                   config: ModelConfig) -> dict:
-    """Enabled loss terms plus their weighted total, all on the tape."""
-    terms: dict[str, ad.Tensor] = {}
-    w = config.loss_weights
+def compute_losses(output: ModelOutput, batch, assets: TemplateAssets) -> dict:
+    """The three loss terms and their sum, all on the tape."""
     pred = output.pred_vertices
-    if w.get("mesh", 0.0) > 0:
-        terms["mesh"] = _ad_l1(pred, batch.gt_vertices)
-    if w.get("reproj2d", 0.0) > 0:
-        terms["reproj2d"] = _ad_reproject(pred, output.cameras, batch.gt2d)
-    if w.get("edge", 0.0) > 0:
-        terms["edge"] = _ad_edge(pred, assets.mesh_edges)
-    if w.get("mse", 0.0) > 0:
-        terms["mse"] = _ad_mse(pred, batch.gt_vertices)
-    if w.get("chamfer", 0.0) > 0:
-        terms["chamfer"] = _ad_chamfer(pred, batch.gt_vertices)
-    total = None
-    for name, term in terms.items():
-        weighted = term * ad.constant(w[name])
-        total = weighted if total is None else total + weighted
-    if total is None:
-        raise ArgumentError("no loss enabled in loss_weights")
-    terms["total"] = total
+    terms = {
+        "mesh": _ad_l1(pred, batch.gt_vertices),
+        "reproj2d": _ad_reproject(pred, output.cameras, batch.gt2d),
+        "edge": _ad_edge(pred, assets.mesh_edges),
+    }
+    terms["total"] = terms["mesh"] + terms["reproj2d"] + terms["edge"]
     return terms
 
 
@@ -606,7 +523,7 @@ def _first_nonfinite(params: dict) -> str | None:
 
 def train_step(params: dict, opt: ad.Adam, batch, assets: TemplateAssets,
                config: ModelConfig, bn_state: dict) -> dict:
-    """One optimizer step on the weighted loss; returns scalar loss values.
+    """One optimizer step on the summed loss; returns scalar loss values.
 
     Raises:
         NumericalError: a loss or parameter went non-finite, naming the
@@ -616,7 +533,7 @@ def train_step(params: dict, opt: ad.Adam, batch, assets: TemplateAssets,
     if bad is not None:
         raise NumericalError(f"non-finite parameter tensor {bad!r} before step")
     output = forward(batch.features, params, assets, config, bn_state, train=True)
-    losses = compute_losses(output, batch, assets, config)
+    losses = compute_losses(output, batch, assets)
     for name, term in losses.items():
         if not np.isfinite(term.data):
             raise NumericalError(f"non-finite loss tensor {name!r}")

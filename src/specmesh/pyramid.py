@@ -7,25 +7,16 @@ keeps at least one child. Coarse positions are child means. Coarse edges are
 contracted fine edges: with P the (n, n') 0/1 matrix that assigns each fine
 vertex to its coarse vertex, the coarse adjacency is the off-diagonal pattern
 of P^T A P, computed on the CSR adjacency.
-
-Pyramids persist as a JSON manifest plus a little-endian binary sidecar
-(magic ``SGPY``) holding positions, edge lists, and parent arrays.
 """
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ArgumentError, StructuralError
-from .graphs import MeshGraph, graph_from_adjacency, graph_from_edges
-
-_MAGIC = b"SGPY"
-_VERSION = 1
+from .errors import StructuralError
+from .graphs import MeshGraph, graph_from_adjacency
 
 
 @dataclass(frozen=True)
@@ -46,13 +37,6 @@ class GraphPyramid:
     @property
     def n_levels(self) -> int:
         return len(self.levels)
-
-    def trace_to_coarsest(self, fine_vertex: int) -> int:
-        """Follow parents from the finest level down to the coarsest."""
-        v = fine_vertex
-        for pmap in reversed(self.parent_maps):
-            v = int(pmap[v])
-        return v
 
 
 def build_pyramid(fine: MeshGraph, target_sizes, seed: int = 0) -> GraphPyramid:
@@ -139,80 +123,3 @@ def _contract_exact(graph: MeshGraph, target: int, rng: np.random.Generator):
         cur_n = nxt
     return graph_from_adjacency(positions, adj), total_parent
 
-
-def upsample_signal(pyramid: GraphPyramid, level: int, signal: np.ndarray,
-                    weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Learned fully-connected upsampling of a per-vertex signal.
-
-    The same (n_fine, n_coarse) map applies to every feature channel:
-    ``out = weight @ signal (+ bias)``. ``signal`` must live on ``level``;
-    the output row count follows the weight (normally the next finer level).
-
-    Raises:
-        ArgumentError: level out of range or shapes inconsistent.
-    """
-    if not 0 <= level < pyramid.n_levels:
-        raise ArgumentError(f"level must be in [0, {pyramid.n_levels}), got {level}")
-    n_coarse = pyramid.level_sizes[level]
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.ndim != 2 or signal.shape[0] != n_coarse:
-        raise ArgumentError(f"signal must be ({n_coarse}, F), got {signal.shape}")
-    weight = np.asarray(weight, dtype=np.float64)
-    if weight.ndim != 2 or weight.shape[1] != n_coarse:
-        raise ArgumentError(f"weight must be (n_fine, {n_coarse}), got {weight.shape}")
-    out = weight @ signal
-    if bias is not None:
-        out = out + bias
-    return out
-
-
-def save_pyramid(pyramid: GraphPyramid, base: str | Path) -> None:
-    """Write ``<base>.json`` manifest and ``<base>.bin`` sidecar."""
-    base = Path(base)
-    blob = bytearray()
-    blob += _MAGIC
-    blob += struct.pack("<HH", _VERSION, pyramid.n_levels)
-    for g in pyramid.levels:
-        edges = g.edge_array().astype(np.uint32)
-        blob += struct.pack("<QQ", g.n_vertices, edges.shape[0])
-        blob += np.ascontiguousarray(g.positions, dtype="<f8").tobytes()
-        blob += np.ascontiguousarray(edges, dtype="<u4").tobytes()
-    for pmap in pyramid.parent_maps:
-        blob += np.ascontiguousarray(pmap, dtype="<u4").tobytes()
-    bin_path = base.with_suffix(".bin")
-    bin_path.write_bytes(bytes(blob))
-    manifest = {
-        "format": f"SGPY/{_VERSION}",
-        "level_sizes": pyramid.level_sizes,
-        "binary": bin_path.name,
-    }
-    base.with_suffix(".json").write_text(json.dumps(manifest, sort_keys=True) + "\n")
-
-
-def load_pyramid(base: str | Path) -> GraphPyramid:
-    """Read a pyramid written by :func:`save_pyramid`."""
-    base = Path(base)
-    manifest = json.loads(base.with_suffix(".json").read_text())
-    raw = base.parent.joinpath(manifest["binary"]).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise StructuralError("bad pyramid sidecar magic")
-    version, n_levels = struct.unpack_from("<HH", raw, 4)
-    if version != _VERSION:
-        raise StructuralError(f"unsupported pyramid sidecar version {version}")
-    offset = 8
-    levels = []
-    for _ in range(n_levels):
-        n, m = struct.unpack_from("<QQ", raw, offset)
-        offset += 16
-        pos = np.frombuffer(raw, dtype="<f8", count=n * 3, offset=offset).reshape(n, 3).copy()
-        offset += n * 24
-        edges = np.frombuffer(raw, dtype="<u4", count=m * 2, offset=offset).reshape(m, 2).astype(np.int64)
-        offset += m * 8
-        levels.append(graph_from_edges(pos, edges))
-    parent_maps = []
-    for i in range(n_levels - 1):
-        count = levels[i + 1].n_vertices
-        pmap = np.frombuffer(raw, dtype="<u4", count=count, offset=offset).astype(np.int64)
-        offset += count * 4
-        parent_maps.append(pmap)
-    return GraphPyramid(levels=tuple(levels), parent_maps=tuple(parent_maps))

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .errors import ArgumentError, NumericalError
+from .errors import ArgumentError
 from .kernels import nearest_vertex, point_triangle_dists, ray_crossings
 from .meshes import TriMesh, edge_set, is_watertight
 
@@ -120,22 +120,6 @@ def points_interior(points: np.ndarray, mesh: TriMesh, seed: int):
     return interior, failures
 
 
-def point_in_mesh(p, mesh: TriMesh, seed: int = 0) -> bool:
-    """True iff a seeded random ray from p crosses the surface oddly.
-
-    Raises:
-        ArgumentError: mesh is not watertight.
-        NumericalError: every ray grazed, as it does from a point on the
-            surface.
-    """
-    if not is_watertight(mesh):
-        raise ArgumentError("point_in_mesh requires a watertight mesh")
-    interior, failures = points_interior(np.asarray(p, float).reshape(1, 3), mesh, seed)
-    if failures:
-        raise NumericalError("ray parity unresolved after retries")
-    return bool(interior[0])
-
-
 def _reject_self(source: TriMesh, target: TriMesh, what: str) -> None:
     if source is target:
         raise ArgumentError(f"{what} needs two distinct meshes; got one mesh twice")
@@ -169,18 +153,6 @@ def _gated_pairs(source: TriMesh, mask: CollisionMask, target: TriMesh):
     dots = np.einsum("ij,ij->i", source.normals[masked], target.normals[nn_idx])
     keep = dots < 0.0
     return masked[keep], nn_idx[keep]
-
-
-def collision_loss(source: TriMesh, mask: CollisionMask, target: TriMesh) -> float:
-    """Sum of distances from masked vertices to their nearest target vertex,
-    counted only when the two vertex normals oppose."""
-    if mask.interior.shape[0] != source.n_vertices:
-        raise ArgumentError("mask does not match source vertex count")
-    src_idx, tgt_idx = _gated_pairs(source, mask, target)
-    if src_idx.size == 0:
-        return 0.0
-    return float(np.linalg.norm(
-        source.positions[src_idx] - target.positions[tgt_idx], axis=1).sum())
 
 
 def _arap_rotations(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray,

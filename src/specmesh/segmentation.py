@@ -8,7 +8,6 @@ clusters bind region-specific image features to mesh regions.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,35 +33,31 @@ class ClusterAssignment:
         return np.bincount(self.labels, minlength=self.K)
 
 
-def segment(g: MeshGraph, K: int, n_eigvecs: int | None = None) -> ClusterAssignment:
+def segment(g: MeshGraph, K: int) -> ClusterAssignment:
     """Spectral clustering of a mesh graph into K clusters.
 
-    ``n_eigvecs`` defaults to K. The embedding uses eigenvectors 2..n+1 when
-    the first is constant (connected graph), otherwise 1..n so the null
-    space of each component is retained.
+    The embedding uses eigenvectors 2..K+1 when the first is constant
+    (connected graph), otherwise 1..K so the null space of each component
+    is retained.
 
     Raises:
-        ArgumentError: K outside [1, |V|] or n_eigvecs < K.
+        ArgumentError: K outside [1, |V|].
     """
     n = g.n_vertices
     if not 1 <= K <= n:
         raise ArgumentError(f"K must be in [1, {n}], got {K}")
-    if n_eigvecs is None:
-        n_eigvecs = K
-    if n_eigvecs < K:
-        raise ArgumentError(f"n_eigvecs must be >= K, got {n_eigvecs} < {K}")
     if K == 1:
         return ClusterAssignment(
             labels=np.zeros(n, dtype=np.int32), K=1,
-            centroids=np.zeros((1, max(n_eigvecs, 1))), converged=True,
+            centroids=np.zeros((1, 1)), converged=True,
         )
-    k_request = min(n_eigvecs + 1, n)
+    k_request = min(K + 1, n)
     spectrum = eigendecompose(laplacian(g), k_request)
     first = spectrum.eigenvectors[:, 0]
-    if first.max() - first.min() < _CONSTANT_COLUMN_TOL and k_request > 1:
+    if first.max() - first.min() < _CONSTANT_COLUMN_TOL:
         embedding = spectrum.eigenvectors[:, 1:k_request]
     else:
-        embedding = spectrum.eigenvectors[:, : min(n_eigvecs, k_request)]
+        embedding = spectrum.eigenvectors[:, :K]
     labels, centroids, converged = _kmeans(embedding, K)
     return ClusterAssignment(labels=labels.astype(np.int32), K=K,
                              centroids=centroids, converged=converged)
@@ -126,40 +121,3 @@ def _repair_empty(points, labels, centroids, K):
         centroids[big] = points[labels == big].mean(axis=0)
     return labels, centroids
 
-
-def cluster_feature_broadcast(assignment: ClusterAssignment,
-                              region_features: np.ndarray,
-                              template_positions: np.ndarray) -> np.ndarray:
-    """Tokens for the transformer: per-vertex region features + 3D position.
-
-    Row i is ``concat(region_features[labels[i]], template_positions[i])``,
-    so the output is (V', C+3).
-
-    Raises:
-        ArgumentError: shapes inconsistent with the assignment.
-    """
-    region_features = np.asarray(region_features, dtype=np.float64)
-    template_positions = np.asarray(template_positions, dtype=np.float64)
-    if region_features.ndim != 2 or region_features.shape[0] != assignment.K:
-        raise ArgumentError(
-            f"region_features must be ({assignment.K}, C), got {region_features.shape}")
-    n = assignment.labels.shape[0]
-    if template_positions.shape != (n, 3):
-        raise ArgumentError(
-            f"template_positions must be ({n}, 3), got {template_positions.shape}")
-    return np.concatenate(
-        [region_features[assignment.labels], template_positions], axis=1)
-
-
-def save_assignment_json(assignment: ClusterAssignment) -> str:
-    """Persist as the interchange JSON: {"K": int, "labels": [int, ...]}."""
-    return json.dumps({"K": assignment.K, "labels": assignment.labels.tolist()})
-
-
-def load_assignment_json(text: str) -> ClusterAssignment:
-    payload = json.loads(text)
-    labels = np.asarray(payload["labels"], dtype=np.int32)
-    k = int(payload["K"])
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ArgumentError("labels outside [0, K)")
-    return ClusterAssignment(labels=labels, K=k, centroids=np.zeros((k, 1)))

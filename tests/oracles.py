@@ -74,14 +74,18 @@ def l1_mesh_loop(pred, gt) -> float:
     return total / count
 
 
-def mse_loop(pred, gt) -> float:
+def reproject_loop(pred, gt2d, cams) -> float:
+    """Weak-perspective reprojection L1: camera row n is (scale, tx, ty) and
+    vertex i projects to scale * (x_i, y_i) + (tx, ty) in view n."""
     total = 0.0
-    for i in range(len(pred)):
-        d2 = 0.0
-        for c in range(3):
-            d2 += (pred[i][c] - gt[i][c]) ** 2
-        total += d2
-    return total / len(pred)
+    count = 0
+    for n in range(len(gt2d)):
+        scale, shift = cams[n][0], (cams[n][1], cams[n][2])
+        for i in range(len(pred)):
+            for c in range(2):
+                total += abs(scale * pred[i][c] + shift[c] - gt2d[n][i][c])
+                count += 1
+    return total / count
 
 
 def mpve_loop(pred, gt) -> float:
@@ -92,20 +96,6 @@ def mpve_loop(pred, gt) -> float:
             d2 += (pred[i][c] - gt[i][c]) ** 2
         total += math.sqrt(d2)
     return 1000.0 * total / len(pred)
-
-
-def chamfer_loop(a, b) -> float:
-    def directed(x, y):
-        total = 0.0
-        for p in x:
-            best = math.inf
-            for q in y:
-                d2 = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2
-                best = min(best, d2)
-            total += best
-        return total / len(x)
-
-    return 0.5 * (directed(a, b) + directed(b, a))
 
 
 def ray_crossings_loop(origins, dirs, tri):

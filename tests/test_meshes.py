@@ -11,7 +11,6 @@ from specmesh.meshes import (
     load_obj,
     save_obj,
     subsample_to_count,
-    subsample_uniform,
 )
 from specmesh.primitives import cube, hand_template_obj, icosphere
 
@@ -71,29 +70,27 @@ class TestLoadObj:
 
 
 class TestSubsample:
-    def test_factor_one_is_identity(self, ico162):
-        kept = subsample_uniform(ico162, 1, seed=0)
+    def test_keep_all_is_identity(self, ico162):
+        kept = subsample_to_count(ico162, 162, seed=0)
         assert kept.dtype == np.int32
         assert np.array_equal(kept, np.arange(162))
 
     def test_hand_counts(self, hand_mesh):
-        kept = subsample_uniform(hand_mesh, 10, seed=0)
-        assert kept.size == 403  # ceil(4023 / 10)
-        two_hand_tokens = 2 * subsample_to_count(hand_mesh, 402, seed=0).size
-        assert two_hand_tokens == 804
+        kept = subsample_to_count(hand_mesh, 402, seed=0)
+        assert kept.size == 402  # 804 tokens over the two hands
 
     def test_deterministic(self, ico162):
-        a = subsample_uniform(ico162, 2, seed=5)
-        b = subsample_uniform(ico162, 2, seed=5)
+        a = subsample_to_count(ico162, 81, seed=5)
+        b = subsample_to_count(ico162, 81, seed=5)
         assert np.array_equal(a, b)
 
     def test_kept_indices_strictly_increasing(self, ico162):
-        kept = subsample_uniform(ico162, 3, seed=2)
+        kept = subsample_to_count(ico162, 54, seed=2)
         assert kept.dtype == np.int32
         assert np.all(np.diff(kept) > 0)
 
     def test_spread_beats_random_baseline(self, ico162):
-        kept = subsample_uniform(ico162, 2, seed=0)
+        kept = subsample_to_count(ico162, 81, seed=0)
         assert kept.size == 81
 
         def min_pairwise(points):
@@ -107,11 +104,11 @@ class TestSubsample:
         ])
         assert fps_min >= 0.5 * baseline
 
-    def test_factor_errors(self, ico162):
+    def test_count_errors(self, ico162):
         with pytest.raises(ArgumentError):
-            subsample_uniform(ico162, 0, seed=0)
+            subsample_to_count(ico162, 0, seed=0)
         with pytest.raises(ArgumentError):
-            subsample_uniform(ico162, 163, seed=0)
+            subsample_to_count(ico162, 163, seed=0)
 
 
 class TestEdgeSet:

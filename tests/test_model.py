@@ -51,6 +51,20 @@ class TestFullConfigAssets:
         assert len(assets.scaled_ops) == 3
 
 
+class TestForwardTokens:
+    def test_region_feature_then_template_position(self):
+        # token i is its cluster's fused feature followed by its kept template vertex
+        config = M.toy_config()
+        assets = M.build_assets(config)
+        params = M.init_parameters(config, assets)
+        scene = build_scene(SceneSpec(seed=2), assets, config)
+        out = M.forward(scene.features, params, assets, config, {}, train=True)
+        expected = np.concatenate([out.f_r.data[assets.token_labels], assets.token_positions],
+                                  axis=1)
+        assert out.tokens.shape == (config.n_tokens, config.feature_width + 3)
+        assert out.tokens.data.tobytes() == expected.tobytes()
+
+
 @pytest.fixture(scope="module")
 def trained_toy():
     """Toy config after one train step: parameters and BN statistics are non-trivial."""
@@ -128,7 +142,7 @@ class TestWholeModelGradient:
 
         def total() -> ad.Tensor:
             out = M.forward(scene.features, params, assets, config, {}, train=True)
-            return M.compute_losses(out, scene, assets, config)["total"]
+            return M.compute_losses(out, scene, assets)["total"]
 
         for p in params.values():
             p.grad = None

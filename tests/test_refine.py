@@ -3,17 +3,15 @@ import pytest
 
 from oracles import collision_loss_loop, sphere_contains
 from specmesh import refine
-from specmesh.errors import ArgumentError, NumericalError
+from specmesh.errors import ArgumentError
 from specmesh.meshes import TriMesh, edge_set
 from specmesh.primitives import apply_rigid, cube, icosphere, rotation_matrix
 from specmesh.refine import (
     CollisionMask,
     RefineConfig,
     arap_energy,
-    collision_loss,
     collision_mask,
     plausibility_metrics,
-    point_in_mesh,
     points_interior,
     refine_mesh,
 )
@@ -28,15 +26,14 @@ def overlapping_spheres(radius=1.0, separation=1.5):
 class TestPointInMesh:
     def test_cube_centroid_inside(self):
         c = cube(1.0, center=(0.2, -0.1, 0.3))
-        assert point_in_mesh(c.positions.mean(axis=0), c, seed=0)
+        interior, failures = points_interior(c.positions.mean(axis=0)[None], c, seed=0)
+        assert failures == 0
+        assert interior.tolist() == [True]
 
     def test_far_point_outside(self):
-        assert not point_in_mesh((10.0, 10.0, 10.0), cube(1.0), seed=0)
-
-    def test_requires_watertight(self):
-        open_mesh = TriMesh(positions=np.eye(3), faces=np.array([[0, 1, 2]], dtype=np.int32))
-        with pytest.raises(ArgumentError):
-            point_in_mesh((0, 0, 0), open_mesh, seed=0)
+        interior, failures = points_interior(np.array([[10.0, 10.0, 10.0]]), cube(1.0), seed=0)
+        assert failures == 0
+        assert interior.tolist() == [False]
 
     def test_sphere_parity_matches_analytic(self):
         mesh = icosphere(3)  # 642 vertices: a tight sphere approximation
@@ -78,8 +75,6 @@ class TestPointInMesh:
         interior, failures = points_interior(corner, c, seed=0)
         assert failures == 1
         assert not interior[0]
-        with pytest.raises(NumericalError):
-            point_in_mesh(corner[0], c, seed=0)
 
 
 class TestCollisionMask:
@@ -118,10 +113,13 @@ class TestCollisionMask:
 
 
 class TestCollisionLoss:
+    """The collision term of refinement sums |x_s - y_t| over the gated pairs."""
+
     def test_empty_mask_zero(self):
         a, b = overlapping_spheres()
         mask = CollisionMask(interior=np.zeros(a.n_vertices, dtype=bool))
-        assert collision_loss(a, mask, b) == 0.0
+        src_idx, tgt_idx = refine._gated_pairs(a, mask, b)
+        assert src_idx.size == 0 and tgt_idx.size == 0
 
     def test_single_vertex_contributes_its_distance(self):
         a, b = overlapping_spheres()
@@ -129,21 +127,24 @@ class TestCollisionLoss:
         v = int(np.flatnonzero(full.interior)[0])
         single = np.zeros(a.n_vertices, dtype=bool)
         single[v] = True
-        loss = collision_loss(a, CollisionMask(interior=single), b)
+        src_idx, tgt_idx = refine._gated_pairs(a, CollisionMask(interior=single), b)
         d2 = np.sum((b.positions - a.positions[v]) ** 2, axis=1)
         nn = int(np.argmin(d2))
-        expected = float(np.sqrt(d2[nn]))
         if float(a.normals[v] @ b.normals[nn]) < 0:
-            assert abs(loss - expected) < 1e-12
+            assert src_idx.tolist() == [v] and tgt_idx.tolist() == [nn]
+            dist = float(np.linalg.norm(a.positions[v] - b.positions[tgt_idx[0]]))
+            assert abs(dist - float(np.sqrt(d2[nn]))) < 1e-12
         else:
-            assert loss == 0.0
+            assert src_idx.size == 0
 
     def test_matches_double_loop_oracle(self):
         a, b = overlapping_spheres()
         mask = collision_mask(a, b, seed=0)
-        fast = collision_loss(a, mask, b)
+        src_idx, tgt_idx = refine._gated_pairs(a, mask, b)
+        fast = float(np.linalg.norm(a.positions[src_idx] - b.positions[tgt_idx], axis=1).sum())
         slow = collision_loss_loop(a.positions, a.normals, mask.interior,
                                    b.positions, b.normals)
+        assert slow > 0
         assert abs(fast - slow) < 1e-10
 
 

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,13 +6,7 @@ from specmesh import graphs
 from specmesh.errors import ArgumentError
 from specmesh.graphs import build_mesh_graph, eigendecompose, graph_from_edges, laplacian
 from specmesh.primitives import icosphere
-from specmesh.segmentation import (
-    ClusterAssignment,
-    cluster_feature_broadcast,
-    load_assignment_json,
-    save_assignment_json,
-    segment,
-)
+from specmesh.segmentation import segment
 
 
 def _disjoint_spheres_graph(n_spheres, subdivisions=1):
@@ -116,77 +108,4 @@ class TestSegment:
             segment(g, K=0)
         with pytest.raises(ArgumentError):
             segment(g, K=11)
-        with pytest.raises(ArgumentError):
-            segment(g, K=3, n_eigvecs=2)
 
-
-class TestClusterFeatureBroadcast:
-    def test_k1_broadcast(self):
-        assignment = ClusterAssignment(labels=np.zeros(5, dtype=np.int32), K=1,
-                                       centroids=np.zeros((1, 1)))
-        feats = np.array([[2.0, -1.0]])
-        pos = np.arange(15, dtype=float).reshape(5, 3)
-        out = cluster_feature_broadcast(assignment, feats, pos)
-        assert out.shape == (5, 5)
-        assert np.all(out[:, :2] == feats[0])
-        assert np.array_equal(out[:, 2:], pos)
-
-    def test_token_width_804_by_259(self):
-        rng = np.random.default_rng(0)
-        labels = rng.integers(7, size=804).astype(np.int32)
-        assignment = ClusterAssignment(labels=labels, K=7, centroids=np.zeros((7, 1)))
-        out = cluster_feature_broadcast(assignment, rng.normal(size=(7, 256)),
-                                        rng.normal(size=(804, 3)))
-        assert out.shape == (804, 259)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_consistent_permutation_invariance(self, seed):
-        rng = np.random.default_rng(seed)
-        labels = rng.integers(4, size=20).astype(np.int32)
-        feats = rng.normal(size=(4, 6))
-        pos = rng.normal(size=(20, 3))
-        assignment = ClusterAssignment(labels=labels, K=4, centroids=np.zeros((4, 1)))
-        base = cluster_feature_broadcast(assignment, feats, pos)
-        perm = rng.permutation(4)
-        relabel = np.argsort(perm)  # label k becomes relabel[k]
-        permuted_assignment = ClusterAssignment(labels=relabel[labels].astype(np.int32),
-                                                K=4, centroids=np.zeros((4, 1)))
-        assert np.array_equal(
-            cluster_feature_broadcast(permuted_assignment, feats[perm], pos), base)
-
-    def test_row_depends_only_on_own_cluster(self):
-        rng = np.random.default_rng(1)
-        labels = np.array([0, 1, 1, 2], dtype=np.int32)
-        assignment = ClusterAssignment(labels=labels, K=3, centroids=np.zeros((3, 1)))
-        feats = rng.normal(size=(3, 4))
-        pos = rng.normal(size=(4, 3))
-        base = cluster_feature_broadcast(assignment, feats, pos)
-        feats2 = feats.copy()
-        feats2[2] += 10.0  # vertex 0 is in cluster 0; cluster 2 changes
-        out = cluster_feature_broadcast(assignment, feats2, pos)
-        assert np.array_equal(out[0], base[0])
-        assert not np.array_equal(out[3], base[3])
-
-    def test_shape_mismatch_rejected(self):
-        assignment = ClusterAssignment(labels=np.zeros(3, dtype=np.int32), K=1,
-                                       centroids=np.zeros((1, 1)))
-        with pytest.raises(ArgumentError):
-            cluster_feature_broadcast(assignment, np.zeros((2, 4)), np.zeros((3, 3)))
-        with pytest.raises(ArgumentError):
-            cluster_feature_broadcast(assignment, np.zeros((1, 4)), np.zeros((4, 3)))
-
-
-class TestAssignmentJson:
-    def test_roundtrip(self):
-        assignment = ClusterAssignment(labels=np.array([0, 2, 1], dtype=np.int32), K=3,
-                                       centroids=np.zeros((3, 2)))
-        text = save_assignment_json(assignment)
-        payload = json.loads(text)
-        assert payload == {"K": 3, "labels": [0, 2, 1]}
-        back = load_assignment_json(text)
-        assert back.K == 3
-        assert np.array_equal(back.labels, assignment.labels)
-
-    def test_bad_labels_rejected(self):
-        with pytest.raises(ArgumentError):
-            load_assignment_json('{"K": 2, "labels": [0, 5]}')
