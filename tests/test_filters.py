@@ -103,7 +103,7 @@ class TestFilterGradient:
         assert abs(gs[1, 0] - gs[3, 0]) < 1e-12
 
 
-class TestInitTheta:
+class TestSpecValidation:
     def test_theta_init_bounds(self):
         theta = init_theta(3, 4, 5, np.random.default_rng(0))
         assert theta.shape == (3, 4, 5)

@@ -41,7 +41,8 @@ def test_tape_terms_equal_loop_oracles(toy_losses):
     assert _close(terms["edge"], edge_loss_direct(lengths))
 
 
-def test_mpve_equals_loop_oracle(toy_losses):
+def test_numpy_losses_equal_loop_oracles(toy_losses):
+    # mpve is the one NumPy loss left: perfbench reports it
     _, pred, _, scene, _ = toy_losses
     assert _close(M.mpve(pred, scene.gt_vertices), mpve_loop(pred, scene.gt_vertices))
     assert M.mpve(pred, scene.gt_vertices) > 0

@@ -70,7 +70,8 @@ class TestLoadObj:
 
 
 class TestSubsample:
-    def test_keep_all_is_identity(self, ico162):
+    def test_factor_one_is_identity(self, ico162):
+        # keeping every vertex is a subsampling factor n_vertices / n_keep of one
         kept = subsample_to_count(ico162, 162, seed=0)
         assert kept.dtype == np.int32
         assert np.array_equal(kept, np.arange(162))
@@ -104,7 +105,8 @@ class TestSubsample:
         ])
         assert fps_min >= 0.5 * baseline
 
-    def test_count_errors(self, ico162):
+    def test_factor_errors(self, ico162):
+        # the factor n_vertices / n_keep must be finite and at least one
         with pytest.raises(ArgumentError):
             subsample_to_count(ico162, 0, seed=0)
         with pytest.raises(ArgumentError):

@@ -38,6 +38,13 @@ class TestBuildPyramid:
             assert pmap.shape[0] == ico_pyramid.level_sizes[i + 1]
             assert set(pmap.tolist()) == set(range(n_coarse))
 
+    def test_parent_chains_terminate(self, ico_pyramid):
+        # following the parent maps from the finest level ends inside the coarsest
+        chain = np.arange(ico_pyramid.level_sizes[-1])
+        for pmap in reversed(ico_pyramid.parent_maps):
+            chain = pmap[chain]
+        assert chain.min() >= 0 and chain.max() < ico_pyramid.level_sizes[0]
+
     def test_connectivity_preserved(self, ico_pyramid):
         for g in ico_pyramid.levels:
             assert union_find_components(g.n_vertices, g.edge_array()) == 1
