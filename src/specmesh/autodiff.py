@@ -544,8 +544,9 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data, order="C") for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data, order="C") for k, p in params.items()}
+        # np.zeros leaves the zeroing to the first step (zeros_like writes it now)
+        self.m = {k: np.zeros(p.data.shape) for k, p in params.items()}
+        self.v = {k: np.zeros(p.data.shape) for k, p in params.items()}
         self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
 
     def step(self, params: dict):

@@ -16,17 +16,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ArgumentError, NumericalError
+from .errors import ArgumentError, NumericalError, ParseError
 from .filters import init_theta
 from .graphs import build_mesh_graph, lambda_max, laplacian, scaled_laplacian
 from .meshes import subsample_to_count
-from .primitives import hand_template, icosphere, mirror_x
+from .primitives import hand_template, mirror_x
 from .pyramid import GraphPyramid, build_pyramid
 from .segmentation import segment
 from .tensorfile import load_tensor, save_tensor
@@ -46,12 +46,11 @@ class ModelConfig:
     n_blocks: int = 3  # encoder blocks with width halving between them
     n_heads: int = 3
     sublayers: int = 4  # transformer layers inside each block
-    decoder_sizes: tuple = (617, 1234, 2468, 4023)  # per-hand vertex counts
+    decoder_sizes: tuple = (617, 1234, 2468, 4023)  # per-hand vertex counts; last = template
     cheb_order: int = 3
     backbone_channels: int = 2048
     backbone_grid: int = 7
     ffn_factor: int = 2
-    template: str = "hand"  # "hand" or "icosphere" (toy)
     learning_rate: float = 1e-4
     seed: int = 0
 
@@ -82,6 +81,10 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Raises ParseError naming any key that is not a config field."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ParseError(f"unknown config keys {unknown}")
         return cls(**d)
 
     def config_hash(self) -> str:
@@ -90,11 +93,10 @@ class ModelConfig:
 
 
 def toy_config(**overrides) -> ModelConfig:
-    """Small icosphere-hands setup used by the desk-scale training check."""
+    """Small setup, 159-vertex (4-ring) hands, used by the desk-scale training check."""
     defaults = dict(
         n_views=2, n_clusters=7, feature_width=32, n_tokens=34, n_blocks=2,
-        decoder_sizes=(41, 81, 162), backbone_channels=64, template="icosphere",
-        learning_rate=1e-3,
+        decoder_sizes=(40, 80, 159), backbone_channels=64, learning_rate=1e-3,
     )
     defaults.update(overrides)
     return ModelConfig(**defaults)
@@ -131,17 +133,8 @@ class TemplateAssets:
 
 def build_assets(config: ModelConfig) -> TemplateAssets:
     """Template meshes, segmentation, token layout, and the decoder pyramid."""
-    if config.template == "hand":
-        right = hand_template()
-        right = right.with_positions(right.positions + np.array([0.09, 0.0, 0.0]))
-    elif config.template == "icosphere":
-        right = icosphere(2, radius=0.08, center=(0.12, 0.0, 0.0))
-    else:
-        raise ArgumentError(f"unknown template kind {config.template!r}")
-    if right.n_vertices != config.decoder_sizes[-1]:
-        raise ArgumentError(
-            f"decoder finest size {config.decoder_sizes[-1]} != template "
-            f"vertex count {right.n_vertices}")
+    right = hand_template(config.decoder_sizes[-1])
+    right = right.with_positions(right.positions + np.array([0.09, 0.0, 0.0]))
     left = mirror_x(right)
     graph_r = build_mesh_graph(right.positions, right.faces)
     labels_hand = segment(graph_r, config.n_clusters).labels
@@ -560,13 +553,13 @@ def save_checkpoint(directory: str | Path, params: dict, config: ModelConfig,
     names = {}
     for i, name in enumerate(sorted(params)):
         fname = f"t{i:04d}.sgtf"
-        save_tensor(tensor_dir / fname, params[name].data, version=2)
+        save_tensor(tensor_dir / fname, params[name].data)
         names[name] = fname
     bn_payload = {}
     for key, stats in sorted(bn_state.items()):
         for stat in ("mean", "var"):
             fname = f"bn_{key}_{stat}.sgtf"
-            save_tensor(tensor_dir / fname, stats[stat], version=2)
+            save_tensor(tensor_dir / fname, stats[stat])
             bn_payload.setdefault(key, {})[stat] = fname
     manifest = {
         "config": config.to_dict(),

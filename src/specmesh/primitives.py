@@ -2,10 +2,10 @@
 
 The hand template is a stylized hand-plus-forearm surface built as an
 elliptic tube capped by an L-shaped quad grid at the fingertip end and open
-at the wrist. The construction is exact-count: 4023 vertices and 4008 quad
-faces (8016 triangles after splitting), with a single 28-edge wrist
-boundary. Icospheres and cubes provide closed fixtures for the collision
-and volume tests.
+at the wrist. The construction is exact-count: a 47-vertex cap and k >= 1
+tube rings of 28 make 47 + 28k vertices and 32 + 28k quads, with one 28-edge
+wrist boundary; the full size has k = 142, 4023 vertices. Icospheres and
+cubes provide closed fixtures for the collision and volume tests.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from .errors import ArgumentError
 from .meshes import TriMesh
 
 _HAND_SEGMENTS = 28  # ring resolution; equals the wrist boundary edge count
-_HAND_RINGS = 142  # tube rings below the cap boundary ring
 _CAP_GRID_W = 10
 _CAP_GRID_H = 4
 _CAP_NOTCH = 8  # cells removed from the top row to make the L-shape
@@ -143,44 +142,52 @@ def _hand_radius_profile(s: float) -> tuple[float, float]:
     return a, b
 
 
-def hand_template() -> TriMesh:
-    """Stylized hand-with-forearm template mesh (4023 vertices, 8016 triangles).
+def hand_template(n_vertices: int = 4023) -> TriMesh:
+    """Stylized hand-with-forearm template mesh of ``n_vertices`` vertices.
 
     Open at the wrist (28-edge boundary), closed everywhere else; quads are
     split into triangle pairs along the 0-2 diagonal, matching the OBJ loader.
+
+    Raises:
+        ArgumentError: ``n_vertices`` is not 47 + 28k for k >= 1 tube rings.
     """
-    quads, verts = _hand_quads()
+    quads, verts = _hand_quads(n_vertices)
     faces = []
     for a, b, c, d in quads:
         faces += [(a, b, c), (a, c, d)]
     return TriMesh(positions=verts, faces=np.array(faces, dtype=np.int32))
 
 
-def _hand_quads():
-    """Quad faces and vertex positions of the hand template."""
+def _hand_quads(n_vertices: int):
+    """Quad faces and vertex positions of the ``n_vertices`` hand template."""
     vid, cap_quads = _cap_grid()
     n_cap = len(vid)
+    rings, rest = divmod(n_vertices - n_cap, _HAND_SEGMENTS)
+    if rings < 1 or rest:
+        below = n_cap + _HAND_SEGMENTS * max(rings, 0)
+        nearest = ", ".join(str(n) for n in (below, below + _HAND_SEGMENTS) if n > n_cap)
+        raise ArgumentError(f"hand template needs {n_cap} + {_HAND_SEGMENTS}k vertices with "
+                            f"k >= 1, got {n_vertices}; nearest valid: {nearest}")
     cycle = _boundary_cycle(n_cap, cap_quads)
     if len(cycle) != _HAND_SEGMENTS:
         raise AssertionError(f"cap boundary has {len(cycle)} edges, expected {_HAND_SEGMENTS}")
 
     length = 0.40  # wrist to fingertip, meters
     z_tip = length
-    dz = length / (_HAND_RINGS + 1)
+    dz = length / (rings + 1)
 
-    n_verts = n_cap + _HAND_SEGMENTS * _HAND_RINGS
-    verts = np.zeros((n_verts, 3), dtype=np.float64)
+    verts = np.zeros((n_vertices, 3), dtype=np.float64)
 
     # Tube rings: ring 0 is the cap boundary; rings 1.. are fresh vertices.
     ring_ids = [list(cycle)]
     next_id = n_cap
-    for k in range(1, _HAND_RINGS + 1):
+    for k in range(1, rings + 1):
         ring_ids.append(list(range(next_id, next_id + _HAND_SEGMENTS)))
         next_id += _HAND_SEGMENTS
     thetas = 2.0 * math.pi * np.arange(_HAND_SEGMENTS) / _HAND_SEGMENTS
     for k, ids in enumerate(ring_ids):
         z = z_tip - k * dz
-        s = 1.0 - k / (_HAND_RINGS + 1)
+        s = 1.0 - k / (rings + 1)
         a, b = _hand_radius_profile(s)
         for i, v in enumerate(ids):
             verts[v] = (a * math.cos(thetas[i]), b * math.sin(thetas[i]), z)
@@ -214,7 +221,7 @@ def _hand_quads():
             verts[v] = (x, y, z_tip + 0.006 * (1.0 - rho * rho))
 
     quads = list(cap_quads)
-    for k in range(_HAND_RINGS):
+    for k in range(rings):
         upper, lower = ring_ids[k], ring_ids[k + 1]
         for i in range(_HAND_SEGMENTS):
             j = (i + 1) % _HAND_SEGMENTS
@@ -224,7 +231,7 @@ def _hand_quads():
 
 def hand_template_obj() -> str:
     """The hand template as quad-face OBJ text (4023 v records, 4008 f records)."""
-    quads, verts = _hand_quads()
+    quads, verts = _hand_quads(4023)
     lines = [f"v {float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in verts]
     lines += [f"f {a + 1} {b + 1} {c + 1} {d + 1}" for a, b, c, d in quads]
     return "\n".join(lines) + "\n"

@@ -224,8 +224,8 @@ class TestArpackPath:
             lambda_max(lap)
 
     def test_small_graphs_stay_dense(self):
-        assert not graphs._use_arpack(162, 8)  # toy template segmentation
-        assert not graphs._use_arpack(81, 1)  # toy decoder levels
+        assert not graphs._use_arpack(159, 8)  # toy template segmentation
+        assert not graphs._use_arpack(80, 1)  # toy decoder levels
         assert not graphs._use_arpack(1234, 1234)  # full spectrum
 
 

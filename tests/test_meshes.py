@@ -12,7 +12,7 @@ from specmesh.meshes import (
     save_obj,
     subsample_to_count,
 )
-from specmesh.primitives import cube, hand_template_obj, icosphere
+from specmesh.primitives import cube, hand_template, hand_template_obj, icosphere
 
 QUAD_OBJ = """# a single quad
 v 0.0 0.0 0.0
@@ -176,3 +176,22 @@ class TestWatertight:
         assert not is_watertight(hand_mesh)
         assert union_find_components(hand_mesh.n_vertices,
                                      edge_set(hand_mesh).edges) == 1
+
+
+class TestHandTemplateSize:
+    @pytest.mark.parametrize("rings", [1, 4])
+    def test_cap_plus_rings(self, rings):
+        from specmesh.meshes import _edge_counts
+
+        mesh = hand_template(47 + 28 * rings)
+        assert mesh.n_vertices == 47 + 28 * rings
+        assert mesh.n_faces == 2 * (32 + 28 * rings)
+        _, counts = _edge_counts(mesh.faces)
+        assert int(np.sum(counts == 1)) == 28  # the wrist
+        assert union_find_components(mesh.n_vertices, edge_set(mesh).edges) == 1
+
+    @pytest.mark.parametrize("n_vertices, nearest",
+                             [(160, "159, 187"), (100, "75, 103"), (47, "75"), (0, "75")])
+    def test_other_counts_name_the_nearest(self, n_vertices, nearest):
+        with pytest.raises(ArgumentError, match=f"got {n_vertices}; nearest valid: {nearest}$"):
+            hand_template(n_vertices)

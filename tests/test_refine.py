@@ -137,6 +137,16 @@ class TestCollisionLoss:
         else:
             assert src_idx.size == 0
 
+    def test_same_facing_pairs_gated_out(self):
+        # inside a concentric sphere every vertex is interior, but its nearest
+        # target vertex faces the same way, so the opposing-normal gate keeps none
+        small = icosphere(1, radius=0.3)
+        big = icosphere(2, radius=1.0)
+        mask = collision_mask(small, big, seed=0)
+        assert mask.interior.sum() == small.n_vertices == 42
+        src_idx, tgt_idx = refine._gated_pairs(small, mask, big)
+        assert src_idx.size == 0 and tgt_idx.size == 0
+
     def test_matches_double_loop_oracle(self):
         a, b = overlapping_spheres()
         mask = collision_mask(a, b, seed=0)
@@ -196,6 +206,14 @@ class TestRefineMesh:
         assert result.before.max_penetration_mm == 0.0
         assert result.before.intersection_volume_cm3 == 0.0
         assert result.after.max_penetration_mm == 0.0
+
+    def test_contained_sphere_has_no_pair_and_is_returned(self):
+        # every vertex is interior, but the opposing-normal gate leaves no pair
+        small = icosphere(1, radius=0.03)
+        big = icosphere(2, radius=0.1)
+        result = refine_mesh(small, big, RefineConfig())
+        assert result.mesh is small
+        assert result.iterations == 1
 
     def test_overlapping_spheres_resolve(self):
         # unit configuration at hand scale: radius 3 cm, centers 1.5 r apart

@@ -61,8 +61,7 @@ class TestBuildScene:
 
 
 def test_toy_overfits_one_scene(toy):
-    # 60 steps cut the total loss 27.5x with one BLAS thread and 24.8x with
-    # two, whose toy segmentation differs; the bound leaves room for both
+    # 60 steps cut the total loss 14.4x, at one BLAS thread and at two
     config, assets = toy
     params = M.init_parameters(config, assets)
     opt = ad.Adam(params, lr=config.learning_rate)

@@ -5,7 +5,7 @@ from conftest import random_mesh_graph
 from specmesh import graphs
 from specmesh.errors import ArgumentError
 from specmesh.graphs import build_mesh_graph, eigendecompose, graph_from_edges, laplacian
-from specmesh.primitives import icosphere
+from specmesh.primitives import hand_template, icosphere
 from specmesh.segmentation import segment
 
 
@@ -90,6 +90,17 @@ class TestSegment:
         monkeypatch.setattr(graphs, "ARPACK_MIN_VERTICES", 10**9)
         dense = segment(g, K=7).labels
         assert np.array_equal(arpack, dense)
+
+    def test_toy_hand_arpack_labels_equal_dense(self, monkeypatch):
+        # the toy config's 4-ring hand: the eigenvalues segment embeds are
+        # distinct, so the labels do not hang on a solver's choice of basis
+        hand = hand_template(159)
+        g = build_mesh_graph(hand.positions, hand.faces)
+        assert not graphs._use_arpack(g.n_vertices, 8)
+        dense = segment(g, K=7).labels
+        monkeypatch.setattr(graphs, "ARPACK_MIN_VERTICES", 0)
+        assert graphs._use_arpack(g.n_vertices, 8)
+        assert np.array_equal(segment(g, K=7).labels, dense)
 
     def test_two_large_disjoint_spheres_arpack(self):
         g, sizes = _disjoint_spheres_graph(2, subdivisions=3)
