@@ -389,6 +389,43 @@ def axis_matrix(a: Tensor, matrix: np.ndarray, axis: int) -> Tensor:
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
 
+def upconv3x3(x: Tensor, weight: Tensor, taps) -> Tensor:
+    """Bilinear x2 upsampling then a valid 3x3 convolution, one tape node.
+
+    ``x`` is (N, h, w, C_in), ``weight`` (3, 3, C_in, C_out) without bias,
+    and the output (N, 2h-2, 2w-2, C_out). Both steps are linear, so the
+    node mixes channels on the coarse grid first: one batched product gives
+    every coarse pixel's contribution through each of the 9 taps, and the
+    fixed sparse ``taps`` ((2h-2)(2w-2), 9 h w) sums them onto the output
+    grid, per image. Column t*h*w + p of ``taps`` weighs coarse pixel p
+    (row-major) seen through tap t = 3 dy + dx. The backward applies the
+    transposes of the two steps; no array of the upsampled grid is made.
+    """
+    n, h, w, c_in = x.shape
+    c_out = weight.shape[3]
+    hw = h * w
+    if weight.shape != (3, 3, c_in, c_out) or taps.shape != ((2 * h - 2) * (2 * w - 2), 9 * hw):
+        raise ArgumentError(f"upconv3x3 needs a (3, 3, {c_in}, C_out) weight and "
+                            f"({(2 * h - 2) * (2 * w - 2)}, {9 * hw}) taps, "
+                            f"got {weight.shape} and {taps.shape}")
+    rows = x.data.reshape(n * hw, c_in)
+    kernels = weight.data.reshape(9, c_in, c_out)
+    mixed = (rows @ kernels).reshape(9, n, hw, c_out)  # tap t's mix of every coarse pixel
+    out_data = np.stack([taps @ mixed[:, i].reshape(9 * hw, c_out) for i in range(n)])
+
+    def backward(g):
+        g = g.reshape(n, -1, c_out)
+        g_mixed = np.stack([(taps.T @ g[i]).reshape(9, hw, c_out) for i in range(n)], axis=1)
+        g_mixed = g_mixed.reshape(9, n * hw, c_out)
+        if weight.requires_grad:
+            _accumulate(weight, (rows.T @ g_mixed).reshape(weight.shape))
+        if x.requires_grad:
+            _accumulate(x, (g_mixed @ kernels.transpose(0, 2, 1)).sum(axis=0).reshape(x.shape))
+
+    return Tensor(out_data.reshape(n, 2 * h - 2, 2 * w - 2, c_out), _needs(x, weight),
+                  (x, weight), backward)
+
+
 def cheb_filter(scaled_l, theta: Tensor, signal: Tensor) -> Tensor:
     """Chebyshev spectral filtering as a differentiable primitive.
 

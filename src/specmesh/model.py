@@ -13,6 +13,7 @@ differentiable piece is checkable against central finite differences.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -20,6 +21,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .errors import ArgumentError, NumericalError, ParseError
@@ -178,7 +180,9 @@ def init_parameters(config: ModelConfig, assets: TemplateAssets) -> dict:
     p: dict[str, ad.Tensor] = {}
 
     def par(name, value):
-        p[name] = ad.parameter(value, name=name)
+        # every value below is a fresh C-order float64 array, so it becomes
+        # the tensor's data as it is, without ad.parameter's defensive copy
+        p[name] = ad.Tensor(value, requires_grad=True, name=name)
 
     # the fusion convs, the mask conv and the key projections have no bias:
     # the forward would remove its effect (see where each is applied)
@@ -238,7 +242,12 @@ def init_parameters(config: ModelConfig, assets: TemplateAssets) -> dict:
 
 
 def _interp_matrix(out_size: int, in_size: int) -> np.ndarray:
-    """Half-pixel bilinear interpolation matrix (out_size, in_size)."""
+    """Half-pixel bilinear interpolation matrix (out_size, in_size).
+
+    Row o holds the weights of output sample o on the input samples, with
+    the border samples repeated past the edges; ``_upconv_taps`` builds
+    the x2 upsampling of both grid axes from it.
+    """
     m = np.zeros((out_size, in_size))
     for o in range(out_size):
         x = (o + 0.5) * in_size / out_size - 0.5
@@ -251,34 +260,20 @@ def _interp_matrix(out_size: int, in_size: int) -> np.ndarray:
     return m
 
 
-def _bilinear_up2(x: ad.Tensor) -> ad.Tensor:
-    n, h, w, _ = x.shape
-    mh = _interp_matrix(2 * h, h)
-    mw = _interp_matrix(2 * w, w)
-    return ad.axis_matrix(ad.axis_matrix(x, mh, axis=1), mw, axis=2)
+@functools.lru_cache(maxsize=16)
+def _upconv_taps(h: int, w: int) -> sp.csr_matrix:
+    """The fixed half of ``ad.upconv3x3`` on an (h, w) grid, built once per size.
 
-
-_CONV_IDX_CACHE: dict = {}
-
-
-def _conv3x3_valid(x: ad.Tensor, weight: ad.Tensor) -> ad.Tensor:
-    """3x3 valid convolution on (N, H, W, C) via gather + matmul, no bias."""
-    n, h, w, cin = x.shape
-    ho, wo = h - 2, w - 2
-    key = (h, w)
-    if key not in _CONV_IDX_CACHE:
-        rows = np.arange(ho)[:, None, None, None]
-        cols = np.arange(wo)[None, :, None, None]
-        dy = np.arange(3)[None, None, :, None]
-        dx = np.arange(3)[None, None, None, :]
-        _CONV_IDX_CACHE[key] = ((rows + dy) * w + (cols + dx)).reshape(-1)
-    idx = _CONV_IDX_CACHE[key]
-    flat = ad.reshape(x, (n, h * w, cin))
-    patches = ad.take(flat, idx, axis=1)  # (N, ho*wo*9, cin)
-    patches = ad.reshape(patches, (n, ho * wo, 9 * cin))
-    kernel = ad.reshape(weight, (9 * cin, weight.shape[3]))
-    out = ad.linear(patches, kernel)
-    return ad.reshape(out, (n, ho, wo, weight.shape[3]))
+    Tap (dy, dx) of a valid 3x3 convolution after bilinear x2 upsampling
+    reads upsampled rows dy..dy+2h-3 and columns dx..dx+2w-3, so its block
+    of columns is the Kronecker product of those rows of the two axes'
+    interpolation matrices. Returned as ((2h-2)(2w-2), 9 h w) CSR, 36
+    entries per row; the caller must not modify it.
+    """
+    mh, mw = _interp_matrix(2 * h, h), _interp_matrix(2 * w, w)
+    ho, wo = 2 * h - 2, 2 * w - 2
+    return sp.hstack([sp.kron(mh[dy:dy + ho], mw[dx:dx + wo])
+                      for dy in range(3) for dx in range(3)], format="csr")
 
 
 def _batch_norm(x: ad.Tensor, gain: ad.Tensor, bias: ad.Tensor, name: str,
@@ -313,10 +308,12 @@ def _batch_norm(x: ad.Tensor, gain: ad.Tensor, bias: ad.Tensor, name: str,
 
 def _fusion_branch(x: ad.Tensor, params: dict, prefix: str, bn_state: dict,
                    train: bool) -> ad.Tensor:
+    # each stage upsamples bilinearly x2 and convolves 3x3 (valid) in one
+    # node, which mixes channels on the coarse grid before resampling; no
+    # conv bias: train-mode batch norm subtracts the channel mean next
     for stage in ("1", "2"):
-        x = _bilinear_up2(x)
-        # no conv bias: train-mode batch norm subtracts the channel mean next
-        x = _conv3x3_valid(x, params[f"{prefix}_conv{stage}_w"])
+        x = ad.upconv3x3(x, params[f"{prefix}_conv{stage}_w"],
+                         _upconv_taps(x.shape[1], x.shape[2]))
         x = _batch_norm(x, params[f"{prefix}_bn{stage}_gain"], params[f"{prefix}_bn{stage}_bias"],
                         f"{prefix}_bn{stage}", bn_state, train)
         x = ad.relu(x)

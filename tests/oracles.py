@@ -3,7 +3,8 @@
 Everything here is deliberately naive (loops, dense math, classic textbook
 iterations) and shares no code with the library paths it checks. The
 autodiff references at the end are the exception: they compose the fused
-tape nodes out of the primitive ones, whose own gradients the tests check.
+tape nodes out of the primitive ones, whose own gradients the tests check
+(the upsampling one takes its interpolation matrices from the model).
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from specmesh import autodiff as ad
+from specmesh.model import _interp_matrix
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
@@ -333,6 +335,26 @@ def linear_composed(x, weight, bias=None):
     """x @ weight (+ bias) as a matmul node and a broadcasting add node."""
     out = ad.matmul(x, weight)
     return out if bias is None else ad.add(out, bias)
+
+
+def upconv3x3_composed(x, weight):
+    """Bilinear x2 upsampling then a valid 3x3 convolution, from primitive
+    tape nodes: an axis_matrix node per grid axis, then an im2col take, a
+    reshape and a linear node on the upsampled grid."""
+    n, h, w, c_in = x.shape
+    up = ad.axis_matrix(x, _interp_matrix(2 * h, h), axis=1)
+    up = ad.axis_matrix(up, _interp_matrix(2 * w, w), axis=2)
+    hu, wu = 2 * h, 2 * w
+    ho, wo = hu - 2, wu - 2
+    rows = np.arange(ho)[:, None, None, None]
+    cols = np.arange(wo)[None, :, None, None]
+    dy = np.arange(3)[None, None, :, None]
+    dx = np.arange(3)[None, None, None, :]
+    idx = ((rows + dy) * wu + (cols + dx)).reshape(-1)
+    patches = ad.take(ad.reshape(up, (n, hu * wu, c_in)), idx, axis=1)
+    patches = ad.reshape(patches, (n, ho * wo, 9 * c_in))
+    out = ad.linear(patches, ad.reshape(weight, (9 * c_in, weight.shape[3])))
+    return ad.reshape(out, (n, ho, wo, weight.shape[3]))
 
 
 def attention_composed(q, k, v, heads: int):

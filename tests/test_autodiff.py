@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import (WholeArrayAdam, attention_composed, central_difference,
-                     layer_norm_composed, linear_composed)
+                     layer_norm_composed, linear_composed, upconv3x3_composed)
 from specmesh import autodiff as ad
+from specmesh import model as M
 from specmesh.errors import ArgumentError
 from specmesh.graphs import graph_from_edges, lambda_max, laplacian, scaled_laplacian
 
@@ -257,6 +258,24 @@ class TestFusedNodes:
         fd_ok(lambda t: (ad.linear(t["x"], t["w"], t["b"]) * ad.constant(probe)).sum(),
               {"x": RNG.normal(size=(2, 3, 4)), "w": RNG.normal(size=(4, 5)),
                "b": RNG.normal(size=(5,))})
+
+    def test_upconv3x3_matches_composition(self):
+        # two images, a 4x5 grid and 3 -> 2 channels: a swapped grid axis or
+        # a transposed tap changes the result
+        arrays = {"x": RNG.normal(size=(2, 4, 5, 3)), "w": RNG.normal(size=(3, 3, 3, 2))}
+        taps = M._upconv_taps(4, 5)
+        assert_fused_matches(lambda x, w: ad.upconv3x3(x, w, taps), upconv3x3_composed, arrays)
+
+    def test_upconv3x3_gradient(self):
+        taps = M._upconv_taps(3, 2)
+        probe = RNG.normal(size=(2, 4, 2, 3))
+        fd_ok(lambda t: (ad.upconv3x3(t["x"], t["w"], taps) * ad.constant(probe)).sum(),
+              {"x": RNG.normal(size=(2, 3, 2, 2)), "w": RNG.normal(size=(3, 3, 2, 3))})
+
+    def test_upconv3x3_rejects_taps_of_another_grid(self):
+        x = ad.constant(np.ones((1, 4, 5, 2)))
+        with pytest.raises(ArgumentError):
+            ad.upconv3x3(x, ad.constant(np.ones((3, 3, 2, 2))), M._upconv_taps(4, 4))
 
 
 class TestChebPrimitive:

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import specmesh
+from oracles import upconv3x3_composed
 from specmesh import autodiff as ad
 from specmesh import model as M
 from specmesh.errors import ArgumentError, NumericalError, ParseError
@@ -68,6 +69,45 @@ class TestForwardTokens:
                                   axis=1)
         assert out.tokens.shape == (config.n_tokens, config.feature_width + 3)
         assert out.tokens.data.tobytes() == expected.tobytes()
+
+
+class TestFusionMatchesOracle:
+    """fusion_forward against the same fusion with each upconv3x3 node
+    replaced by the upsample-then-im2col composition (toy config)."""
+
+    @staticmethod
+    def fusion_arrays(config, params, features) -> dict:
+        """Train-mode outputs and the gradients of a probe of them, then
+        eval-mode outputs and the batch-norm running statistics, by name."""
+        for p in params.values():
+            p.grad = None
+        bn_state = {}
+        f_prime, mask = M.fusion_forward(features, params, config, bn_state, train=True)
+        rng = np.random.default_rng(4)
+        sum(ad.reduce_sum(t * ad.constant(rng.normal(size=t.shape)))
+            for t in (f_prime, mask)).backward()
+        arrays = {"train f_prime": f_prime.data, "train mask": mask.data}
+        arrays.update({f"grad {name}": p.grad for name, p in params.items()
+                       if p.grad is not None})
+        f_prime, mask = M.fusion_forward(features, params, config, bn_state, train=False)
+        arrays.update({"eval f_prime": f_prime.data, "eval mask": mask.data})
+        arrays.update({f"{key} {stat}": stats[stat] for key, stats in bn_state.items()
+                       for stat in ("mean", "var")})
+        return arrays
+
+    def test_train_and_eval_mode(self, perturbed_toy, monkeypatch):
+        config, _, params = perturbed_toy
+        features = M.synth_backbone_features(3, config)
+        got = self.fusion_arrays(config, params, features)
+        monkeypatch.setattr(ad, "upconv3x3", lambda x, w, taps: upconv3x3_composed(x, w))
+        want = self.fusion_arrays(config, params, features)
+        assert sorted(got) == sorted(want)
+        # both stages of both branches, and every fusion and mask parameter
+        assert sum(name.endswith(" var") for name in want) == 4
+        assert sum(name.startswith("grad ") for name in want) == 13
+        for name, ref in want.items():
+            err = np.abs(got[name] - ref).max() / np.abs(ref).max()
+            assert err <= 1e-12, f"{name}: {err:.3e}"
 
 
 # Builds the toy assets, takes one train step and prints, as JSON, a hash of
