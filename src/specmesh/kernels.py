@@ -9,11 +9,13 @@ nearest vertex, takes every vertex within a hair of that distance, and picks
 among them by the same squared-distance expression a brute-force search
 uses, lowest index first on ties: the result is that of testing every pair.
 
-The two triangle kernels share one cluster hierarchy. The faces are sorted
-along a Morton curve of their centroids (Karras, HPG 2012) and cut into
-clusters of ``_CLUSTER`` faces, each with a conservative bounding sphere.
-A chunk of queries is tested against all spheres at once, and the pair test
-runs only on the faces of the clusters that pass:
+The two triangle kernels take one hierarchy per mesh, a ``FaceClusters``
+built from the mesh's faces once and shared by every call against that
+surface. It sorts the faces along a Morton curve of their centroids
+(Karras, HPG 2012), cuts them into clusters of ``_CLUSTER`` faces, each with
+a conservative bounding sphere, and holds the per-face columns of the ray
+test. A chunk of queries is tested against all spheres at once, and the pair
+test runs only on the faces of the clusters that pass:
 
 - ``ray_crossings`` keeps the clusters a ray reaches and runs the
   Moller-Trumbore test (Moller & Trumbore, JGT 1997). A ray lying in the
@@ -71,24 +73,53 @@ def _morton_order(centroids):
     return np.argsort(code, kind="stable")
 
 
-def _clusters(tri):
-    """Faces in Morton order, cut into clusters with bounding spheres.
+class FaceClusters:
+    """A triangle soup prepared once for both triangle kernels.
 
-    Returns (tri, members, center, radius, center_sq): the reordered faces;
+    The faces are sorted along a Morton curve of their centroids and cut
+    into clusters of ``_CLUSTER`` faces with conservative bounding spheres,
+    and the per-face columns of the Moller-Trumbore test are computed.
+    Nothing here changes after construction, so one object serves any
+    number of kernel calls against the same surface. ``len()`` is the face
+    count.
+
+    Attributes: ``tri``, the (F, 3, 3) faces in Morton order; ``members``,
     the (K, _CLUSTER) face indices of each cluster, where the last cluster
-    may be short and its padding indices run past the last face; each
-    sphere's center and slack-grown radius; and |center|^2.
+    may be short and its padding indices run past the last face; ``center``,
+    ``radius`` (slack-grown) and ``center_sq`` (|center|^2) of each sphere;
+    ``cluster_of``, each face's cluster; ``normal`` (e1 x e2), ``det_eps``
+    and ``parallel_tol`` per face; and ``face_cols``, the rows v0, e1, e2,
+    normal, |normal| and ``det_eps`` that ``_pair_test`` reads.
     """
-    tri = tri[_morton_order(tri.mean(axis=1))]
-    n_tri = tri.shape[0]
-    n_clusters = -(-n_tri // _CLUSTER)
-    members = np.arange(n_clusters * _CLUSTER).reshape(n_clusters, _CLUSTER)
-    # the padding of a short last cluster repeats a face for the sphere only
-    corners = tri[np.minimum(members, n_tri - 1)].reshape(n_clusters, 3 * _CLUSTER, 3)
-    center = 0.5 * (corners.min(axis=1) + corners.max(axis=1))
-    radius = np.linalg.norm(corners - center[:, None, :], axis=2).max(axis=1)
-    radius *= 1.0 + _SPHERE_SLACK
-    return tri, members, center, radius, np.einsum("kc,kc->k", center, center)
+
+    def __init__(self, tri):
+        tri = np.asarray(tri, dtype=np.float64)
+        n_tri = tri.shape[0]
+        if n_tri:  # an empty soup has no bounding box to order by
+            tri = tri[_morton_order(tri.mean(axis=1))]
+        n_clusters = -(-n_tri // _CLUSTER)
+        self.tri = tri
+        self.members = np.arange(n_clusters * _CLUSTER).reshape(n_clusters, _CLUSTER)
+        self.cluster_of = np.arange(n_tri) // _CLUSTER
+        # the padding of a short last cluster repeats a face for the sphere only
+        corners = tri[np.minimum(self.members, n_tri - 1)].reshape(n_clusters, 3 * _CLUSTER, 3)
+        self.center = 0.5 * (corners.min(axis=1) + corners.max(axis=1))
+        self.radius = np.linalg.norm(corners - self.center[:, None, :], axis=2).max(axis=1)
+        self.radius *= 1.0 + _SPHERE_SLACK
+        self.center_sq = np.einsum("kc,kc->k", self.center, self.center)
+        v0 = tri[:, 0]
+        e1 = tri[:, 1] - v0
+        e2 = tri[:, 2] - v0
+        self.normal = np.cross(e1, e2)
+        norm_n = np.linalg.norm(self.normal, axis=1)
+        self.det_eps = 1e-12 * np.maximum(norm_n, 1e-30)
+        self.parallel_tol = (_PARALLEL_SLACK * np.linalg.norm(e1, axis=1)
+                             * np.linalg.norm(e2, axis=1))
+        self.face_cols = np.concatenate([v0.T, e1.T, e2.T, self.normal.T, norm_n[None],
+                                         self.det_eps[None]])
+
+    def __len__(self):
+        return self.tri.shape[0]
 
 
 def _cluster_pairs(hit, members, n_tri):
@@ -144,8 +175,8 @@ def _pair_test(ray, face):
     return inside, (loose & ~inside) | on_plane
 
 
-def ray_crossings(origins, dirs, tri):
-    """Count ray-triangle crossings per point.
+def ray_crossings(origins, dirs, faces):
+    """Count ray-triangle crossings per point against a ``FaceClusters``.
 
     Returns (counts, grazing): crossings use strict interior tests; the
     grazing flag marks rays that pass within epsilon of a triangle edge,
@@ -156,24 +187,14 @@ def ray_crossings(origins, dirs, tri):
     """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    tri = np.asarray(tri, dtype=np.float64)
     n_pts = origins.shape[0]
     counts = np.zeros(n_pts, dtype=np.int64)
     grazing = np.zeros(n_pts, dtype=np.uint8)
-    n_tri = tri.shape[0]
+    n_tri = len(faces)
     if n_tri == 0:
         return counts, grazing
-    tri, members, center, radius, center_sq = _clusters(tri)
-    cluster_of = np.arange(n_tri) // _CLUSTER
-    v0 = tri[:, 0]
-    e1 = tri[:, 1] - v0
-    e2 = tri[:, 2] - v0
-    normal = np.cross(e1, e2)
-    norm_n = np.linalg.norm(normal, axis=1)
-    det_eps = 1e-12 * np.maximum(norm_n, 1e-30)
-    parallel_tol = _PARALLEL_SLACK * np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
+    center, radius, center_sq = faces.center, faces.radius, faces.center_sq
     ray_cols = np.concatenate([origins.T, dirs.T])
-    face_cols = np.concatenate([v0.T, e1.T, e2.T, normal.T, norm_n[None], det_eps[None]])
 
     for lo in range(0, n_pts, _RAY_CHUNK):
         hi = min(lo + _RAY_CHUNK, n_pts)
@@ -190,19 +211,20 @@ def ray_crossings(origins, dirs, tri):
         gap_sq = p_sq[:, None] - 2.0 * (p @ center.T) + center_sq - along * along
         reach = radius + (2.0 * _EPS_T) * d_norm[:, None]
         hit = gap_sq <= reach * reach + 1e-12 * (p_sq + center_sq.max())[:, None]
-        ray, face = _cluster_pairs(hit, members, n_tri)
+        ray, face = _cluster_pairs(hit, faces.members, n_tri)
         # Rays in a face's plane graze it wherever they are: keep the
         # near-parallel pairs that the sphere test dropped.
         with np.errstate(divide="ignore"):
-            tol = parallel_tol * np.fmax.reduce(d_norm) + det_eps / np.fmin.reduce(d_norm)
-        dn = d @ normal.T
+            tol = (faces.parallel_tol * np.fmax.reduce(d_norm)
+                   + faces.det_eps / np.fmin.reduce(d_norm))
+        dn = d @ faces.normal.T
         near = np.abs(dn, out=dn) <= tol
         if near.any():
             near_ray, near_face = np.nonzero(near)
-            missed = ~hit[near_ray, cluster_of[near_face]]
+            missed = ~hit[near_ray, faces.cluster_of[near_face]]
             ray = np.concatenate([ray, near_ray[missed]])
             face = np.concatenate([face, near_face[missed]])
-        inside, graz = _pair_test(ray_cols[:, lo + ray], face_cols[:, face])
+        inside, graz = _pair_test(ray_cols[:, lo + ray], faces.face_cols[:, face])
         counts[lo:hi] = np.bincount(ray[inside], minlength=hi - lo)
         grazing[lo:hi] = np.bincount(ray[graz], minlength=hi - lo) > 0
     return counts, grazing
@@ -283,23 +305,22 @@ def _closest_point_dists(p, a, b, c):
     return np.linalg.norm(p - closest, axis=1)
 
 
-def point_triangle_dists(points, tri):
-    """Distance from each point to the nearest triangle of a mesh.
+def point_triangle_dists(points, faces):
+    """Distance from each point to the nearest triangle of a ``FaceClusters``.
 
     Only faces in the bounding spheres that come within a point's
     nearest-vertex distance get the closest-point test; the result equals
     testing every face. With no faces every distance is inf.
     """
     points = np.asarray(points, dtype=np.float64)
-    tri = np.asarray(tri, dtype=np.float64)
     n = points.shape[0]
     out = np.full(n, np.inf)
-    n_tri = tri.shape[0]
+    n_tri = len(faces)
     if n == 0 or n_tri == 0:
         return out
+    tri, center, radius, center_sq = faces.tri, faces.center, faces.radius, faces.center_sq
     # the nearest vertex bounds the nearest face from above
     bound, _ = _kdtree(tri.reshape(-1, 3)).query(points)
-    tri, members, center, radius, center_sq = _clusters(tri)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         p = points[lo:hi]
@@ -309,7 +330,7 @@ def point_triangle_dists(points, tri):
         gap_sq = p_sq[:, None] - 2.0 * (p @ center.T) + center_sq
         reach = radius + bound[lo:hi, None]
         hit = gap_sq <= reach * reach + 1e-12 * (p_sq + center_sq.max())[:, None]
-        row, face = _cluster_pairs(hit, members, n_tri)
+        row, face = _cluster_pairs(hit, faces.members, n_tri)
         dists = _closest_point_dists(p[row], tri[face, 0], tri[face, 1], tri[face, 2])
         # every point keeps the cluster of its nearest vertex's faces
         starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])

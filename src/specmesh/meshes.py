@@ -193,12 +193,21 @@ def subsample_to_count(mesh: TriMesh, n_keep: int, seed: int) -> np.ndarray:
     n = mesh.n_vertices
     if not 1 <= n_keep <= n:
         raise ArgumentError(f"n_keep must be in [1, {n}], got {n_keep}")
+    x, y, z = mesh.positions.T.copy()
+
+    def dist_sq(i):
+        # Only the order of distances matters, so no sqrt per step. The sum
+        # runs x, y, z left to right, as in np.linalg.norm: einsum's order
+        # rounds near-ties differently and changes the hand's kept vertices.
+        dx, dy, dz = x - x[i], y - y[i], z - z[i]
+        return dx * dx + dy * dy + dz * dz
+
     start = seed % n
     kept = [start]
-    dist = np.linalg.norm(mesh.positions - mesh.positions[start], axis=1)
+    d2 = dist_sq(start)
     for _ in range(n_keep - 1):
-        nxt = int(np.argmax(dist))
+        nxt = int(np.argmax(d2))
         kept.append(nxt)
-        np.minimum(dist, np.linalg.norm(mesh.positions - mesh.positions[nxt], axis=1), out=dist)
+        np.minimum(d2, dist_sq(nxt), out=d2)
     return np.array(sorted(kept), dtype=np.int32)
 

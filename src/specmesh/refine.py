@@ -27,7 +27,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import ArgumentError
-from .kernels import nearest_vertex, point_triangle_dists, ray_crossings
+from .kernels import FaceClusters, nearest_vertex, point_triangle_dists, ray_crossings
 from .meshes import TriMesh, edge_set, is_watertight
 
 _LOGGER = logging.getLogger(__name__)
@@ -90,9 +90,15 @@ def _random_directions(n: int, rng: np.random.Generator) -> np.ndarray:
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
-def points_interior(points: np.ndarray, mesh: TriMesh, seed: int):
-    """Ray-parity interior test for a batch of points.
+def _face_clusters(mesh: TriMesh) -> FaceClusters:
+    """The mesh's faces, prepared for the triangle kernels."""
+    return FaceClusters(mesh.positions[mesh.faces])
 
+
+def points_interior(points: np.ndarray, faces: FaceClusters, seed: int):
+    """Ray-parity interior test for a batch of points against a surface.
+
+    ``faces`` is the surface's ``FaceClusters``; every retry round reuses it.
     Grazing rays are retried with fresh seeded directions up to
     MAX_RAY_RETRIES times; points that never resolve are reported exterior
     and counted in the second return value. A point on the surface, such as
@@ -101,7 +107,6 @@ def points_interior(points: np.ndarray, mesh: TriMesh, seed: int):
     surface is the boundary of the interior, so exterior is the right answer
     there too.
     """
-    tri = mesh.positions[mesh.faces]
     rng = np.random.default_rng(seed)
     n = points.shape[0]
     interior = np.zeros(n, dtype=bool)
@@ -110,7 +115,7 @@ def points_interior(points: np.ndarray, mesh: TriMesh, seed: int):
         if active.size == 0:
             break
         dirs = _random_directions(active.size, rng)
-        counts, grazing = ray_crossings(points[active], dirs, tri)
+        counts, grazing = ray_crossings(points[active], dirs, faces)
         ok = grazing == 0
         interior[active[ok]] = (counts[ok] % 2) == 1
         active = active[~ok]
@@ -135,12 +140,12 @@ def collision_mask(source: TriMesh, target: TriMesh, seed: int = 0) -> Collision
     _reject_self(source, target, "collision mask")
     if not is_watertight(target):
         raise ArgumentError("collision mask requires a watertight target")
-    return _collision_mask(source, target, seed)
+    return _collision_mask(source, _face_clusters(target), seed)
 
 
-def _collision_mask(source: TriMesh, target: TriMesh, seed: int) -> CollisionMask:
-    """``collision_mask`` without its checks."""
-    interior, _ = points_interior(source.positions, target, seed)
+def _collision_mask(source: TriMesh, target_faces: FaceClusters, seed: int) -> CollisionMask:
+    """``collision_mask`` without its checks, on the target's ``FaceClusters``."""
+    interior, _ = points_interior(source.positions, target_faces, seed)
     return CollisionMask(interior=interior)
 
 
@@ -271,6 +276,7 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     rest = source.positions
     edges = edge_set(source).edges.astype(np.int64)
     global_step = _GlobalStep(rest, edges, config.arap_weight)
+    target_faces = _face_clusters(target)  # the target never moves
     x = best_x = rest.copy()
     best_loss = prev_loss = np.inf
     rises = 0
@@ -279,7 +285,7 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     for it in range(config.max_iters):
         iterations = it + 1
         current = source.with_positions(x)
-        src_idx, tgt_idx = _gated_pairs(current, _collision_mask(current, target, seed=0),
+        src_idx, tgt_idx = _gated_pairs(current, _collision_mask(current, target_faces, seed=0),
                                         target)
         if src_idx.size == 0 and it == 0:
             # nothing penetrates: the input is already the answer
@@ -302,6 +308,7 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
             rises = 0
         prev_loss = loss
         x = global_step(x, rot, src_idx, y)
+    del target_faces  # the report after builds its own: hold one copy at a time
     refined = source.with_positions(best_x)
     after = plausibility_metrics(refined, target)
     return RefineResult(mesh=refined, before=before, after=after,
@@ -326,12 +333,13 @@ def plausibility_metrics(a: TriMesh, b: TriMesh, voxel_cm: float = 0.5,
     for mesh in (a, b):
         if not is_watertight(mesh):
             raise ArgumentError("plausibility metrics require watertight meshes")
+    faces_a, faces_b = _face_clusters(a), _face_clusters(b)
     pen = 0.0
-    for src, dst in ((a, b), (b, a)):
-        mask = _collision_mask(src, dst, seed)
+    for src, dst_faces in ((a, faces_b), (b, faces_a)):
+        mask = _collision_mask(src, dst_faces, seed)
         pts = src.positions[mask.interior]
         if pts.size:
-            pen = max(pen, float(point_triangle_dists(pts, dst.positions[dst.faces]).max()))
+            pen = max(pen, float(point_triangle_dists(pts, dst_faces).max()))
     h = voxel_cm / 100.0  # meters
     lo = np.maximum(a.positions.min(axis=0), b.positions.min(axis=0))
     hi = np.minimum(a.positions.max(axis=0), b.positions.max(axis=0))
@@ -345,10 +353,10 @@ def plausibility_metrics(a: TriMesh, b: TriMesh, voxel_cm: float = 0.5,
         axes = [lo[c] + h * (np.arange(steps[c]) + 0.5) for c in range(3)]
         gx, gy, gz = np.meshgrid(*axes, indexing="ij")
         centers = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-        in_a, _ = points_interior(centers, a, seed + 1)
+        in_a, _ = points_interior(centers, faces_a, seed + 1)
         candidates = centers[in_a]
         if candidates.size:
-            in_b, _ = points_interior(candidates, b, seed + 2)
+            in_b, _ = points_interior(candidates, faces_b, seed + 2)
             volume = float(in_b.sum()) * voxel_cm**3
     return PlausibilityReport(max_penetration_mm=1000.0 * pen,
                               intersection_volume_cm3=volume, voxel_size_cm=voxel_cm)

@@ -174,6 +174,22 @@ def nearest_vertex_loop(query, ref):
     return idx, dist
 
 
+def farthest_point_dense(positions, n_keep: int, seed: int) -> list:
+    """Farthest-point walk on Euclidean distances, one step at a time.
+
+    Starts at vertex ``seed mod V``; each step takes the vertex with the
+    largest distance to the kept set, lowest index first on ties. Returns
+    the kept indices sorted.
+    """
+    positions = np.asarray(positions, dtype=np.float64)
+    kept = [seed % len(positions)]
+    dist = np.linalg.norm(positions - positions[kept[0]], axis=1)
+    for _ in range(n_keep - 1):
+        kept.append(int(np.argmax(dist)))
+        dist = np.minimum(dist, np.linalg.norm(positions - positions[kept[-1]], axis=1))
+    return sorted(kept)
+
+
 def point_triangle_dists_dense(points, tri):
     """Distance from each point to the nearest triangle, testing every face.
 

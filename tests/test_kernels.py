@@ -86,22 +86,43 @@ class TestRayCrossingsOracle:
     @pytest.mark.parametrize("name", RAY_FIXTURES)
     def test_matches_loop_oracle(self, name):
         pts, dirs, tri = RAY_FIXTURES[name]()
-        counts, grazing = kernels.ray_crossings(pts, dirs, tri)
+        counts, grazing = kernels.ray_crossings(pts, dirs, kernels.FaceClusters(tri))
         want_counts, want_grazing = ray_crossings_loop(pts, dirs, tri)
         assert counts.tolist() == want_counts
         assert grazing.tolist() == want_grazing
 
     def test_in_plane_ray_grazes(self):
         # the ray never reaches the +y faces, yet lies in their plane
-        counts, grazing = kernels.ray_crossings(*_fixture_in_plane())
+        pts, dirs, tri = _fixture_in_plane()
+        counts, grazing = kernels.ray_crossings(pts, dirs, kernels.FaceClusters(tri))
         assert counts.tolist() == [0, 0, 0]
         assert grazing.tolist() == [1, 1, 1]
 
     def test_empty_mesh(self):
         pts, dirs, _ = _fixture_around_sphere()
-        counts, grazing = kernels.ray_crossings(pts, dirs, np.zeros((0, 3, 3)))
+        no_faces = kernels.FaceClusters(np.zeros((0, 3, 3)))
+        counts, grazing = kernels.ray_crossings(pts, dirs, no_faces)
         assert counts.tolist() == ray_crossings_loop(pts, dirs, [])[0] == [0] * len(pts)
         assert grazing.tolist() == [0] * len(pts)
+
+
+class TestFaceClusters:
+    def test_len_is_face_count(self):
+        for make in RAY_FIXTURES.values():
+            tri = make()[2]
+            assert len(kernels.FaceClusters(tri)) == len(tri)
+        assert len(kernels.FaceClusters(np.zeros((0, 3, 3)))) == 0
+
+    def test_one_object_serves_every_call(self):
+        # a call must leave the prepared arrays as it found them
+        pts, dirs, tri = _fixture_around_sphere()
+        faces = kernels.FaceClusters(tri)
+        want = ray_crossings_loop(pts, dirs, tri)
+        for _ in range(2):
+            counts, grazing = kernels.ray_crossings(pts, dirs, faces)
+            assert (counts.tolist(), grazing.tolist()) == want
+            dists = kernels.point_triangle_dists(pts, faces)
+            assert np.array_equal(dists, point_triangle_dists_dense(pts, tri))
 
 
 def _fixture_hairline():
@@ -171,14 +192,15 @@ class TestPointTriangleOracle:
     @pytest.mark.parametrize("name", DISTANCE_FIXTURES)
     def test_matches_dense_oracle(self, name):
         pts, tri = DISTANCE_FIXTURES[name]()
-        dists = kernels.point_triangle_dists(pts, tri)
+        dists = kernels.point_triangle_dists(pts, kernels.FaceClusters(tri))
         assert np.array_equal(dists, point_triangle_dists_dense(pts, tri))
 
     def test_empty_inputs(self):
-        tri = cube(1.0).positions[cube(1.0).faces]
-        assert kernels.point_triangle_dists(np.zeros((0, 3)), tri).shape == (0,)
+        faces = kernels.FaceClusters(cube(1.0).positions[cube(1.0).faces])
+        assert kernels.point_triangle_dists(np.zeros((0, 3)), faces).shape == (0,)
         pts = np.ones((2, 3))
-        assert kernels.point_triangle_dists(pts, np.zeros((0, 3, 3))).tolist() == [np.inf] * 2
+        no_faces = kernels.FaceClusters(np.zeros((0, 3, 3)))
+        assert kernels.point_triangle_dists(pts, no_faces).tolist() == [np.inf] * 2
 
 
 class TestKernelSemantics:
@@ -188,7 +210,7 @@ class TestKernelSemantics:
         pts = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
         dirs = np.array([[0.2, 0.3, 0.93], [0.5, 0.5, 0.7]])
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        counts, grazing = kernels.ray_crossings(pts, dirs, tri)
+        counts, grazing = kernels.ray_crossings(pts, dirs, kernels.FaceClusters(tri))
         assert grazing[0] == 0 and grazing[1] == 0
         assert counts[0] % 2 == 1
         assert counts[1] % 2 == 0
@@ -200,7 +222,7 @@ class TestKernelSemantics:
         origin = np.array([[2.0, 0.0, 0.0]])
         towards = mesh.positions[0] - origin[0]
         towards /= np.linalg.norm(towards)
-        _, grazing = kernels.ray_crossings(origin, towards[None, :], tri)
+        _, grazing = kernels.ray_crossings(origin, towards[None, :], kernels.FaceClusters(tri))
         assert grazing[0] == 1
 
     def test_nearest_vertex_brute_force(self):
@@ -220,7 +242,7 @@ class TestKernelSemantics:
             [0.5, -2.0, 0.0],    # below edge ab
             [2.0, 2.0, 0.0],     # beyond edge bc
         ])
-        d = kernels.point_triangle_dists(pts, tri)
+        d = kernels.point_triangle_dists(pts, kernels.FaceClusters(tri))
         expected = [0.5, np.sqrt(2.0), 2.0, 1.5 * np.sqrt(2.0)]
         assert np.allclose(d, expected, atol=1e-12)
 
@@ -228,7 +250,7 @@ class TestKernelSemantics:
         rng = np.random.default_rng(5)
         tri = rng.normal(size=(3, 3, 3))
         pts = rng.normal(size=(10, 3)) * 1.5
-        d = kernels.point_triangle_dists(pts, tri)
+        d = kernels.point_triangle_dists(pts, kernels.FaceClusters(tri))
         # oracle: dense barycentric sampling of each triangle
         grid = []
         n = 220

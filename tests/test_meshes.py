@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import union_find_components
+from oracles import farthest_point_dense, union_find_components
 from specmesh.errors import ArgumentError, ParseError
 from specmesh.graphs import build_mesh_graph
 from specmesh.meshes import (
@@ -104,6 +104,15 @@ class TestSubsample:
             for s in range(100)
         ])
         assert fps_min >= 0.5 * baseline
+
+    @pytest.mark.parametrize("n_vertices, n_keep", [(159, 17), (4023, 402)])
+    def test_matches_euclidean_walk(self, n_vertices, n_keep):
+        # the toy and full token layouts; squared distances must pick the
+        # same vertex at every step, near-ties included
+        hand = hand_template(n_vertices)
+        for seed in range(10):
+            kept = subsample_to_count(hand, n_keep, seed=seed)
+            assert kept.tolist() == farthest_point_dense(hand.positions, n_keep, seed)
 
     def test_factor_errors(self, ico162):
         # the factor n_vertices / n_keep must be finite and at least one

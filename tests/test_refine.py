@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import collision_loss_loop, sphere_contains
-from specmesh import refine
+from specmesh import kernels, refine
 from specmesh.errors import ArgumentError
 from specmesh.meshes import TriMesh, edge_set
 from specmesh.primitives import apply_rigid, cube, icosphere, rotation_matrix
@@ -26,12 +26,14 @@ def overlapping_spheres(radius=1.0, separation=1.5):
 class TestPointInMesh:
     def test_cube_centroid_inside(self):
         c = cube(1.0, center=(0.2, -0.1, 0.3))
-        interior, failures = points_interior(c.positions.mean(axis=0)[None], c, seed=0)
+        interior, failures = points_interior(c.positions.mean(axis=0)[None],
+                                             refine._face_clusters(c), seed=0)
         assert failures == 0
         assert interior.tolist() == [True]
 
     def test_far_point_outside(self):
-        interior, failures = points_interior(np.array([[10.0, 10.0, 10.0]]), cube(1.0), seed=0)
+        interior, failures = points_interior(np.array([[10.0, 10.0, 10.0]]),
+                                             refine._face_clusters(cube(1.0)), seed=0)
         assert failures == 0
         assert interior.tolist() == [False]
 
@@ -45,7 +47,7 @@ class TestPointInMesh:
         inradius = np.min(np.linalg.norm(
             mesh.positions[mesh.faces].mean(axis=1), axis=1))
         test_idx = np.flatnonzero((radii < inradius - 1e-6) | (radii > 1.0 + 1e-6))
-        interior, failures = points_interior(pts[test_idx], mesh, seed=3)
+        interior, failures = points_interior(pts[test_idx], refine._face_clusters(mesh), seed=3)
         assert failures == 0
         analytic = sphere_contains(pts[test_idx], (0, 0, 0), 1.0)
         inside_faceted = radii[test_idx] < inradius
@@ -59,9 +61,10 @@ class TestPointInMesh:
         pts = rng.uniform(-0.8, 0.8, size=(64, 3))
         dist_to_surface = np.abs(np.linalg.norm(pts, axis=1) - 0.5)
         pts = pts[dist_to_surface > 1e-4]
+        faces = refine._face_clusters(mesh)
         results = []
         for seed in range(16):
-            interior, failures = points_interior(pts, mesh, seed=seed)
+            interior, failures = points_interior(pts, faces, seed=seed)
             assert failures == 0
             results.append(interior)
         for r in results[1:]:
@@ -72,7 +75,7 @@ class TestPointInMesh:
         # retry resolves it; the surface bounds the interior, hence exterior
         c = cube(1.0)
         corner = c.positions[:1]
-        interior, failures = points_interior(corner, c, seed=0)
+        interior, failures = points_interior(corner, refine._face_clusters(c), seed=0)
         assert failures == 1
         assert not interior[0]
 
@@ -236,11 +239,12 @@ class TestRefineMesh:
         edges = edge_set(a).edges.astype(np.int64)
         step = refine._GlobalStep(a.positions, edges, weight)
         x = a.positions
+        b_faces = refine._face_clusters(b)
         steps = 0
         for _ in range(20):
             current = a.with_positions(x)
             src_idx, tgt_idx = refine._gated_pairs(
-                current, refine._collision_mask(current, b, seed=0), b)
+                current, refine._collision_mask(current, b_faces, seed=0), b)
             if src_idx.size == 0:
                 break
             y = b.positions[tgt_idx]
@@ -274,6 +278,30 @@ class TestRefineMesh:
         holed = TriMesh(positions=a.positions, faces=a.faces[:-1])
         with pytest.raises(ArgumentError):
             refine_mesh(a, holed, RefineConfig())
+
+    def test_face_clusters_built_per_mesh_not_per_ray_call(self, monkeypatch, caplog):
+        # one source vertex sits exactly on a target vertex, so every ray
+        # from it grazes and points_interior spends all its retry rounds
+        source = icosphere(1, radius=0.03)
+        target = icosphere(1, radius=0.03, center=(0.045, 0.0, 0.0))
+        d2 = np.sum((source.positions[:, None] - target.positions[None]) ** 2, axis=2)
+        k, m = np.unravel_index(np.argmin(d2), d2.shape)
+        positions = source.positions.copy()
+        positions[k] = target.positions[m]
+        source = source.with_positions(positions)
+        builds, ray_calls = [], []
+        morton_order, ray_crossings = kernels._morton_order, refine.ray_crossings
+        monkeypatch.setattr(kernels, "_morton_order",
+                            lambda c: builds.append(len(c)) or morton_order(c))
+        monkeypatch.setattr(refine, "ray_crossings",
+                            lambda *args: ray_calls.append(len(args[0])) or ray_crossings(*args))
+        result = refine_mesh(source, target, RefineConfig())
+        assert result.iterations >= 3
+        assert "ray parity unresolved" in caplog.text
+        assert len(ray_calls) > 40
+        # two meshes for the report before, the target for the whole loop,
+        # two meshes for the report after
+        assert len(builds) == 5
 
     def test_config_validation(self):
         with pytest.raises(ArgumentError):

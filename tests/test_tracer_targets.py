@@ -3,13 +3,50 @@
 import importlib.util
 from pathlib import Path
 
+from specmesh import refine
+from specmesh.primitives import icosphere
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_every_target_exists():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_target_exists():
+    tracer = _load_tracer()
     missing = [f"{owner.__name__}.{attr}" for owner, attr in tracer.targets()
                if attr not in vars(owner)]
     assert missing == []
+
+
+def test_kernel_pair_counters_read_points_times_faces(monkeypatch):
+    # the counters take len() of the kernels' arguments, so an argument
+    # without a length would break only traced benchmark runs
+    made = {"ray_crossings": 0, "point_triangle_dists": 0}
+
+    def recording(name):
+        kernel = getattr(refine, name)
+
+        def call(points, *rest):
+            made[name] += points.shape[0] * rest[-1].tri.shape[0]
+            return kernel(points, *rest)
+        return call
+
+    for name in made:
+        monkeypatch.setattr(refine, name, recording(name))
+    tracer = _load_tracer().Tracer().install()
+    try:
+        tracer.recording = True
+        refine.refine_mesh(icosphere(1, radius=0.03),
+                           icosphere(1, radius=0.03, center=(0.045, 0.0, 0.0)),
+                           refine.RefineConfig())
+        counters = tracer.take()["counters"]
+    finally:
+        tracer.uninstall()
+    assert made["ray_crossings"] > 0 and made["point_triangle_dists"] > 0
+    for name, pairs in made.items():
+        assert counters[f"kernels.{name}.pair_tests"] == pairs
