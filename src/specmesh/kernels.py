@@ -88,8 +88,10 @@ class FaceClusters:
     may be short and its padding indices run past the last face; ``center``,
     ``radius`` (slack-grown) and ``center_sq`` (|center|^2) of each sphere;
     ``cluster_of``, each face's cluster; ``normal`` (e1 x e2), ``det_eps``
-    and ``parallel_tol`` per face; and ``face_cols``, the rows v0, e1, e2,
-    normal, |normal| and ``det_eps`` that ``_pair_test`` reads.
+    and ``parallel_tol`` per face; ``face_cols``, the rows v0, e1, e2,
+    normal, |normal| and ``det_eps`` that ``_pair_test`` reads; and ``lo``
+    and ``hi``, the (3,) axis-aligned box of all corners, which for an empty
+    soup is (+inf, -inf) and holds no point.
     """
 
     def __init__(self, tri):
@@ -107,6 +109,8 @@ class FaceClusters:
         self.radius = np.linalg.norm(corners - self.center[:, None, :], axis=2).max(axis=1)
         self.radius *= 1.0 + _SPHERE_SLACK
         self.center_sq = np.einsum("kc,kc->k", self.center, self.center)
+        self.lo = tri.reshape(-1, 3).min(axis=0, initial=np.inf)
+        self.hi = tri.reshape(-1, 3).max(axis=0, initial=-np.inf)
         v0 = tri[:, 0]
         e1 = tri[:, 1] - v0
         e2 = tri[:, 2] - v0

@@ -220,7 +220,11 @@ def _hand_quads(n_vertices: int):
             rho = min(math.hypot(x / max(a_tip, 1e-9), y / max(a_tip, 1e-9)), 1.0)
             verts[v] = (x, y, z_tip + 0.006 * (1.0 - rho * rho))
 
-    quads = list(cap_quads)
+    # The ring runs against the grid's winding, and so do the tube quads'
+    # upper edges: the grid is reversed so that the cap faces out and each
+    # seam edge runs opposite ways in its two faces. (c, b, a, d) splits into
+    # the grid's two triangles, in the same places, each reversed.
+    quads = [(c, b, a, d) for a, b, c, d in cap_quads]
     for k in range(rings):
         upper, lower = ring_ids[k], ring_ids[k + 1]
         for i in range(_HAND_SEGMENTS):

@@ -1,11 +1,13 @@
 """Inference-time mesh refinement and plausibility metrics.
 
 Interior vertices are found by ray-parity tests (seeded directions, grazing
-hits retried) and pulled toward their nearest opposing-normal vertex on the
-other surface, while an as-rigid-as-possible energy keeps the source locally
-rigid. Refinement alternates ARAP's local step (closed-form per-cell
-rotations) with a global step, one sparse linear solve in which the L1 pull
-is reweighted least squares; it stops when no vertex penetrates.
+hits retried; a point beyond the target's bounding box is exterior without a
+ray, which spares most of the source's vertices) and pulled toward their
+nearest opposing-normal vertex on the other surface, while an
+as-rigid-as-possible energy keeps the source locally rigid. Refinement
+alternates ARAP's local step (closed-form per-cell rotations) with a global
+step, one sparse linear solve in which the L1 pull is reweighted least
+squares; it stops when no vertex penetrates.
 Plausibility is reported as maximum penetration depth (mm) and voxelized
 intersection volume (cm^3).
 
@@ -35,6 +37,7 @@ _LOGGER = logging.getLogger(__name__)
 MAX_RAY_RETRIES = 8
 _MAX_VOXELS = 4_000_000
 _DIST_FLOOR = 1e-9  # meters; caps a pair's collision weight 1 / d in the solve
+_BOX_SLACK = 1e-9  # relative growth of the target's box before a point counts as beyond it
 
 
 @dataclass(frozen=True)
@@ -106,15 +109,29 @@ def points_interior(points: np.ndarray, faces: FaceClusters, seed: int):
     never resolves: every ray from it grazes the surface at its origin. The
     surface is the boundary of the interior, so exterior is the right answer
     there too.
+
+    A watertight surface's interior lies inside its box (``faces.lo``,
+    ``faces.hi``), so a point beyond the box on any axis by more than
+    ``_BOX_SLACK * (1 + |lo| + |hi|)`` is exterior and casts no ray; a point
+    on the box, such as the surface's extreme vertex, casts rays as any
+    other. The first round draws directions for every point and then drops
+    those beyond the box, so each point that casts gets the direction it
+    would get with no cull, and so does every retry unless a ray from beyond
+    the box would have grazed.
     """
     rng = np.random.default_rng(seed)
     n = points.shape[0]
     interior = np.zeros(n, dtype=bool)
+    slack = _BOX_SLACK * (1.0 + np.abs(faces.lo) + np.abs(faces.hi))
+    with np.errstate(invalid="ignore"):  # an empty soup's box gives inf - inf: no point is in
+        in_box = np.all((points >= faces.lo - slack) & (points <= faces.hi + slack), axis=1)
     active = np.arange(n)
     for _ in range(MAX_RAY_RETRIES):
+        dirs = _random_directions(active.size, rng)
+        cast = in_box[active]
+        active, dirs = active[cast], dirs[cast]
         if active.size == 0:
             break
-        dirs = _random_directions(active.size, rng)
         counts, grazing = ray_crossings(points[active], dirs, faces)
         ok = grazing == 0
         interior[active[ok]] = (counts[ok] % 2) == 1
@@ -160,15 +177,32 @@ def _gated_pairs(source: TriMesh, mask: CollisionMask, target: TriMesh):
     return masked[keep], nn_idx[keep]
 
 
-def _arap_rotations(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray,
-                    n_vertices: int):
-    """Per-cell optimal rotations (orthogonal Procrustes with det +1)."""
+def _owner_sum(edges: np.ndarray, n_vertices: int) -> sp.csr_matrix:
+    """(V, 2E) matrix of ones that sums each directed edge's row into the
+    cell that owns it: edge (i, j) as i -> j into cell i, then as j -> i into
+    cell j. Each row's entries run in edge order, so its product sums them
+    in the order ``np.add.at`` would, to the same bits."""
+    owner = np.concatenate([edges[:, 0], edges[:, 1]])
+    return sp.csr_matrix((np.ones(owner.size), (owner, np.arange(owner.size))),
+                         shape=(n_vertices, owner.size))
+
+
+def _cell_covariances(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray,
+                      owner_sum: sp.csr_matrix):
+    """(V, 3, 3) sums of e_rest e_def^T over each cell's directed edges,
+    with the (2E, 3) directed rest and deformed edge vectors."""
     i, j = edges[:, 0], edges[:, 1]
     e_rest = np.concatenate([rest[i] - rest[j], rest[j] - rest[i]])
     e_def = np.concatenate([deformed[i] - deformed[j], deformed[j] - deformed[i]])
-    owner = np.concatenate([i, j])
-    s = np.zeros((n_vertices, 3, 3))
-    np.add.at(s, owner, e_rest[:, :, None] * e_def[:, None, :])
+    outer = (e_rest[:, :, None] * e_def[:, None, :]).reshape(-1, 9)
+    return (owner_sum @ outer).reshape(-1, 3, 3), e_rest, e_def
+
+
+def _arap_rotations(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray,
+                    owner_sum: sp.csr_matrix):
+    """Per-cell optimal rotations (orthogonal Procrustes with det +1)."""
+    s, e_rest, e_def = _cell_covariances(rest, deformed, edges, owner_sum)
+    owner = np.concatenate([edges[:, 0], edges[:, 1]])
     degenerate = np.linalg.norm(s, axis=(1, 2)) < 1e-30
     if degenerate.any():
         _LOGGER.warning("%d degenerate cells skipped in rigidity energy",
@@ -184,13 +218,15 @@ def _arap_rotations(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray,
         r[flip] = np.transpose(vt_f, (0, 2, 1)) @ np.transpose(u[flip], (0, 2, 1))
     # the SVD of an unmoved cell rounds to a rotation a few ulp off identity
     moved = np.any(e_def != e_rest, axis=1)
-    r[np.bincount(owner, weights=moved, minlength=n_vertices) == 0] = np.eye(3)
+    r[np.bincount(owner, weights=moved, minlength=s.shape[0]) == 0] = np.eye(3)
     return r, owner, e_rest, e_def
 
 
-def _arap_local(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray):
-    """(energy, per-cell rotations) at the deformed positions."""
-    r, owner, e_rest, e_def = _arap_rotations(rest, deformed, edges, rest.shape[0])
+def _arap_local(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray,
+                owner_sum: sp.csr_matrix):
+    """(energy, per-cell rotations) at the deformed positions; ``owner_sum``
+    is ``_owner_sum`` of the edges, built once per topology."""
+    r, owner, e_rest, e_def = _arap_rotations(rest, deformed, edges, owner_sum)
     residual = e_def - np.einsum("nab,nb->na", r[owner], e_rest)
     return float(np.sum(residual**2)), r
 
@@ -204,7 +240,8 @@ def arap_energy(rest: TriMesh, deformed_positions: np.ndarray) -> float:
     if deformed_positions.shape != rest.positions.shape:
         raise ArgumentError("deformed positions must match rest topology")
     edges = edge_set(rest).edges.astype(np.int64)
-    return _arap_local(rest.positions, deformed_positions, edges)[0]
+    return _arap_local(rest.positions, deformed_positions, edges,
+                       _owner_sum(edges, rest.n_vertices))[0]
 
 
 class _GlobalStep:
@@ -244,7 +281,9 @@ class _GlobalStep:
         # a component without a pair is free to translate in L, so its solve
         # is arbitrary: it stays where it is, bit for bit
         live = np.flatnonzero(np.isin(self._component, self._component[src_idx]))
-        system = (self._four_w_lap + sp.diags(diag, format="csr"))[live][:, live]
+        system = self._four_w_lap + sp.diags(diag, format="csr")
+        if live.size < x.shape[0]:
+            system = system[live][:, live]
         out = x.copy()
         out[live] = splu(system.tocsc()).solve(rhs[live])
         return out
@@ -276,6 +315,7 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     rest = source.positions
     edges = edge_set(source).edges.astype(np.int64)
     global_step = _GlobalStep(rest, edges, config.arap_weight)
+    owner_sum = _owner_sum(edges, source.n_vertices)
     target_faces = _face_clusters(target)  # the target never moves
     x = best_x = rest.copy()
     best_loss = prev_loss = np.inf
@@ -292,7 +332,7 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
             return RefineResult(mesh=source, before=before, after=before,
                                 diverged=False, iterations=1)
         y = target.positions[tgt_idx]
-        energy, rot = _arap_local(rest, x, edges)
+        energy, rot = _arap_local(rest, x, edges, owner_sum)
         loss = float(np.linalg.norm(x[src_idx] - y, axis=1).sum()) \
             + config.arap_weight * energy
         if loss < best_loss:

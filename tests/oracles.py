@@ -1,10 +1,13 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately naive (loops, dense math, classic textbook
-iterations) and shares no code with the library paths it checks. The
-autodiff references at the end are the exception: they compose the fused
-tape nodes out of the primitive ones, whose own gradients the tests check
-(the upsampling one takes its interpolation matrices from the model).
+iterations) and shares no code with the library paths it checks. There are
+two exceptions. ``points_interior_uncut`` casts its rays with the library's
+``ray_crossings``, which has oracles of its own, because what it checks is
+the box cull around that kernel. The autodiff references at the end compose
+the fused tape nodes out of the primitive ones, whose own gradients the
+tests check (the upsampling one takes its interpolation matrices from the
+model).
 """
 from __future__ import annotations
 
@@ -13,7 +16,9 @@ import math
 import numpy as np
 
 from specmesh import autodiff as ad
+from specmesh.kernels import ray_crossings
 from specmesh.model import _interp_matrix
+from specmesh.refine import MAX_RAY_RETRIES
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
@@ -246,6 +251,43 @@ def point_triangle_dists_dense(points, tri):
         dists = np.linalg.norm(p - closest, axis=2)
         out[lo:hi] = dists.min(axis=1)
     return out
+
+
+def points_interior_uncut(points, faces, seed: int):
+    """Ray-parity interior flags with every point casting rays, box or not.
+
+    The retry rounds of ``refine.points_interior`` without its bounding-box
+    cull: each round draws one seeded unit direction per unresolved point,
+    and grazing points retry up to MAX_RAY_RETRIES times. ``faces`` is a
+    ``FaceClusters``. Returns (interior flags, unresolved count).
+    """
+    rng = np.random.default_rng(seed)
+    interior = np.zeros(len(points), dtype=bool)
+    active = np.arange(len(points))
+    for _ in range(MAX_RAY_RETRIES):
+        if active.size == 0:
+            break
+        d = rng.normal(size=(active.size, 3))
+        d = d / np.linalg.norm(d, axis=1, keepdims=True)
+        counts, grazing = ray_crossings(points[active], d, faces)
+        ok = grazing == 0
+        interior[active[ok]] = counts[ok] % 2 == 1
+        active = active[~ok]
+    return interior, int(active.size)
+
+
+def arap_covariances_add_at(rest, deformed, edges):
+    """(V, 3, 3) per-cell sums of e_rest e_def^T, scattered by ``np.add.at``.
+
+    Each edge (i, j) adds its i -> j outer product to cell i and its j -> i
+    one to cell j, all i -> j first, in edge order.
+    """
+    i, j = edges[:, 0], edges[:, 1]
+    e_rest = np.concatenate([rest[i] - rest[j], rest[j] - rest[i]])
+    e_def = np.concatenate([deformed[i] - deformed[j], deformed[j] - deformed[i]])
+    s = np.zeros((rest.shape[0], 3, 3))
+    np.add.at(s, np.concatenate([i, j]), e_rest[:, :, None] * e_def[:, None, :])
+    return s
 
 
 def edge_loss_direct(lengths) -> float:

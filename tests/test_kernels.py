@@ -113,6 +113,15 @@ class TestFaceClusters:
             assert len(kernels.FaceClusters(tri)) == len(tri)
         assert len(kernels.FaceClusters(np.zeros((0, 3, 3)))) == 0
 
+    def test_box_is_corner_min_and_max(self):
+        for make in RAY_FIXTURES.values():
+            tri = make()[2]
+            faces = kernels.FaceClusters(tri)
+            assert np.array_equal(faces.lo, tri.reshape(-1, 3).min(axis=0))
+            assert np.array_equal(faces.hi, tri.reshape(-1, 3).max(axis=0))
+        empty = kernels.FaceClusters(np.zeros((0, 3, 3)))
+        assert empty.lo.tolist() == [np.inf] * 3 and empty.hi.tolist() == [-np.inf] * 3
+
     def test_one_object_serves_every_call(self):
         # a call must leave the prepared arrays as it found them
         pts, dirs, tri = _fixture_around_sphere()

@@ -199,6 +199,22 @@ class TestHandTemplateSize:
         assert int(np.sum(counts == 1)) == 28  # the wrist
         assert union_find_components(mesh.n_vertices, edge_set(mesh).edges) == 1
 
+    @pytest.mark.parametrize("rings", [1, 4, 142])
+    def test_consistently_wound(self, rings):
+        # each interior edge runs once each way; only the wrist's run once
+        n_vertices = 47 + 28 * rings
+        mesh = hand_template(n_vertices)
+        f = mesh.faces.astype(np.int64)
+        directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+        uses = set(map(tuple, directed.tolist()))
+        assert len(uses) == len(directed)
+        once = [e for e in uses if e[::-1] not in uses]
+        assert len(once) == 28
+        assert set(np.ravel(once)) == set(range(n_vertices - 28, n_vertices))
+        # and outward: the fingertip cap, the first 32 quads, faces +z
+        tri = mesh.positions[f[:64]]
+        assert np.all(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])[:, 2] > 0)
+
     @pytest.mark.parametrize("n_vertices, nearest",
                              [(160, "159, 187"), (100, "75, 103"), (47, "75"), (0, "75")])
     def test_other_counts_name_the_nearest(self, n_vertices, nearest):

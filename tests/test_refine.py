@@ -1,11 +1,23 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oracles import collision_loss_loop, sphere_contains
+import specmesh
+from oracles import (
+    arap_covariances_add_at,
+    collision_loss_loop,
+    points_interior_uncut,
+    sphere_contains,
+)
 from specmesh import kernels, refine
 from specmesh.errors import ArgumentError
 from specmesh.meshes import TriMesh, edge_set
-from specmesh.primitives import apply_rigid, cube, icosphere, rotation_matrix
+from specmesh.primitives import apply_rigid, cube, hand_template, icosphere, rotation_matrix
 from specmesh.refine import (
     CollisionMask,
     RefineConfig,
@@ -78,6 +90,115 @@ class TestPointInMesh:
         interior, failures = points_interior(corner, refine._face_clusters(c), seed=0)
         assert failures == 1
         assert not interior[0]
+
+
+def point_in_mesh_fixtures():
+    """(points, mesh, seed) of each TestPointInMesh case."""
+    rng = np.random.default_rng(0)
+    c = cube(1.0, center=(0.2, -0.1, 0.3))
+    cases = [(c.positions.mean(axis=0)[None], c, 0),
+             (np.array([[10.0, 10.0, 10.0]]), cube(1.0), 0),
+             (rng.uniform(-1.3, 1.3, size=(1000, 3)), icosphere(3), 3),
+             (cube(1.0).positions[:1], cube(1.0), 0)]
+    rng = np.random.default_rng(1)
+    pts = rng.uniform(-0.8, 0.8, size=(64, 3))
+    pts = pts[np.abs(np.linalg.norm(pts, axis=1) - 0.5) > 1e-4]
+    cases += [(pts, icosphere(2, radius=0.5), seed) for seed in range(16)]
+    return cases
+
+
+# perfbench's refine_pairs placements: 642-vertex spheres of 50 mm radius,
+# 87.5 mm apart in three directions that meet the triangles differently
+PAIR_DIRECTIONS = [(1.0, 0.0, 0.0), (0.0, 0.6, 0.8), (0.48, -0.6, 0.64)]
+
+
+class TestBoxCull:
+    """``points_interior`` casts no ray from a point beyond the target's box."""
+
+    def test_flags_equal_uncut_on_point_in_mesh_fixtures(self):
+        for points, mesh, seed in point_in_mesh_fixtures():
+            faces = refine._face_clusters(mesh)
+            got = points_interior(points, faces, seed)
+            want = points_interior_uncut(points, faces, seed)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    @pytest.mark.parametrize("direction", PAIR_DIRECTIONS)
+    def test_flags_equal_uncut_on_overlapping_pairs(self, direction):
+        target = icosphere(3, radius=0.05)
+        source = target.with_positions(target.positions + 0.0875 * np.array(direction))
+        for a, b in ((source, target), (target, source)):
+            faces = refine._face_clusters(b)
+            interior, failures = points_interior(a.positions, faces, seed=0)
+            want, want_failures = points_interior_uncut(a.positions, faces, seed=0)
+            assert np.array_equal(interior, want) and failures == want_failures
+            assert interior.any() and not interior.all()
+
+    def test_points_beyond_the_slack_cast_no_ray(self, monkeypatch):
+        target = icosphere(2, radius=0.5, center=(0.1, -0.2, 0.3))
+        faces = refine._face_clusters(target)
+        slack = refine._BOX_SLACK * (1.0 + np.abs(faces.lo) + np.abs(faces.hi))
+        extreme = target.positions[np.argmax(target.positions[:, 0])]
+        assert extreme[0] == faces.hi[0]
+        beyond = np.array([extreme + [2.0 * slack[0], 0.0, 0.0],
+                           [faces.lo[0] - 2.0 * slack[0], 0.3, 0.3],
+                           [0.1, faces.hi[1] + 0.1, 0.3],
+                           [0.1, -0.2, faces.lo[2] - 1.0]])
+        within = np.array([extreme + [0.5 * slack[0], 0.0, 0.0], [0.1, -0.2, 0.3]])
+        cast = []
+        ray_crossings = refine.ray_crossings
+        monkeypatch.setattr(refine, "ray_crossings",
+                            lambda *args: cast.extend(map(tuple, args[0])) or ray_crossings(*args))
+        interior, _ = points_interior(np.concatenate([beyond, within]), faces, seed=0)
+        assert not interior[:len(beyond)].any() and interior[-1]
+        assert not set(map(tuple, beyond)) & set(cast)
+        assert set(map(tuple, within)) <= set(cast)
+        # the target's extreme vertex lies on the box: it casts, grazes and
+        # is reported unresolved, as with no cull
+        cast.clear()
+        interior, failures = points_interior(extreme[None], faces, seed=0)
+        assert len(cast) == refine.MAX_RAY_RETRIES
+        assert failures == 1 and not interior[0]
+
+    def test_empty_soup_is_all_exterior_with_no_ray(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(refine, "ray_crossings", lambda *args: calls.append(args))
+        pts = np.random.default_rng(2).uniform(-1.0, 1.0, size=(10, 3))
+        interior, failures = points_interior(pts, kernels.FaceClusters(np.zeros((0, 3, 3))), 0)
+        assert not interior.any() and failures == 0
+        assert calls == []
+
+
+# Refines one overlapping pair of 642-vertex spheres and prints, as JSON, a
+# hash of the refined positions, both reports, the iteration count and
+# the divergence flag.
+REFINE_SCRIPT = """
+import hashlib, json
+import numpy as np
+from specmesh import primitives, refine
+
+target = primitives.icosphere(3, radius=0.05)
+source = target.with_positions(target.positions + 0.0875 * np.array([0.48, -0.6, 0.64]))
+result = refine.refine_mesh(source, target, refine.RefineConfig(max_iters=30))
+print(json.dumps({"positions": hashlib.sha256(result.mesh.positions.tobytes()).hexdigest(),
+                  "before": result.before.to_dict(), "after": result.after.to_dict(),
+                  "iterations": result.iterations, "diverged": result.diverged}))
+"""
+
+
+def test_refine_mesh_independent_of_blas_threads():
+    src = str(Path(specmesh.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", REFINE_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    one, two = runs
+    assert one["before"]["max_penetration_mm"] > one["after"]["max_penetration_mm"]
+    assert one == two
 
 
 class TestCollisionMask:
@@ -195,6 +316,16 @@ class TestArap:
         wiggled = ico162.positions + rng.normal(scale=0.05, size=ico162.positions.shape)
         assert arap_energy(ico162, wiggled) >= 0.0
 
+    @pytest.mark.parametrize("mesh", [icosphere(2), hand_template(159)], ids=["ico", "hand"])
+    def test_covariances_equal_add_at(self, mesh):
+        # the owner matrix's product sums each cell's rows as np.add.at does
+        edges = edge_set(mesh).edges.astype(np.int64)
+        rng = np.random.default_rng(4)
+        deformed = mesh.positions + rng.normal(scale=0.01, size=mesh.positions.shape)
+        got, _, _ = refine._cell_covariances(mesh.positions, deformed, edges,
+                                             refine._owner_sum(edges, mesh.n_vertices))
+        assert np.array_equal(got, arap_covariances_add_at(mesh.positions, deformed, edges))
+
     def test_shape_mismatch_rejected(self, ico162):
         with pytest.raises(ArgumentError):
             arap_energy(ico162, ico162.positions[:-1])
@@ -238,6 +369,7 @@ class TestRefineMesh:
         weight = 1.0
         edges = edge_set(a).edges.astype(np.int64)
         step = refine._GlobalStep(a.positions, edges, weight)
+        owner_sum = refine._owner_sum(edges, a.n_vertices)
         x = a.positions
         b_faces = refine._face_clusters(b)
         steps = 0
@@ -248,7 +380,7 @@ class TestRefineMesh:
             if src_idx.size == 0:
                 break
             y = b.positions[tgt_idx]
-            energy, rot = refine._arap_local(a.positions, x, edges)
+            energy, rot = refine._arap_local(a.positions, x, edges, owner_sum)
             held_before = np.linalg.norm(x[src_idx] - y, axis=1).sum() + weight * energy
             x = step(x, rot, src_idx, y)
             held_after = (np.linalg.norm(x[src_idx] - y, axis=1).sum()
