@@ -25,8 +25,6 @@ import math
 import numpy as np
 
 from .errors import ArgumentError
-from .filters import chebyshev_filter as _cheb_forward
-from .filters import filter_gradient as _cheb_backward
 
 
 class Tensor:
@@ -426,20 +424,47 @@ def upconv3x3(x: Tensor, weight: Tensor, taps) -> Tensor:
                   (x, weight), backward)
 
 
-def cheb_filter(scaled_l, theta: Tensor, signal: Tensor) -> Tensor:
-    """Chebyshev spectral filtering as a differentiable primitive.
+def _cheb_basis(scaled_l, x: np.ndarray, order: int) -> list[np.ndarray]:
+    """T_0(L~) x .. T_{order-1}(L~) x by the recurrence T_k = 2 L~ T_{k-1} - T_{k-2}."""
+    basis = [x]
+    if order >= 2:
+        basis.append(scaled_l @ x)
+    for _ in range(2, order):
+        basis.append(2.0 * (scaled_l @ basis[-1]) - basis[-2])
+    return basis
 
-    ``scaled_l`` is the rescaled Laplacian as a CSR matrix. Forward and
-    adjoint delegate to the filter module's recurrence and its analytic
-    gradient.
+
+def cheb_filter(scaled_l, theta: Tensor, signal: Tensor) -> Tensor:
+    """Chebyshev spectral graph filtering, sum_k T_k(L~) signal theta_k, one tape node.
+
+    The filter g(lam) = sum_k theta_k T_k(2 lam / lam_max - 1) of Defferrard
+    et al. (2016) is evaluated by the T_k recurrence, without eigenvectors.
+    ``scaled_l`` is the Laplacian already rescaled into [-1, 1], as a CSR
+    matrix; theta is (order, F_in, F_out), signal (|V|, F_in) and the result
+    (|V|, F_out). The node keeps the forward's basis for theta's gradient.
+    L~ is symmetric, so the signal's gradient is the same recurrence run on
+    the upstream gradient.
+
+    Raises:
+        ArgumentError: shape mismatch between theta, signal, and operator.
     """
-    out_data = _cheb_forward(scaled_l, theta.data, signal.data)
+    n = scaled_l.shape[0]
+    if theta.ndim != 3 or signal.shape != (n, theta.shape[1]):
+        raise ArgumentError(f"cheb_filter needs an (order, F_in, F_out) theta and an "
+                            f"({n}, F_in) signal, got {theta.shape} and {signal.shape}")
+    order = theta.shape[0]
+    basis = _cheb_basis(scaled_l, signal.data, order)
+    out_data = np.zeros((n, theta.shape[2]))
+    for k, tk in enumerate(basis):
+        out_data += tk @ theta.data[k]
 
     def backward(g):
-        grad_theta, grad_signal = _cheb_backward(scaled_l, theta.data, signal.data, g)
         if theta.requires_grad:
-            _accumulate(theta, grad_theta)
+            _accumulate(theta, np.stack([tk.T @ g for tk in basis], axis=0))
         if signal.requires_grad:
+            grad_signal = np.zeros_like(signal.data)
+            for k, gk in enumerate(_cheb_basis(scaled_l, g, order)):
+                grad_signal += gk @ theta.data[k].T
             _accumulate(signal, grad_signal)
 
     return Tensor(out_data, _needs(theta, signal), (theta, signal), backward)

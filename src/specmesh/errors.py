@@ -1,6 +1,6 @@
 """Exception hierarchy shared by every specmesh module.
 
-The CLI maps these onto its exit-code contract:
+The planned CLI (ROADMAP Must-fix 3) will map these onto its exit codes:
 parse errors -> 2, argument/structural errors -> 3, numerical aborts -> 4.
 """
 
@@ -10,7 +10,7 @@ class SpecmeshError(Exception):
 
 
 class ParseError(SpecmeshError):
-    """Malformed input file (OBJ record, config JSON, tensor file)."""
+    """Malformed input file (OBJ record, config JSON, checkpoint tensors)."""
 
 
 class ArgumentError(SpecmeshError):

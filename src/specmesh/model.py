@@ -17,6 +17,8 @@ import functools
 import hashlib
 import json
 import math
+import zipfile
+import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -25,13 +27,11 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .errors import ArgumentError, NumericalError, ParseError
-from .filters import init_theta
 from .graphs import build_mesh_graph, lambda_max, laplacian, scaled_laplacian
 from .meshes import subsample_to_count
 from .primitives import hand_template, mirror_x
 from .pyramid import GraphPyramid, build_pyramid
 from .segmentation import segment
-from .tensorfile import load_tensor, save_tensor
 
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
@@ -232,7 +232,8 @@ def init_parameters(config: ModelConfig, assets: TemplateAssets) -> dict:
             par(f"dec{h}_up{i}_w", _uniform(rng, prev, (size, prev)))
             par(f"dec{h}_up{i}_b", np.zeros((size, 3)))
             if i + 1 < len(sizes):
-                par(f"dec{h}_cheb{i}", init_theta(config.cheb_order, 3, 3, rng))
+                par(f"dec{h}_cheb{i}", _uniform(rng, 3 * config.cheb_order,
+                                                  (config.cheb_order, 3, 3)))
             prev = size
     return p
 
@@ -542,43 +543,54 @@ def train_step(params: dict, opt: ad.Adam, batch, assets: TemplateAssets,
 
 def save_checkpoint(directory: str | Path, params: dict, config: ModelConfig,
                     bn_state: dict) -> None:
-    """Binary tensors (float64 SGTF) plus a JSON manifest with config hash."""
+    """Write ``manifest.json`` (the config and its hash) and an uncompressed
+    ``tensors.npz``: each parameter under its own name, each batch-norm
+    statistic as ``bn/<layer>/<mean|var>``, all float64 and bit-exact.
+    No optimizer state is saved: Adam's ``m``, ``v`` and ``t`` restart on resume.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    tensor_dir = directory / "tensors"
-    tensor_dir.mkdir(exist_ok=True)
-    names = {}
-    for i, name in enumerate(sorted(params)):
-        fname = f"t{i:04d}.sgtf"
-        save_tensor(tensor_dir / fname, params[name].data)
-        names[name] = fname
-    bn_payload = {}
+    tensors = {name: params[name].data for name in sorted(params)}
     for key, stats in sorted(bn_state.items()):
-        for stat in ("mean", "var"):
-            fname = f"bn_{key}_{stat}.sgtf"
-            save_tensor(tensor_dir / fname, stats[stat])
-            bn_payload.setdefault(key, {})[stat] = fname
-    manifest = {
-        "config": config.to_dict(),
-        "config_hash": config.config_hash(),
-        "tensors": names,
-        "bn_state": bn_payload,
-    }
+        tensors.update({f"bn/{key}/{stat}": stats[stat] for stat in ("mean", "var")})
+    np.savez(directory / "tensors.npz", **tensors)
+    manifest = {"config": config.to_dict(), "config_hash": config.config_hash()}
     (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
 
 
 def load_checkpoint(directory: str | Path):
-    """Returns (params, config, bn_state); tensors round-trip bit-exactly."""
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    config = ModelConfig.from_dict(manifest["config"])
-    if config.config_hash() != manifest["config_hash"]:
+    """Returns (params, config, bn_state) as :func:`save_checkpoint` wrote them,
+    bit-exactly. There is no optimizer state: a new ``Adam`` starts at step 0.
+
+    Raises:
+        ParseError: ``manifest.json`` or ``tensors.npz`` is missing or
+            malformed, naming the file.
+        ArgumentError: the manifest's config does not match its hash.
+    """
+    path = Path(directory) / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+        config = ModelConfig.from_dict(manifest["config"])
+        expected_hash = manifest["config_hash"]
+    except (OSError, ValueError, KeyError, TypeError, ParseError) as exc:
+        raise ParseError(f"{path}: malformed checkpoint manifest: {exc!r}") from exc
+    if config.config_hash() != expected_hash:
         raise ArgumentError("checkpoint manifest hash mismatch")
-    params = {}
-    for name, fname in manifest["tensors"].items():
-        params[name] = ad.parameter(load_tensor(directory / "tensors" / fname), name=name)
-    bn_state = {}
-    for key, stats in manifest.get("bn_state", {}).items():
-        bn_state[key] = {stat: load_tensor(directory / "tensors" / fname)
-                         for stat, fname in stats.items()}
+    path = path.with_name("tensors.npz")
+    params, bn_state = {}, {}
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            for key in archive.files:
+                array = archive[key]  # bytes for a member that is not a .npy file
+                if not isinstance(array, np.ndarray) or array.dtype != np.float64:
+                    raise ParseError(f"{path}: tensor {key!r} is not a float64 array")
+                if key.startswith("bn/"):
+                    layer, _, stat = key[len("bn/"):].partition("/")
+                    bn_state.setdefault(layer, {})[stat] = array
+                else:
+                    params[key] = ad.parameter(array, name=key)  # C order, as Adam needs
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ParseError(f"{path}: unreadable tensor archive: {exc!r}") from exc
+    if any(sorted(stats) != ["mean", "var"] for stats in bn_state.values()):
+        raise ParseError(f"{path}: batch-norm statistics are not one mean and one var per layer")
     return params, config, bn_state

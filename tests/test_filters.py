@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import random_mesh_graph
-from oracles import central_difference, dense_chebyshev_reference
+from oracles import dense_chebyshev_reference
+from specmesh import autodiff as ad
+from specmesh import model as M
 from specmesh.errors import ArgumentError
-from specmesh.filters import chebyshev_filter, filter_gradient, init_theta
-from specmesh.graphs import eigendecompose, lambda_max, laplacian, scaled_laplacian
+from specmesh.graphs import eigendecompose, graph_from_edges, lambda_max, laplacian, scaled_laplacian
+
+
+def _theta(order, f_in, f_out, rng):
+    bound = 1.0 / np.sqrt(order * f_in)
+    return rng.uniform(-bound, bound, size=(order, f_in, f_out))
 
 
 def _full_setup(n, seed, f_in=3, f_out=3, order=3):
@@ -15,22 +21,34 @@ def _full_setup(n, seed, f_in=3, f_out=3, order=3):
     scaled = scaled_laplacian(lap, lam)
     spectrum = eigendecompose(lap, n)
     rng = np.random.default_rng(seed + 1000)
-    theta = init_theta(order, f_in, f_out, rng)
+    theta = _theta(order, f_in, f_out, rng)
     signal = rng.normal(size=(n, f_in))
     return lap, lam, scaled, spectrum, theta, signal
+
+
+def cheb(scaled, theta, signal) -> np.ndarray:
+    """The filter's forward value on constant inputs."""
+    return ad.cheb_filter(scaled, ad.constant(theta), ad.constant(signal)).data
+
+
+def cheb_grads(scaled, theta, signal, upstream):
+    """(grad_theta, grad_signal) of sum(cheb_filter * upstream), through backward()."""
+    t, x = ad.parameter(theta), ad.parameter(signal)
+    (ad.cheb_filter(scaled, t, x) * ad.constant(upstream)).sum().backward()
+    return t.grad, x.grad
 
 
 class TestChebyshevFilter:
     def test_order_one_identity_map(self):
         _, _, scaled, _, _, signal = _full_setup(18, seed=5)
         theta = np.eye(3)[None, :, :]
-        out = chebyshev_filter(scaled, theta, signal)
+        out = cheb(scaled, theta, signal)
         assert np.max(np.abs(out - signal)) < 1e-12
 
     @pytest.mark.parametrize("order", [3, 4, 5, 6])
     def test_matches_dense_oracle(self, order):
         lap, lam, scaled, _, theta, signal = _full_setup(50, seed=6, order=order)
-        fast = chebyshev_filter(scaled, theta, signal)
+        fast = cheb(scaled, theta, signal)
         reference = dense_chebyshev_reference(lap.toarray(), lam, theta, signal)
         assert np.linalg.norm(fast - reference) / np.linalg.norm(reference) < 1e-5
 
@@ -39,8 +57,8 @@ class TestChebyshevFilter:
         rng = np.random.default_rng(8)
         other = rng.normal(size=signal.shape)
         a, b = 0.7, -1.3
-        combined = chebyshev_filter(scaled, theta, a * signal + b * other)
-        split = a * chebyshev_filter(scaled, theta, signal) + b * chebyshev_filter(scaled, theta, other)
+        combined = cheb(scaled, theta, a * signal + b * other)
+        split = a * cheb(scaled, theta, signal) + b * cheb(scaled, theta, other)
         assert np.max(np.abs(combined - split)) < 1e-9
 
     def test_recurrence_bounded_in_eigenbasis(self):
@@ -55,49 +73,32 @@ class TestChebyshevFilter:
     def test_shape_mismatch_rejected(self):
         _, _, scaled, _, theta, signal = _full_setup(10, seed=10)
         with pytest.raises(ArgumentError):
-            chebyshev_filter(scaled, theta, signal[:, :2])
+            cheb(scaled, theta, signal[:, :2])
         with pytest.raises(ArgumentError):
-            chebyshev_filter(scaled, theta, signal[:-1])
+            cheb(scaled, theta, signal[:-1])
+        with pytest.raises(ArgumentError):
+            cheb(scaled, theta[0], signal)
 
 
 class TestFilterGradient:
+    # finite differences of cheb_filter: tests/test_autodiff.py::TestChebPrimitive
+
     def test_zero_upstream_zero_grads(self):
         _, _, scaled, _, theta, signal = _full_setup(12, seed=11)
-        gt, gs = filter_gradient(scaled, theta, signal, np.zeros((12, 3)))
+        gt, gs = cheb_grads(scaled, theta, signal, np.zeros((12, 3)))
         assert np.all(gt == 0)
         assert np.all(gs == 0)
-
-    def test_matches_finite_differences(self):
-        _, _, scaled, _, theta, signal = _full_setup(14, seed=12, f_in=2, f_out=3)
-        rng = np.random.default_rng(13)
-        probe = rng.normal(size=(14, 3))
-        gt, gs = filter_gradient(scaled, theta, signal, probe)
-
-        def loss_theta(th):
-            return float(np.sum(chebyshev_filter(scaled, th, signal) * probe))
-
-        def loss_signal(x):
-            return float(np.sum(chebyshev_filter(scaled, theta, x) * probe))
-
-        num_t = central_difference(loss_theta, theta.copy(), h=1e-4)
-        num_s = central_difference(loss_signal, signal.copy(), h=1e-4)
-        rel_t = np.abs(gt - num_t) / np.maximum.reduce([np.abs(gt), np.abs(num_t), np.full_like(gt, 1e-6)])
-        rel_s = np.abs(gs - num_s) / np.maximum.reduce([np.abs(gs), np.abs(num_s), np.full_like(gs, 1e-6)])
-        assert rel_t.max() < 1e-4
-        assert rel_s.max() < 1e-4
 
     def test_symmetry_preserved(self):
         # symmetric operator + symmetric perturbation pattern: gradient wrt a
         # signal shared by two symmetric vertices stays equal
-        from specmesh.graphs import graph_from_edges
-
         g = graph_from_edges(np.zeros((4, 3)), [(0, 1), (1, 2), (2, 3), (3, 0)])
         lap = laplacian(g)
         scaled = scaled_laplacian(lap, lambda_max(lap))
-        theta = init_theta(3, 1, 1, np.random.default_rng(0))
+        theta = _theta(3, 1, 1, np.random.default_rng(0))
         signal = np.array([[1.0], [2.0], [1.0], [2.0]])
         upstream = np.array([[1.0], [1.0], [1.0], [1.0]])
-        _, gs = filter_gradient(scaled, theta, signal, upstream)
+        _, gs = cheb_grads(scaled, theta, signal, upstream)
         # vertices 0/2 and 1/3 are interchangeable in C4 with this signal
         assert abs(gs[0, 0] - gs[2, 0]) < 1e-12
         assert abs(gs[1, 0] - gs[3, 0]) < 1e-12
@@ -105,6 +106,11 @@ class TestFilterGradient:
 
 class TestSpecValidation:
     def test_theta_init_bounds(self):
-        theta = init_theta(3, 4, 5, np.random.default_rng(0))
-        assert theta.shape == (3, 4, 5)
-        assert np.max(np.abs(theta)) <= 1.0 / np.sqrt(12)
+        config = M.toy_config()
+        params = M.init_parameters(config, M.build_assets(config))
+        cheb_names = [name for name in params if name.startswith("dec") and "_cheb" in name]
+        assert len(cheb_names) == 2 * (len(config.decoder_sizes) - 1)
+        for name in cheb_names:
+            theta = params[name].data
+            assert theta.shape == (config.cheb_order, 3, 3)
+            assert np.max(np.abs(theta)) <= 1.0 / np.sqrt(3 * config.cheb_order)

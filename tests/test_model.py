@@ -205,6 +205,112 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="template"):
             M.load_checkpoint(tmp_path)
 
+    @pytest.mark.parametrize("text", [
+        "not json",
+        "{}",
+        json.dumps({"config": {"n_views": "x"}, "config_hash": "0"}),
+        json.dumps({"config": {"decoder_sizes": 5}, "config_hash": "0"}),
+    ])
+    def test_malformed_manifest_is_parse_error(self, trained_toy, tmp_path, text):
+        config, params, bn_state = trained_toy
+        M.save_checkpoint(tmp_path, params, config, bn_state)
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(ParseError, match="manifest.json"):
+            M.load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 5), (0, 4), ()])
+    def test_special_values_roundtrip_bit_exact(self, tmp_path, shape):
+        payload_nan = np.frombuffer(np.uint64(0x7FF8_0000_DEAD_BEEF).tobytes(), np.float64)[0]
+        specials = [-0.0, np.inf, -np.inf, 5e-324, payload_nan, -5e-324]
+        x = np.random.default_rng(0).normal(size=shape)
+        flat = x.reshape(-1)
+        flat[:len(specials)] = specials[:flat.size]
+        M.save_checkpoint(tmp_path, {"x": ad.parameter(x)}, M.toy_config(),
+                          {"bn": {"mean": x, "var": -x}})
+        params, _, bn_state = M.load_checkpoint(tmp_path)
+        for loaded, saved in ((params["x"].data, x), (bn_state["bn"]["mean"], x),
+                              (bn_state["bn"]["var"], -x)):
+            assert loaded.dtype == np.float64 and loaded.shape == shape
+            assert loaded.tobytes() == saved.tobytes()
+
+    def test_directory_holds_manifest_and_npz(self, trained_toy, tmp_path):
+        config, params, bn_state = trained_toy
+        M.save_checkpoint(tmp_path, params, config, bn_state)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "tensors.npz"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert sorted(manifest) == ["config", "config_hash"]
+        with np.load(tmp_path / "tensors.npz") as archive:
+            bn_keys = {f"bn/{key}/{stat}" for key in bn_state for stat in ("mean", "var")}
+            assert set(archive.files) == set(params) | bn_keys
+
+    def test_not_a_zip_is_parse_error(self, trained_toy, tmp_path):
+        config, params, bn_state = trained_toy
+        M.save_checkpoint(tmp_path, params, config, bn_state)
+        for blob in (b"", b"not a zip archive"):
+            (tmp_path / "tensors.npz").write_bytes(blob)
+            with pytest.raises(ParseError, match="tensors.npz"):
+                M.load_checkpoint(tmp_path)
+        (tmp_path / "tensors.npz").unlink()
+        with pytest.raises(ParseError, match="tensors.npz"):
+            M.load_checkpoint(tmp_path)
+
+    def test_truncated_npz_is_parse_error(self, trained_toy, tmp_path):
+        config, params, bn_state = trained_toy
+        M.save_checkpoint(tmp_path, params, config, bn_state)
+        path = tmp_path / "tensors.npz"
+        blob = path.read_bytes()
+        for size in (len(blob) - 1, len(blob) // 2, 100):
+            path.write_bytes(blob[:size])
+            with pytest.raises(ParseError, match="tensors.npz"):
+                M.load_checkpoint(tmp_path)
+
+    def test_corrupt_deflate_stream_is_parse_error(self, trained_toy, tmp_path):
+        config, params, bn_state = trained_toy
+        M.save_checkpoint(tmp_path, params, config, bn_state)
+        path = tmp_path / "tensors.npz"
+        np.savez_compressed(path, x=np.ones(100))
+        blob = bytearray(path.read_bytes())
+        name_len, extra_len = (int.from_bytes(blob[i:i + 2], "little") for i in (26, 28))
+        blob[30 + name_len + extra_len] = 0x07  # first deflate block: reserved type 3
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="tensors.npz"):
+            M.load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("array", [
+        np.array([1.0, "a"], dtype=object),
+        np.arange(3, dtype=np.int64),
+        np.ones(3, dtype=np.float32),
+    ], ids=["object", "int64", "float32"])
+    def test_non_float64_array_is_parse_error(self, trained_toy, tmp_path, array):
+        config, params, bn_state = trained_toy
+        M.save_checkpoint(tmp_path, params, config, bn_state)
+        np.savez(tmp_path / "tensors.npz", x=array)
+        with pytest.raises(ParseError, match="tensors.npz"):
+            M.load_checkpoint(tmp_path)
+
+    def test_bad_batch_norm_keys_are_parse_errors(self, trained_toy, tmp_path):
+        config, params, bn_state = trained_toy
+        M.save_checkpoint(tmp_path, params, config, bn_state)
+        for key in ("bn/a/b/mean", "bn/a/std", "bn/a/mean"):
+            np.savez(tmp_path / "tensors.npz", **{key: np.ones(3)})
+            with pytest.raises(ParseError, match="tensors.npz"):
+                M.load_checkpoint(tmp_path)
+
+    def test_transposed_parameter_loads_c_contiguous_and_trains(self, trained_toy, tmp_path):
+        config, params, bn_state = trained_toy
+        saved = {name: ad.Tensor(t.data, requires_grad=True) for name, t in params.items()}
+        saved["project_w"] = ad.Tensor(params["project_w"].data.T.copy().T, requires_grad=True)
+        assert not saved["project_w"].data.flags.c_contiguous
+        M.save_checkpoint(tmp_path, saved, config, bn_state)
+        loaded, loaded_config, loaded_bn = M.load_checkpoint(tmp_path)
+        assert np.array_equal(loaded["project_w"].data, params["project_w"].data)
+        assert all(t.data.flags.c_contiguous for t in loaded.values())
+        assets = M.build_assets(loaded_config)
+        opt = ad.Adam(loaded, lr=loaded_config.learning_rate)
+        scene = build_scene(SceneSpec(seed=2), assets, loaded_config)
+        losses = M.train_step(loaded, opt, scene, assets, loaded_config, loaded_bn)
+        assert np.isfinite(losses["total"])
+
 
 @pytest.fixture(scope="module")
 def perturbed_toy():
