@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_mesh_graph
-from oracles import dense_chebyshev_reference
+from oracles import central_difference, dense_chebyshev_reference
 from specmesh import autodiff as ad
 from specmesh import model as M
 from specmesh.errors import ArgumentError
@@ -81,13 +81,30 @@ class TestChebyshevFilter:
 
 
 class TestFilterGradient:
-    # finite differences of cheb_filter: tests/test_autodiff.py::TestChebPrimitive
-
     def test_zero_upstream_zero_grads(self):
         _, _, scaled, _, theta, signal = _full_setup(12, seed=11)
         gt, gs = cheb_grads(scaled, theta, signal, np.zeros((12, 3)))
         assert np.all(gt == 0)
         assert np.all(gs == 0)
+
+    def test_matches_finite_differences(self):
+        _, _, scaled, _, theta, signal = _full_setup(14, seed=12, f_in=2, f_out=3)
+        rng = np.random.default_rng(13)
+        probe = rng.normal(size=(14, 3))
+        gt, gs = cheb_grads(scaled, theta, signal, probe)
+
+        def loss_theta(th):
+            return float(np.sum(cheb(scaled, th, signal) * probe))
+
+        def loss_signal(x):
+            return float(np.sum(cheb(scaled, theta, x) * probe))
+
+        num_t = central_difference(loss_theta, theta.copy(), h=1e-4)
+        num_s = central_difference(loss_signal, signal.copy(), h=1e-4)
+        rel_t = np.abs(gt - num_t) / np.maximum.reduce([np.abs(gt), np.abs(num_t), np.full_like(gt, 1e-6)])
+        rel_s = np.abs(gs - num_s) / np.maximum.reduce([np.abs(gs), np.abs(num_s), np.full_like(gs, 1e-6)])
+        assert rel_t.max() < 1e-4
+        assert rel_s.max() < 1e-4
 
     def test_symmetry_preserved(self):
         # symmetric operator + symmetric perturbation pattern: gradient wrt a
