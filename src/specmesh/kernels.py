@@ -1,8 +1,11 @@
 """Geometry kernels of collision refinement, in NumPy and SciPy.
 
-``ray_crossings`` counts parametric ray-triangle crossings per point and
-flags grazing rays, ``nearest_vertex`` finds the nearest reference vertex,
-and ``point_triangle_dists`` the distance to the nearest triangle.
+``ray_hits`` lists each ray-triangle crossing, as its ray and ray
+parameter t, and flags grazing rays; ``ray_crossings`` counts those
+crossings per ray, the parity test of one point per ray, while a column of
+voxel centers reads its parities from the t of one ray. ``nearest_vertex``
+finds the nearest reference vertex, and ``point_triangle_dists`` the
+distance to the nearest triangle.
 
 ``nearest_vertex`` asks a ``scipy.spatial.cKDTree`` for the distance to the
 nearest vertex, takes every vertex within a hair of that distance, and picks
@@ -17,7 +20,7 @@ a conservative bounding sphere, and holds the per-face columns of the ray
 test. A chunk of queries is tested against all spheres at once, and the pair
 test runs only on the faces of the clusters that pass:
 
-- ``ray_crossings`` keeps the clusters a ray reaches and runs the
+- ``ray_hits`` keeps the clusters a ray reaches and runs the
   Moller-Trumbore test (Moller & Trumbore, JGT 1997). A ray lying in the
   plane of a face grazes it even where it never reaches the face, so a
   near-parallel prefilter, one ``dirs @ normals.T`` product per chunk, adds
@@ -26,7 +29,8 @@ test runs only on the faces of the clusters that pass:
   nearest mesh vertex, keeps the clusters whose sphere comes within that
   bound, and runs Ericson's closest-point case split on their faces.
 
-Counts, grazing flags and distances are the same as from testing every pair.
+Crossings, counts, grazing flags and distances are the same as from testing
+every pair.
 """
 from __future__ import annotations
 
@@ -138,7 +142,8 @@ def _cluster_pairs(hit, members, n_tri):
 
 
 def _pair_test(ray, face):
-    """Moller-Trumbore test of matching columns: (inside, grazing) per pair.
+    """Moller-Trumbore test of matching columns: (inside, grazing, t) per pair,
+    t the ray parameter of the plane hit (meaningless for a parallel pair).
 
     ``ray`` rows are origin and direction components, ``face`` rows are v0,
     e1, e2, normal components, |normal| and the parallel threshold.
@@ -176,27 +181,27 @@ def _pair_test(ray, face):
     )
     plane_dist = np.abs(tvx * nx + tvy * ny + tvz * nz) / np.maximum(norm_n, 1e-30)
     on_plane = parallel & (plane_dist < _EPS_PLANE)
-    return inside, (loose & ~inside) | on_plane
+    return inside, (loose & ~inside) | on_plane, t
 
 
-def ray_crossings(origins, dirs, faces):
-    """Count ray-triangle crossings per point against a ``FaceClusters``.
+def ray_hits(origins, dirs, faces):
+    """Every ray-triangle crossing of the rays against a ``FaceClusters``.
 
-    Returns (counts, grazing): crossings use strict interior tests; the
-    grazing flag marks rays that pass within epsilon of a triangle edge,
-    plane, or the origin itself and should be retried with a new direction.
-    Only faces in the bounding spheres a ray reaches, and faces the ray is
-    nearly parallel to, get the pair test; the result equals testing every
-    pair.
+    Returns (ray, t, grazing): the ray index and ray parameter of each
+    crossing, under the strict interior test, and per ray the flag of
+    ``ray_crossings``. Crossings come grouped by chunk of ``_RAY_CHUNK`` rays,
+    in no order within a chunk. Only faces in the bounding spheres a ray
+    reaches, and faces the ray is nearly parallel to, get the pair test; the
+    result equals testing every pair.
     """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     n_pts = origins.shape[0]
-    counts = np.zeros(n_pts, dtype=np.int64)
     grazing = np.zeros(n_pts, dtype=np.uint8)
+    hit_ray, hit_t = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
     n_tri = len(faces)
     if n_tri == 0:
-        return counts, grazing
+        return hit_ray[0], hit_t[0], grazing
     center, radius, center_sq = faces.center, faces.radius, faces.center_sq
     ray_cols = np.concatenate([origins.T, dirs.T])
 
@@ -228,10 +233,23 @@ def ray_crossings(origins, dirs, faces):
             missed = ~hit[near_ray, faces.cluster_of[near_face]]
             ray = np.concatenate([ray, near_ray[missed]])
             face = np.concatenate([face, near_face[missed]])
-        inside, graz = _pair_test(ray_cols[:, lo + ray], faces.face_cols[:, face])
-        counts[lo:hi] = np.bincount(ray[inside], minlength=hi - lo)
+        inside, graz, t = _pair_test(ray_cols[:, lo + ray], faces.face_cols[:, face])
+        hit_ray.append(lo + ray[inside])
+        hit_t.append(t[inside])
         grazing[lo:hi] = np.bincount(ray[graz], minlength=hi - lo) > 0
-    return counts, grazing
+    return np.concatenate(hit_ray), np.concatenate(hit_t), grazing
+
+
+def ray_crossings(origins, dirs, faces):
+    """Count ray-triangle crossings per point against a ``FaceClusters``.
+
+    Returns (counts, grazing): crossings use strict interior tests; the
+    grazing flag marks rays that pass within epsilon of a triangle edge,
+    plane, or the origin itself and should be retried with a new direction.
+    The counts are the ``ray_hits`` crossings per ray.
+    """
+    ray, _, grazing = ray_hits(origins, dirs, faces)
+    return np.bincount(ray, minlength=len(grazing)), grazing
 
 
 def nearest_vertex(query, ref):

@@ -83,15 +83,34 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Raises ParseError naming any key that is not a config field."""
+        """Raises ParseError naming any key that is not a config field, or
+        whose value is not of the field's type: an int field takes an int
+        (not a bool), ``learning_rate`` an int or a float, ``decoder_sizes``
+        a list of ints."""
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ParseError(f"unknown config keys {unknown}")
+        for f in fields(cls):
+            if f.name in d and _wrong_type(d[f.name], f.type):
+                raise ParseError(f"config key {f.name!r} must be {_TYPE_NAMES[f.type]}, "
+                                 f"got {d[f.name]!r}")
         return cls(**d)
 
     def config_hash(self) -> str:
         return hashlib.sha256(
             json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
+
+
+_TYPE_NAMES = {"int": "an int", "float": "a number", "tuple": "a list of ints"}
+
+
+def _wrong_type(value, annotation: str) -> bool:
+    """Whether a config value from JSON does not fit a field annotated
+    ``int``, ``float`` or ``tuple`` (of ints)."""
+    if annotation == "tuple":
+        return not isinstance(value, (list, tuple)) or any(_wrong_type(v, "int") for v in value)
+    allowed = (int, float) if annotation == "float" else int
+    return isinstance(value, bool) or not isinstance(value, allowed)
 
 
 def toy_config(**overrides) -> ModelConfig:
@@ -579,7 +598,8 @@ def load_checkpoint(directory: str | Path):
     path = path.with_name("tensors.npz")
     params, bn_state = {}, {}
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        # np.load leaves a file it opened itself open when zipfile rejects it
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
             for key in archive.files:
                 array = archive[key]  # bytes for a member that is not a .npy file
                 if not isinstance(array, np.ndarray) or array.dtype != np.float64:

@@ -9,7 +9,11 @@ alternates ARAP's local step (closed-form per-cell rotations) with a global
 step, one sparse linear solve in which the L1 pull is reweighted least
 squares; it stops when no vertex penetrates.
 Plausibility is reported as maximum penetration depth (mm) and voxelized
-intersection volume (cm^3).
+intersection volume (cm^3). The volume reads the centers of a voxel grid by
+scanline parity (Nooruddin & Turk, TVCG 2003): one ray per grid column,
+along the grid's longest axis, and a center is inside when an odd number of
+the ray's crossings lie past it. Only the centers of a column whose ray
+grazes, or that lie within ``_EPS_T`` of a crossing, cast rays of their own.
 
 Every check is between two distinct meshes, as for the two hands: passing
 one mesh object as both source and target is rejected, because a vertex
@@ -29,7 +33,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import ArgumentError
-from .kernels import FaceClusters, nearest_vertex, point_triangle_dists, ray_crossings
+from .kernels import (FaceClusters, _EPS_T, nearest_vertex, point_triangle_dists, ray_crossings,
+                      ray_hits)
 from .meshes import TriMesh, edge_set, is_watertight
 
 _LOGGER = logging.getLogger(__name__)
@@ -355,13 +360,85 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
                         diverged=diverged, iterations=iterations)
 
 
+def _voxel_axes(a: TriMesh, b: TriMesh, h: float):
+    """Voxel center coordinates per axis, edge ``h``, over the overlap of the
+    two meshes' vertex boxes; None when the boxes do not overlap.
+
+    Raises:
+        ArgumentError: the grid would exceed ``_MAX_VOXELS`` cells.
+    """
+    lo = np.maximum(a.positions.min(axis=0), b.positions.min(axis=0))
+    hi = np.minimum(a.positions.max(axis=0), b.positions.max(axis=0))
+    if not np.all(hi > lo):
+        return None
+    steps = np.maximum(np.ceil((hi - lo) / h).astype(np.int64), 1)
+    if int(np.prod(steps)) > _MAX_VOXELS:
+        raise ArgumentError(
+            f"voxel grid {steps.tolist()} exceeds {_MAX_VOXELS} cells; increase voxel_cm")
+    return [lo[c] + h * (np.arange(steps[c]) + 0.5) for c in range(3)]
+
+
+def _voxels_interior(axes, h: float, cells: np.ndarray, faces: FaceClusters,
+                     seed: int) -> np.ndarray:
+    """Flags of the grid centers in ``cells`` that lie inside the surface.
+
+    ``axes`` holds the centers' coordinates per axis and ``cells`` is a bool
+    grid of their shape. Each column along the axis with the most centers
+    that holds a cell casts one ray along that axis, from a distance ``h``
+    before both the surface's box (``faces.lo``) and the first center. A
+    center is inside when an odd number of the ray's crossings lie past it,
+    which for a closed surface is the parity of any ray from it. A center
+    whose column ray grazes, or that lies within ``_EPS_T`` of a crossing,
+    goes to ``points_interior`` with ``seed`` instead.
+    """
+    along = int(np.argmax([x.size for x in axes]))
+    across = [c for c in range(3) if c != along]
+    shape = [axes[c].size for c in across] + [axes[along].size]
+    n = shape[-1]
+    cells = np.moveaxis(cells, along, -1).reshape(-1, n)
+
+    def centers(col, k):
+        out = np.empty((col.size, 3))
+        for c, i in zip(across, np.unravel_index(col, shape[:2])):
+            out[:, c] = axes[c][i]
+        out[:, along] = axes[along][k]
+        return out
+
+    cols = np.flatnonzero(cells.any(axis=1))
+    start = min(faces.lo[along], axes[along][0]) - h
+    origins = centers(cols, 0)
+    origins[:, along] = start
+    dirs = np.zeros((cols.size, 3))
+    dirs[:, along] = 1.0
+    ray, t, grazing = ray_hits(origins, dirs, faces)
+    t_center = axes[along] - start
+    # slot s: the crossing lies past centers 0..s-1 and not past the others
+    slot = np.searchsorted(t_center, t)
+    in_slot = np.bincount(ray * (n + 1) + slot, minlength=cols.size * (n + 1))
+    past = np.cumsum(in_slot.reshape(cols.size, n + 1)[:, :0:-1], axis=1)[:, ::-1]
+    inside = np.zeros_like(cells)
+    inside[cols] = past % 2 == 1
+    unsure = np.zeros_like(cells)
+    unsure[cols[grazing == 1]] = True
+    for k in (np.maximum(slot - 1, 0), np.minimum(slot, n - 1)):  # the centers either side
+        near = np.abs(t - t_center[k]) <= _EPS_T
+        unsure[cols[ray[near]], k[near]] = True
+    unsure &= cells
+    inside[unsure], _ = points_interior(centers(*np.nonzero(unsure)), faces, seed)
+    inside &= cells
+    return np.moveaxis(inside.reshape(shape), -1, along)
+
+
 def plausibility_metrics(a: TriMesh, b: TriMesh, voxel_cm: float = 0.5,
                          seed: int = 0) -> PlausibilityReport:
     """Maximum penetration depth and voxelized intersection volume.
 
     Penetration is the largest distance from an interior vertex of either
     mesh to the other surface, in millimeters. Volume counts voxel centers
-    (edge ``voxel_cm``) interior to both meshes.
+    (edge ``voxel_cm``) interior to both meshes, over the overlap of the two
+    vertex boxes: first the centers interior to a, then those of them
+    interior to b, each pass by ``_voxels_interior``, one parity ray per
+    grid column (seeds ``seed + 1`` and ``seed + 2`` for its fallback).
 
     Raises:
         ArgumentError: a and b are one mesh, a mesh is not watertight or the
@@ -381,22 +458,12 @@ def plausibility_metrics(a: TriMesh, b: TriMesh, voxel_cm: float = 0.5,
         if pts.size:
             pen = max(pen, float(point_triangle_dists(pts, dst_faces).max()))
     h = voxel_cm / 100.0  # meters
-    lo = np.maximum(a.positions.min(axis=0), b.positions.min(axis=0))
-    hi = np.minimum(a.positions.max(axis=0), b.positions.max(axis=0))
+    axes = _voxel_axes(a, b, h)
     volume = 0.0
-    if np.all(hi > lo):
-        steps = np.maximum(np.ceil((hi - lo) / h).astype(np.int64), 1)
-        if int(np.prod(steps)) > _MAX_VOXELS:
-            raise ArgumentError(
-                f"voxel grid {steps.tolist()} exceeds {_MAX_VOXELS} cells; "
-                "increase voxel_cm")
-        axes = [lo[c] + h * (np.arange(steps[c]) + 0.5) for c in range(3)]
-        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-        centers = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-        in_a, _ = points_interior(centers, faces_a, seed + 1)
-        candidates = centers[in_a]
-        if candidates.size:
-            in_b, _ = points_interior(candidates, faces_b, seed + 2)
-            volume = float(in_b.sum()) * voxel_cm**3
+    if axes is not None:
+        in_a = _voxels_interior(axes, h, np.ones([x.size for x in axes], dtype=bool),
+                                faces_a, seed + 1)
+        in_both = _voxels_interior(axes, h, in_a, faces_b, seed + 2)
+        volume = float(in_both.sum()) * voxel_cm**3
     return PlausibilityReport(max_penetration_mm=1000.0 * pen,
                               intersection_volume_cm3=volume, voxel_size_cm=voxel_cm)

@@ -2,9 +2,12 @@
 
 Everything here is deliberately naive (loops, dense math, classic textbook
 iterations) and shares no code with the library paths it checks. There are
-two exceptions. ``points_interior_uncut`` casts its rays with the library's
+three exceptions. ``points_interior_uncut`` casts its rays with the library's
 ``ray_crossings``, which has oracles of its own, because what it checks is
-the box cull around that kernel. The autodiff references at the end compose
+the box cull around that kernel. ``voxel_flags_per_center`` runs the
+library's ``points_interior``, checked against the oracles above, once per
+voxel center, because what it checks is the column pass that replaced that
+loop. The autodiff references at the end compose
 the fused tape nodes out of the primitive ones, whose own gradients the
 tests check (the upsampling one takes its interpolation matrices from the
 model).
@@ -18,7 +21,7 @@ import numpy as np
 from specmesh import autodiff as ad
 from specmesh.kernels import ray_crossings
 from specmesh.model import _interp_matrix
-from specmesh.refine import MAX_RAY_RETRIES
+from specmesh.refine import MAX_RAY_RETRIES, points_interior
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
@@ -274,6 +277,24 @@ def points_interior_uncut(points, faces, seed: int):
         interior[active[ok]] = counts[ok] % 2 == 1
         active = active[~ok]
     return interior, int(active.size)
+
+
+def voxel_flags_per_center(axes, faces_a, faces_b, seed: int):
+    """Interior flags of the voxel centers of a plausibility report, one ray
+    per center.
+
+    Every center of the grid with coordinates ``axes`` runs
+    ``points_interior`` against ``faces_a`` with ``seed + 1``, and the centers
+    inside a run it against ``faces_b`` with ``seed + 2``. Returns (inside a,
+    inside both) as bool grids of the axes' shape.
+    """
+    shape = [x.size for x in axes]
+    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    in_a, _ = points_interior(centers, faces_a, seed + 1)
+    in_both = np.zeros_like(in_a)
+    if in_a.any():
+        in_both[in_a], _ = points_interior(centers[in_a], faces_b, seed + 2)
+    return in_a.reshape(shape), in_both.reshape(shape)
 
 
 def arap_covariances_add_at(rest, deformed, edges):

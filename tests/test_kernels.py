@@ -106,6 +106,44 @@ class TestRayCrossingsOracle:
         assert grazing.tolist() == [0] * len(pts)
 
 
+class TestRayHits:
+    @pytest.mark.parametrize("name", RAY_FIXTURES)
+    def test_hits_bincount_to_the_crossing_counts(self, name):
+        pts, dirs, tri = RAY_FIXTURES[name]()
+        faces = kernels.FaceClusters(tri)
+        ray, t, grazing = kernels.ray_hits(pts, dirs, faces)
+        want_counts, want_grazing = ray_crossings_loop(pts, dirs, tri)
+        assert ray.shape == t.shape
+        assert np.bincount(ray, minlength=len(pts)).tolist() == want_counts
+        assert grazing.tolist() == want_grazing
+        counts, crossing_grazing = kernels.ray_crossings(pts, dirs, faces)
+        assert counts.dtype == np.int64 and counts.tolist() == want_counts
+        assert np.array_equal(crossing_grazing, grazing)
+
+    @pytest.mark.parametrize("name", RAY_FIXTURES)
+    def test_each_crossing_lies_on_the_surface(self, name):
+        # origin + t * dir is on a face, to rounding at the points' scale
+        pts, dirs, tri = RAY_FIXTURES[name]()
+        ray, t, _ = kernels.ray_hits(pts, dirs, kernels.FaceClusters(tri))
+        assert np.all(t > kernels._EPS_T)
+        at = pts[ray] + t[:, None] * dirs[ray]
+        scale = 1.0 + np.abs(pts[ray]).max(axis=1)
+        assert np.all(np.array(point_triangle_dists_dense(at, tri)) <= 1e-12 * scale)
+
+    def test_fixture_has_crossings(self):
+        # the checks above hold vacuously for a ray that crosses nothing
+        pts, dirs, tri = _fixture_around_sphere()
+        assert kernels.ray_hits(pts, dirs, kernels.FaceClusters(tri))[0].size > 20
+
+    def test_empty_inputs(self):
+        pts, dirs, tri = _fixture_around_sphere()
+        ray, t, grazing = kernels.ray_hits(pts, dirs, kernels.FaceClusters(np.zeros((0, 3, 3))))
+        assert ray.size == t.size == 0 and grazing.tolist() == [0] * len(pts)
+        ray, t, grazing = kernels.ray_hits(np.zeros((0, 3)), np.zeros((0, 3)),
+                                           kernels.FaceClusters(tri))
+        assert ray.size == t.size == grazing.size == 0
+
+
 class TestFaceClusters:
     def test_len_is_face_count(self):
         for make in RAY_FIXTURES.values():

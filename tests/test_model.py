@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -210,6 +211,7 @@ class TestCheckpoint:
         "{}",
         json.dumps({"config": {"n_views": "x"}, "config_hash": "0"}),
         json.dumps({"config": {"decoder_sizes": 5}, "config_hash": "0"}),
+        json.dumps({"config": {"feature_width": "32"}, "config_hash": "0"}),
     ])
     def test_malformed_manifest_is_parse_error(self, trained_toy, tmp_path, text):
         config, params, bn_state = trained_toy
@@ -217,6 +219,27 @@ class TestCheckpoint:
         (tmp_path / "manifest.json").write_text(text)
         with pytest.raises(ParseError, match="manifest.json"):
             M.load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("feature_width", "32"), ("feature_width", 32.0), ("n_clusters", True),
+        ("seed", None), ("learning_rate", "1e-3"), ("learning_rate", False),
+        ("decoder_sizes", [40, 80.0, 159]), ("decoder_sizes", [40, "80", 159]),
+    ])
+    def test_wrongly_typed_config_value_is_parse_error(self, trained_toy, tmp_path, key, value):
+        # the hash is recomputed over the edited config, so only the type is wrong
+        config, params, bn_state = trained_toy
+        M.save_checkpoint(tmp_path, params, config, bn_state)
+        path = tmp_path / "manifest.json"
+        edited = dict(config.to_dict(), **{key: value})
+        digest = hashlib.sha256(json.dumps(edited, sort_keys=True).encode()).hexdigest()[:16]
+        path.write_text(json.dumps({"config": edited, "config_hash": digest}))
+        with pytest.raises(ParseError, match=f"manifest.json.*{key}"):
+            M.load_checkpoint(tmp_path)
+
+    def test_numbers_of_either_json_form_load(self):
+        # JSON writes 0.001 and 1 alike as numbers; a float field takes an int
+        config = M.ModelConfig.from_dict(dict(M.toy_config().to_dict(), learning_rate=1))
+        assert config.learning_rate == 1
 
     @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 5), (0, 4), ()])
     def test_special_values_roundtrip_bit_exact(self, tmp_path, shape):

@@ -13,6 +13,7 @@ from oracles import (
     collision_loss_loop,
     points_interior_uncut,
     sphere_contains,
+    voxel_flags_per_center,
 )
 from specmesh import kernels, refine
 from specmesh.errors import ArgumentError
@@ -166,6 +167,97 @@ class TestBoxCull:
         interior, failures = points_interior(pts, kernels.FaceClusters(np.zeros((0, 3, 3))), 0)
         assert not interior.any() and failures == 0
         assert calls == []
+
+
+def column_passes(a, b, monkeypatch, seed=0):
+    """Both voxel passes of a plausibility report on (a, b): the column
+    pass's flags, the per-center oracle's, and what each pass cast.
+
+    Each pass logs the rows of its ``ray_hits`` calls (``columns``), the
+    centers it sent to ``points_interior`` (``unsure``) and the origins that
+    reached ``ray_crossings`` (``cast``).
+    """
+    h = 0.005  # the report's default voxel edge, in meters
+    faces_a, faces_b = refine._face_clusters(a), refine._face_clusters(b)
+    axes = refine._voxel_axes(a, b, h)
+    want = voxel_flags_per_center(axes, faces_a, faces_b, seed)
+    log = []
+    ray_hits, ray_crossings = refine.ray_hits, refine.ray_crossings
+    points_interior = refine.points_interior
+    monkeypatch.setattr(refine, "ray_hits", lambda *args: log[-1]["columns"].append(
+        len(args[0])) or ray_hits(*args))
+    monkeypatch.setattr(refine, "ray_crossings", lambda *args: log[-1]["cast"].extend(
+        map(tuple, args[0])) or ray_crossings(*args))
+    monkeypatch.setattr(refine, "points_interior", lambda *args: log[-1]["unsure"].extend(
+        map(tuple, args[0])) or points_interior(*args))
+    got = [np.ones([x.size for x in axes], dtype=bool)]
+    for faces, pass_seed in ((faces_a, seed + 1), (faces_b, seed + 2)):
+        log.append({"columns": [], "unsure": [], "cast": []})
+        got.append(refine._voxels_interior(axes, h, got[-1], faces, pass_seed))
+    return got, want, log
+
+
+def assert_passes_match_oracle(got, want, log):
+    """Flags equal the oracle's center by center, and each pass casts one
+    ray per column that holds a cell plus rays from unsure centers only."""
+    cells, passes = got[0], got[1:]
+    along = int(np.argmax(cells.shape))
+    for flags, want_flags, record in zip(passes, want, log):
+        assert np.array_equal(flags, want_flags)
+        assert record["columns"] == [int(cells.any(axis=along).sum())]
+        assert set(record["cast"]) <= set(record["unsure"])
+        assert len(set(record["unsure"])) == len(record["unsure"])
+        cells = flags
+    assert passes[1].any()
+
+
+class TestColumnParity:
+    """``_voxels_interior`` reads each center's flag from one ray per column."""
+
+    @pytest.mark.parametrize("direction", PAIR_DIRECTIONS)
+    def test_overlapping_pairs_match_per_center_oracle(self, direction, monkeypatch):
+        target = icosphere(3, radius=0.05)
+        source = target.with_positions(target.positions + 0.0875 * np.array(direction))
+        for a, b in ((source, target), (target, source)):
+            got, want, log = column_passes(a, b, monkeypatch)
+            assert_passes_match_oracle(got, want, log)
+            assert not got[1].all()
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("center_b, columns", [((0.05, 0.05, 0.05), 20),
+                                                   ((0.1, 0.05, 0.05), 10)],
+                             ids=["coincident", "half_overlap"])
+    def test_columns_on_face_diagonals_fall_back(self, center_b, columns, monkeypatch):
+        # grid columns run along the cubes' face diagonals, so their rays
+        # graze; every center of such a column is resolved by its own rays
+        a = cube(0.10, center=(0.05, 0.05, 0.05))
+        b = cube(0.10, center=center_b)
+        got, want, log = column_passes(a, b, monkeypatch)
+        assert_passes_match_oracle(got, want, log)
+        assert [len(record["unsure"]) for record in log] == [20 * columns] * 2
+        assert got[2].sum() == 8000 * columns // 20
+
+    def test_rotated_cube_matches_per_center_oracle(self, monkeypatch):
+        a = apply_rigid(cube(0.10), rotation_matrix((1.0, 2.0, 0.5), 0.7), (0.01, 0.0, 0.0))
+        b = cube(0.10, center=(0.03, 0.01, 0.0))
+        got, want, log = column_passes(a, b, monkeypatch)
+        assert_passes_match_oracle(got, want, log)
+        assert not got[2].all()
+
+    def test_centers_near_a_crossing_fall_back(self, monkeypatch):
+        # the first center of each column lies on the cube's -x face, where
+        # the column's ray crosses it; no column runs along a face diagonal
+        faces = refine._face_clusters(cube(0.10, center=(0.05, 0.05, 0.05)))
+        axes = [0.01 * np.arange(10), 0.0123 + 0.02 * np.arange(4), 0.0171 + 0.02 * np.arange(4)]
+        unsure = []
+        points_interior = refine.points_interior
+        monkeypatch.setattr(refine, "points_interior", lambda *args: unsure.extend(
+            map(tuple, args[0])) or points_interior(*args))
+        cells = np.ones((10, 4, 4), dtype=bool)
+        flags = refine._voxels_interior(axes, 0.01, cells, faces, seed=1)
+        assert len(unsure) == 16 and {p[0] for p in unsure} == {0.0}
+        # a center on the surface never resolves and reads exterior
+        assert not flags[0].any() and flags[1:].all()
 
 
 # Refines one overlapping pair of 642-vertex spheres and prints, as JSON, a
