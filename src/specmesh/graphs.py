@@ -1,11 +1,12 @@
 """Undirected mesh graphs and their spectral operators.
 
-A triangular mesh is treated as an undirected graph: the adjacency matrix
-holds one symmetric 0/1 entry per face edge, and the (unnormalized)
-Laplacian is the diagonal of its row sums minus the adjacency. Adjacency and
-operators are plain ``scipy.sparse`` CSR matrices with sorted indices; the
-Laplacian is positive semi-definite with zero row sums, and its rescaled form
-(``scaled_laplacian``) has its spectrum in [-1, 1].
+A triangular mesh is treated as an undirected graph: ``adjacency_matrix``
+takes its unique edges (``meshes.edge_set``) and holds one symmetric 0/1
+entry per edge, and the (unnormalized) Laplacian is the diagonal of the
+adjacency's row sums minus the adjacency. A graph is its adjacency: every
+function here takes and returns plain ``scipy.sparse`` CSR matrices with
+sorted indices. The Laplacian is positive semi-definite with zero row sums,
+and its rescaled form (``scaled_laplacian``) has its spectrum in [-1, 1].
 
 The spectral solvers pick their method from the graph size and the number of
 eigenpairs requested, nothing else. Small graphs, and requests for much of
@@ -19,8 +20,6 @@ ARPACK starts from a fixed vector rather than its default random one, so
 both paths give bitwise repeatable results.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -48,123 +47,45 @@ ARPACK_MIN_VERTICES = 300
 _SHIFT = -1e-2
 
 
-@dataclass(frozen=True)
-class MeshGraph:
-    """Undirected graph of a mesh: positions, adjacency, degrees.
+def adjacency_matrix(edges, n_vertices: int) -> sp.csr_matrix:
+    """The symmetric 0/1 CSR adjacency of an undirected edge list.
 
-    ``adjacency`` is a symmetric CSR 0/1 matrix with zero diagonal and
-    canonically sorted indices; ``degrees`` holds its row sums.
-    """
-
-    positions: np.ndarray  # (V, 3) float64, meters
-    adjacency: sp.csr_matrix  # (V, V)
-    degrees: np.ndarray = field(repr=False)  # (V,)
-
-    @property
-    def n_vertices(self) -> int:
-        return self.adjacency.shape[0]
-
-    def edge_array(self) -> np.ndarray:
-        """Unique undirected edges as an (E, 2) array with i < j, sorted."""
-        coo = sp.triu(self.adjacency, k=1).tocoo()
-        edges = np.stack([coo.row, coo.col], axis=1).astype(np.int64)
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        return edges[order]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """The k smallest eigenpairs of a Laplacian, ascending.
-
-    Column i of ``eigenvectors`` pairs with ``eigenvalues[i]``. Signs follow
-    the first-significant-component-positive convention so repeated runs are
-    bitwise identical.
-    """
-
-    eigenvalues: np.ndarray  # (k,) nonnegative, ascending
-    eigenvectors: np.ndarray  # (V, k) orthonormal columns
-
-    @property
-    def k(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    @property
-    def n_vertices(self) -> int:
-        return self.eigenvectors.shape[0]
-
-
-def build_mesh_graph(positions, faces) -> MeshGraph:
-    """Build the undirected graph of a triangular mesh.
-
-    Every face contributes its three edges; shared edges collapse to a
-    single symmetric adjacency entry.
+    Edges may repeat and run either way; each pair becomes one entry in both
+    triangles, with indices sorted within rows.
 
     Raises:
-        StructuralError: a face references an out-of-range vertex or repeats
-            a vertex (degenerate face).
+        StructuralError: an endpoint lies outside [0, n_vertices), or an
+            edge joins a vertex to itself (a degenerate face's edge).
     """
-    positions = np.ascontiguousarray(positions, dtype=np.float64)
-    if positions.ndim != 2 or positions.shape[1] != 3:
-        raise StructuralError(f"positions must be (V, 3), got {positions.shape}")
-    n = positions.shape[0]
-    faces = np.asarray(faces, dtype=np.int64)
-    if faces.size == 0:
-        faces = faces.reshape(0, 3)
-    if faces.ndim != 2 or faces.shape[1] != 3:
-        raise StructuralError(f"faces must be (F, 3), got {faces.shape}")
-    if faces.size:
-        if faces.min() < 0 or faces.max() >= n:
-            bad = int(np.argmax((faces < 0) | (faces >= n)).item() // 3)
-            raise StructuralError(f"face {bad} references a vertex outside [0, {n})")
-        degenerate = (
-            (faces[:, 0] == faces[:, 1])
-            | (faces[:, 1] == faces[:, 2])
-            | (faces[:, 0] == faces[:, 2])
-        )
-        if degenerate.any():
-            raise StructuralError(f"degenerate face {int(np.argmax(degenerate))}: repeated vertex index")
-    edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0)
-    return graph_from_edges(positions, edges)
-
-
-def graph_from_edges(positions, edges) -> MeshGraph:
-    """Build a MeshGraph from an explicit edge list (duplicates allowed)."""
-    positions = np.ascontiguousarray(positions, dtype=np.float64)
-    n = positions.shape[0]
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size:
-        if edges.min() < 0 or edges.max() >= n:
-            raise StructuralError("edge endpoint outside vertex range")
-        keep = edges[:, 0] != edges[:, 1]  # self loops carry no structure
-        edges = edges[keep]
+        if edges.min() < 0 or edges.max() >= n_vertices:
+            raise StructuralError(f"edge endpoint outside [0, {n_vertices})")
+        loops = edges[:, 0] == edges[:, 1]
+        if loops.any():
+            raise StructuralError(f"edge {int(np.argmax(loops))} joins a vertex to itself")
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    data = np.ones(rows.shape[0], dtype=np.float64)
-    adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    return graph_from_adjacency(positions, adj)
+    adj = sp.csr_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n_vertices, n_vertices))
+    adj.data[:] = 1.0  # repeated edges summed to more than one
+    adj.sort_indices()
+    return adj
 
 
-def graph_from_adjacency(positions, adjacency: sp.csr_matrix) -> MeshGraph:
-    """Build a MeshGraph from a symmetric CSR pattern with an empty diagonal.
-
-    Stored entries become 1 whatever their values (duplicate edges collapse
-    to 0/1) and the indices are sorted in place.
-    """
-    adjacency.data[:] = 1.0
-    adjacency.sort_indices()
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    return MeshGraph(positions=positions, adjacency=adjacency, degrees=degrees)
-
-
-def laplacian(g: MeshGraph) -> sp.csr_matrix:
+def laplacian(adjacency: sp.csr_matrix) -> sp.csr_matrix:
     """The unnormalized Laplacian: diagonal degree matrix minus adjacency."""
-    mat = (sp.diags(g.degrees, format="csr") - g.adjacency).tocsr()
+    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    mat = (sp.diags(degrees, format="csr") - adjacency).tocsr()
     mat.sort_indices()
     return mat
 
 
-def eigendecompose(l: sp.csr_matrix, k: int) -> Spectrum:
-    """The k smallest eigenpairs of a Laplacian, ascending, sign-fixed.
+def eigendecompose(l: sp.csr_matrix, k: int):
+    """The k smallest eigenpairs of a Laplacian as (eigenvalues, eigenvectors).
+
+    The (k,) eigenvalues are nonnegative and ascending; column i of the
+    (V, k) orthonormal eigenvectors pairs with eigenvalue i, its sign fixed
+    so the first significant component is positive.
 
     Graphs with fewer than ``ARPACK_MIN_VERTICES + 8 k`` vertices take
     LAPACK's dense symmetric solve (the subset variant when k < |V|). Larger
@@ -206,7 +127,7 @@ def eigendecompose(l: sp.csr_matrix, k: int) -> Spectrum:
         worst = float(eigenvalues.min())
         raise NumericalError(f"eigenvalue {worst:g} below the PSD tolerance")
     _fix_signs(eigenvectors)
-    return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return eigenvalues, eigenvectors
 
 
 def _use_arpack(n: int, k: int) -> bool:

@@ -3,11 +3,12 @@
 Handles Wavefront OBJ round-tripping (quads are split into triangle pairs),
 area-weighted vertex normals, and deterministic farthest-point subsampling,
 which returns the sorted indices of the kept vertices (the coarse token
-templates). Topology queries share one step: every face edge, sorted so
-i <= j, is summed into a sparse matrix, whose stored entries are the unique
-edges and whose values count the faces at each edge. That gives the unique
-edges with their lengths, the watertightness check and the non-manifold
-flag.
+templates). Faces are split into edges in one place, ``_edge_counts``:
+every face edge, sorted so i <= j, is summed into a sparse matrix, whose
+stored entries are the unique edges and whose values count the faces at
+each edge. That gives the unique edges (``edge_set``: the graph adjacency,
+the edge-length loss and the rigidity energy all take them) and the
+watertightness check.
 
 All positions are meters. OBJ text is ASCII with 1-based ``v``/``f`` records;
 ``#`` comments and unknown record types are ignored.
@@ -28,7 +29,6 @@ class TriMesh:
 
     positions: np.ndarray  # (V, 3) float64
     faces: np.ndarray  # (F, 3) int32
-    non_manifold: bool = False  # set by load_obj when an edge has >2 faces
     _normals: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -51,20 +51,7 @@ class TriMesh:
         return TriMesh(
             positions=np.ascontiguousarray(positions, dtype=np.float64),
             faces=self.faces,
-            non_manifold=self.non_manifold,
         )
-
-
-@dataclass(frozen=True)
-class EdgeSet:
-    """Unique undirected edges of a mesh and their current lengths."""
-
-    edges: np.ndarray  # (E, 2) int32, i < j, lexicographically sorted
-    lengths: np.ndarray  # (E,) float64, meters
-
-    @property
-    def n_edges(self) -> int:
-        return self.edges.shape[0]
 
 
 def vertex_normals(positions: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -89,7 +76,7 @@ def load_obj(source) -> TriMesh:
 
     Quad faces are split along the 0-2 diagonal into two triangles. Indices
     are 1-based; anything malformed raises :class:`ParseError` naming the
-    line. Non-manifold connectivity is accepted but flagged on the mesh.
+    line. Non-manifold connectivity is accepted; ``is_watertight`` rejects it.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
@@ -136,10 +123,7 @@ def load_obj(source) -> TriMesh:
             faces.append((idx[0], idx[2], idx[3]))
     pos = np.array(positions, dtype=np.float64).reshape(n, 3)
     fac = np.array(faces, dtype=np.int32).reshape(len(faces), 3)
-    mesh = TriMesh(positions=pos, faces=fac)
-    _, counts = _edge_counts(fac)
-    mesh.non_manifold = bool(counts.size and counts.max() > 2)
-    return mesh
+    return TriMesh(positions=pos, faces=fac)
 
 
 def save_obj(mesh: TriMesh) -> str:
@@ -167,13 +151,9 @@ def _edge_counts(faces: np.ndarray):
     return np.stack([rows, counts.indices], axis=1).astype(np.int64), counts.data
 
 
-def edge_set(mesh: TriMesh) -> EdgeSet:
-    """Every undirected face edge exactly once, with its current length."""
-    edges, _ = _edge_counts(mesh.faces)
-    lengths = np.linalg.norm(
-        mesh.positions[edges[:, 0]] - mesh.positions[edges[:, 1]], axis=1
-    )
-    return EdgeSet(edges=edges.astype(np.int32), lengths=lengths)
+def edge_set(mesh: TriMesh) -> np.ndarray:
+    """Every undirected face edge exactly once: (E, 2) int64, i <= j, sorted."""
+    return _edge_counts(mesh.faces)[0]
 
 
 def is_watertight(mesh: TriMesh) -> bool:

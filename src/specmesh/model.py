@@ -27,10 +27,10 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .errors import ArgumentError, NumericalError, ParseError
-from .graphs import build_mesh_graph, lambda_max, laplacian, scaled_laplacian
-from .meshes import subsample_to_count
+from .graphs import adjacency_matrix, lambda_max, laplacian, scaled_laplacian
+from .meshes import edge_set, subsample_to_count
 from .primitives import hand_template, mirror_x
-from .pyramid import GraphPyramid, build_pyramid
+from .pyramid import build_pyramid
 from .segmentation import segment
 
 BN_MOMENTUM = 0.9
@@ -62,8 +62,13 @@ class ModelConfig:
             raise ArgumentError("decoder_sizes must be strictly ascending")
         if self.n_tokens % 2 != 0:
             raise ArgumentError("n_tokens must be even (two hands)")
-        if self.n_views < 1 or self.n_blocks < 1 or self.n_heads < 1:
-            raise ArgumentError("n_views, n_blocks, n_heads must be >= 1")
+        for name in ("n_views", "n_blocks", "n_heads", "cheb_order", "feature_width",
+                     "ffn_factor", "backbone_channels"):
+            if getattr(self, name) < 1:
+                raise ArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # a valid 3x3 convolution after x2 upsampling leaves 2g - 2 rows: none at g = 1
+        if self.backbone_grid < 2:
+            raise ArgumentError(f"backbone_grid must be >= 2, got {self.backbone_grid}")
 
     def encoder_widths(self) -> list[int]:
         """Token widths entering each block: C+3 halved (ceiling) per block."""
@@ -143,7 +148,6 @@ class TemplateAssets:
     hands: tuple  # (right, left) TriMesh at rest pose
     token_positions: np.ndarray  # (2 V', 3): the right hand's kept vertices, then the left's
     token_labels: np.ndarray  # (2 V',) cluster ids
-    pyramid: GraphPyramid  # over decoder_sizes; the mirrored hand shares it
     scaled_ops: tuple  # CSR scaled Laplacians of all but the finest level, both hands
     mesh_edges: np.ndarray  # (2 E, 2) int64 edges of the two hands, left offset by V
 
@@ -153,32 +157,31 @@ class TemplateAssets:
 
 
 def build_assets(config: ModelConfig) -> TemplateAssets:
-    """Template meshes, segmentation, token layout, and the decoder pyramid."""
+    """Template meshes, segmentation, token layout, and the scaled Laplacians
+    of the decoder pyramid's coarse levels."""
     right = hand_template(config.decoder_sizes[-1])
     right = right.with_positions(right.positions + np.array([0.09, 0.0, 0.0]))
     left = mirror_x(right)
-    graph_r = build_mesh_graph(right.positions, right.faces)
-    labels_hand = segment(graph_r, config.n_clusters).labels
+    edges = edge_set(right)
+    adjacency = adjacency_matrix(edges, right.n_vertices)
+    labels_hand = segment(adjacency, config.n_clusters)
     kept = subsample_to_count(right, config.tokens_per_hand, seed=config.seed)
     token_positions = np.concatenate([right.positions[kept], left.positions[kept]])
     token_labels = np.concatenate([labels_hand[kept], labels_hand[kept]])
     # Mirroring only reverses face winding, so the left hand has the same
-    # adjacency, hence the same edges, pyramid levels, parent maps and
-    # operators; only the coarse positions would differ, and the decoder
-    # never reads them. The right hand's CSR adjacency serves both hands:
-    # it gives the edge-loss edges, and build_pyramid coarsens it by
-    # P^T A P into the levels whose scaled Laplacians the decoder filters on.
-    pyramid = build_pyramid(graph_r, list(config.decoder_sizes), seed=config.seed)
+    # edges, hence the same adjacency, pyramid levels and operators. The
+    # right hand's unique edges serve both hands: they are the edge-loss
+    # edges, and build_pyramid coarsens their adjacency by P^T A P into the
+    # levels whose scaled Laplacians the decoder filters on.
+    levels, _ = build_pyramid(adjacency, list(config.decoder_sizes), seed=config.seed)
     ops = []
-    for level in range(pyramid.n_levels - 1):
-        lap = laplacian(pyramid.levels[level])
+    for level in levels[:-1]:
+        lap = laplacian(level)
         ops.append(scaled_laplacian(lap, lambda_max(lap)))
-    edges = graph_r.edge_array()
     return TemplateAssets(
         hands=(right, left),
         token_positions=token_positions,
         token_labels=token_labels,
-        pyramid=pyramid,
         scaled_ops=tuple(ops),
         mesh_edges=np.concatenate([edges, edges + right.n_vertices]),
     )

@@ -3,47 +3,28 @@
 Each coarser level is produced by greedy edge collapse (matching passes over
 the finer graph) stopped exactly when the requested vertex count is reached,
 so level sizes are hit exactly with real vertices and every coarse vertex
-keeps at least one child. Coarse positions are child means. Coarse edges are
-contracted fine edges: with P the (n, n') 0/1 matrix that assigns each fine
-vertex to its coarse vertex, the coarse adjacency is the off-diagonal pattern
-of P^T A P, computed on the CSR adjacency.
+keeps at least one child. Coarse edges are contracted fine edges: with P the
+(n, n') 0/1 matrix that assigns each fine vertex to its coarse vertex, the
+coarse adjacency is the off-diagonal pattern of P^T A P, computed on the CSR
+adjacency. A level is its adjacency alone: the decoder filters on each
+coarse level's Laplacian and reads nothing else of it.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import StructuralError
-from .graphs import MeshGraph, graph_from_adjacency
 
 
-@dataclass(frozen=True)
-class GraphPyramid:
-    """Coarsened graphs (coarsest first) with child-to-parent maps.
+def build_pyramid(fine: sp.csr_matrix, target_sizes, seed: int = 0):
+    """Coarsen the adjacency ``fine`` to the exact vertex counts in ``target_sizes``.
 
-    ``parent_maps[i]`` maps each vertex of ``levels[i + 1]`` (finer) to its
-    parent in ``levels[i]`` (coarser).
-    """
-
-    levels: tuple[MeshGraph, ...]
-    parent_maps: tuple[np.ndarray, ...]
-
-    @property
-    def level_sizes(self) -> list[int]:
-        return [g.n_vertices for g in self.levels]
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
-
-
-def build_pyramid(fine: MeshGraph, target_sizes, seed: int = 0) -> GraphPyramid:
-    """Coarsen ``fine`` to the exact vertex counts in ``target_sizes``.
-
-    ``target_sizes`` is ascending and ends at ``fine.n_vertices``. Matching
-    order is seeded, so the pyramid is deterministic in (fine, sizes, seed).
+    ``target_sizes`` is ascending and ends at the size of ``fine``. Returns
+    ``(levels, parent_maps)``: the 0/1 CSR adjacency of each level, coarsest
+    first and ``fine`` itself last, and for each i the map from every vertex
+    of ``levels[i + 1]`` to its parent in ``levels[i]``. Matching order is
+    seeded, so the pyramid is deterministic in (fine, sizes, seed).
 
     Raises:
         StructuralError: sizes not ascending / wrong finest size, or a level
@@ -54,32 +35,26 @@ def build_pyramid(fine: MeshGraph, target_sizes, seed: int = 0) -> GraphPyramid:
         raise StructuralError("target_sizes must be non-empty")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise StructuralError(f"target_sizes must be strictly ascending, got {sizes}")
-    if sizes[-1] != fine.n_vertices:
+    if sizes[-1] != fine.shape[0]:
         raise StructuralError(
-            f"finest target {sizes[-1]} must equal the graph size {fine.n_vertices}")
+            f"finest target {sizes[-1]} must equal the graph size {fine.shape[0]}")
     rng = np.random.default_rng(seed)
-    levels_fine_first = [fine]
-    maps_fine_first: list[np.ndarray] = []
-    current = fine
+    levels = [fine]
+    parent_maps: list[np.ndarray] = []
     for t in reversed(sizes[:-1]):
-        coarse, parent = _contract_exact(current, t, rng)
-        levels_fine_first.append(coarse)
-        maps_fine_first.append(parent)
-        current = coarse
-    levels = tuple(reversed(levels_fine_first))
-    parent_maps = tuple(reversed(maps_fine_first))
-    return GraphPyramid(levels=levels, parent_maps=parent_maps)
+        coarse, parent = _contract_exact(levels[-1], t, rng)
+        levels.append(coarse)
+        parent_maps.append(parent)
+    return tuple(reversed(levels)), tuple(reversed(parent_maps))
 
 
-def _contract_exact(graph: MeshGraph, target: int, rng: np.random.Generator):
-    """Contract edges until exactly ``target`` vertices remain."""
-    n = graph.n_vertices
+def _contract_exact(adj: sp.csr_matrix, target: int, rng: np.random.Generator):
+    """Contract edges until exactly ``target`` vertices remain; returns the
+    coarse 0/1 adjacency and each fine vertex's coarse parent."""
+    n = adj.shape[0]
     if target >= n:
         raise StructuralError(f"coarse target {target} not below level size {n}")
-    adj = graph.adjacency
     total_parent = np.arange(n, dtype=np.int64)
-    positions = graph.positions.copy()
-    weights = np.ones(n)  # children counts, for mean positions
     cur_n = n
     while cur_n > target:
         needed = cur_n - target
@@ -107,12 +82,6 @@ def _contract_exact(graph: MeshGraph, target: int, rng: np.random.Generator):
         kept, new_id = np.unique(np.where(match >= 0, np.minimum(ids, match), ids),
                                  return_inverse=True)
         nxt = kept.size
-        new_positions = np.zeros((nxt, 3))
-        new_weights = np.zeros(nxt)
-        np.add.at(new_positions, new_id, positions * weights[:, None])
-        np.add.at(new_weights, new_id, weights)
-        positions = new_positions / new_weights[:, None]
-        weights = new_weights
         assign = sp.csr_matrix((np.ones(cur_n), (ids, new_id)), shape=(cur_n, nxt))
         contracted = (assign.T @ adj @ assign).tocsr()
         # the diagonal counts the edge inside each merged pair: drop it
@@ -121,5 +90,6 @@ def _contract_exact(graph: MeshGraph, target: int, rng: np.random.Generator):
         adj.sort_indices()
         total_parent = new_id[total_parent]
         cur_n = nxt
-    return graph_from_adjacency(positions, adj), total_parent
+    adj.data[:] = 1.0  # contraction sums parallel fine edges
+    return adj, total_parent
 

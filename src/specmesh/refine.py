@@ -2,7 +2,8 @@
 
 Interior vertices are found by ray-parity tests (seeded directions, grazing
 hits retried; a point beyond the target's bounding box is exterior without a
-ray, which spares most of the source's vertices) and pulled toward their
+ray, which spares most of the source's vertices), flagged in a plain (V,)
+bool array (``points_interior``, ``collision_mask``), and pulled toward their
 nearest opposing-normal vertex on the other surface, while an
 as-rigid-as-possible energy keeps the source locally rigid. Refinement
 alternates ARAP's local step (closed-form per-cell rotations) with a global
@@ -43,17 +44,6 @@ MAX_RAY_RETRIES = 8
 _MAX_VOXELS = 4_000_000
 _DIST_FLOOR = 1e-9  # meters; caps a pair's collision weight 1 / d in the solve
 _BOX_SLACK = 1e-9  # relative growth of the target's box before a point counts as beyond it
-
-
-@dataclass(frozen=True)
-class CollisionMask:
-    """Per-vertex interior flags against a watertight target surface."""
-
-    interior: np.ndarray  # (V,) bool
-
-    @property
-    def any(self) -> bool:
-        return bool(self.interior.any())
 
 
 @dataclass(frozen=True)
@@ -152,8 +142,8 @@ def _reject_self(source: TriMesh, target: TriMesh, what: str) -> None:
         raise ArgumentError(f"{what} needs two distinct meshes; got one mesh twice")
 
 
-def collision_mask(source: TriMesh, target: TriMesh, seed: int = 0) -> CollisionMask:
-    """Interior flags of source vertices against the target surface.
+def collision_mask(source: TriMesh, target: TriMesh, seed: int = 0) -> np.ndarray:
+    """(V,) bool interior flags of source vertices against the target surface.
 
     Raises:
         ArgumentError: source and target are one mesh, or target is not
@@ -162,18 +152,13 @@ def collision_mask(source: TriMesh, target: TriMesh, seed: int = 0) -> Collision
     _reject_self(source, target, "collision mask")
     if not is_watertight(target):
         raise ArgumentError("collision mask requires a watertight target")
-    return _collision_mask(source, _face_clusters(target), seed)
+    return points_interior(source.positions, _face_clusters(target), seed)[0]
 
 
-def _collision_mask(source: TriMesh, target_faces: FaceClusters, seed: int) -> CollisionMask:
-    """``collision_mask`` without its checks, on the target's ``FaceClusters``."""
-    interior, _ = points_interior(source.positions, target_faces, seed)
-    return CollisionMask(interior=interior)
-
-
-def _gated_pairs(source: TriMesh, mask: CollisionMask, target: TriMesh):
-    """(source idx, target idx) pairs that pass the opposing-normal gate."""
-    masked = np.flatnonzero(mask.interior)
+def _gated_pairs(source: TriMesh, interior: np.ndarray, target: TriMesh):
+    """(source idx, target idx) pairs of the ``interior`` source vertices
+    that pass the opposing-normal gate."""
+    masked = np.flatnonzero(interior)
     if masked.size == 0:
         return masked, masked
     nn_idx, _ = nearest_vertex(source.positions[masked], target.positions)
@@ -244,7 +229,7 @@ def arap_energy(rest: TriMesh, deformed_positions: np.ndarray) -> float:
     deformed_positions = np.asarray(deformed_positions, dtype=np.float64)
     if deformed_positions.shape != rest.positions.shape:
         raise ArgumentError("deformed positions must match rest topology")
-    edges = edge_set(rest).edges.astype(np.int64)
+    edges = edge_set(rest)
     return _arap_local(rest.positions, deformed_positions, edges,
                        _owner_sum(edges, rest.n_vertices))[0]
 
@@ -318,7 +303,7 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
         raise ArgumentError("refinement requires a watertight target")
     before = plausibility_metrics(source, target)
     rest = source.positions
-    edges = edge_set(source).edges.astype(np.int64)
+    edges = edge_set(source)
     global_step = _GlobalStep(rest, edges, config.arap_weight)
     owner_sum = _owner_sum(edges, source.n_vertices)
     target_faces = _face_clusters(target)  # the target never moves
@@ -330,8 +315,8 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     for it in range(config.max_iters):
         iterations = it + 1
         current = source.with_positions(x)
-        src_idx, tgt_idx = _gated_pairs(current, _collision_mask(current, target_faces, seed=0),
-                                        target)
+        interior, _ = points_interior(x, target_faces, seed=0)
+        src_idx, tgt_idx = _gated_pairs(current, interior, target)
         if src_idx.size == 0 and it == 0:
             # nothing penetrates: the input is already the answer
             return RefineResult(mesh=source, before=before, after=before,
@@ -453,8 +438,8 @@ def plausibility_metrics(a: TriMesh, b: TriMesh, voxel_cm: float = 0.5,
     faces_a, faces_b = _face_clusters(a), _face_clusters(b)
     pen = 0.0
     for src, dst_faces in ((a, faces_b), (b, faces_a)):
-        mask = _collision_mask(src, dst_faces, seed)
-        pts = src.positions[mask.interior]
+        interior, _ = points_interior(src.positions, dst_faces, seed)
+        pts = src.positions[interior]
         if pts.size:
             pen = max(pen, float(point_triangle_dists(pts, dst_faces).max()))
     h = voxel_cm / 100.0  # meters

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError
 from .model import CameraParams, ModelConfig, TemplateAssets, synth_backbone_features
 from .primitives import apply_rigid, rotation_matrix
 
@@ -22,14 +21,9 @@ class SceneSpec:
     """Recipe for one synthetic scene."""
 
     seed: int = 0
-    n_views: int = 2
     noise: float = 0.0  # meters, vertex-wise Gaussian on the ground truth
     pose_angle: float = 0.25  # radians, max random rotation per hand
     pose_shift: float = 0.04  # meters, max random translation per hand
-
-    def __post_init__(self):
-        if self.n_views < 1:
-            raise ArgumentError("n_views must be >= 1")
 
 
 @dataclass
@@ -41,9 +35,8 @@ class Scene:
 
 
 def build_scene(spec: SceneSpec, assets: TemplateAssets, config: ModelConfig) -> Scene:
-    """Deterministic scene from a spec: posed hands, cameras, projections."""
-    if spec.n_views != config.n_views:
-        raise ArgumentError(f"scene has {spec.n_views} views, config expects {config.n_views}")
+    """Deterministic scene from a spec: posed hands, and one camera and
+    projection per view of ``config``."""
     rng = np.random.default_rng(spec.seed)
     posed = []
     for hand in assets.hands:
@@ -59,8 +52,8 @@ def build_scene(spec: SceneSpec, assets: TemplateAssets, config: ModelConfig) ->
     if spec.noise > 0:
         gt = gt + rng.normal(scale=spec.noise, size=gt.shape)
     cams = []
-    gt2d = np.zeros((spec.n_views, gt.shape[0], 2))
-    for n in range(spec.n_views):
+    gt2d = np.zeros((config.n_views, gt.shape[0], 2))
+    for n in range(config.n_views):
         cam = CameraParams(scale=float(1.0 + rng.uniform(-0.1, 0.1)),
                            translation=rng.uniform(-0.05, 0.05, size=2))
         gt2d[n] = cam.scale * gt[:, :2] + cam.translation

@@ -3,64 +3,46 @@
 Vertices are embedded by rows of the low-frequency Laplacian eigenvectors
 and grouped with k-means. For a connected graph the constant eigenvector is
 skipped (it carries no information); for a disconnected graph the whole
-null space is kept, which makes component recovery exact. The resulting
-clusters bind region-specific image features to mesh regions.
+null space is kept, which makes component recovery exact. ``segment`` takes
+the mesh's CSR adjacency and returns one int32 cluster label per vertex;
+the clusters bind region-specific image features to mesh regions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ArgumentError
-from .graphs import MeshGraph, eigendecompose, laplacian
+from .graphs import eigendecompose, laplacian
 
 KMEANS_MAX_ITERS = 100
 KMEANS_TOL = 1e-8
 _CONSTANT_COLUMN_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class ClusterAssignment:
-    """Vertex labels in [0, K) plus the k-means centroids that produced them."""
+def segment(adjacency: sp.csr_matrix, K: int) -> np.ndarray:
+    """Spectral clustering of a graph, given by its adjacency, into K clusters.
 
-    labels: np.ndarray  # (V,) int32
-    K: int
-    centroids: np.ndarray  # (K, d) in spectral-embedding space
-    converged: bool = True
-
-    def cluster_sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.K)
-
-
-def segment(g: MeshGraph, K: int) -> ClusterAssignment:
-    """Spectral clustering of a mesh graph into K clusters.
-
-    The embedding uses eigenvectors 2..K+1 when the first is constant
-    (connected graph), otherwise 1..K so the null space of each component
-    is retained.
+    Returns each vertex's int32 label in [0, K). The embedding uses
+    eigenvectors 2..K+1 when the first is constant (connected graph),
+    otherwise 1..K so the null space of each component is retained.
 
     Raises:
         ArgumentError: K outside [1, |V|].
     """
-    n = g.n_vertices
+    n = adjacency.shape[0]
     if not 1 <= K <= n:
         raise ArgumentError(f"K must be in [1, {n}], got {K}")
     if K == 1:
-        return ClusterAssignment(
-            labels=np.zeros(n, dtype=np.int32), K=1,
-            centroids=np.zeros((1, 1)), converged=True,
-        )
+        return np.zeros(n, dtype=np.int32)
     k_request = min(K + 1, n)
-    spectrum = eigendecompose(laplacian(g), k_request)
-    first = spectrum.eigenvectors[:, 0]
+    _, eigenvectors = eigendecompose(laplacian(adjacency), k_request)
+    first = eigenvectors[:, 0]
     if first.max() - first.min() < _CONSTANT_COLUMN_TOL:
-        embedding = spectrum.eigenvectors[:, 1:k_request]
+        embedding = eigenvectors[:, 1:k_request]
     else:
-        embedding = spectrum.eigenvectors[:, :K]
-    labels, centroids, converged = _kmeans(embedding, K)
-    return ClusterAssignment(labels=labels.astype(np.int32), K=K,
-                             centroids=centroids, converged=converged)
+        embedding = eigenvectors[:, :K]
+    return _kmeans(embedding, K).astype(np.int32)
 
 
 def _kmeans(points: np.ndarray, K: int):
@@ -74,7 +56,6 @@ def _kmeans(points: np.ndarray, K: int):
     """
     centroids = _kmeans_pp_init(points, K)
     labels = np.zeros(points.shape[0], dtype=np.int64)
-    converged = False
     for _ in range(KMEANS_MAX_ITERS):
         d2 = _sq_distances(points, centroids)
         labels = np.argmin(d2, axis=1)  # argmin picks the lowest index on ties
@@ -87,9 +68,8 @@ def _kmeans(points: np.ndarray, K: int):
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         if shift < KMEANS_TOL:
-            converged = True
             break
-    return labels, centroids, converged
+    return labels
 
 
 def _kmeans_pp_init(points: np.ndarray, K: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import farthest_point_dense, union_find_components
 from specmesh.errors import ArgumentError, ParseError
-from specmesh.graphs import build_mesh_graph
+from specmesh.graphs import adjacency_matrix
 from specmesh.meshes import (
     TriMesh,
     edge_set,
@@ -58,11 +58,6 @@ class TestLoadObj:
         assert np.array_equal(once.faces, mesh.faces)
         assert np.array_equal(twice.positions, once.positions)
         assert np.array_equal(twice.faces, once.faces)
-
-    def test_non_manifold_flagged(self):
-        # three triangles sharing one edge
-        text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nv 0 -1 0\nf 1 2 3\nf 1 2 4\nf 1 2 5\n"
-        assert load_obj(text).non_manifold
 
     def test_normals_unit_length(self):
         mesh = load_obj(hand_template_obj())
@@ -122,54 +117,78 @@ class TestSubsample:
             subsample_to_count(ico162, 163, seed=0)
 
 
+def _face_sides(faces):
+    """Every face's three sides, (3F, 2), shared sides once per face."""
+    f = np.asarray(faces, dtype=np.int64)
+    return np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+
+
+def _lengths(mesh, edges):
+    return np.linalg.norm(mesh.positions[edges[:, 0]] - mesh.positions[edges[:, 1]], axis=1)
+
+
 class TestEdgeSet:
     def test_equilateral_triangle(self):
         pos = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0]])
-        es = edge_set(TriMesh(positions=pos, faces=np.array([[0, 1, 2]], dtype=np.int32)))
-        assert es.n_edges == 3
-        assert np.allclose(es.lengths, 1.0)
+        mesh = TriMesh(positions=pos, faces=np.array([[0, 1, 2]], dtype=np.int32))
+        edges = edge_set(mesh)
+        assert edges.dtype == np.int64
+        assert edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert np.allclose(_lengths(mesh, edges), 1.0)
 
     def test_unit_cube_enumeration(self):
-        es = edge_set(cube(1.0))
-        assert es.n_edges == 18
-        lengths = np.sort(es.lengths)
+        mesh = cube(1.0)
+        edges = edge_set(mesh)
+        assert edges.shape == (18, 2)
+        lengths = np.sort(_lengths(mesh, edges))
         # oracle: 12 cube sides of length 1 plus 6 face diagonals of sqrt(2)
         assert np.allclose(lengths[:12], 1.0)
         assert np.allclose(lengths[12:], np.sqrt(2.0))
 
     def test_zero_length_edge_included(self):
         pos = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]], dtype=float)
-        es = edge_set(TriMesh(positions=pos, faces=np.array([[0, 1, 2]], dtype=np.int32)))
-        assert es.n_edges == 3
-        assert np.min(es.lengths) == 0.0
+        mesh = TriMesh(positions=pos, faces=np.array([[0, 1, 2]], dtype=np.int32))
+        edges = edge_set(mesh)
+        assert edges.shape == (3, 2)
+        assert np.min(_lengths(mesh, edges)) == 0.0
 
     def test_lengths_match_positions(self, ico162):
-        es = edge_set(ico162)
-        direct = np.linalg.norm(
-            ico162.positions[es.edges[:, 0]] - ico162.positions[es.edges[:, 1]], axis=1)
-        assert np.max(np.abs(es.lengths - direct)) < 1e-12
+        # the unique edges' lengths are the lengths of the face sides
+        sides = np.sort(_face_sides(ico162.faces), axis=1)
+        by_side = dict(zip(map(tuple, sides.tolist()), _lengths(ico162, sides)))
+        edges = edge_set(ico162)
+        assert sorted(by_side) == list(map(tuple, edges.tolist()))
+        assert np.array_equal(_lengths(ico162, edges),
+                              [by_side[e] for e in map(tuple, edges.tolist())])
 
     def test_no_duplicate_pairs(self, ico162):
-        es = edge_set(ico162)
-        assert len({(int(i), int(j)) for i, j in es.edges}) == es.n_edges
+        edges = edge_set(ico162)
+        assert np.all(edges[:, 0] < edges[:, 1])
+        assert len({(int(i), int(j)) for i, j in edges}) == edges.shape[0]
 
     def test_handshake_against_adjacency(self, ico162):
-        es = edge_set(ico162)
-        g = build_mesh_graph(ico162.positions, ico162.faces)
-        degree_sum = sum(int(g.degrees[i] + g.degrees[j]) for i, j in es.edges)
+        edges = edge_set(ico162)
+        # degrees from every face side, shared sides twice, not from the edge set
+        every = adjacency_matrix(_face_sides(ico162.faces), ico162.n_vertices)
+        degrees = np.asarray(every.sum(axis=1)).ravel()
+        degree_sum = sum(int(degrees[i] + degrees[j]) for i, j in edges)
         # each endpoint's degree counted once per incident edge: sum equals
         # sum over vertices of degree^2; cross-check total edge count instead
-        assert es.n_edges == int(g.degrees.sum()) // 2
-        assert degree_sum == int(np.sum(g.degrees**2))
+        assert edges.shape[0] == int(degrees.sum()) // 2
+        assert degree_sum == int(np.sum(degrees**2))
 
 
 class TestWatertight:
     def test_icosphere_closed(self, ico162):
         assert is_watertight(ico162)
 
-    def test_single_triangle_open(self):
-        mesh = TriMesh(positions=np.eye(3), faces=np.array([[0, 1, 2]], dtype=np.int32))
-        assert not is_watertight(mesh)
+    @pytest.mark.parametrize("text", [
+        "v 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\n",
+        # three triangles on one edge: load_obj accepts it, is_watertight does not
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nv 0 -1 0\nf 1 2 3\nf 1 2 4\nf 1 2 5\n",
+    ], ids=["single_triangle", "non_manifold"])
+    def test_edge_without_two_faces_open(self, text):
+        assert not is_watertight(load_obj(text))
 
     def test_cube_missing_face_open(self):
         c = cube(1.0)
@@ -184,7 +203,7 @@ class TestWatertight:
     def test_hand_template_open_at_wrist(self, hand_mesh):
         assert not is_watertight(hand_mesh)
         assert union_find_components(hand_mesh.n_vertices,
-                                     edge_set(hand_mesh).edges) == 1
+                                     edge_set(hand_mesh)) == 1
 
 
 class TestHandTemplateSize:
@@ -197,7 +216,7 @@ class TestHandTemplateSize:
         assert mesh.n_faces == 2 * (32 + 28 * rings)
         _, counts = _edge_counts(mesh.faces)
         assert int(np.sum(counts == 1)) == 28  # the wrist
-        assert union_find_components(mesh.n_vertices, edge_set(mesh).edges) == 1
+        assert union_find_components(mesh.n_vertices, edge_set(mesh)) == 1
 
     @pytest.mark.parametrize("rings", [1, 4, 142])
     def test_consistently_wound(self, rings):

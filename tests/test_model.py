@@ -10,11 +10,12 @@ import pytest
 import scipy.linalg
 
 import specmesh
+from conftest import mesh_adjacency
 from oracles import upconv3x3_composed
 from specmesh import autodiff as ad
 from specmesh import model as M
 from specmesh.errors import ArgumentError, NumericalError, ParseError
-from specmesh.graphs import build_mesh_graph, lambda_max, laplacian, scaled_laplacian
+from specmesh.graphs import lambda_max, laplacian, scaled_laplacian
 from specmesh.pyramid import build_pyramid
 from specmesh.scenes import SceneSpec, build_scene
 
@@ -29,15 +30,14 @@ class TestFullConfigAssets:
     def test_one_operator_per_coarse_level(self, full):
         config, assets = full
         assert [op.shape[0] for op in assets.scaled_ops] == [617, 1234, 2468]
-        assert assets.pyramid.level_sizes == list(config.decoder_sizes)
+        assert assets.n_hand_vertices == config.decoder_sizes[-1]
 
     def test_operators_equal_mirrored_hands_own(self, full):
         config, assets = full
         left = assets.hands[1]
-        pyramid = build_pyramid(build_mesh_graph(left.positions, left.faces),
-                                config.decoder_sizes, seed=config.seed)
+        levels, _ = build_pyramid(mesh_adjacency(left), config.decoder_sizes, seed=config.seed)
         for level, op in enumerate(assets.scaled_ops):
-            lap = laplacian(pyramid.levels[level])
+            lap = laplacian(levels[level])
             own = scaled_laplacian(lap, lambda_max(lap))
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(op, attr), getattr(own, attr))
@@ -234,6 +234,24 @@ class TestCheckpoint:
         digest = hashlib.sha256(json.dumps(edited, sort_keys=True).encode()).hexdigest()[:16]
         path.write_text(json.dumps({"config": edited, "config_hash": digest}))
         with pytest.raises(ParseError, match=f"manifest.json.*{key}"):
+            M.load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_views", 0), ("n_blocks", 0), ("n_heads", 0), ("cheb_order", 0),
+        ("feature_width", 0), ("ffn_factor", 0), ("backbone_channels", 0),
+        ("backbone_grid", 1), ("n_tokens", 33), ("decoder_sizes", [80, 40, 159]),
+    ])
+    def test_out_of_range_config_value_is_argument_error(self, tmp_path, key, value):
+        # a manifest can carry any of these; unchecked, cheb_order 0 ends in an
+        # IndexError, feature_width or ffn_factor 0 in a ValueError and
+        # backbone_grid 1 in a ZeroDivisionError, deep in set-up or train_step
+        with pytest.raises(ArgumentError, match=key):
+            M.toy_config(**{key: value})
+        edited = dict(M.toy_config().to_dict(), **{key: value})
+        digest = hashlib.sha256(json.dumps(edited, sort_keys=True).encode()).hexdigest()[:16]
+        (tmp_path / "manifest.json").write_text(json.dumps({"config": edited,
+                                                            "config_hash": digest}))
+        with pytest.raises(ArgumentError, match=key):
             M.load_checkpoint(tmp_path)
 
     def test_numbers_of_either_json_form_load(self):

@@ -3,7 +3,6 @@ import pytest
 
 from specmesh import autodiff as ad
 from specmesh import model as M
-from specmesh.errors import ArgumentError
 from specmesh.scenes import SceneSpec, build_scene
 
 
@@ -38,6 +37,13 @@ class TestBuildScene:
             assert np.allclose(view, cam.scale * scene.gt_vertices[:, :2] + cam.translation,
                                rtol=0.0, atol=1e-15)
 
+    def test_one_view_per_config_view(self, toy):
+        _, assets = toy
+        config = M.toy_config(n_views=3)
+        scene = build_scene(SceneSpec(seed=8), assets, config)
+        assert len(scene.gt_cameras) == 3
+        assert scene.gt2d.shape[0] == scene.features.shape[0] == 3
+
     def test_posed_hands_are_rigid_copies_of_the_template(self, toy):
         config, assets = toy
         scene = build_scene(SceneSpec(seed=7), assets, config)
@@ -49,15 +55,6 @@ class TestBuildScene:
             d_posed = np.linalg.norm(posed[:, None] - posed[None], axis=-1)
             d_rest = np.linalg.norm(rest[:, None] - rest[None], axis=-1)
             assert np.abs(d_posed - d_rest).max() < 1e-12
-
-    def test_view_count_mismatch_rejected(self, toy):
-        config, assets = toy
-        with pytest.raises(ArgumentError, match="views"):
-            build_scene(SceneSpec(n_views=config.n_views + 1), assets, config)
-
-    def test_zero_views_rejected(self):
-        with pytest.raises(ArgumentError):
-            SceneSpec(n_views=0)
 
 
 def test_toy_overfits_one_scene(toy):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_mesh_graph
+from conftest import mesh_adjacency, random_mesh_graph
 from specmesh import graphs
 from specmesh.errors import ArgumentError
-from specmesh.graphs import build_mesh_graph, eigendecompose, graph_from_edges, laplacian
+from specmesh.graphs import adjacency_matrix, eigendecompose, laplacian
+from specmesh.meshes import TriMesh
 from specmesh.primitives import hand_template, icosphere
 from specmesh.segmentation import segment
 
@@ -17,7 +18,8 @@ def _disjoint_spheres_graph(n_spheres, subdivisions=1):
     for m in meshes:
         faces.append(m.faces + offset)
         offset += m.n_vertices
-    return build_mesh_graph(pos, np.concatenate(faces)), [m.n_vertices for m in meshes]
+    return (mesh_adjacency(TriMesh(pos, np.concatenate(faces))),
+            [m.n_vertices for m in meshes])
 
 
 def _clustered_graph(seed=0):
@@ -30,14 +32,13 @@ def _clustered_graph(seed=0):
                   if rng.random() < 0.8]
         edges += [(base + i, base + i + 1) for i in range(11)]
     edges += [(11, 12), (23, 24), (35, 36)]
-    return graph_from_edges(rng.normal(size=(48, 3)), edges)
+    return adjacency_matrix(edges, 48)
 
 
 class TestSegment:
     def test_two_disjoint_spheres_recovered(self):
         g, sizes = _disjoint_spheres_graph(2)
-        result = segment(g, K=2)
-        labels = result.labels
+        labels = segment(g, K=2)
         first, second = labels[: sizes[0]], labels[sizes[0]:]
         assert len(set(first.tolist())) == 1
         assert len(set(second.tolist())) == 1
@@ -45,7 +46,7 @@ class TestSegment:
 
     def test_three_components_recovered(self):
         g, sizes = _disjoint_spheres_graph(3)
-        labels = segment(g, K=3).labels
+        labels = segment(g, K=3)
         bounds = np.cumsum([0] + sizes)
         groups = [set(labels[bounds[i]:bounds[i + 1]].tolist()) for i in range(3)]
         assert all(len(grp) == 1 for grp in groups)
@@ -53,62 +54,60 @@ class TestSegment:
 
     def test_k_one_all_zero(self):
         g = random_mesh_graph(30, seed=3)
-        assert np.all(segment(g, K=1).labels == 0)
+        labels = segment(g, K=1)
+        assert labels.dtype == np.int32 and np.all(labels == 0)
 
     def test_icosphere_seven_clusters_nonempty(self, ico162):
-        g = build_mesh_graph(ico162.positions, ico162.faces)
-        result = segment(g, K=7)
-        assert np.all(result.cluster_sizes() > 0)
+        labels = segment(mesh_adjacency(ico162), K=7)
+        assert labels.dtype == np.int32
+        assert np.all(np.bincount(labels, minlength=7) > 0)
 
     def test_deterministic(self):
         g = _clustered_graph()
-        a = segment(g, K=4)
-        b = segment(g, K=4)
-        assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.centroids, b.centroids)
+        assert np.array_equal(segment(g, K=4), segment(g, K=4))
 
     @pytest.mark.parametrize("perm_seed", range(5))
     def test_relabeling_invariance(self, perm_seed):
         g = _clustered_graph()
-        base = segment(g, K=4).labels
+        base = segment(g, K=4)
         rng = np.random.default_rng(perm_seed)
-        perm = rng.permutation(g.n_vertices)
+        perm = rng.permutation(g.shape[0])
         # vertex i of the permuted graph is vertex perm[i] of the original
-        adj = g.adjacency.toarray()[np.ix_(perm, perm)]
+        adj = g.toarray()[np.ix_(perm, perm)]
         edges = np.argwhere(np.triu(adj, 1))
-        permuted = graph_from_edges(g.positions[perm], edges)
-        labels = segment(permuted, K=4).labels
+        permuted = adjacency_matrix(edges, g.shape[0])
+        labels = segment(permuted, K=4)
         partition = lambda lab: {frozenset(np.flatnonzero(lab == k).tolist()) for k in range(4)}
         original_on_permuted = base[perm]
         assert partition(labels) == partition(original_on_permuted)
 
     @pytest.mark.parametrize("level", [0, 1], ids=["617", "1234"])
-    def test_arpack_labels_equal_dense(self, hand_pyramid, level, monkeypatch):
-        g = hand_pyramid.levels[level]
-        assert graphs._use_arpack(g.n_vertices, 8)
-        arpack = segment(g, K=7).labels
+    def test_arpack_labels_equal_dense(self, hand_levels, level, monkeypatch):
+        g = hand_levels[level]
+        assert graphs._use_arpack(g.shape[0], 8)
+        arpack = segment(g, K=7)
         monkeypatch.setattr(graphs, "ARPACK_MIN_VERTICES", 10**9)
-        dense = segment(g, K=7).labels
+        dense = segment(g, K=7)
         assert np.array_equal(arpack, dense)
 
     def test_toy_hand_arpack_labels_equal_dense(self, monkeypatch):
         # the toy config's 4-ring hand: the eigenvalues segment embeds are
         # distinct, so the labels do not hang on a solver's choice of basis
         hand = hand_template(159)
-        g = build_mesh_graph(hand.positions, hand.faces)
-        assert not graphs._use_arpack(g.n_vertices, 8)
-        dense = segment(g, K=7).labels
+        g = mesh_adjacency(hand)
+        assert not graphs._use_arpack(g.shape[0], 8)
+        dense = segment(g, K=7)
         monkeypatch.setattr(graphs, "ARPACK_MIN_VERTICES", 0)
-        assert graphs._use_arpack(g.n_vertices, 8)
-        assert np.array_equal(segment(g, K=7).labels, dense)
+        assert graphs._use_arpack(g.shape[0], 8)
+        assert np.array_equal(segment(g, K=7), dense)
 
     def test_two_large_disjoint_spheres_arpack(self):
         g, sizes = _disjoint_spheres_graph(2, subdivisions=3)
-        assert g.n_vertices == 1284 and graphs._use_arpack(g.n_vertices, 3)
-        spec = eigendecompose(laplacian(g), 3)
-        null = spec.eigenvalues < graphs.ZERO_EIGENVALUE_TOL
+        assert g.shape[0] == 1284 and graphs._use_arpack(g.shape[0], 3)
+        vals, _ = eigendecompose(laplacian(g), 3)
+        null = vals < graphs.ZERO_EIGENVALUE_TOL
         assert null.tolist() == [True, True, False]
-        labels = segment(g, K=2).labels
+        labels = segment(g, K=2)
         assert len(set(labels[: sizes[0]].tolist())) == 1
         assert len(set(labels[sizes[0]:].tolist())) == 1
         assert labels[0] != labels[-1]

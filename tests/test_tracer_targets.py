@@ -3,10 +3,14 @@
 import importlib.util
 from pathlib import Path
 
+from specmesh import model as M
 from specmesh import refine
 from specmesh.primitives import icosphere
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+# perfbench/workloads.py::SETUP_SPANS: the spans a model workload's setup_s covers
+SETUP_SPANS = ("model.build_assets", "segmentation.segment", "graphs.lambda_max",
+               "pyramid.build_pyramid", "model.init_parameters")
 
 
 def _load_tracer():
@@ -21,6 +25,21 @@ def test_every_target_exists():
     missing = [f"{owner.__name__}.{attr}" for owner, attr in tracer.targets()
                if attr not in vars(owner)]
     assert missing == []
+
+
+def test_setup_spans_are_called():
+    # the wrappers sit on model's own names; set-up that reached a function
+    # through another module would leave its span, and its metrics, at zero
+    tracer = _load_tracer().Tracer().install()
+    try:
+        tracer.recording = True
+        config = M.toy_config()
+        M.init_parameters(config, M.build_assets(config))
+        calls = tracer.take()["calls"]
+    finally:
+        tracer.uninstall()
+    assert {name: calls.get(name, 0) > 0 for name in SETUP_SPANS} == dict.fromkeys(
+        SETUP_SPANS, True)
 
 
 def test_kernel_pair_counters_read_points_times_faces(monkeypatch):
