@@ -6,9 +6,12 @@ ray, which spares most of the source's vertices), flagged in a plain (V,)
 bool array (``points_interior``, ``collision_mask``), and pulled toward their
 nearest opposing-normal vertex on the other surface, while an
 as-rigid-as-possible energy keeps the source locally rigid. Refinement
-alternates ARAP's local step (closed-form per-cell rotations) with a global
-step, one sparse linear solve in which the L1 pull is reweighted least
-squares; it stops when no vertex penetrates.
+alternates ARAP's local step with a global step, and both are closed form.
+The local step takes each cell's rotation from Horn's quaternion (the top
+eigenvector of a symmetric 4x4 matrix). The global step is one banded
+Cholesky solve, with the L1 pull as reweighted least squares, on a
+bandwidth-reducing order fixed per topology. Refinement stops when no vertex
+penetrates.
 Plausibility is reported as maximum penetration depth (mm) and voxelized
 intersection volume (cm^3). The volume reads the centers of a voxel grid by
 scanline parity (Nooruddin & Turk, TVCG 2003): one ray per grid column,
@@ -30,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
+from scipy.linalg import solveh_banded
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from .errors import ArgumentError
 from .kernels import (FaceClusters, _EPS_T, nearest_vertex, point_triangle_dists, ray_crossings,
@@ -142,16 +145,24 @@ def _reject_self(source: TriMesh, target: TriMesh, what: str) -> None:
         raise ArgumentError(f"{what} needs two distinct meshes; got one mesh twice")
 
 
+def _check_mesh(mesh: TriMesh, name: str, what: str) -> None:
+    """Raise ``ArgumentError`` naming the mesh unless its positions are finite
+    and it is watertight."""
+    if not np.isfinite(mesh.positions).all():
+        raise ArgumentError(f"{what}: mesh {name!r} has a NaN or infinite position")
+    if not is_watertight(mesh):
+        raise ArgumentError(f"{what} requires a watertight {name!r} mesh")
+
+
 def collision_mask(source: TriMesh, target: TriMesh, seed: int = 0) -> np.ndarray:
     """(V,) bool interior flags of source vertices against the target surface.
 
     Raises:
         ArgumentError: source and target are one mesh, or target is not
-            watertight.
+            watertight or has a non-finite position.
     """
     _reject_self(source, target, "collision mask")
-    if not is_watertight(target):
-        raise ArgumentError("collision mask requires a watertight target")
+    _check_mesh(target, "target", "collision mask")
     return points_interior(source.positions, _face_clusters(target), seed)[0]
 
 
@@ -188,9 +199,100 @@ def _cell_covariances(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray,
     return (owner_sum @ outer).reshape(-1, 3, 3), e_rest, e_def
 
 
+_MAX_NEWTON = 64  # Newton converges at least linearly (rate 1/2, at a double root)
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))  # column pairs of ``_minors``
+
+
+def _minors(a: np.ndarray):
+    """2x2 minors of rows 0-1 (``u``) and of rows 2-3 (``l``) of each matrix
+    in a (4, 4, V) stack, one per column pair of ``_PAIRS``."""
+    return ([a[0, i] * a[1, j] - a[0, j] * a[1, i] for i, j in _PAIRS],
+            [a[2, i] * a[3, j] - a[2, j] * a[3, i] for i, j in _PAIRS])
+
+
+def _det(a: np.ndarray) -> np.ndarray:
+    """Determinant of each matrix in a (4, 4, V) stack (Laplace expansion
+    over rows 0-1)."""
+    (u01, u02, u03, u12, u13, u23), (l01, l02, l03, l12, l13, l23) = _minors(a)
+    return u01 * l23 - u02 * l13 + u03 * l12 + u12 * l03 - u13 * l02 + u23 * l01
+
+
+def _adjugate(a: np.ndarray) -> np.ndarray:
+    """Adjugate of each matrix in a (4, 4, V) stack, from its ``_minors``."""
+    (u01, u02, u03, u12, u13, u23), (l01, l02, l03, l12, l13, l23) = _minors(a)
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = a
+    return np.array([
+        [a11 * l23 - a12 * l13 + a13 * l12, -a01 * l23 + a02 * l13 - a03 * l12,
+         a31 * u23 - a32 * u13 + a33 * u12, -a21 * u23 + a22 * u13 - a23 * u12],
+        [-a10 * l23 + a12 * l03 - a13 * l02, a00 * l23 - a02 * l03 + a03 * l02,
+         -a30 * u23 + a32 * u03 - a33 * u02, a20 * u23 - a22 * u03 + a23 * u02],
+        [a10 * l13 - a11 * l03 + a13 * l01, -a00 * l13 + a01 * l03 - a03 * l01,
+         a30 * u13 - a31 * u03 + a33 * u01, -a20 * u13 + a21 * u03 - a23 * u01],
+        [-a10 * l12 + a11 * l02 - a12 * l01, a00 * l12 - a01 * l02 + a02 * l01,
+         -a30 * u12 + a31 * u02 - a32 * u01, a20 * u12 - a21 * u02 + a22 * u01]])
+
+
+def _best_rotations(s: np.ndarray) -> np.ndarray:
+    """(V, 3, 3) proper rotations R that maximize tr(R s) for each (3, 3)
+    covariance s: orthogonal Procrustes with det +1, in closed form.
+
+    Horn's quaternion (JOSA A 1987): the best R is the rotation of the unit
+    eigenvector of a symmetric, traceless 4x4 matrix N(s) that belongs to
+    its largest eigenvalue. That eigenvalue is found by Newton's method on
+    the characteristic quartic ``l^4 - 2|s|^2 l^2 - 8 det(s) l + det(N)``,
+    as in Theobald's QCP (Acta Cryst. A 2005), from the upper bound
+    ``sqrt(3) |s|``. From above the largest root, Newton falls monotonically,
+    so a cell stops once its step is no longer positive and shrinking. The
+    eigenvector is the largest column of adj(N - l I), which is
+    (N - l I)^-1 up to scale, polished by two products:
+    - one more with the adjugate, a step of inverse iteration. It squares
+      the share of the nearest other eigenvector, so the rotation's error
+      grows with 1 / gap, as the SVD's does, and not with 1 / gap^2, as
+      from l alone;
+    - one with N + l I, a power step. It damps every other eigenvector
+      (|l_k + l| <= 2 l) and removes the adjugate's rounding at a double
+      root, where the optimum is not unique (a cell collapsed onto a line).
+    """
+    (sxx, sxy, sxz), (syx, syy, syz), (szx, szy, szz) = \
+        np.ascontiguousarray(s.reshape(-1, 9).T).reshape(3, 3, -1)
+    n = np.array([[sxx + syy + szz, syz - szy, szx - sxz, sxy - syx],
+                  [syz - szy, sxx - syy - szz, sxy + syx, szx + sxz],
+                  [szx - sxz, sxy + syx, -sxx + syy - szz, syz + szy],
+                  [sxy - syx, szx + sxz, syz + szy, -sxx - syy + szz]])
+    norm2 = np.einsum("vij,vij->v", s, s)
+    c2 = -2.0 * norm2
+    c1 = -8.0 * (sxx * (syy * szz - syz * szy) - sxy * (syx * szz - syz * szx)
+                 + sxz * (syx * szy - syy * szx))
+    c0 = _det(n)
+    lam = np.sqrt(3.0 * norm2)
+    step = np.full_like(lam, np.inf)
+    for _ in range(_MAX_NEWTON):
+        lam2 = lam * lam
+        with np.errstate(divide="ignore", invalid="ignore"):  # dp = 0 only at a multiple root
+            newton = (((lam2 + c2) * lam + c1) * lam + c0) / ((4.0 * lam2 + 2.0 * c2) * lam + c1)
+        take = (newton > 0) & (newton < step)
+        if not take.any():
+            break
+        lam = np.where(take, lam - newton, lam)
+        step = np.where(take, newton, 0.0)
+    adj = _adjugate(n - lam * np.eye(4)[:, :, None])
+    cells = np.arange(s.shape[0])
+    norms = np.einsum("ijv,ijv->jv", adj, adj)
+    best = np.argmax(norms, axis=0)
+    q = adj[:, best, cells] / np.sqrt(norms[best, cells])
+    q = np.einsum("ijv,jv->iv", adj, q)
+    q = np.einsum("ijv,jv->iv", n, q) + lam * q
+    w, x, y, z = q / np.sqrt(np.einsum("iv,iv->v", q, q))
+    r = np.array([[w * w + x * x - y * y - z * z, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
+                  [2.0 * (x * y + w * z), w * w - x * x + y * y - z * z, 2.0 * (y * z - w * x)],
+                  [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), w * w - x * x - y * y + z * z]])
+    return np.moveaxis(r, -1, 0)
+
+
 def _arap_rotations(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray,
                     owner_sum: sp.csr_matrix):
-    """Per-cell optimal rotations (orthogonal Procrustes with det +1)."""
+    """Per-cell optimal rotations: ``_best_rotations`` of the cells'
+    covariances, with the identity for degenerate and unmoved cells."""
     s, e_rest, e_def = _cell_covariances(rest, deformed, edges, owner_sum)
     owner = np.concatenate([edges[:, 0], edges[:, 1]])
     degenerate = np.linalg.norm(s, axis=(1, 2)) < 1e-30
@@ -198,15 +300,8 @@ def _arap_rotations(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray,
         _LOGGER.warning("%d degenerate cells skipped in rigidity energy",
                         int(degenerate.sum()))
         s[degenerate] = np.eye(3)
-    u, _, vt = np.linalg.svd(s)
-    r = np.transpose(vt, (0, 2, 1)) @ np.transpose(u, (0, 2, 1))
-    dets = np.linalg.det(r)
-    flip = dets < 0
-    if flip.any():
-        vt_f = vt[flip].copy()
-        vt_f[:, -1, :] *= -1.0
-        r[flip] = np.transpose(vt_f, (0, 2, 1)) @ np.transpose(u[flip], (0, 2, 1))
-    # the SVD of an unmoved cell rounds to a rotation a few ulp off identity
+    r = _best_rotations(s)
+    # an unmoved cell keeps the identity exactly, whatever its eigenvector rounds to
     moved = np.any(e_def != e_rest, axis=1)
     r[np.bincount(owner, weights=moved, minlength=s.shape[0]) == 0] = np.eye(3)
     return r, owner, e_rest, e_def
@@ -242,8 +337,15 @@ class _GlobalStep:
     ``b_i = sum_j (R_i + R_j) (r_i - r_j) / 2``; each pair's ``|x_s - y_t|``
     is majorized by ``|x_s - y_t|^2 / (2 d_s) + d_s / 2``, d_s its current
     length (at least ``_DIST_FLOOR``). Both bounds touch the objective at the
-    current iterate, so their minimizer, one sparse SPD solve, does not raise
-    it while the pairs hold.
+    current iterate, so their minimizer, one SPD solve, does not raise it
+    while the pairs hold.
+
+    The system is ``4 w L`` plus the pairs' weights on its diagonal. Its
+    pattern is fixed per topology, so a reverse Cuthill-McKee order of L and
+    L's upper band in that order are computed once; each call adds the
+    weights to the band's diagonal and solves by banded Cholesky (LAPACK
+    ``pbsv``) in O(n bw^2) for bandwidth bw (42 on ``icosphere(3)`` and on
+    ``hand_template(4023)``).
     """
 
     def __init__(self, rest: np.ndarray, edges: np.ndarray, weight: float):
@@ -254,8 +356,18 @@ class _GlobalStep:
         # and b = B h with h_e = (R_i + R_j) (r_i - r_j) / 2
         self._inc = sp.csr_matrix((np.repeat([1.0, -1.0], m), (np.concatenate([i, j]), cols)),
                                   shape=(n, m))
-        self._four_w_lap = 4.0 * weight * (self._inc @ self._inc.T).tocsr()
-        _, self._component = connected_components(self._four_w_lap, directed=False)
+        four_w_lap = 4.0 * weight * (self._inc @ self._inc.T).tocsr()
+        _, component = connected_components(four_w_lap, directed=False)
+        self._order = reverse_cuthill_mckee(four_w_lap, symmetric_mode=True)
+        self._slot = np.argsort(self._order)  # each vertex's place in the order
+        self._component = component[self._order]
+        # upper band storage for solveh_banded: band[bw + r - c, c] = A[r, c], r <= c
+        lap = four_w_lap[self._order][:, self._order].tocoo()
+        upper = lap.row <= lap.col
+        row, col = lap.row[upper], lap.col[upper]
+        bw = int(np.max(col - row, initial=0))
+        self._band = np.zeros((bw + 1, n))
+        self._band[bw + row - col, col] = lap.data[upper]
         self._i, self._j = i, j
         self._e_rest = rest[i] - rest[j]
         self._weight = weight
@@ -265,17 +377,22 @@ class _GlobalStep:
         """Minimizer of both majorizers at x; src_idx holds at least one pair."""
         h = 0.5 * np.einsum("eab,eb->ea", rot[self._i] + rot[self._j], self._e_rest)
         rhs = 4.0 * self._weight * (self._inc @ h)
-        diag = np.zeros(x.shape[0])
-        diag[src_idx] = 1.0 / np.maximum(np.linalg.norm(x[src_idx] - y, axis=1), _DIST_FLOOR)
-        rhs[src_idx] += diag[src_idx, None] * y
+        pull = 1.0 / np.maximum(np.linalg.norm(x[src_idx] - y, axis=1), _DIST_FLOOR)
+        rhs[src_idx] += pull[:, None] * y
+        rhs = rhs[self._order]
+        band = self._band.copy()
+        band[-1, self._slot[src_idx]] += pull
         # a component without a pair is free to translate in L, so its solve
-        # is arbitrary: it stays where it is, bit for bit
-        live = np.flatnonzero(np.isin(self._component, self._component[src_idx]))
-        system = self._four_w_lap + sp.diags(diag, format="csr")
-        if live.size < x.shape[0]:
-            system = system[live][:, live]
-        out = x.copy()
-        out[live] = splu(system.tocsc()).solve(rhs[live])
+        # is arbitrary: it stays where it is, bit for bit. Components share no
+        # edge, so clearing its band columns leaves every other row as it was
+        dead = ~np.isin(self._component, self._component[self._slot[src_idx]])
+        if dead.any():
+            band[:, dead] = 0.0
+            band[-1, dead] = 1.0
+            rhs[dead] = x[self._order[dead]]
+        out = np.empty_like(x)
+        out[self._order] = solveh_banded(band, rhs, overwrite_ab=True, overwrite_b=True,
+                                         check_finite=False)
         return out
 
 
@@ -287,26 +404,28 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     (ARAP's scheme, with the L1 collision term as iteratively reweighted
     least squares). Each iteration finds the interior vertices and their
     gated pairs at the current positions and stops once none remains; the
-    local step fits the per-cell rotations and the global step is one
-    sparse solve (``_GlobalStep``). It also stops when the objective changes
-    by less than ``convergence_tol`` or after ``max_iters`` iterations, and
-    reports divergence after 10 consecutive rises. Returns the best iterate
-    (never worse than the input) with before/after plausibility reports;
-    topology is untouched, and an input with no pair is returned as is.
+    local step fits the per-cell rotations (``_arap_rotations``) and the
+    global step is one banded solve (``_GlobalStep``). It also stops when
+    the objective changes by less than ``convergence_tol`` or after
+    ``max_iters`` iterations, and reports divergence after 10 consecutive
+    rises. Returns the best iterate (never worse than the input) with
+    before/after plausibility reports; topology is untouched, and an input
+    with no pair is returned as is. Each mesh is checked once, and the
+    target's faces are prepared once for the loop and both reports.
 
     Raises:
-        ArgumentError: source and target are one mesh, or target is not
-            watertight.
+        ArgumentError: source and target are one mesh, or either is not
+            watertight or has a non-finite position.
     """
     _reject_self(source, target, "refinement")
-    if not is_watertight(target):
-        raise ArgumentError("refinement requires a watertight target")
-    before = plausibility_metrics(source, target)
+    _check_mesh(target, "target", "refinement")
+    _check_mesh(source, "source", "refinement")
+    target_faces = _face_clusters(target)  # the target never moves
+    before = _plausibility(source, target, _face_clusters(source), target_faces)
     rest = source.positions
     edges = edge_set(source)
     global_step = _GlobalStep(rest, edges, config.arap_weight)
     owner_sum = _owner_sum(edges, source.n_vertices)
-    target_faces = _face_clusters(target)  # the target never moves
     x = best_x = rest.copy()
     best_loss = prev_loss = np.inf
     rises = 0
@@ -338,9 +457,8 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
             rises = 0
         prev_loss = loss
         x = global_step(x, rot, src_idx, y)
-    del target_faces  # the report after builds its own: hold one copy at a time
-    refined = source.with_positions(best_x)
-    after = plausibility_metrics(refined, target)
+    refined = source.with_positions(best_x)  # the source's topology: watertight
+    after = _plausibility(refined, target, _face_clusters(refined), target_faces)
     return RefineResult(mesh=refined, before=before, after=after,
                         diverged=diverged, iterations=iterations)
 
@@ -426,16 +544,22 @@ def plausibility_metrics(a: TriMesh, b: TriMesh, voxel_cm: float = 0.5,
     grid column (seeds ``seed + 1`` and ``seed + 2`` for its fallback).
 
     Raises:
-        ArgumentError: a and b are one mesh, a mesh is not watertight or the
-            voxel grid would exceed the supported size.
+        ArgumentError: a and b are one mesh, a mesh is not watertight or has
+            a non-finite position, or the voxel grid would exceed the
+            supported size.
     """
     _reject_self(a, b, "plausibility metrics")
     if not voxel_cm > 0:
         raise ArgumentError("voxel_cm must be positive")
-    for mesh in (a, b):
-        if not is_watertight(mesh):
-            raise ArgumentError("plausibility metrics require watertight meshes")
-    faces_a, faces_b = _face_clusters(a), _face_clusters(b)
+    _check_mesh(a, "a", "plausibility metrics")
+    _check_mesh(b, "b", "plausibility metrics")
+    return _plausibility(a, b, _face_clusters(a), _face_clusters(b), voxel_cm, seed)
+
+
+def _plausibility(a: TriMesh, b: TriMesh, faces_a: FaceClusters, faces_b: FaceClusters,
+                  voxel_cm: float = 0.5, seed: int = 0) -> PlausibilityReport:
+    """``plausibility_metrics`` of two checked meshes, with their faces
+    already prepared."""
     pen = 0.0
     for src, dst_faces in ((a, faces_b), (b, faces_a)):
         interior, _ = points_interior(src.positions, dst_faces, seed)

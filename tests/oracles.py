@@ -311,6 +311,51 @@ def arap_covariances_add_at(rest, deformed, edges):
     return s
 
 
+def procrustes_rotations_svd(s):
+    """(V, 3, 3) rotations R maximizing tr(R s) for each covariance s, by SVD.
+
+    With s = U S V^T the best orthogonal matrix is V U^T; where its
+    determinant is negative, the last singular vector flips, which gives the
+    best proper rotation.
+    """
+    u, _, vt = np.linalg.svd(s)
+    r = np.transpose(vt, (0, 2, 1)) @ np.transpose(u, (0, 2, 1))
+    flip = np.linalg.det(r) < 0
+    if flip.any():
+        vt_f = vt[flip].copy()
+        vt_f[:, -1, :] *= -1.0
+        r[flip] = np.transpose(vt_f, (0, 2, 1)) @ np.transpose(u[flip], (0, 2, 1))
+    return r
+
+
+def arap_global_step_dense(rest, edges, weight, x, rot, src_idx, y):
+    """ARAP's global step with its pairs, as one dense ``np.linalg.solve``.
+
+    Minimizes ``weight * |(x_i - x_j) - R_i (r_i - r_j)|^2`` summed over both
+    directions of each edge (ARAP's energy with the rotations held), plus
+    ``|x_s - y_s|^2 / (2 d_s)`` per pair, d_s = |x_s - y_s| at the given x,
+    by its dense normal equations ``(4 w L + D) x = 4 w b + D y``, with
+    ``b_i = sum_j (R_i + R_j)(r_i - r_j) / 2``. Every component needs a pair.
+    """
+    n = rest.shape[0]
+    i, j = edges[:, 0], edges[:, 1]
+    system = np.zeros((n, n))
+    np.add.at(system, (i, j), -1.0)
+    np.add.at(system, (j, i), -1.0)
+    np.add.at(system, (i, i), 1.0)
+    np.add.at(system, (j, j), 1.0)
+    system *= 4.0 * weight
+    half = 0.5 * np.einsum("eab,eb->ea", rot[i] + rot[j], rest[i] - rest[j])
+    rhs = np.zeros((n, 3))
+    np.add.at(rhs, i, half)
+    np.add.at(rhs, j, -half)
+    rhs *= 4.0 * weight
+    pull = 1.0 / np.linalg.norm(x[src_idx] - y, axis=1)
+    system[src_idx, src_idx] += pull
+    rhs[src_idx] += pull[:, None] * y
+    return np.linalg.solve(system, rhs)
+
+
 def edge_loss_direct(lengths) -> float:
     """Direct evaluation: mean |l^2 - mean(l^2)|."""
     sq = [float(l) ** 2 for l in lengths]

@@ -10,8 +10,10 @@ import pytest
 import specmesh
 from oracles import (
     arap_covariances_add_at,
+    arap_global_step_dense,
     collision_loss_loop,
     points_interior_uncut,
+    procrustes_rotations_svd,
     sphere_contains,
     voxel_flags_per_center,
 )
@@ -422,6 +424,86 @@ class TestArap:
             arap_energy(ico162, ico162.positions[:-1])
 
 
+def mesh_covariances(mesh, deformed):
+    """ARAP cell covariances of a mesh at deformed positions."""
+    edges = edge_set(mesh)
+    return refine._cell_covariances(mesh.positions, deformed, edges,
+                                    refine._owner_sum(edges, mesh.n_vertices))[0]
+
+
+def covariance_case(case, hand_mesh):
+    """(V, 3, 3) covariances: perturbed meshes, then random draws."""
+    rng = np.random.default_rng(6)
+    if case in ("icosphere", "hand"):
+        mesh = icosphere(3, radius=0.05) if case == "icosphere" else hand_mesh
+        return mesh_covariances(
+            mesh, mesh.positions + rng.normal(scale=5e-4, size=mesh.positions.shape))
+    s = rng.normal(size=(2000, 3, 3))
+    if case == "det_negative":
+        s[np.linalg.det(s) > 0, 0] *= -1.0
+    elif case in ("rank_2", "near_planar"):
+        u, sigma, vt = np.linalg.svd(s)
+        sigma[:, 2] = 0.0 if case == "rank_2" else 8e-6 * sigma[:, 0]
+        s = u @ (sigma[:, :, None] * vt)
+    return s
+
+
+def assert_proper_rotations(r):
+    assert np.abs(np.linalg.det(r) - 1.0).max() <= 1e-14
+    assert np.abs(np.transpose(r, (0, 2, 1)) @ r - np.eye(3)).max() <= 1e-14
+
+
+class TestBestRotations:
+    """The local step's closed-form rotations against the SVD oracle."""
+
+    @pytest.mark.parametrize("case", ["icosphere", "hand", "random", "det_negative", "rank_2",
+                                      "near_planar"])
+    def test_equal_svd_oracle(self, case, hand_mesh):
+        s = covariance_case(case, hand_mesh)
+        r = refine._best_rotations(s)
+        assert np.abs(r - procrustes_rotations_svd(s)).max() <= 1e-12
+        assert_proper_rotations(r)
+
+    @pytest.mark.parametrize("case", ["icosphere_on_a_line", "hand_on_a_line", "rank_1",
+                                      "special"])
+    def test_non_unique_optimum_reaches_oracle_trace(self, case, hand_mesh):
+        # many rotations are optimal here, so only tr(R s) is compared
+        rng = np.random.default_rng(7)
+        if case.endswith("on_a_line"):
+            mesh = icosphere(3, radius=0.05) if case.startswith("icosphere") else hand_mesh
+            s = mesh_covariances(mesh, mesh.positions * [1.0, 0.0, 0.0])
+        elif case == "rank_1":
+            s = rng.normal(size=(500, 3, 1)) * rng.normal(size=(500, 1, 3))
+        else:
+            # exact double and triple eigenvalues of Horn's 4x4 matrix
+            s = np.array([np.diag(d) for d in ([1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [-1.0, -1.0, -1.0],
+                                               [1.0, 1.0, -1.0], [3.0, -3.0, 0.0])])
+        r = refine._best_rotations(s)
+        trace = np.einsum("vij,vji->v", r, s)
+        want = np.einsum("vij,vji->v", procrustes_rotations_svd(s), s)
+        assert np.abs(trace - want).max() <= 1e-12 * np.abs(s).max()
+        assert_proper_rotations(r)
+
+
+class TestGlobalStep:
+    """The banded Cholesky global step against a dense solve of its system."""
+
+    @pytest.mark.parametrize("mesh_name", ["icosphere", "hand"])
+    def test_equals_dense_solve(self, mesh_name, hand_mesh):
+        mesh = icosphere(3, radius=0.05) if mesh_name == "icosphere" else hand_mesh
+        n, weight = mesh.n_vertices, 0.7
+        rng = np.random.default_rng(9)
+        edges = edge_set(mesh)
+        x = mesh.positions + rng.normal(scale=1e-3, size=mesh.positions.shape)
+        rot = np.array([rotation_matrix(rng.normal(size=3), rng.uniform(0.0, 0.3))
+                        for _ in range(n)])
+        src_idx = np.sort(rng.choice(n, 40, replace=False))
+        y = x[src_idx] + rng.normal(scale=5e-3, size=(40, 3))
+        got = refine._GlobalStep(mesh.positions, edges, weight)(x, rot, src_idx, y)
+        want = arap_global_step_dense(mesh.positions, edges, weight, x, rot, src_idx, y)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestRefineMesh:
     def test_disjoint_input_unchanged(self):
         a = icosphere(1, radius=0.04, center=(0, 0, 0))
@@ -501,6 +583,16 @@ class TestRefineMesh:
         holed = TriMesh(positions=a.positions, faces=a.faces[:-1])
         with pytest.raises(ArgumentError):
             refine_mesh(a, holed, RefineConfig())
+        # a NaN or infinite position is rejected as well, naming its mesh
+        source, target = overlapping_spheres(radius=0.03)
+        for name, index, value in (("target", 5, np.nan), ("source", 7, np.inf),
+                                   ("source", 0, np.nan), ("target", 3, -np.inf)):
+            meshes = {"source": source, "target": target}
+            positions = meshes[name].positions.copy()
+            positions[index, 1] = value
+            meshes[name] = meshes[name].with_positions(positions)
+            with pytest.raises(ArgumentError, match=f"'{name}' has a NaN or infinite"):
+                refine_mesh(meshes["source"], meshes["target"], RefineConfig())
 
     def test_face_clusters_built_per_mesh_not_per_ray_call(self, monkeypatch, caplog):
         # one source vertex sits exactly on a target vertex, so every ray
@@ -518,13 +610,18 @@ class TestRefineMesh:
                             lambda c: builds.append(len(c)) or morton_order(c))
         monkeypatch.setattr(refine, "ray_crossings",
                             lambda *args: ray_calls.append(len(args[0])) or ray_crossings(*args))
+        checked = []
+        is_watertight = refine.is_watertight
+        monkeypatch.setattr(refine, "is_watertight",
+                            lambda mesh: checked.append(mesh) or is_watertight(mesh))
         result = refine_mesh(source, target, RefineConfig())
         assert result.iterations >= 3
         assert "ray parity unresolved" in caplog.text
         assert len(ray_calls) > 40
-        # two meshes for the report before, the target for the whole loop,
-        # two meshes for the report after
-        assert len(builds) == 5
+        # the target once for the loop and both reports, the source for the
+        # report before, the refined mesh for the report after
+        assert len(builds) == 3
+        assert len(checked) == 2 and checked[0] is target and checked[1] is source
 
     def test_config_validation(self):
         with pytest.raises(ArgumentError):
@@ -564,6 +661,15 @@ class TestPlausibilityMetrics:
         holed = TriMesh(positions=a.positions, faces=a.faces[:-1])
         with pytest.raises(ArgumentError):
             plausibility_metrics(a, holed)
+        # a NaN or infinite position is rejected as well, naming its mesh
+        meshes = overlapping_spheres(radius=0.03)
+        for k, value in ((0, np.nan), (1, np.inf), (1, np.nan), (0, -np.inf)):
+            positions = meshes[k].positions.copy()
+            positions[4, 2] = value
+            args = list(meshes)
+            args[k] = meshes[k].with_positions(positions)
+            with pytest.raises(ArgumentError, match=f"'{'ab'[k]}' has a NaN or infinite"):
+                plausibility_metrics(*args)
 
     def test_checks_each_mesh_once(self, monkeypatch):
         checked = []
