@@ -7,6 +7,14 @@ operations the reconstruction model needs are implemented, each with an
 exact analytic adjoint. Everything is float64-friendly and deterministic:
 ties in ``max`` route to the first occurrence, and there is no hidden RNG.
 
+A graph is walked once and released as the walk goes: each interior node
+drops its backward closure and its parents right after its closure has
+run, so the arrays that closure saved (attention weights, a layer norm's
+normalized input, a Chebyshev basis) are freed as soon as no node still
+to be walked needs them. Leaves keep their gradients. An interior node
+keeps its gradient only while the caller still holds the tensor; a second
+``backward()`` that reaches a walked node raises ``ArgumentError``.
+
 Gradient ownership: a backward closure hands each parent its gradient
 through ``_accumulate``. The first gradient a tensor receives becomes its
 ``grad`` array as it is, without a zero-filled copy, when the closure marks
@@ -51,6 +59,17 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
+
+        The graph is walked once and released as it goes (see the module
+        docstring): afterwards only the leaves and the interior tensors the
+        caller still holds keep a ``grad``, and walking the graph again
+        raises ``ArgumentError``.
+
+        Raises:
+            ArgumentError: ``self`` is not a scalar, or the walk reaches a
+                node an earlier ``backward()`` already walked and released.
+        """
         if self.data.size != 1:
             raise ArgumentError("backward() only on scalar tensors")
         topo: list[Tensor] = []
@@ -71,9 +90,13 @@ class Tensor:
         for node in topo:
             node.grad = None
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:  # popping lets each walked node go once nothing else holds it
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._parents = _walked, ()
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -118,6 +141,12 @@ class Tensor:
 
     def __getitem__(self, key):
         return getitem(self, key)
+
+
+def _walked(g):
+    """Backward of a node that an earlier ``backward()`` walked and released."""
+    raise ArgumentError("backward() reached a graph that an earlier backward() already "
+                        "walked and released; build the graph again for new gradients")
 
 
 def as_tensor(x) -> Tensor:

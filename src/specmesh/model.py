@@ -538,6 +538,11 @@ def train_step(params: dict, opt: ad.Adam, batch, assets: TemplateAssets,
                config: ModelConfig, bn_state: dict) -> dict:
     """One optimizer step on the summed loss; returns scalar loss values.
 
+    The previous step's gradients are cleared before the forward, not after
+    it, so that they are not resident next to the new activations; the
+    backward then frees each activation as soon as no later node of the tape
+    needs it (see :meth:`autodiff.Tensor.backward`).
+
     Raises:
         NumericalError: a loss or parameter went non-finite, naming the
             first offending tensor.
@@ -545,12 +550,12 @@ def train_step(params: dict, opt: ad.Adam, batch, assets: TemplateAssets,
     bad = _first_nonfinite(params)
     if bad is not None:
         raise NumericalError(f"non-finite parameter tensor {bad!r} before step")
+    opt.zero_grad(params)
     output = forward(batch.features, params, assets, config, bn_state, train=True)
     losses = compute_losses(output, batch, assets)
     for name, term in losses.items():
         if not np.isfinite(term.data):
             raise NumericalError(f"non-finite loss tensor {name!r}")
-    opt.zero_grad(params)
     losses["total"].backward()
     opt.step(params)
     bad = _first_nonfinite(params)

@@ -10,8 +10,8 @@ alternates ARAP's local step with a global step, and both are closed form.
 The local step takes each cell's rotation from Horn's quaternion (the top
 eigenvector of a symmetric 4x4 matrix). The global step is one banded
 Cholesky solve, with the L1 pull as reweighted least squares, on a
-bandwidth-reducing order fixed per topology. Refinement stops when no vertex
-penetrates.
+bandwidth-reducing order fixed per topology. Refinement stops when no
+penetrating vertex has a pair, and its result says why it stopped.
 Plausibility is reported as maximum penetration depth (mm) and voxelized
 intersection volume (cm^3). The volume reads the centers of a voxel grid by
 scanline parity (Nooruddin & Turk, TVCG 2003): one ray per grid column,
@@ -79,11 +79,30 @@ class PlausibilityReport:
 
 @dataclass
 class RefineResult:
+    """What ``refine_mesh`` returned and why its loop stopped.
+
+    ``stop_reason`` is one of:
+
+    - ``"no_interior"``: no source vertex is inside the target;
+    - ``"no_gated_pair"``: vertices are inside, but none passes the
+      opposing-normal gate, so nothing pulls them out;
+    - ``"converged"``: the objective changed by less than ``convergence_tol``;
+    - ``"max_iters"``: the loop ran ``max_iters`` iterations;
+    - ``"diverged"``: the objective rose 10 iterations in a row.
+
+    ``unpaired_interior`` counts the interior vertices without a gated pair
+    at the returned iterate ``mesh``; they are the ones refinement cannot move.
+    """
     mesh: TriMesh
     before: PlausibilityReport
     after: PlausibilityReport
-    diverged: bool
     iterations: int
+    stop_reason: str
+    unpaired_interior: int
+
+    @property
+    def diverged(self) -> bool:
+        return self.stop_reason == "diverged"
 
 
 def _random_directions(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -409,9 +428,10 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     the objective changes by less than ``convergence_tol`` or after
     ``max_iters`` iterations, and reports divergence after 10 consecutive
     rises. Returns the best iterate (never worse than the input) with
-    before/after plausibility reports; topology is untouched, and an input
-    with no pair is returned as is. Each mesh is checked once, and the
-    target's faces are prepared once for the loop and both reports.
+    before/after plausibility reports and the reason the loop stopped (see
+    ``RefineResult``); topology is untouched, and an input with no pair is
+    returned as is. Each mesh is checked once, and the target's faces are
+    prepared once for the loop and both reports.
 
     Raises:
         ArgumentError: source and target are one mesh, or either is not
@@ -428,30 +448,37 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     owner_sum = _owner_sum(edges, source.n_vertices)
     x = best_x = rest.copy()
     best_loss = prev_loss = np.inf
+    best_unpaired = 0
     rises = 0
-    diverged = False
+    stop = "max_iters"
     iterations = 0
     for it in range(config.max_iters):
         iterations = it + 1
         current = source.with_positions(x)
         interior, _ = points_interior(x, target_faces, seed=0)
         src_idx, tgt_idx = _gated_pairs(current, interior, target)
+        unpaired = int(np.count_nonzero(interior)) - src_idx.size
         if src_idx.size == 0 and it == 0:
-            # nothing penetrates: the input is already the answer
-            return RefineResult(mesh=source, before=before, after=before,
-                                diverged=False, iterations=1)
+            # nothing to pull: the input is already the answer
+            return RefineResult(mesh=source, before=before, after=before, iterations=1,
+                                stop_reason="no_gated_pair" if unpaired else "no_interior",
+                                unpaired_interior=unpaired)
         y = target.positions[tgt_idx]
         energy, rot = _arap_local(rest, x, edges, owner_sum)
         loss = float(np.linalg.norm(x[src_idx] - y, axis=1).sum()) \
             + config.arap_weight * energy
         if loss < best_loss:
-            best_loss, best_x = loss, x
-        if src_idx.size == 0 or abs(prev_loss - loss) < config.convergence_tol:
+            best_loss, best_x, best_unpaired = loss, x, unpaired
+        if src_idx.size == 0:
+            stop = "no_gated_pair" if unpaired else "no_interior"
+            break
+        if abs(prev_loss - loss) < config.convergence_tol:
+            stop = "converged"
             break
         if loss > prev_loss:
             rises += 1
             if rises >= 10:
-                diverged = True
+                stop = "diverged"
                 break
         else:
             rises = 0
@@ -459,8 +486,8 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
         x = global_step(x, rot, src_idx, y)
     refined = source.with_positions(best_x)  # the source's topology: watertight
     after = _plausibility(refined, target, _face_clusters(refined), target_faces)
-    return RefineResult(mesh=refined, before=before, after=after,
-                        diverged=diverged, iterations=iterations)
+    return RefineResult(mesh=refined, before=before, after=after, iterations=iterations,
+                        stop_reason=stop, unpaired_interior=best_unpaired)
 
 
 def _voxel_axes(a: TriMesh, b: TriMesh, h: float):

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -299,13 +300,41 @@ class TestMachinery:
         out.backward()
         assert np.allclose(a.grad, 2 * 2.0 + 1.0)
 
-    def test_backward_twice_resets(self):
+    def test_second_backward_on_released_graph_raises(self):
         a = ad.parameter(np.array([1.5]))
-        loss = (a * a).sum()
+        square = a * a
+        loss = square.sum()
         loss.backward()
         first = a.grad.copy()
-        loss.backward()
+        with pytest.raises(ArgumentError, match="already walked"):
+            loss.backward()
+        with pytest.raises(ArgumentError, match="already walked"):
+            (square * 2.0).sum().backward()  # a held interior node is walked too
         assert np.array_equal(a.grad, first)
+        a.grad = None
+        (a * a).sum().backward()  # a new graph over the same leaf
+        assert np.array_equal(a.grad, first)
+
+    def test_backward_releases_the_tape(self):
+        x0, w0 = RNG.normal(size=(4, 3)), RNG.normal(size=(3,))
+        probe = RNG.normal(size=(4, 3))
+        saved = []
+
+        def build(x, w):
+            e = ad.exp(x * w)  # the caller never holds this node
+            saved.append(weakref.ref(e.data))
+            return (e * ad.constant(probe)).sum()
+
+        x, w = ad.parameter(x0), ad.parameter(w0)
+        loss = build(x, w)
+        assert saved[0]() is not None
+        loss.backward()
+        assert saved[0]() is None  # freed while ``loss`` is still held
+        for leaf, start, scalar in (
+                (x, x0, lambda v: build(ad.constant(v), ad.constant(w0)).item()),
+                (w, w0, lambda v: build(ad.constant(x0), ad.constant(v)).item())):
+            numeric = central_difference(scalar, start.copy())
+            assert np.allclose(leaf.grad, numeric, rtol=1e-6, atol=1e-8)
 
     def test_adam_zero_lr_is_identity(self):
         p = ad.parameter(RNG.normal(size=(4, 4)))

@@ -513,6 +513,8 @@ class TestRefineMesh:
         assert result.before.max_penetration_mm == 0.0
         assert result.before.intersection_volume_cm3 == 0.0
         assert result.after.max_penetration_mm == 0.0
+        assert result.stop_reason == "no_interior"
+        assert result.unpaired_interior == 0
 
     def test_contained_sphere_has_no_pair_and_is_returned(self):
         # every vertex is interior, but the opposing-normal gate leaves no pair
@@ -521,6 +523,22 @@ class TestRefineMesh:
         result = refine_mesh(small, big, RefineConfig())
         assert result.mesh is small
         assert result.iterations == 1
+        assert result.stop_reason == "no_gated_pair"
+        assert result.unpaired_interior == small.n_vertices
+        assert not result.diverged
+
+    def test_max_iters_stops_at_the_best_iterate(self):
+        # one iteration evaluates the input and takes one step, which is never
+        # evaluated, so the input is the best iterate seen
+        a = icosphere(2, radius=0.03, center=(0, 0, 0))
+        b = icosphere(2, radius=0.03, center=(0.045, 0, 0))
+        result = refine_mesh(a, b, RefineConfig(max_iters=1))
+        assert result.stop_reason == "max_iters"
+        assert result.iterations == 1
+        assert result.mesh.positions.tobytes() == a.positions.tobytes()
+        assert result.after == result.before
+        assert result.unpaired_interior == 0  # every interior vertex has a pair
+        assert not result.diverged
 
     def test_overlapping_spheres_resolve(self):
         # unit configuration at hand scale: radius 3 cm, centers 1.5 r apart
@@ -532,6 +550,8 @@ class TestRefineMesh:
         assert result.after.max_penetration_mm <= result.before.max_penetration_mm
         assert np.array_equal(result.mesh.faces, a.faces)
         assert not result.diverged
+        assert result.stop_reason == "no_interior"
+        assert result.unpaired_interior == 0
         assert result.iterations <= 20
 
     def test_each_step_never_raises_the_held_objective(self):
