@@ -9,11 +9,12 @@ ties in ``max`` route to the first occurrence, and there is no hidden RNG.
 
 A graph is walked once and released as the walk goes: each interior node
 drops its backward closure and its parents right after its closure has
-run, so the arrays that closure saved (attention weights, a layer norm's
-normalized input, a Chebyshev basis) are freed as soon as no node still
-to be walked needs them. Leaves keep their gradients. An interior node
-keeps its gradient only while the caller still holds the tensor; a second
-``backward()`` that reaches a walked node raises ``ArgumentError``.
+run, so the arrays that closure saved (a layer norm's normalized input, a
+Chebyshev basis, an attention node's per-row softmax statistics) are freed
+as soon as no node still to be walked needs them. Leaves keep their
+gradients. An interior node keeps its gradient only while the caller still
+holds the tensor; a second ``backward()`` that reaches a walked node raises
+``ArgumentError``.
 
 Gradient ownership: a backward closure hands each parent its gradient
 through ``_accumulate``. The first gradient a tensor receives becomes its
@@ -560,10 +561,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     ``q``, ``k`` and ``v`` are (tokens, heads * dk); head h reads columns
     h*dk to (h+1)*dk. Each head computes softmax(q k^T / sqrt(dk)) v, and
-    the heads are merged back to (tokens, heads * dk). The softmax runs in
-    place on the score array, which is the only (heads, tokens, tokens)
-    array the node keeps for its backward; the backward allocates one more.
+    the heads are merged back to (tokens, heads * dk).
+
+    The node works one head at a time and keeps no (tokens, tokens) array:
+    only each row's score maximum and exponential sum, (heads, tokens, 1)
+    each. The backward recomputes a head's weights from q, k and those
+    statistics by the forward's own operations, so they are the forward's
+    bits, at the cost of one more q k^T product per head (after Rabe &
+    Staats, 2021, and FlashAttention, Dao et al., 2022). The softmax's row
+    term sum_j w_ij dL/dw_ij equals g_i . out_i, with g the upstream
+    gradient and out this node's output, so it is a (tokens, dk) product.
+    At most two (tokens, tokens) temporaries are alive at once.
+
+    Raises:
+        ArgumentError: ``heads`` is below 1, or q, k and v differ in shape
+            or have a width that ``heads`` does not divide.
     """
+    if heads < 1:
+        raise ArgumentError(f"attention needs heads >= 1, got heads={heads}")
     tokens, inner = q.shape
     if inner % heads or k.shape != q.shape or v.shape != q.shape:
         raise ArgumentError(f"attention needs q, k, v of one shape (tokens, heads*dk) "
@@ -578,31 +593,46 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         return x.transpose(1, 0, 2).reshape(tokens, inner)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    weights = qh @ kh.transpose(0, 2, 1)
-    weights *= scale
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    row_max, row_sum = np.empty((heads, tokens, 1)), np.empty((heads, tokens, 1))
+
+    def head_weights(h, first):  # the forward fills the statistics, the backward reads them
+        w = qh[h] @ kh[h].T
+        w *= scale
+        if first:
+            row_max[h] = w.max(axis=-1, keepdims=True)
+        w -= row_max[h]
+        np.exp(w, out=w)
+        if first:
+            row_sum[h] = w.sum(axis=-1, keepdims=True)
+        w /= row_sum[h]
+        return w
+
+    out_data = merge(np.stack([head_weights(h, True) @ vh[h] for h in range(heads)]))
 
     def backward(g):
         gh = split(g)
-        if v.requires_grad:
-            _accumulate(v, merge(weights.transpose(0, 2, 1) @ gh))
-        if not (q.requires_grad or k.requires_grad):
-            return
-        d = gh @ vh.transpose(0, 2, 1)  # gradient w.r.t. the weights
-        inner_products = np.empty((heads, tokens, 1))
-        for h in range(heads):  # one (tokens, tokens) temporary at a time
-            inner_products[h] = (d[h] * weights[h]).sum(axis=-1, keepdims=True)
-        d -= inner_products
-        d *= weights
-        d *= scale  # now the gradient w.r.t. q k^T
-        if q.requires_grad:
-            _accumulate(q, merge(d @ kh))
-        if k.requires_grad:
-            _accumulate(k, merge((qh.transpose(0, 2, 1) @ d).transpose(0, 2, 1)))
+        rows = (gh * split(out_data)).sum(axis=-1, keepdims=True)  # sum_j w_ij dL/dw_ij
+        gq, gk, gv = (np.empty((heads, tokens, dk)) if t.requires_grad else None
+                      for t in (q, k, v))
+        for h in range(heads):
+            w = head_weights(h, False)
+            if gv is not None:
+                gv[h] = w.T @ gh[h]
+            if gq is None and gk is None:
+                continue
+            d = gh[h] @ vh[h].T  # gradient w.r.t. the weights
+            d -= rows[h]
+            d *= w
+            d *= scale  # now the gradient w.r.t. q k^T
+            if gq is not None:
+                gq[h] = d @ kh[h]
+            if gk is not None:
+                gk[h] = (qh[h].T @ d).T
+        for t, gt in ((q, gq), (k, gk), (v, gv)):
+            if gt is not None:
+                _accumulate(t, merge(gt))
 
-    return Tensor(merge(weights @ vh), _needs(q, k, v), (q, k, v), backward)
+    return Tensor(out_data, _needs(q, k, v), (q, k, v), backward)
 
 
 ADAM_CHUNK = 32768  # elements per Adam chunk; see the Adam docstring

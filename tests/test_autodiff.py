@@ -224,9 +224,11 @@ class TestFusedNodes:
                              lambda q, k, v: attention_composed(q, k, v, 2), arrays)
 
     def test_attention_gradient(self):
-        probe = RNG.normal(size=(5, 6))
-        fd_ok(lambda t: (ad.attention(t["q"], t["k"], t["v"], 3) * ad.constant(probe)).sum(),
-              {k: RNG.normal(size=(5, 6)) for k in "qkv"})
+        for tokens, inner, heads in ((5, 6, 3), (9, 4, 1)):
+            probe = RNG.normal(size=(tokens, inner))
+            fd_ok(lambda t: (ad.attention(t["q"], t["k"], t["v"], heads)
+                             * ad.constant(probe)).sum(),
+                  {k: RNG.normal(size=(tokens, inner)) for k in "qkv"})
 
     def test_attention_forward_bits_equal_composition(self):
         q, k, v = (ad.constant(RNG.normal(size=(9, 6))) for _ in range(3))
@@ -236,6 +238,30 @@ class TestFusedNodes:
         q = ad.constant(np.ones((4, 5)))
         with pytest.raises(ArgumentError):
             ad.attention(q, q, q, 2)
+        q = ad.constant(np.ones((4, 6)))
+        for heads in (0, -2):
+            with pytest.raises(ArgumentError, match=f"heads={heads}"):
+                ad.attention(q, q, q, heads)
+
+    def test_attention_keeps_no_tokens_squared_array(self):
+        tokens = 200
+        q, k, v = (ad.parameter(RNG.normal(size=(tokens, 6))) for _ in range(3))
+        out = ad.attention(q, k, v, 3)
+        sizes, seen, todo = [], set(), [out._backward]
+        while todo:  # every array the backward closure can reach, through nested closures
+            item = todo.pop()
+            if id(item) in seen:
+                continue
+            seen.add(id(item))
+            if isinstance(item, np.ndarray):
+                sizes.append(item.size)
+            elif isinstance(item, ad.Tensor):
+                todo.append(item.data)
+            elif callable(item) and getattr(item, "__closure__", None):
+                todo.extend(cell.cell_contents for cell in item.__closure__)
+        assert sizes and max(sizes) < tokens * tokens
+        (out * out).sum().backward()
+        assert all(t.grad.shape == (tokens, 6) for t in (q, k, v))
 
     def test_layer_norm_matches_composition(self):
         arrays = {"x": RNG.normal(size=(4, 6)), "g": RNG.uniform(0.5, 1.5, size=(6,)),

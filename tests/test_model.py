@@ -11,7 +11,7 @@ import scipy.linalg
 
 import specmesh
 from conftest import mesh_adjacency
-from oracles import upconv3x3_composed
+from oracles import attention_composed, upconv3x3_composed
 from specmesh import autodiff as ad
 from specmesh import model as M
 from specmesh.errors import ArgumentError, NumericalError, ParseError
@@ -106,6 +106,32 @@ class TestFusionMatchesOracle:
         # both stages of both branches, and every fusion and mask parameter
         assert sum(name.endswith(" var") for name in want) == 4
         assert sum(name.startswith("grad ") for name in want) == 13
+        for name, ref in want.items():
+            err = np.abs(got[name] - ref).max() / np.abs(ref).max()
+            assert err <= 1e-12, f"{name}: {err:.3e}"
+
+
+class TestAttentionMatchesOracle:
+    """The whole toy model with each attention node replaced by the
+    primitive-node composition: a backward that recomputes the softmax must
+    agree with one that kept it, inside the real model."""
+
+    @staticmethod
+    def step_arrays(config, assets, params, scene) -> tuple[np.ndarray, dict]:
+        """Train-mode prediction and every parameter gradient of the total loss."""
+        for p in params.values():
+            p.grad = None
+        output = M.forward(scene.features, params, assets, config, {}, train=True)
+        M.compute_losses(output, scene, assets)["total"].backward()
+        return output.pred_vertices.data, {name: p.grad for name, p in params.items()}
+
+    def test_train_step_gradients(self, perturbed_toy, monkeypatch):
+        config, assets, params = perturbed_toy
+        scene = build_scene(SceneSpec(seed=2), assets, config)
+        got_pred, got = self.step_arrays(config, assets, params, scene)
+        monkeypatch.setattr(ad, "attention", attention_composed)
+        want_pred, want = self.step_arrays(config, assets, params, scene)
+        assert got_pred.tobytes() == want_pred.tobytes()
         for name, ref in want.items():
             err = np.abs(got[name] - ref).max() / np.abs(ref).max()
             assert err <= 1e-12, f"{name}: {err:.3e}"
