@@ -449,11 +449,8 @@ def decoder_forward(f_c: ad.Tensor, assets: TemplateAssets, params: dict,
 class ModelOutput:
     pred_vertices: ad.Tensor  # (2V, 3)
     cameras: ad.Tensor  # (N, 3): scale, tx, ty
-    f_prime: ad.Tensor
-    mask: ad.Tensor
     f_r: ad.Tensor
     tokens: ad.Tensor
-    f_c: ad.Tensor
 
 
 def forward(features, params: dict, assets: TemplateAssets, config: ModelConfig,
@@ -466,8 +463,7 @@ def forward(features, params: dict, assets: TemplateAssets, config: ModelConfig,
     tokens = ad.concat([region, ad.constant(assets.token_positions)], axis=1)
     f_c = transformer_forward(tokens, params, config)
     pred = decoder_forward(f_c, assets, params, config)
-    return ModelOutput(pred_vertices=pred, cameras=cams, f_prime=f_prime,
-                       mask=mask, f_r=f_r, tokens=tokens, f_c=f_c)
+    return ModelOutput(pred_vertices=pred, cameras=cams, f_r=f_r, tokens=tokens)
 
 
 # --------------------------------------------------------------------------

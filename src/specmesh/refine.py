@@ -7,11 +7,14 @@ bool array (``points_interior``, ``collision_mask``), and pulled toward their
 nearest opposing-normal vertex on the other surface, while an
 as-rigid-as-possible energy keeps the source locally rigid. Refinement
 alternates ARAP's local step with a global step, and both are closed form.
-The local step takes each cell's rotation from Horn's quaternion (the top
-eigenvector of a symmetric 4x4 matrix). The global step is one banded
-Cholesky solve, with the L1 pull as reweighted least squares, on a
-bandwidth-reducing order fixed per topology. Refinement stops when no
-penetrating vertex has a pair, and its result says why it stopped.
+Both run on one ``_Arap``, built once per source topology around a single
+(V, E) edge incidence. The local step takes each cell's rotation from
+Horn's quaternion (the top eigenvector of a symmetric 4x4 matrix). The
+global step is one banded Cholesky solve, with the L1 pull as reweighted
+least squares, on a bandwidth-reducing order fixed per topology.
+Refinement stops when no penetrating vertex has a pair, and its result
+says why it stopped. It has one exit: when the best iterate is the input,
+the input comes back as is, and its report before is its report after.
 Plausibility is reported as maximum penetration depth (mm) and voxelized
 intersection volume (cm^3). The volume reads the centers of a voxel grid by
 scanline parity (Nooruddin & Turk, TVCG 2003): one ray per grid column,
@@ -37,6 +40,7 @@ from scipy.linalg import solveh_banded
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from .errors import ArgumentError
+from .graphs import adjacency_matrix, laplacian
 from .kernels import (FaceClusters, _EPS_T, nearest_vertex, point_triangle_dists, ray_crossings,
                       ray_hits)
 from .meshes import TriMesh, edge_set, is_watertight
@@ -92,6 +96,8 @@ class RefineResult:
 
     ``unpaired_interior`` counts the interior vertices without a gated pair
     at the returned iterate ``mesh``; they are the ones refinement cannot move.
+    When the best iterate is the input, ``mesh`` is the input object and
+    ``after`` is ``before``.
     """
     mesh: TriMesh
     before: PlausibilityReport
@@ -197,27 +203,6 @@ def _gated_pairs(source: TriMesh, interior: np.ndarray, target: TriMesh):
     return masked[keep], nn_idx[keep]
 
 
-def _owner_sum(edges: np.ndarray, n_vertices: int) -> sp.csr_matrix:
-    """(V, 2E) matrix of ones that sums each directed edge's row into the
-    cell that owns it: edge (i, j) as i -> j into cell i, then as j -> i into
-    cell j. Each row's entries run in edge order, so its product sums them
-    in the order ``np.add.at`` would, to the same bits."""
-    owner = np.concatenate([edges[:, 0], edges[:, 1]])
-    return sp.csr_matrix((np.ones(owner.size), (owner, np.arange(owner.size))),
-                         shape=(n_vertices, owner.size))
-
-
-def _cell_covariances(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray,
-                      owner_sum: sp.csr_matrix):
-    """(V, 3, 3) sums of e_rest e_def^T over each cell's directed edges,
-    with the (2E, 3) directed rest and deformed edge vectors."""
-    i, j = edges[:, 0], edges[:, 1]
-    e_rest = np.concatenate([rest[i] - rest[j], rest[j] - rest[i]])
-    e_def = np.concatenate([deformed[i] - deformed[j], deformed[j] - deformed[i]])
-    outer = (e_rest[:, :, None] * e_def[:, None, :]).reshape(-1, 9)
-    return (owner_sum @ outer).reshape(-1, 3, 3), e_rest, e_def
-
-
 _MAX_NEWTON = 64  # Newton converges at least linearly (rate 1/2, at a double root)
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))  # column pairs of ``_minors``
 
@@ -308,74 +293,50 @@ def _best_rotations(s: np.ndarray) -> np.ndarray:
     return np.moveaxis(r, -1, 0)
 
 
-def _arap_rotations(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray,
-                    owner_sum: sp.csr_matrix):
-    """Per-cell optimal rotations: ``_best_rotations`` of the cells'
-    covariances, with the identity for degenerate and unmoved cells."""
-    s, e_rest, e_def = _cell_covariances(rest, deformed, edges, owner_sum)
-    owner = np.concatenate([edges[:, 0], edges[:, 1]])
-    degenerate = np.linalg.norm(s, axis=(1, 2)) < 1e-30
-    if degenerate.any():
-        _LOGGER.warning("%d degenerate cells skipped in rigidity energy",
-                        int(degenerate.sum()))
-        s[degenerate] = np.eye(3)
-    r = _best_rotations(s)
-    # an unmoved cell keeps the identity exactly, whatever its eigenvector rounds to
-    moved = np.any(e_def != e_rest, axis=1)
-    r[np.bincount(owner, weights=moved, minlength=s.shape[0]) == 0] = np.eye(3)
-    return r, owner, e_rest, e_def
+class _Arap:
+    """ARAP's local and global steps on one source topology.
 
+    Both read one (V, E) edge incidence: row v lists v's edges as first
+    endpoint, then as second endpoint, each in edge order, so its columns
+    are unsorted. scipy's COO constructor, ``abs()`` and sparse products
+    sort a CSR's indices in place, so ``_owner`` (ones) and ``_inc`` (+1 at
+    the first endpoint, -1 at the second) are built from their CSR arrays
+    and only multiply dense arrays.
 
-def _arap_local(rest: np.ndarray, deformed: np.ndarray, edges: np.ndarray,
-                owner_sum: sp.csr_matrix):
-    """(energy, per-cell rotations) at the deformed positions; ``owner_sum``
-    is ``_owner_sum`` of the edges, built once per topology."""
-    r, owner, e_rest, e_def = _arap_rotations(rest, deformed, edges, owner_sum)
-    residual = e_def - np.einsum("nab,nb->na", r[owner], e_rest)
-    return float(np.sum(residual**2)), r
+    Local step: a cell's covariance sums ``e_rest e_def^T`` over its
+    vertex's edges, each seen from that vertex. Seen from either end, an
+    edge's outer product has the same bits, so ``_owner`` sums one per edge
+    into both cells, in the order of ``np.add.at`` over the directed edges.
 
+    Global step: with the rotations R held, the rigidity energy is the
+    quadratic ``4 (x^T L x / 2 - b^T x) + const``, with L the uniform edge
+    Laplacian and ``b = _inc h``, ``h_e = (R_i + R_j) (r_i - r_j) / 2``. Each
+    pair's ``|x_s - y_t|`` is majorized by ``|x_s - y_t|^2 / (2 d_s) + d_s / 2``,
+    d_s its current length (at least ``_DIST_FLOOR``). Both bounds touch the
+    objective at the current iterate, so their minimizer, one SPD solve,
+    does not raise it while the pairs hold.
 
-def arap_energy(rest: TriMesh, deformed_positions: np.ndarray) -> float:
-    """Sum over cells of the residual after the best per-cell rotation.
-
-    Zero exactly for rigid motions; grows with local stretching or shear.
-    """
-    deformed_positions = np.asarray(deformed_positions, dtype=np.float64)
-    if deformed_positions.shape != rest.positions.shape:
-        raise ArgumentError("deformed positions must match rest topology")
-    edges = edge_set(rest)
-    return _arap_local(rest.positions, deformed_positions, edges,
-                       _owner_sum(edges, rest.n_vertices))[0]
-
-
-class _GlobalStep:
-    """The global step of the local-global scheme on one source topology.
-
-    With the rotations R held, the rigidity energy is the quadratic
-    ``4 (x^T L x / 2 - b^T x) + const``, with L the uniform edge Laplacian and
-    ``b_i = sum_j (R_i + R_j) (r_i - r_j) / 2``; each pair's ``|x_s - y_t|``
-    is majorized by ``|x_s - y_t|^2 / (2 d_s) + d_s / 2``, d_s its current
-    length (at least ``_DIST_FLOOR``). Both bounds touch the objective at the
-    current iterate, so their minimizer, one SPD solve, does not raise it
-    while the pairs hold.
-
-    The system is ``4 w L`` plus the pairs' weights on its diagonal. Its
+    That system is ``4 w L`` plus the pairs' weights on its diagonal. Its
     pattern is fixed per topology, so a reverse Cuthill-McKee order of L and
-    L's upper band in that order are computed once; each call adds the
-    weights to the band's diagonal and solves by banded Cholesky (LAPACK
-    ``pbsv``) in O(n bw^2) for bandwidth bw (42 on ``icosphere(3)`` and on
+    L's upper band in that order are computed once; each solve adds the
+    weights to the band's diagonal and runs a banded Cholesky (LAPACK
+    ``pbsv``) in O(n bw^2) for bandwidth bw (41 on ``icosphere(3)``, 42 on
     ``hand_template(4023)``).
     """
 
     def __init__(self, rest: np.ndarray, edges: np.ndarray, weight: float):
         n, m = rest.shape[0], edges.shape[0]
-        i, j = edges[:, 0], edges[:, 1]
-        cols = np.tile(np.arange(m), 2)
-        # signed edge incidence B (+1 at i, -1 at j for edge (i, j)): L = B B^T,
-        # and b = B h with h_e = (R_i + R_j) (r_i - r_j) / 2
-        self._inc = sp.csr_matrix((np.repeat([1.0, -1.0], m), (np.concatenate([i, j]), cols)),
+        self._ends = np.ascontiguousarray(edges.T)  # (2, E): first endpoints, then second
+        ends = self._ends.ravel()
+        order = np.argsort(ends, kind="stable")
+        cols = np.tile(np.arange(m), 2)[order]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
+        self._owner = sp.csr_matrix((np.ones(2 * m), cols, indptr), shape=(n, m))
+        self._inc = sp.csr_matrix((np.repeat([1.0, -1.0], m)[order], cols, indptr),
                                   shape=(n, m))
-        four_w_lap = 4.0 * weight * (self._inc @ self._inc.T).tocsr()
+        self._e_rest = rest[edges[:, 0]] - rest[edges[:, 1]]
+        self._weight = weight
+        four_w_lap = 4.0 * weight * laplacian(adjacency_matrix(edges, n))
         _, component = connected_components(four_w_lap, directed=False)
         self._order = reverse_cuthill_mckee(four_w_lap, symmetric_mode=True)
         self._slot = np.argsort(self._order)  # each vertex's place in the order
@@ -387,14 +348,38 @@ class _GlobalStep:
         bw = int(np.max(col - row, initial=0))
         self._band = np.zeros((bw + 1, n))
         self._band[bw + row - col, col] = lap.data[upper]
-        self._i, self._j = i, j
-        self._e_rest = rest[i] - rest[j]
-        self._weight = weight
 
-    def __call__(self, x: np.ndarray, rot: np.ndarray, src_idx: np.ndarray,
-                 y: np.ndarray) -> np.ndarray:
+    def covariances(self, x: np.ndarray) -> np.ndarray:
+        """(V, 3, 3) sums of e_rest e_def^T over each cell's edges at x."""
+        return self._cell_sums(x[self._ends[0]] - x[self._ends[1]])
+
+    def _cell_sums(self, e_def: np.ndarray) -> np.ndarray:
+        outer = (self._e_rest[:, :, None] * e_def[:, None, :]).reshape(-1, 9)
+        return (self._owner @ outer).reshape(-1, 3, 3)
+
+    def local(self, x: np.ndarray):
+        """(energy, per-cell rotations) at x: ``_best_rotations`` of the
+        covariances, with the identity for degenerate and unmoved cells, and
+        the energy summed over both directions of every edge."""
+        e_def = x[self._ends[0]] - x[self._ends[1]]
+        s = self._cell_sums(e_def)
+        degenerate = np.linalg.norm(s, axis=(1, 2)) < 1e-30
+        if degenerate.any():
+            _LOGGER.warning("%d degenerate cells skipped in rigidity energy",
+                            int(degenerate.sum()))
+            s[degenerate] = np.eye(3)
+        r = _best_rotations(s)
+        # an unmoved cell keeps the identity exactly, whatever its eigenvector rounds to
+        moved = np.any(e_def != self._e_rest, axis=1)
+        r[self._owner @ moved == 0] = np.eye(3)
+        # seen from j, edge (i, j)'s residual is the negation of this one: same squares
+        residual = e_def - np.einsum("kvab,vb->kva", r[self._ends], self._e_rest)
+        return float(np.sum(residual**2)), r
+
+    def solve(self, x: np.ndarray, rot: np.ndarray, src_idx: np.ndarray,
+              y: np.ndarray) -> np.ndarray:
         """Minimizer of both majorizers at x; src_idx holds at least one pair."""
-        h = 0.5 * np.einsum("eab,eb->ea", rot[self._i] + rot[self._j], self._e_rest)
+        h = 0.5 * np.einsum("eab,eb->ea", rot[self._ends[0]] + rot[self._ends[1]], self._e_rest)
         rhs = 4.0 * self._weight * (self._inc @ h)
         pull = 1.0 / np.maximum(np.linalg.norm(x[src_idx] - y, axis=1), _DIST_FLOOR)
         rhs[src_idx] += pull[:, None] * y
@@ -421,17 +406,19 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
 
     Minimizes ``collision + arap_weight * rigidity`` by local-global steps
     (ARAP's scheme, with the L1 collision term as iteratively reweighted
-    least squares). Each iteration finds the interior vertices and their
-    gated pairs at the current positions and stops once none remains; the
-    local step fits the per-cell rotations (``_arap_rotations``) and the
-    global step is one banded solve (``_GlobalStep``). It also stops when
-    the objective changes by less than ``convergence_tol`` or after
-    ``max_iters`` iterations, and reports divergence after 10 consecutive
-    rises. Returns the best iterate (never worse than the input) with
-    before/after plausibility reports and the reason the loop stopped (see
-    ``RefineResult``); topology is untouched, and an input with no pair is
-    returned as is. Each mesh is checked once, and the target's faces are
-    prepared once for the loop and both reports.
+    least squares), both on one ``_Arap`` built for the source's topology.
+    Each iteration finds the interior vertices and their gated pairs at the
+    current positions and stops once none remains; the local step fits the
+    per-cell rotations (``_Arap.local``) and the global step is one banded
+    solve (``_Arap.solve``). It also stops when the objective changes by
+    less than ``convergence_tol`` or after ``max_iters`` iterations, and
+    reports divergence after 10 consecutive rises. Returns the best iterate
+    (never worse than the input) with before/after plausibility reports and
+    the reason the loop stopped (see ``RefineResult``); topology is
+    untouched. When the best iterate is the input, as for an input with no
+    pair, the input object is returned with ``after`` equal to ``before``,
+    and no second report is computed. Each mesh is checked once, and the
+    target's faces are prepared once for the loop and both reports.
 
     Raises:
         ArgumentError: source and target are one mesh, or either is not
@@ -442,29 +429,18 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     _check_mesh(source, "source", "refinement")
     target_faces = _face_clusters(target)  # the target never moves
     before = _plausibility(source, target, _face_clusters(source), target_faces)
-    rest = source.positions
-    edges = edge_set(source)
-    global_step = _GlobalStep(rest, edges, config.arap_weight)
-    owner_sum = _owner_sum(edges, source.n_vertices)
-    x = best_x = rest.copy()
+    arap = _Arap(source.positions, edge_set(source), config.arap_weight)
+    x = best_x = source.positions
     best_loss = prev_loss = np.inf
     best_unpaired = 0
     rises = 0
     stop = "max_iters"
-    iterations = 0
-    for it in range(config.max_iters):
-        iterations = it + 1
-        current = source.with_positions(x)
+    for iterations in range(1, config.max_iters + 1):
         interior, _ = points_interior(x, target_faces, seed=0)
-        src_idx, tgt_idx = _gated_pairs(current, interior, target)
+        src_idx, tgt_idx = _gated_pairs(source.with_positions(x), interior, target)
         unpaired = int(np.count_nonzero(interior)) - src_idx.size
-        if src_idx.size == 0 and it == 0:
-            # nothing to pull: the input is already the answer
-            return RefineResult(mesh=source, before=before, after=before, iterations=1,
-                                stop_reason="no_gated_pair" if unpaired else "no_interior",
-                                unpaired_interior=unpaired)
         y = target.positions[tgt_idx]
-        energy, rot = _arap_local(rest, x, edges, owner_sum)
+        energy, rot = arap.local(x)
         loss = float(np.linalg.norm(x[src_idx] - y, axis=1).sum()) \
             + config.arap_weight * energy
         if loss < best_loss:
@@ -483,10 +459,12 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
         else:
             rises = 0
         prev_loss = loss
-        x = global_step(x, rot, src_idx, y)
-    refined = source.with_positions(best_x)  # the source's topology: watertight
-    after = _plausibility(refined, target, _face_clusters(refined), target_faces)
-    return RefineResult(mesh=refined, before=before, after=after, iterations=iterations,
+        x = arap.solve(x, rot, src_idx, y)
+    mesh, after = source, before
+    if best_x is not source.positions:
+        mesh = source.with_positions(best_x)  # the source's topology: watertight
+        after = _plausibility(mesh, target, _face_clusters(mesh), target_faces)
+    return RefineResult(mesh=mesh, before=before, after=after, iterations=iterations,
                         stop_reason=stop, unpaired_interior=best_unpaired)
 
 

@@ -15,6 +15,9 @@ import numpy as np
 from .model import CameraParams, ModelConfig, TemplateAssets, synth_backbone_features
 from .primitives import apply_rigid, rotation_matrix
 
+POSE_ANGLE = 0.25  # radians, max random rotation per hand
+POSE_SHIFT = 0.04  # meters, max random translation per hand
+
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -22,8 +25,6 @@ class SceneSpec:
 
     seed: int = 0
     noise: float = 0.0  # meters, vertex-wise Gaussian on the ground truth
-    pose_angle: float = 0.25  # radians, max random rotation per hand
-    pose_shift: float = 0.04  # meters, max random translation per hand
 
 
 @dataclass
@@ -41,8 +42,8 @@ def build_scene(spec: SceneSpec, assets: TemplateAssets, config: ModelConfig) ->
     posed = []
     for hand in assets.hands:
         axis = rng.normal(size=3)
-        angle = rng.uniform(-spec.pose_angle, spec.pose_angle)
-        shift = rng.uniform(-spec.pose_shift, spec.pose_shift, size=3)
+        angle = rng.uniform(-POSE_ANGLE, POSE_ANGLE)
+        shift = rng.uniform(-POSE_SHIFT, POSE_SHIFT, size=3)
         center = hand.positions.mean(axis=0)
         rot = rotation_matrix(axis, angle)
         moved = apply_rigid(hand.with_positions(hand.positions - center), rot,
