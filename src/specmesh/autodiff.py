@@ -26,6 +26,19 @@ reference to it. Views of the incoming gradient (``reshape``,
 pass-through of ``add``, which both operands receive) are held by the
 node's own ``grad`` and possibly by another operand: adopting one would let
 a later accumulation into the parent rewrite them, so they are copied.
+
+Leaf finality: a leaf's gradient is final once every node of the walk that
+consumes it has been walked, since only a consumer's closure adds into it.
+``backward(on_final)`` reports each leaf that needs a gradient at that
+moment, so a caller can update the leaf and drop its gradient while the
+rest of the graph is still being walked. This is safe because of a read
+contract that every op here keeps: a backward closure reads a leaf's
+``data`` only when that leaf is a parent of its node. A node whose data is
+a view of a leaf (``reshape``, ``transpose``, basic ``getitem``) is that
+leaf's consumer, and every node that reads the view consumes the view, so
+they are all walked before the leaf is reported. A new op must keep the
+contract: a closure that captured a leaf's array without making the leaf a
+parent could read it after an in-place update.
 """
 from __future__ import annotations
 
@@ -59,13 +72,25 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
 
-    def backward(self):
+    def backward(self, on_final=None):
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
 
         The graph is walked once and released as it goes (see the module
         docstring): afterwards only the leaves and the interior tensors the
         caller still holds keep a ``grad``, and walking the graph again
         raises ``ArgumentError``.
+
+        ``on_final(leaf)``, when given, is called once for each reached leaf
+        with ``requires_grad``, as soon as its gradient is final: right
+        after the last node that consumes it has been walked (its closure
+        run, or skipped because the node received no gradient), or at once
+        for a leaf that is ``self``. Constants are never reported. The
+        callback may update ``leaf.data`` in place and set ``leaf.grad`` to
+        ``None``; see the read contract in the module docstring. An
+        exception raised partway through the walk, by a closure or by the
+        callback, ends it with only the leaves reported so far handed to
+        the callback, so a caller that updates them is left with a partial
+        update.
 
         Raises:
             ArgumentError: ``self`` is not a scalar, or the walk reaches a
@@ -88,16 +113,29 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
+        pending: dict[int, int] = {}  # id(leaf) -> consumer edges still to walk
         for node in topo:
             node.grad = None
+            if on_final is not None and node._backward is not None:
+                for p in node._parents:
+                    if p.requires_grad and p._backward is None:
+                        pending[id(p)] = pending.get(id(p), 0) + 1
         self.grad = np.ones_like(self.data)
+        if on_final is not None and self._backward is None and self.requires_grad:
+            on_final(self)  # a leaf root has no consumer to wait for
         while topo:  # popping lets each walked node go once nothing else holds it
             node = topo.pop()
             if node._backward is None:
                 continue
             if node.grad is not None:
                 node._backward(node.grad)
+            parents = node._parents
             node._backward, node._parents = _walked, ()
+            for p in parents:
+                if id(p) in pending:
+                    pending[id(p)] -= 1
+                    if not pending[id(p)]:
+                        on_final(p)
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -641,14 +679,18 @@ ADAM_CHUNK = 32768  # elements per Adam chunk; see the Adam docstring
 class Adam:
     """Standard Adam (Kingma & Ba, 2015) over a name->Tensor parameter dict.
 
-    ``step`` updates ``m``, ``v`` and each parameter's data in place. It
-    walks every tensor's flat view in chunks of ``ADAM_CHUNK`` elements with
-    two scratch buffers allocated here, so a step allocates no array as
-    large as a parameter. Each chunk applies the textbook expressions in
-    their usual order, ``b1*m + (1-b1)*g``, ``b2*v + ((1-b2)*g)*g`` and
-    ``p - lr*m_hat / (sqrt(v_hat) + eps)``, so the parameters are the same
-    bits as with whole-array expressions. A parameter whose ``grad`` is
-    ``None`` steps with a zero gradient.
+    ``step`` updates ``m``, ``v`` and each parameter's data in place, for
+    the parameters it is given, which may be any subset of those ``Adam``
+    was built with. Each parameter keeps its own step count in ``t``, so
+    stepping the parameters one at a time, as ``model.train_step`` does
+    from inside ``backward``, gives the same bits as one ``step`` over all
+    of them. It walks every tensor's flat view in chunks of ``ADAM_CHUNK``
+    elements with two scratch buffers allocated here, so a step allocates
+    no array as large as a parameter. Each chunk applies the textbook
+    expressions in their usual order, ``b1*m + (1-b1)*g``,
+    ``b2*v + ((1-b2)*g)*g`` and ``p - lr*m_hat / (sqrt(v_hat) + eps)``, so
+    the parameters are the same bits as with whole-array expressions. A
+    parameter whose ``grad`` is ``None`` steps with a zero gradient.
 
     The chunk size was chosen by timing one step over the full config's
     41.5M parameters (best of 4, one BLAS thread, 2-core x86): whole-array
@@ -664,20 +706,30 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.t = 0
+        self.t = {k: 0 for k in params}  # steps taken, per parameter
         # np.zeros leaves the zeroing to the first step (zeros_like writes it now)
         self.m = {k: np.zeros(p.data.shape) for k, p in params.items()}
         self.v = {k: np.zeros(p.data.shape) for k, p in params.items()}
         self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
 
     def step(self, params: dict):
-        self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
-        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
+        """One Adam update of each of ``params``, a name->Tensor dict.
+
+        Raises:
+            ArgumentError: a name that ``Adam(...)`` was not built with, or
+                a parameter whose data is not C-contiguous; checked before
+                any parameter is updated.
+        """
         for key, p in params.items():
+            if key not in self.t:
+                raise ArgumentError(f"Adam was not built with parameter {key!r}")
             if not p.data.flags.c_contiguous:
                 raise ArgumentError(f"Adam updates {key!r} in place; its data must be "
                                     "C-contiguous")
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        for key, p in params.items():
+            self.t[key] += 1
+            c1, c2 = 1 - b1**self.t[key], 1 - b2**self.t[key]
             data, m, v = p.data.reshape(-1), self.m[key].reshape(-1), self.v[key].reshape(-1)
             grad = None if p.grad is None else p.grad.reshape(-1)
             for lo in range(0, data.size, ADAM_CHUNK):
@@ -703,7 +755,3 @@ class Adam:
                 np.add(b, eps, out=b)
                 np.divide(a, b, out=a)
                 np.subtract(x, a, out=x)
-
-    def zero_grad(self, params: dict):
-        for p in params.values():
-            p.grad = None

@@ -534,10 +534,18 @@ def train_step(params: dict, opt: ad.Adam, batch, assets: TemplateAssets,
                config: ModelConfig, bn_state: dict) -> dict:
     """One optimizer step on the summed loss; returns scalar loss values.
 
-    The previous step's gradients are cleared before the forward, not after
-    it, so that they are not resident next to the new activations; the
-    backward then frees each activation as soon as no later node of the tape
-    needs it (see :meth:`autodiff.Tensor.backward`).
+    Adam steps inside the backward walk: each parameter is updated as soon
+    as its gradient is final, and its gradient is dropped right after, so
+    the gradients of the whole model are never resident at once (the
+    optimizer-in-backward design of LOMO, Lv et al., 2023). The backward
+    also frees each activation as soon as no later node of the tape needs it
+    (see :meth:`autodiff.Tensor.backward`). Parameters the loss does not
+    reach step afterwards with a zero gradient. The result is the same bits
+    as ``backward()`` followed by one ``opt.step(params)``, and every
+    parameter's ``grad`` is ``None`` on return.
+
+    An exception raised during the walk leaves a partial step: the
+    parameters stepped before it are updated, the others are not.
 
     Raises:
         NumericalError: a loss or parameter went non-finite, naming the
@@ -546,14 +554,25 @@ def train_step(params: dict, opt: ad.Adam, batch, assets: TemplateAssets,
     bad = _first_nonfinite(params)
     if bad is not None:
         raise NumericalError(f"non-finite parameter tensor {bad!r} before step")
-    opt.zero_grad(params)
     output = forward(batch.features, params, assets, config, bn_state, train=True)
     losses = compute_losses(output, batch, assets)
     for name, term in losses.items():
         if not np.isfinite(term.data):
             raise NumericalError(f"non-finite loss tensor {name!r}")
-    losses["total"].backward()
-    opt.step(params)
+    names = {id(p): name for name, p in params.items()}
+    idle = dict(params)  # parameters the walk has not reported yet
+
+    def step_final(leaf):
+        name = names[id(leaf)]
+        opt.step({name: leaf})
+        leaf.grad = None
+        del idle[name]
+
+    losses["total"].backward(step_final)
+    for p in idle.values():
+        p.grad = None  # a gradient left from outside this step must not be applied
+    if idle:
+        opt.step(idle)
     bad = _first_nonfinite(params)
     if bad is not None:
         raise NumericalError(f"non-finite parameter tensor {bad!r} after step")

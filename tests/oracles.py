@@ -10,7 +10,8 @@ voxel center, because what it checks is the column pass that replaced that
 loop. The autodiff references at the end compose
 the fused tape nodes out of the primitive ones, whose own gradients the
 tests check (the upsampling one takes its interpolation matrices from the
-model).
+model). ``train_step_two_phase`` runs the model's forward, losses and Adam,
+because what it checks is when ``train_step`` steps each parameter.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from specmesh import autodiff as ad
 from specmesh.kernels import ray_crossings
-from specmesh.model import _interp_matrix
+from specmesh.model import _interp_matrix, compute_losses, forward
 from specmesh.refine import MAX_RAY_RETRIES, points_interior
 
 
@@ -444,6 +445,19 @@ class WholeArrayAdam:
             m_hat = self.m[key] / (1 - b1**self.t)
             v_hat = self.v[key] / (1 - b2**self.t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def train_step_two_phase(params: dict, opt, batch, assets, config, bn_state: dict) -> dict:
+    """A training step that finishes ``backward()`` before one ``opt.step``
+    over every parameter, the reference for ``model.train_step``, which
+    steps each parameter inside the walk."""
+    for p in params.values():
+        p.grad = None
+    output = forward(batch.features, params, assets, config, bn_state, train=True)
+    losses = compute_losses(output, batch, assets)
+    losses["total"].backward()
+    opt.step(params)
+    return {name: float(t.data) for name, t in losses.items()}
 
 
 def layer_norm_composed(a, gain, bias, eps: float = 1e-6):

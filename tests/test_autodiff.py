@@ -315,6 +315,94 @@ class TestChebPrimitive:
               {"theta": RNG.normal(size=(3, 3, 2)) * 0.5, "x": RNG.normal(size=(8, 3))})
 
 
+def final_reports(build_loss, arrays: dict) -> list:
+    """Walk one graph with ``backward(on_final)`` and return the names of
+    the reported leaves, in report order.
+
+    A second graph over the same arrays is walked with plain ``backward()``.
+    Every leaf with ``requires_grad`` that the walk reaches must be reported
+    exactly once, after every node that consumes it has been walked, with
+    the plain walk's gradient bit for bit. The callback then overwrites the
+    leaf's data with NaN and drops its gradient, as an in-place optimizer
+    step would, so a closure that read a leaf after its report would carry
+    NaN into a later leaf's gradient.
+    """
+    plain = {k: ad.parameter(v) for k, v in arrays.items()}
+    build_loss(plain).backward()
+    leaves = {k: ad.parameter(v) for k, v in arrays.items()}
+    names = {id(t): k for k, t in leaves.items()}
+    loss = build_loss(leaves)
+    consumers, reached, stack, seen = {}, set(), [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if id(node) in names:
+            reached.add(names[id(node)])
+        for p in node._parents:
+            consumers.setdefault(id(p), []).append(node)
+            stack.append(p)
+    reports = []
+
+    def on_final(leaf):
+        assert leaf.requires_grad
+        assert all(node._backward is ad._walked for node in consumers.get(id(leaf), ()))
+        name = names[id(leaf)]
+        want = plain[name].grad
+        assert (leaf.grad is None) == (want is None), name
+        if want is not None:
+            assert leaf.grad.tobytes() == want.tobytes(), name
+        reports.append(name)
+        leaf.data[...] = np.nan
+        leaf.grad = None
+
+    loss.backward(on_final)
+    assert sorted(reports) == sorted(reached)
+    return reports
+
+
+class TestOnFinal:
+    """``backward(on_final)`` reports each leaf once its gradient is final."""
+
+    def test_leaf_with_two_consumers(self):
+        probe = ad.constant(RNG.normal(size=(3, 3)))
+        reports = final_reports(
+            lambda t: (ad.mul(t["w"], t["w"]) * probe).sum() + (t["w"] @ t["x"]).sum(),
+            {"w": RNG.normal(size=(3, 3)), "x": RNG.normal(size=(3, 2))})
+        assert sorted(reports) == ["w", "x"]
+
+    def test_leaf_reached_only_through_views(self):
+        # x's gradient reads the reshape's data, a view of w
+        reports = final_reports(
+            lambda t: (ad.exp(ad.reshape(t["w"], (4, 3)) @ t["x"])
+                       * ad.transpose(t["v"], (1, 0))[0:4]).sum(),
+            {"w": RNG.normal(size=(2, 6)), "x": RNG.normal(size=(3, 2)),
+             "v": RNG.normal(size=(2, 5))})
+        assert sorted(reports) == ["v", "w", "x"]
+
+    def test_unreached_leaf_and_constants_are_not_reported(self):
+        probe = RNG.normal(size=(4,))
+        reports = final_reports(
+            lambda t: (t["a"] * ad.constant(probe)
+                       + ad.constant(np.ones(4)) * ad.constant(2.0)).sum(),
+            {"a": RNG.normal(size=(4,)), "idle": RNG.normal(size=(4,))})
+        assert reports == ["a"]
+
+    def test_consumer_without_gradient(self):
+        def build(t):
+            mid = t["w"] * t["u"]
+            stop = ad.Tensor(mid.data, True, (mid,), lambda g: None)  # passes no gradient
+            return (stop + t["w"]).sum()
+
+        reports = final_reports(build, {"w": RNG.normal(size=(5,)), "u": RNG.normal(size=(5,))})
+        assert sorted(reports) == ["u", "w"]  # u is reported with no gradient
+
+    def test_leaf_root_is_reported_once(self):
+        reports = final_reports(lambda t: t["s"], {"s": np.array(1.5)})
+        assert reports == ["s"]
+
+
 class TestMachinery:
     def test_backward_requires_scalar(self):
         with pytest.raises(ArgumentError):
@@ -404,6 +492,14 @@ class TestMachinery:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_adam_rejects_unknown_key_before_updating(self):
+        p, q = ad.parameter(np.ones(3)), ad.parameter(np.ones(2))
+        opt = ad.Adam({"p": p})
+        p.grad = np.ones(3)
+        with pytest.raises(ArgumentError, match="'q'"):
+            opt.step({"p": p, "q": q})
+        assert np.array_equal(p.data, np.ones(3)) and opt.t == {"p": 0}
+
     def test_adam_rejects_strided_parameter(self):
         p = ad.parameter(np.ones((3, 4)))
         opt = ad.Adam({"p": p})
@@ -415,9 +511,12 @@ class TestMachinery:
     def test_adam_descends_quadratic(self):
         p = ad.parameter(np.array([5.0, -3.0]))
         opt = ad.Adam({"p": p}, lr=0.1)
+
+
+        def step(leaf):
+            opt.step({"p": leaf})
+            leaf.grad = None
+
         for _ in range(300):
-            opt.zero_grad({"p": p})
-            loss = (p * p).sum()
-            loss.backward()
-            opt.step({"p": p})
+            (p * p).sum().backward(on_final=step)
         assert np.abs(p.data).max() < 1e-2

@@ -11,7 +11,7 @@ import scipy.linalg
 
 import specmesh
 from conftest import mesh_adjacency
-from oracles import attention_composed, upconv3x3_composed
+from oracles import attention_composed, train_step_two_phase, upconv3x3_composed
 from specmesh import autodiff as ad
 from specmesh import model as M
 from specmesh.errors import ArgumentError, NumericalError, ParseError
@@ -463,6 +463,53 @@ class TestWholeModelGradient:
                 if checked == 3:
                     break
             assert checked == 3, f"{name}: {checked} entries checked"
+
+
+def params_copy(params: dict) -> dict:
+    return {name: ad.parameter(p.data, name=name) for name, p in params.items()}
+
+
+class TestTrainStep:
+    """train_step steps Adam on each parameter inside the backward walk."""
+
+    def test_matches_two_phase_oracle_bits(self, perturbed_toy):
+        config, assets, start = perturbed_toy
+        scenes = [build_scene(SceneSpec(seed=s), assets, config) for s in (1, 2, 3)]
+        runs = []
+        for step in (M.train_step, train_step_two_phase):
+            params, bn_state = params_copy(start), {}
+            opt = ad.Adam(params, lr=config.learning_rate)
+            losses = [step(params, opt, scene, assets, config, bn_state) for scene in scenes]
+            runs.append((params, opt, losses))
+        (mine, opt, losses), (ref, ref_opt, ref_losses) = runs
+        assert losses == ref_losses
+        assert opt.t == ref_opt.t == {name: 3 for name in start}
+        for name in start:
+            for got, want in ((mine[name].data, ref[name].data), (opt.m[name], ref_opt.m[name]),
+                              (opt.v[name], ref_opt.v[name])):
+                assert got.tobytes() == want.tobytes(), name
+            assert mine[name].grad is None, name
+
+    def test_each_step_finds_earlier_gradients_dropped(self, perturbed_toy):
+        config, assets, start = perturbed_toy
+        params = params_copy(start)
+        params["unused"] = ad.parameter(np.ones(3), name="unused")
+        params["unused"].grad = np.ones(3)  # left from outside: must step as zero
+        opt = ad.Adam(params, lr=config.learning_rate)
+        step, stepped = opt.step, []
+
+        def spy(subset):
+            assert all(params[name].grad is None for name in stepped)
+            step(subset)
+            stepped.extend(subset)
+
+        opt.step = spy
+        M.train_step(params, opt, build_scene(SceneSpec(seed=1), assets, config), assets,
+                     config, {})
+        assert sorted(stepped) == sorted(params)
+        assert stepped[-1] == "unused"  # the walk never reaches it
+        assert all(p.grad is None for p in params.values())
+        assert np.array_equal(params["unused"].data, np.ones(3))  # zero gradient, zero step
 
 
 class TestFirstNonfinite:
