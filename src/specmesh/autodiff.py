@@ -538,17 +538,20 @@ def cheb_filter(scaled_l, theta: Tensor, signal: Tensor) -> Tensor:
     return Tensor(out_data, _needs(theta, signal), (theta, signal), backward)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+LN_EPS = 1e-6  # added to the variance in layer_norm
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalization over the last axis with learned gain and bias, one tape node.
 
     The forward evaluates the textbook expressions in order (mean, centered
-    values, variance, 1/sqrt(var + eps), then gain and bias); the backward
+    values, variance, 1/sqrt(var + LN_EPS), then gain and bias); the backward
     is the closed form dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)).
     """
     inv_n = 1.0 / a.shape[-1]
     xhat = a.data - a.data.sum(axis=-1, keepdims=True) * inv_n
     var = (xhat * xhat).sum(axis=-1, keepdims=True) * inv_n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     out_data = xhat * gain.data
     out_data += bias.data
@@ -674,6 +677,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
 
 ADAM_CHUNK = 32768  # elements per Adam chunk; see the Adam docstring
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
 class Adam:
@@ -688,7 +692,8 @@ class Adam:
     elements with two scratch buffers allocated here, so a step allocates
     no array as large as a parameter. Each chunk applies the textbook
     expressions in their usual order, ``b1*m + (1-b1)*g``,
-    ``b2*v + ((1-b2)*g)*g`` and ``p - lr*m_hat / (sqrt(v_hat) + eps)``, so
+    ``b2*v + ((1-b2)*g)*g`` and ``p - lr*m_hat / (sqrt(v_hat) + eps)``, with
+    b1, b2 and eps ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``, so
     the parameters are the same bits as with whole-array expressions. A
     parameter whose ``grad`` is ``None`` steps with a zero gradient.
 
@@ -700,12 +705,8 @@ class Adam:
     once per call.
     """
 
-    def __init__(self, params: dict, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float = 1e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = {k: 0 for k in params}  # steps taken, per parameter
         # np.zeros leaves the zeroing to the first step (zeros_like writes it now)
         self.m = {k: np.zeros(p.data.shape) for k, p in params.items()}
@@ -726,7 +727,7 @@ class Adam:
             if not p.data.flags.c_contiguous:
                 raise ArgumentError(f"Adam updates {key!r} in place; its data must be "
                                     "C-contiguous")
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, self.lr, ADAM_EPS
         for key, p in params.items():
             self.t[key] += 1
             c1, c2 = 1 - b1**self.t[key], 1 - b2**self.t[key]

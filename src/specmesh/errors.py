@@ -1,6 +1,6 @@
 """Exception hierarchy shared by every specmesh module.
 
-The planned CLI (ROADMAP Must-fix 3) will map these onto its exit codes:
+The planned CLI (ROADMAP Must-fix 2) will map these onto its exit codes:
 parse errors -> 2, argument/structural errors -> 3, numerical aborts -> 4.
 """
 

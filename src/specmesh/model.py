@@ -35,6 +35,12 @@ from .segmentation import segment
 
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
+# Fixed properties of the architecture, as in Mesh Graphormer
+N_CLUSTERS = 7  # mesh segmentation clusters, one region feature each
+N_HEADS = 3  # attention heads per transformer layer
+SUBLAYERS = 4  # transformer layers inside each encoder block
+BACKBONE_GRID = 7  # backbone feature maps are BACKBONE_GRID x BACKBONE_GRID
+FFN_FACTOR = 2  # feed-forward hidden width over token width
 
 
 @dataclass
@@ -42,33 +48,29 @@ class ModelConfig:
     """Hyperparameters of the pipeline; defaults match the full-size setup."""
 
     n_views: int = 2  # multi-view image count
-    n_clusters: int = 7  # mesh segmentation clusters
     feature_width: int = 256  # region feature channels
     n_tokens: int = 804  # transformer tokens (both hands combined)
     n_blocks: int = 3  # encoder blocks with width halving between them
-    n_heads: int = 3
-    sublayers: int = 4  # transformer layers inside each block
     decoder_sizes: tuple = (617, 1234, 2468, 4023)  # per-hand vertex counts; last = template
     cheb_order: int = 3
     backbone_channels: int = 2048
-    backbone_grid: int = 7
-    ffn_factor: int = 2
     learning_rate: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
         self.decoder_sizes = tuple(int(s) for s in self.decoder_sizes)
+        if not self.decoder_sizes:
+            raise ArgumentError("decoder_sizes must not be empty")
         if any(b <= a for a, b in zip(self.decoder_sizes, self.decoder_sizes[1:])):
             raise ArgumentError("decoder_sizes must be strictly ascending")
         if self.n_tokens % 2 != 0:
             raise ArgumentError("n_tokens must be even (two hands)")
-        for name in ("n_views", "n_blocks", "n_heads", "cheb_order", "feature_width",
-                     "ffn_factor", "backbone_channels"):
+        for name in ("n_views", "n_tokens", "n_blocks", "cheb_order", "feature_width",
+                     "backbone_channels"):
             if getattr(self, name) < 1:
                 raise ArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")
-        # a valid 3x3 convolution after x2 upsampling leaves 2g - 2 rows: none at g = 1
-        if self.backbone_grid < 2:
-            raise ArgumentError(f"backbone_grid must be >= 2, got {self.backbone_grid}")
+        if self.seed < 0:
+            raise ArgumentError(f"seed must be >= 0, got {self.seed}")
 
     def encoder_widths(self) -> list[int]:
         """Token widths entering each block: C+3 halved (ceiling) per block."""
@@ -121,7 +123,7 @@ def _wrong_type(value, annotation: str) -> bool:
 def toy_config(**overrides) -> ModelConfig:
     """Small setup, 159-vertex (4-ring) hands, used by the desk-scale training check."""
     defaults = dict(
-        n_views=2, n_clusters=7, feature_width=32, n_tokens=34, n_blocks=2,
+        n_views=2, feature_width=32, n_tokens=34, n_blocks=2,
         decoder_sizes=(40, 80, 159), backbone_channels=64, learning_rate=1e-3,
     )
     defaults.update(overrides)
@@ -164,7 +166,7 @@ def build_assets(config: ModelConfig) -> TemplateAssets:
     left = mirror_x(right)
     edges = edge_set(right)
     adjacency = adjacency_matrix(edges, right.n_vertices)
-    labels_hand = segment(adjacency, config.n_clusters)
+    labels_hand = segment(adjacency, N_CLUSTERS)
     kept = subsample_to_count(right, config.tokens_per_hand, seed=config.seed)
     token_positions = np.concatenate([right.positions[kept], left.positions[kept]])
     token_labels = np.concatenate([labels_hand[kept], labels_hand[kept]])
@@ -208,7 +210,7 @@ def init_parameters(config: ModelConfig, assets: TemplateAssets) -> dict:
 
     # the fusion convs, the mask conv and the key projections have no bias:
     # the forward would remove its effect (see where each is applied)
-    c, bc, k = config.feature_width, config.backbone_channels, config.n_clusters
+    c, bc, k = config.feature_width, config.backbone_channels, N_CLUSTERS
     for branch, cin1 in (("fuse_a", bc), ("fuse_b", bc)):
         par(f"{branch}_conv1_w", _uniform(rng, 9 * cin1, (3, 3, cin1, c)))
         par(f"{branch}_bn1_gain", np.ones(c))
@@ -222,10 +224,10 @@ def init_parameters(config: ModelConfig, assets: TemplateAssets) -> dict:
 
     widths = config.encoder_widths()
     for b, w in enumerate(widths):
-        dk = math.ceil(w / config.n_heads)
-        inner = config.n_heads * dk
-        hidden = config.ffn_factor * w
-        for l in range(config.sublayers):
+        dk = math.ceil(w / N_HEADS)
+        inner = N_HEADS * dk
+        hidden = FFN_FACTOR * w
+        for l in range(SUBLAYERS):
             prefix = f"enc{b}_{l}"
             par(f"{prefix}_ln1_gain", np.ones(w))
             par(f"{prefix}_ln1_bias", np.zeros(w))
@@ -352,9 +354,9 @@ def fusion_forward(features, params: dict, config: ModelConfig, bn_state: dict,
     """
     x = features if isinstance(features, ad.Tensor) else ad.constant(features)
     n, g, g2, bc = x.shape
-    if (g, g2, bc) != (config.backbone_grid, config.backbone_grid, config.backbone_channels):
+    if (g, g2, bc) != (BACKBONE_GRID, BACKBONE_GRID, config.backbone_channels):
         raise ArgumentError(
-            f"features must be (N, {config.backbone_grid}, {config.backbone_grid}, "
+            f"features must be (N, {BACKBONE_GRID}, {BACKBONE_GRID}, "
             f"{config.backbone_channels}), got {x.shape}")
     fa = _fusion_branch(x, params, "fuse_a", bn_state, train)
     fb = _fusion_branch(x, params, "fuse_b", bn_state, train)
@@ -386,7 +388,7 @@ def camera_head(f_r: ad.Tensor, params: dict, config: ModelConfig) -> ad.Tensor:
     return ad.concat([scale, raw[:, 1:3]], axis=1)
 
 
-def _attention(x: ad.Tensor, params: dict, prefix: str, heads: int) -> ad.Tensor:
+def _attention(x: ad.Tensor, params: dict, prefix: str) -> ad.Tensor:
     # Projections to (tokens, heads * dk); the per-head scaled dot-product
     # attention, softmax included, is the single tape node ad.attention. The
     # key has no bias: it would shift each score row by a constant, which
@@ -394,14 +396,14 @@ def _attention(x: ad.Tensor, params: dict, prefix: str, heads: int) -> ad.Tensor
     q, v = (ad.linear(x, params[f"{prefix}_{p}_w"], params[f"{prefix}_{p}_b"])
             for p in ("q", "v"))
     k = ad.linear(x, params[f"{prefix}_k_w"])
-    return ad.linear(ad.attention(q, k, v, heads), params[f"{prefix}_o_w"],
+    return ad.linear(ad.attention(q, k, v, N_HEADS), params[f"{prefix}_o_w"],
                      params[f"{prefix}_o_b"])
 
 
-def _encoder_layer(x: ad.Tensor, params: dict, prefix: str, heads: int) -> ad.Tensor:
+def _encoder_layer(x: ad.Tensor, params: dict, prefix: str) -> ad.Tensor:
     # pre-norm residual wiring
     attn_in = ad.layer_norm(x, params[f"{prefix}_ln1_gain"], params[f"{prefix}_ln1_bias"])
-    x = x + _attention(attn_in, params, prefix, heads)
+    x = x + _attention(attn_in, params, prefix)
     ffn_in = ad.layer_norm(x, params[f"{prefix}_ln2_gain"], params[f"{prefix}_ln2_bias"])
     hidden = ad.relu(ad.linear(ffn_in, params[f"{prefix}_ffn1_w"], params[f"{prefix}_ffn1_b"]))
     return x + ad.linear(hidden, params[f"{prefix}_ffn2_w"], params[f"{prefix}_ffn2_b"])
@@ -415,8 +417,8 @@ def transformer_forward(tokens, params: dict, config: ModelConfig) -> ad.Tensor:
         raise ArgumentError(
             f"tokens must be ({config.n_tokens}, {widths[0]}), got {x.shape}")
     for b in range(config.n_blocks):
-        for l in range(config.sublayers):
-            x = _encoder_layer(x, params, f"enc{b}_{l}", config.n_heads)
+        for l in range(SUBLAYERS):
+            x = _encoder_layer(x, params, f"enc{b}_{l}")
         if b + 1 < config.n_blocks:
             x = ad.linear(x, params[f"reduce{b}_w"], params[f"reduce{b}_b"])
     x = ad.linear(x, params["project_w"], params["project_b"])
@@ -473,8 +475,7 @@ def forward(features, params: dict, assets: TemplateAssets, config: ModelConfig,
 def synth_backbone_features(scene_seed: int, config: ModelConfig) -> np.ndarray:
     """Deterministic stand-in for CNN backbone output, uniform in [-1, 1]."""
     rng = np.random.default_rng(scene_seed)
-    shape = (config.n_views, config.backbone_grid, config.backbone_grid,
-             config.backbone_channels)
+    shape = (config.n_views, BACKBONE_GRID, BACKBONE_GRID, config.backbone_channels)
     return rng.uniform(-1.0, 1.0, size=shape)
 
 
@@ -517,17 +518,18 @@ def compute_losses(output: ModelOutput, batch, assets: TemplateAssets) -> dict:
     return terms
 
 
+def _nonfinite(data: np.ndarray) -> bool:
+    """Whether an array holds a NaN or an inf."""
+    # a sum is finite only if every term is, so one read without a
+    # temporary clears an array; the element test settles an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = data.sum()
+    return not np.isfinite(total) and not np.all(np.isfinite(data))
+
+
 def _first_nonfinite(params: dict) -> str | None:
     """Name of the first tensor, in name order, holding a NaN or an inf."""
-    for name in sorted(params):
-        data = params[name].data
-        # a sum is finite only if every term is, so one read without a
-        # temporary clears a tensor; the element test settles an overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = data.sum()
-        if not np.isfinite(total) and not np.all(np.isfinite(data)):
-            return name
-    return None
+    return next((name for name in sorted(params) if _nonfinite(params[name].data)), None)
 
 
 def train_step(params: dict, opt: ad.Adam, batch, assets: TemplateAssets,
@@ -542,7 +544,8 @@ def train_step(params: dict, opt: ad.Adam, batch, assets: TemplateAssets,
     (see :meth:`autodiff.Tensor.backward`). Parameters the loss does not
     reach step afterwards with a zero gradient. The result is the same bits
     as ``backward()`` followed by one ``opt.step(params)``, and every
-    parameter's ``grad`` is ``None`` on return.
+    parameter's ``grad`` is ``None`` on return. Each parameter is checked
+    for finiteness right after its update, while it is still in cache.
 
     An exception raised during the walk leaves a partial step: the
     parameters stepped before it are updated, the others are not.
@@ -561,21 +564,24 @@ def train_step(params: dict, opt: ad.Adam, batch, assets: TemplateAssets,
             raise NumericalError(f"non-finite loss tensor {name!r}")
     names = {id(p): name for name, p in params.items()}
     idle = dict(params)  # parameters the walk has not reported yet
+    bad = []  # parameters the step made non-finite
 
     def step_final(leaf):
         name = names[id(leaf)]
         opt.step({name: leaf})
         leaf.grad = None
         del idle[name]
+        if _nonfinite(leaf.data):
+            bad.append(name)
 
     losses["total"].backward(step_final)
     for p in idle.values():
         p.grad = None  # a gradient left from outside this step must not be applied
     if idle:
         opt.step(idle)
-    bad = _first_nonfinite(params)
-    if bad is not None:
-        raise NumericalError(f"non-finite parameter tensor {bad!r} after step")
+        bad += [name for name, p in idle.items() if _nonfinite(p.data)]
+    if bad:
+        raise NumericalError(f"non-finite parameter tensor {min(bad)!r} after step")
     return {name: float(t.data) for name, t in losses.items()}
 
 

@@ -48,6 +48,8 @@ from .meshes import TriMesh, edge_set, is_watertight
 _LOGGER = logging.getLogger(__name__)
 
 MAX_RAY_RETRIES = 8
+CONVERGENCE_TOL = 1e-7  # refinement stops once its objective changes by less
+VOXEL_CM = 0.5  # voxel edge of the intersection volume, in centimeters
 _MAX_VOXELS = 4_000_000
 _DIST_FLOOR = 1e-9  # meters; caps a pair's collision weight 1 / d in the solve
 _BOX_SLACK = 1e-9  # relative growth of the target's box before a point counts as beyond it
@@ -55,29 +57,22 @@ _BOX_SLACK = 1e-9  # relative growth of the target's box before a point counts a
 
 @dataclass(frozen=True)
 class RefineConfig:
-    arap_weight: float = 1.0
     max_iters: int = 200
-    convergence_tol: float = 1e-7
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ArgumentError("max_iters must be >= 1")
-        # with no rigidity term the global step has no unique solution
-        if not self.arap_weight > 0:
-            raise ArgumentError("arap_weight must be positive")
 
 
 @dataclass(frozen=True)
 class PlausibilityReport:
     max_penetration_mm: float
-    intersection_volume_cm3: float
-    voxel_size_cm: float
+    intersection_volume_cm3: float  # in voxels of edge VOXEL_CM
 
     def to_dict(self) -> dict:
         return {
             "max_penetration_mm": self.max_penetration_mm,
             "intersection_volume_cm3": self.intersection_volume_cm3,
-            "voxel_size_cm": self.voxel_size_cm,
         }
 
 
@@ -90,7 +85,7 @@ class RefineResult:
     - ``"no_interior"``: no source vertex is inside the target;
     - ``"no_gated_pair"``: vertices are inside, but none passes the
       opposing-normal gate, so nothing pulls them out;
-    - ``"converged"``: the objective changed by less than ``convergence_tol``;
+    - ``"converged"``: the objective changed by less than ``CONVERGENCE_TOL``;
     - ``"max_iters"``: the loop ran ``max_iters`` iterations;
     - ``"diverged"``: the objective rose 10 iterations in a row.
 
@@ -179,7 +174,7 @@ def _check_mesh(mesh: TriMesh, name: str, what: str) -> None:
         raise ArgumentError(f"{what} requires a watertight {name!r} mesh")
 
 
-def collision_mask(source: TriMesh, target: TriMesh, seed: int = 0) -> np.ndarray:
+def collision_mask(source: TriMesh, target: TriMesh) -> np.ndarray:
     """(V,) bool interior flags of source vertices against the target surface.
 
     Raises:
@@ -188,7 +183,7 @@ def collision_mask(source: TriMesh, target: TriMesh, seed: int = 0) -> np.ndarra
     """
     _reject_self(source, target, "collision mask")
     _check_mesh(target, "target", "collision mask")
-    return points_interior(source.positions, _face_clusters(target), seed)[0]
+    return points_interior(source.positions, _face_clusters(target), seed=0)[0]
 
 
 def _gated_pairs(source: TriMesh, interior: np.ndarray, target: TriMesh):
@@ -316,7 +311,7 @@ class _Arap:
     objective at the current iterate, so their minimizer, one SPD solve,
     does not raise it while the pairs hold.
 
-    That system is ``4 w L`` plus the pairs' weights on its diagonal. Its
+    That system is ``4 L`` plus the pairs' weights on its diagonal. Its
     pattern is fixed per topology, so a reverse Cuthill-McKee order of L and
     L's upper band in that order are computed once; each solve adds the
     weights to the band's diagonal and runs a banded Cholesky (LAPACK
@@ -324,7 +319,7 @@ class _Arap:
     ``hand_template(4023)``).
     """
 
-    def __init__(self, rest: np.ndarray, edges: np.ndarray, weight: float):
+    def __init__(self, rest: np.ndarray, edges: np.ndarray):
         n, m = rest.shape[0], edges.shape[0]
         self._ends = np.ascontiguousarray(edges.T)  # (2, E): first endpoints, then second
         ends = self._ends.ravel()
@@ -335,14 +330,13 @@ class _Arap:
         self._inc = sp.csr_matrix((np.repeat([1.0, -1.0], m)[order], cols, indptr),
                                   shape=(n, m))
         self._e_rest = rest[edges[:, 0]] - rest[edges[:, 1]]
-        self._weight = weight
-        four_w_lap = 4.0 * weight * laplacian(adjacency_matrix(edges, n))
-        _, component = connected_components(four_w_lap, directed=False)
-        self._order = reverse_cuthill_mckee(four_w_lap, symmetric_mode=True)
+        four_lap = 4.0 * laplacian(adjacency_matrix(edges, n))
+        _, component = connected_components(four_lap, directed=False)
+        self._order = reverse_cuthill_mckee(four_lap, symmetric_mode=True)
         self._slot = np.argsort(self._order)  # each vertex's place in the order
         self._component = component[self._order]
         # upper band storage for solveh_banded: band[bw + r - c, c] = A[r, c], r <= c
-        lap = four_w_lap[self._order][:, self._order].tocoo()
+        lap = four_lap[self._order][:, self._order].tocoo()
         upper = lap.row <= lap.col
         row, col = lap.row[upper], lap.col[upper]
         bw = int(np.max(col - row, initial=0))
@@ -380,7 +374,7 @@ class _Arap:
               y: np.ndarray) -> np.ndarray:
         """Minimizer of both majorizers at x; src_idx holds at least one pair."""
         h = 0.5 * np.einsum("eab,eb->ea", rot[self._ends[0]] + rot[self._ends[1]], self._e_rest)
-        rhs = 4.0 * self._weight * (self._inc @ h)
+        rhs = 4.0 * (self._inc @ h)
         pull = 1.0 / np.maximum(np.linalg.norm(x[src_idx] - y, axis=1), _DIST_FLOOR)
         rhs[src_idx] += pull[:, None] * y
         rhs = rhs[self._order]
@@ -404,14 +398,14 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     """Push interior vertices out of the target while keeping the source
     shape locally rigid.
 
-    Minimizes ``collision + arap_weight * rigidity`` by local-global steps
+    Minimizes ``collision + rigidity`` by local-global steps
     (ARAP's scheme, with the L1 collision term as iteratively reweighted
     least squares), both on one ``_Arap`` built for the source's topology.
     Each iteration finds the interior vertices and their gated pairs at the
     current positions and stops once none remains; the local step fits the
     per-cell rotations (``_Arap.local``) and the global step is one banded
     solve (``_Arap.solve``). It also stops when the objective changes by
-    less than ``convergence_tol`` or after ``max_iters`` iterations, and
+    less than ``CONVERGENCE_TOL`` or after ``max_iters`` iterations, and
     reports divergence after 10 consecutive rises. Returns the best iterate
     (never worse than the input) with before/after plausibility reports and
     the reason the loop stopped (see ``RefineResult``); topology is
@@ -429,7 +423,7 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     _check_mesh(source, "source", "refinement")
     target_faces = _face_clusters(target)  # the target never moves
     before = _plausibility(source, target, _face_clusters(source), target_faces)
-    arap = _Arap(source.positions, edge_set(source), config.arap_weight)
+    arap = _Arap(source.positions, edge_set(source))
     x = best_x = source.positions
     best_loss = prev_loss = np.inf
     best_unpaired = 0
@@ -441,14 +435,13 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
         unpaired = int(np.count_nonzero(interior)) - src_idx.size
         y = target.positions[tgt_idx]
         energy, rot = arap.local(x)
-        loss = float(np.linalg.norm(x[src_idx] - y, axis=1).sum()) \
-            + config.arap_weight * energy
+        loss = float(np.linalg.norm(x[src_idx] - y, axis=1).sum()) + energy
         if loss < best_loss:
             best_loss, best_x, best_unpaired = loss, x, unpaired
         if src_idx.size == 0:
             stop = "no_gated_pair" if unpaired else "no_interior"
             break
-        if abs(prev_loss - loss) < config.convergence_tol:
+        if abs(prev_loss - loss) < CONVERGENCE_TOL:
             stop = "converged"
             break
         if loss > prev_loss:
@@ -482,7 +475,8 @@ def _voxel_axes(a: TriMesh, b: TriMesh, h: float):
     steps = np.maximum(np.ceil((hi - lo) / h).astype(np.int64), 1)
     if int(np.prod(steps)) > _MAX_VOXELS:
         raise ArgumentError(
-            f"voxel grid {steps.tolist()} exceeds {_MAX_VOXELS} cells; increase voxel_cm")
+            f"voxel grid {steps.tolist()} of {VOXEL_CM} cm voxels exceeds {_MAX_VOXELS} "
+            "cells; are the meshes in meters?")
     return [lo[c] + h * (np.arange(steps[c]) + 0.5) for c in range(3)]
 
 
@@ -537,16 +531,15 @@ def _voxels_interior(axes, h: float, cells: np.ndarray, faces: FaceClusters,
     return np.moveaxis(inside.reshape(shape), -1, along)
 
 
-def plausibility_metrics(a: TriMesh, b: TriMesh, voxel_cm: float = 0.5,
-                         seed: int = 0) -> PlausibilityReport:
+def plausibility_metrics(a: TriMesh, b: TriMesh) -> PlausibilityReport:
     """Maximum penetration depth and voxelized intersection volume.
 
     Penetration is the largest distance from an interior vertex of either
     mesh to the other surface, in millimeters. Volume counts voxel centers
-    (edge ``voxel_cm``) interior to both meshes, over the overlap of the two
+    (edge ``VOXEL_CM``) interior to both meshes, over the overlap of the two
     vertex boxes: first the centers interior to a, then those of them
     interior to b, each pass by ``_voxels_interior``, one parity ray per
-    grid column (seeds ``seed + 1`` and ``seed + 2`` for its fallback).
+    grid column (seeds 1 and 2 for its fallback).
 
     Raises:
         ArgumentError: a and b are one mesh, a mesh is not watertight or has
@@ -554,30 +547,27 @@ def plausibility_metrics(a: TriMesh, b: TriMesh, voxel_cm: float = 0.5,
             supported size.
     """
     _reject_self(a, b, "plausibility metrics")
-    if not voxel_cm > 0:
-        raise ArgumentError("voxel_cm must be positive")
     _check_mesh(a, "a", "plausibility metrics")
     _check_mesh(b, "b", "plausibility metrics")
-    return _plausibility(a, b, _face_clusters(a), _face_clusters(b), voxel_cm, seed)
+    return _plausibility(a, b, _face_clusters(a), _face_clusters(b))
 
 
-def _plausibility(a: TriMesh, b: TriMesh, faces_a: FaceClusters, faces_b: FaceClusters,
-                  voxel_cm: float = 0.5, seed: int = 0) -> PlausibilityReport:
+def _plausibility(a: TriMesh, b: TriMesh, faces_a: FaceClusters,
+                  faces_b: FaceClusters) -> PlausibilityReport:
     """``plausibility_metrics`` of two checked meshes, with their faces
     already prepared."""
     pen = 0.0
     for src, dst_faces in ((a, faces_b), (b, faces_a)):
-        interior, _ = points_interior(src.positions, dst_faces, seed)
+        interior, _ = points_interior(src.positions, dst_faces, seed=0)
         pts = src.positions[interior]
         if pts.size:
             pen = max(pen, float(point_triangle_dists(pts, dst_faces).max()))
-    h = voxel_cm / 100.0  # meters
+    h = VOXEL_CM / 100.0  # meters
     axes = _voxel_axes(a, b, h)
     volume = 0.0
     if axes is not None:
         in_a = _voxels_interior(axes, h, np.ones([x.size for x in axes], dtype=bool),
-                                faces_a, seed + 1)
-        in_both = _voxels_interior(axes, h, in_a, faces_b, seed + 2)
-        volume = float(in_both.sum()) * voxel_cm**3
-    return PlausibilityReport(max_penetration_mm=1000.0 * pen,
-                              intersection_volume_cm3=volume, voxel_size_cm=voxel_cm)
+                                faces_a, seed=1)
+        in_both = _voxels_interior(axes, h, in_a, faces_b, seed=2)
+        volume = float(in_both.sum()) * VOXEL_CM**3
+    return PlausibilityReport(max_penetration_mm=1000.0 * pen, intersection_volume_cm3=volume)

@@ -1,8 +1,8 @@
 """Synthetic scene generation for desk-scale training runs.
 
-A scene is a rigid-posed pair of template hands with optional vertex noise,
-paired with weak-perspective 2D projections and deterministic pseudo-random
-backbone features. Because the 2D ground truth comes from the same camera
+A scene is a rigid-posed pair of template hands, paired with
+weak-perspective 2D projections and deterministic pseudo-random backbone
+features. Because the 2D ground truth comes from the same camera
 family the model predicts, a consistent optimum always exists for the
 overfit check.
 """
@@ -24,12 +24,11 @@ class SceneSpec:
     """Recipe for one synthetic scene."""
 
     seed: int = 0
-    noise: float = 0.0  # meters, vertex-wise Gaussian on the ground truth
 
 
 @dataclass
 class Scene:
-    features: np.ndarray  # (N, 7, 7, Bc)
+    features: np.ndarray  # (N, BACKBONE_GRID, BACKBONE_GRID, Bc)
     gt_vertices: np.ndarray  # (2V, 3)
     gt2d: np.ndarray  # (N, 2V, 2)
     gt_cameras: list  # CameraParams per view
@@ -50,8 +49,6 @@ def build_scene(spec: SceneSpec, assets: TemplateAssets, config: ModelConfig) ->
                             center + shift)
         posed.append(moved.positions)
     gt = np.concatenate(posed)
-    if spec.noise > 0:
-        gt = gt + rng.normal(scale=spec.noise, size=gt.shape)
     cams = []
     gt2d = np.zeros((config.n_views, gt.shape[0], 2))
     for n in range(config.n_views):

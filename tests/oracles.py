@@ -280,21 +280,21 @@ def points_interior_uncut(points, faces, seed: int):
     return interior, int(active.size)
 
 
-def voxel_flags_per_center(axes, faces_a, faces_b, seed: int):
+def voxel_flags_per_center(axes, faces_a, faces_b):
     """Interior flags of the voxel centers of a plausibility report, one ray
     per center.
 
     Every center of the grid with coordinates ``axes`` runs
-    ``points_interior`` against ``faces_a`` with ``seed + 1``, and the centers
-    inside a run it against ``faces_b`` with ``seed + 2``. Returns (inside a,
+    ``points_interior`` against ``faces_a`` with seed 1, and the centers
+    inside a run it against ``faces_b`` with seed 2. Returns (inside a,
     inside both) as bool grids of the axes' shape.
     """
     shape = [x.size for x in axes]
     centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    in_a, _ = points_interior(centers, faces_a, seed + 1)
+    in_a, _ = points_interior(centers, faces_a, 1)
     in_both = np.zeros_like(in_a)
     if in_a.any():
-        in_both[in_a], _ = points_interior(centers[in_a], faces_b, seed + 2)
+        in_both[in_a], _ = points_interior(centers[in_a], faces_b, 2)
     return in_a.reshape(shape), in_both.reshape(shape)
 
 
@@ -329,13 +329,13 @@ def procrustes_rotations_svd(s):
     return r
 
 
-def arap_global_step_dense(rest, edges, weight, x, rot, src_idx, y):
+def arap_global_step_dense(rest, edges, x, rot, src_idx, y):
     """ARAP's global step with its pairs, as one dense ``np.linalg.solve``.
 
-    Minimizes ``weight * |(x_i - x_j) - R_i (r_i - r_j)|^2`` summed over both
+    Minimizes ``|(x_i - x_j) - R_i (r_i - r_j)|^2`` summed over both
     directions of each edge (ARAP's energy with the rotations held), plus
     ``|x_s - y_s|^2 / (2 d_s)`` per pair, d_s = |x_s - y_s| at the given x,
-    by its dense normal equations ``(4 w L + D) x = 4 w b + D y``, with
+    by its dense normal equations ``(4 L + D) x = 4 b + D y``, with
     ``b_i = sum_j (R_i + R_j)(r_i - r_j) / 2``. Every component needs a pair.
     """
     n = rest.shape[0]
@@ -345,12 +345,12 @@ def arap_global_step_dense(rest, edges, weight, x, rot, src_idx, y):
     np.add.at(system, (j, i), -1.0)
     np.add.at(system, (i, i), 1.0)
     np.add.at(system, (j, j), 1.0)
-    system *= 4.0 * weight
+    system *= 4.0
     half = 0.5 * np.einsum("eab,eb->ea", rot[i] + rot[j], rest[i] - rest[j])
     rhs = np.zeros((n, 3))
     np.add.at(rhs, i, half)
     np.add.at(rhs, j, -half)
-    rhs *= 4.0 * weight
+    rhs *= 4.0
     pull = 1.0 / np.linalg.norm(x[src_idx] - y, axis=1)
     system[src_idx, src_idx] += pull
     rhs[src_idx] += pull[:, None] * y
@@ -425,26 +425,22 @@ class WholeArrayAdam:
     """Adam with one new array per expression, the reference for the
     in-place, chunked ``autodiff.Adam``."""
 
-    def __init__(self, params: dict, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float = 1e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, params: dict):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         for key, p in params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             self.m[key] = b1 * self.m[key] + (1 - b1) * g
             self.v[key] = b2 * self.v[key] + (1 - b2) * g * g
             m_hat = self.m[key] / (1 - b1**self.t)
             v_hat = self.v[key] / (1 - b2**self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
 def train_step_two_phase(params: dict, opt, batch, assets, config, bn_state: dict) -> dict:
@@ -460,12 +456,12 @@ def train_step_two_phase(params: dict, opt, batch, assets, config, bn_state: dic
     return {name: float(t.data) for name, t in losses.items()}
 
 
-def layer_norm_composed(a, gain, bias, eps: float = 1e-6):
+def layer_norm_composed(a, gain, bias):
     """Layer normalization built from 13 primitive tape nodes."""
     mu = ad.reduce_mean(a, axis=-1, keepdims=True)
     centered = a - mu
     var = ad.reduce_mean(ad.mul(centered, centered), axis=-1, keepdims=True)
-    inv = ad.div(ad.constant(1.0), ad.sqrt(ad.add(var, ad.constant(eps))))
+    inv = ad.div(ad.constant(1.0), ad.sqrt(ad.add(var, ad.constant(1e-6))))
     return ad.add(ad.mul(ad.mul(centered, inv), gain), bias)
 
 

@@ -20,7 +20,7 @@ def toy_losses():
     rng = np.random.default_rng(4)
     for name in ("camera_w", "camera_b"):
         params[name].data += 0.1 * rng.standard_normal(params[name].data.shape)
-    scene = build_scene(SceneSpec(seed=3, noise=0.002), assets, config)
+    scene = build_scene(SceneSpec(seed=3), assets, config)
     output = M.forward(scene.features, params, assets, config, {}, train=True)
     terms = {name: float(t.data) for name, t in
              M.compute_losses(output, scene, assets).items()}

@@ -221,15 +221,17 @@ class TestCheckpoint:
         with pytest.raises(ArgumentError, match="hash"):
             M.load_checkpoint(tmp_path)
 
-    def test_unknown_config_key_is_parse_error(self, trained_toy, tmp_path):
-        # checkpoints saved while the config had a template setting carry it
+    @pytest.mark.parametrize("key", ["template", "n_clusters", "n_heads", "sublayers",
+                                     "backbone_grid", "ffn_factor"])
+    def test_unknown_config_key_is_parse_error(self, trained_toy, tmp_path, key):
+        # checkpoints saved while the config had these settings carry them
         config, params, bn_state = trained_toy
         M.save_checkpoint(tmp_path, params, config, bn_state)
         path = tmp_path / "manifest.json"
         manifest = json.loads(path.read_text())
-        manifest["config"]["template"] = "hand"
+        manifest["config"][key] = 7
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ParseError, match="template"):
+        with pytest.raises(ParseError, match=f"unknown config keys.*{key}"):
             M.load_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("text", [
@@ -247,7 +249,7 @@ class TestCheckpoint:
             M.load_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("key, value", [
-        ("feature_width", "32"), ("feature_width", 32.0), ("n_clusters", True),
+        ("feature_width", "32"), ("feature_width", 32.0), ("n_views", True),
         ("seed", None), ("learning_rate", "1e-3"), ("learning_rate", False),
         ("decoder_sizes", [40, 80.0, 159]), ("decoder_sizes", [40, "80", 159]),
     ])
@@ -263,14 +265,15 @@ class TestCheckpoint:
             M.load_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("key, value", [
-        ("n_views", 0), ("n_blocks", 0), ("n_heads", 0), ("cheb_order", 0),
-        ("feature_width", 0), ("ffn_factor", 0), ("backbone_channels", 0),
-        ("backbone_grid", 1), ("n_tokens", 33), ("decoder_sizes", [80, 40, 159]),
+        ("n_views", 0), ("n_blocks", 0), ("cheb_order", 0), ("feature_width", 0),
+        ("backbone_channels", 0), ("n_tokens", 33), ("n_tokens", 0), ("seed", -1),
+        ("decoder_sizes", [80, 40, 159]), ("decoder_sizes", []),
     ])
     def test_out_of_range_config_value_is_argument_error(self, tmp_path, key, value):
-        # a manifest can carry any of these; unchecked, cheb_order 0 ends in an
-        # IndexError, feature_width or ffn_factor 0 in a ValueError and
-        # backbone_grid 1 in a ZeroDivisionError, deep in set-up or train_step
+        # a manifest can carry any of these; unchecked, cheb_order 0 or empty
+        # decoder_sizes end in an IndexError, feature_width 0 or seed -1 in a
+        # ValueError, and n_tokens 0 in an error naming another value, deep
+        # in set-up or train_step
         with pytest.raises(ArgumentError, match=key):
             M.toy_config(**{key: value})
         edited = dict(M.toy_config().to_dict(), **{key: value})
@@ -541,3 +544,25 @@ class TestFirstNonfinite:
         scene = build_scene(SceneSpec(seed=1), assets, config)
         with pytest.raises(NumericalError, match="'project_b' before step"):
             M.train_step(params, opt, scene, assets, config, {})
+
+    def test_train_step_names_the_first_tensor_it_made_nonfinite(self, perturbed_toy,
+                                                                 monkeypatch):
+        # the walk steps project_w before fuse_a_conv1_w; the error names the
+        # first of the two in name order, once every parameter has stepped
+        config, assets, start = perturbed_toy
+        params = params_copy(start)
+        opt = ad.Adam(params, lr=config.learning_rate)
+        step, stepped = opt.step, []
+
+        def poisoning(subset):
+            step(subset)
+            stepped.extend(subset)
+            for name in set(subset) & {"project_w", "fuse_a_conv1_w"}:
+                params[name].data[0, 0] = np.nan
+
+        monkeypatch.setattr(opt, "step", poisoning)
+        scene = build_scene(SceneSpec(seed=1), assets, config)
+        with pytest.raises(NumericalError, match="'fuse_a_conv1_w' after step"):
+            M.train_step(params, opt, scene, assets, config, {})
+        assert stepped.index("project_w") < stepped.index("fuse_a_conv1_w")
+        assert sorted(stepped) == sorted(params)

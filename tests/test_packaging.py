@@ -1,10 +1,7 @@
 import importlib
 import re
+import tomllib
 from pathlib import Path
-
-import pytest
-
-tomllib = pytest.importorskip("tomllib")  # Python 3.11+
 
 PYPROJECT = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
 

@@ -169,7 +169,7 @@ class TestBoxCull:
         assert calls == []
 
 
-def column_passes(a, b, monkeypatch, seed=0):
+def column_passes(a, b, monkeypatch):
     """Both voxel passes of a plausibility report on (a, b): the column
     pass's flags, the per-center oracle's, and what each pass cast.
 
@@ -177,10 +177,10 @@ def column_passes(a, b, monkeypatch, seed=0):
     centers it sent to ``points_interior`` (``unsure``) and the origins that
     reached ``ray_crossings`` (``cast``).
     """
-    h = 0.005  # the report's default voxel edge, in meters
+    h = refine.VOXEL_CM / 100.0  # the report's voxel edge, in meters
     faces_a, faces_b = refine._face_clusters(a), refine._face_clusters(b)
     axes = refine._voxel_axes(a, b, h)
-    want = voxel_flags_per_center(axes, faces_a, faces_b, seed)
+    want = voxel_flags_per_center(axes, faces_a, faces_b)
     log = []
     ray_hits, ray_crossings = refine.ray_hits, refine.ray_crossings
     points_interior = refine.points_interior
@@ -191,7 +191,7 @@ def column_passes(a, b, monkeypatch, seed=0):
     monkeypatch.setattr(refine, "points_interior", lambda *args: log[-1]["unsure"].extend(
         map(tuple, args[0])) or points_interior(*args))
     got = [np.ones([x.size for x in axes], dtype=bool)]
-    for faces, pass_seed in ((faces_a, seed + 1), (faces_b, seed + 2)):
+    for faces, pass_seed in ((faces_a, 1), (faces_b, 2)):
         log.append({"columns": [], "unsure": [], "cast": []})
         got.append(refine._voxels_interior(axes, h, got[-1], faces, pass_seed))
     return got, want, log
@@ -297,18 +297,18 @@ class TestCollisionMask:
     def test_disjoint_spheres_all_false(self):
         a = icosphere(1, radius=0.5, center=(0, 0, 0))
         b = icosphere(1, radius=0.5, center=(3.0, 0, 0))
-        mask = collision_mask(a, b, seed=0)
+        mask = collision_mask(a, b)
         assert mask.dtype == bool and mask.shape == (a.n_vertices,)
         assert not mask.any()
 
     def test_contained_sphere_all_true(self):
         small = icosphere(1, radius=0.3)
         big = icosphere(2, radius=1.0)
-        assert collision_mask(small, big, seed=0).all()
+        assert collision_mask(small, big).all()
 
     def test_lens_region_matches_signed_distance_oracle(self):
         a, b = overlapping_spheres()
-        mask = collision_mask(a, b, seed=0)
+        mask = collision_mask(a, b)
         analytic = sphere_contains(a.positions, (1.5, 0.0, 0.0), 1.0)
         assert np.array_equal(mask, analytic)
         assert mask.sum() > 0
@@ -317,13 +317,13 @@ class TestCollisionMask:
         a = icosphere(1)
         holed = TriMesh(positions=a.positions, faces=a.faces[:-1])
         with pytest.raises(ArgumentError):
-            collision_mask(a, holed, seed=0)
+            collision_mask(a, holed)
 
     def test_one_mesh_twice_rejected(self):
         # against its own faces a vertex always reads zero depth
         mesh = icosphere(2, radius=0.05)
         with pytest.raises(ArgumentError, match="distinct"):
-            collision_mask(mesh, mesh, seed=0)
+            collision_mask(mesh, mesh)
         with pytest.raises(ArgumentError, match="distinct"):
             refine_mesh(mesh, mesh, RefineConfig())
         with pytest.raises(ArgumentError, match="distinct"):
@@ -340,7 +340,7 @@ class TestCollisionLoss:
 
     def test_single_vertex_contributes_its_distance(self):
         a, b = overlapping_spheres()
-        full = collision_mask(a, b, seed=0)
+        full = collision_mask(a, b)
         v = int(np.flatnonzero(full)[0])
         single = np.zeros(a.n_vertices, dtype=bool)
         single[v] = True
@@ -359,14 +359,14 @@ class TestCollisionLoss:
         # target vertex faces the same way, so the opposing-normal gate keeps none
         small = icosphere(1, radius=0.3)
         big = icosphere(2, radius=1.0)
-        mask = collision_mask(small, big, seed=0)
+        mask = collision_mask(small, big)
         assert mask.sum() == small.n_vertices == 42
         src_idx, tgt_idx = refine._gated_pairs(small, mask, big)
         assert src_idx.size == 0 and tgt_idx.size == 0
 
     def test_matches_double_loop_oracle(self):
         a, b = overlapping_spheres()
-        mask = collision_mask(a, b, seed=0)
+        mask = collision_mask(a, b)
         src_idx, tgt_idx = refine._gated_pairs(a, mask, b)
         fast = float(np.linalg.norm(a.positions[src_idx] - b.positions[tgt_idx], axis=1).sum())
         slow = collision_loss_loop(a.positions, a.normals, mask,
@@ -375,9 +375,9 @@ class TestCollisionLoss:
         assert abs(fast - slow) < 1e-10
 
 
-def arap_for(mesh, weight=1.0):
+def arap_for(mesh):
     """The ``_Arap`` of a mesh's topology, at its positions as rest."""
-    return refine._Arap(mesh.positions, edge_set(mesh), weight)
+    return refine._Arap(mesh.positions, edge_set(mesh))
 
 
 def arap_energy(mesh, deformed):
@@ -431,7 +431,7 @@ class TestArap:
         edges = edge_set(mesh)
         rng = np.random.default_rng(4)
         deformed = mesh.positions + rng.normal(scale=0.01, size=mesh.positions.shape)
-        got = refine._Arap(mesh.positions, edges, 1.0).covariances(deformed)
+        got = refine._Arap(mesh.positions, edges).covariances(deformed)
         assert np.array_equal(got, arap_covariances_add_at(mesh.positions, deformed, edges))
 
     def test_local_energy_equals_directed_residuals(self, ico162):
@@ -517,7 +517,7 @@ class TestGlobalStep:
     @pytest.mark.parametrize("mesh_name", ["icosphere", "hand"])
     def test_equals_dense_solve(self, mesh_name, hand_mesh):
         mesh = icosphere(3, radius=0.05) if mesh_name == "icosphere" else hand_mesh
-        n, weight = mesh.n_vertices, 0.7
+        n = mesh.n_vertices
         rng = np.random.default_rng(9)
         edges = edge_set(mesh)
         x = mesh.positions + rng.normal(scale=1e-3, size=mesh.positions.shape)
@@ -525,8 +525,8 @@ class TestGlobalStep:
                         for _ in range(n)])
         src_idx = np.sort(rng.choice(n, 40, replace=False))
         y = x[src_idx] + rng.normal(scale=5e-3, size=(40, 3))
-        got = refine._Arap(mesh.positions, edges, weight).solve(x, rot, src_idx, y)
-        want = arap_global_step_dense(mesh.positions, edges, weight, x, rot, src_idx, y)
+        got = refine._Arap(mesh.positions, edges).solve(x, rot, src_idx, y)
+        want = arap_global_step_dense(mesh.positions, edges, x, rot, src_idx, y)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -599,7 +599,7 @@ class TestRefineMesh:
         # unit configuration at hand scale: radius 3 cm, centers 1.5 r apart
         a = icosphere(2, radius=0.03, center=(0, 0, 0))
         b = icosphere(2, radius=0.03, center=(0.045, 0, 0))
-        result = refine_mesh(a, b, RefineConfig(arap_weight=1.0))
+        result = refine_mesh(a, b, RefineConfig())
         assert result.before.max_penetration_mm > 5.0
         assert result.after.max_penetration_mm <= 0.05 * result.before.max_penetration_mm
         assert result.after.max_penetration_mm <= result.before.max_penetration_mm
@@ -611,11 +611,10 @@ class TestRefineMesh:
 
     def test_each_step_never_raises_the_held_objective(self):
         # majorize-minimize: with the mask and pairs found at x_k held, the
-        # global step from x_k cannot raise collision + w * rigidity
+        # global step from x_k cannot raise collision + rigidity
         a = icosphere(2, radius=0.03, center=(0, 0, 0))
         b = icosphere(2, radius=0.03, center=(0.045, 0, 0))
-        weight = 1.0
-        arap = arap_for(a, weight)
+        arap = arap_for(a)
         x = a.positions
         b_faces = refine._face_clusters(b)
         steps = 0
@@ -627,10 +626,10 @@ class TestRefineMesh:
                 break
             y = b.positions[tgt_idx]
             energy, rot = arap.local(x)
-            held_before = np.linalg.norm(x[src_idx] - y, axis=1).sum() + weight * energy
+            held_before = np.linalg.norm(x[src_idx] - y, axis=1).sum() + energy
             x = arap.solve(x, rot, src_idx, y)
             held_after = (np.linalg.norm(x[src_idx] - y, axis=1).sum()
-                          + weight * arap.local(x)[0])
+                          + arap.local(x)[0])
             assert held_after <= held_before * (1.0 + 1e-12)
             steps += 1
         assert steps >= 5
@@ -699,13 +698,6 @@ class TestRefineMesh:
     def test_config_validation(self):
         with pytest.raises(ArgumentError):
             RefineConfig(max_iters=0)
-        with pytest.raises(ArgumentError):
-            RefineConfig(arap_weight=-1.0)
-
-    def test_zero_arap_weight_rejected(self):
-        # with no rigidity term the global step has no unique solution
-        with pytest.raises(ArgumentError):
-            RefineConfig(arap_weight=0.0)
 
 
 class TestPlausibilityMetrics:
@@ -715,19 +707,23 @@ class TestPlausibilityMetrics:
         report = plausibility_metrics(a, b)
         assert report.max_penetration_mm == 0.0
         assert report.intersection_volume_cm3 == 0.0
-        assert report.voxel_size_cm == 0.5
 
     def test_coincident_cubes_volume(self):
         a = cube(0.10, center=(0.05, 0.05, 0.05))
         b = cube(0.10, center=(0.05, 0.05, 0.05))
-        report = plausibility_metrics(a, b, voxel_cm=0.5)
+        report = plausibility_metrics(a, b)
         assert abs(report.intersection_volume_cm3 - 1000.0) / 1000.0 <= 0.06
 
     def test_half_overlapping_cubes_volume(self):
         a = cube(0.10, center=(0.0, 0.0, 0.0))
         b = cube(0.10, center=(0.05, 0.0, 0.0))
-        report = plausibility_metrics(a, b, voxel_cm=0.5)
+        report = plausibility_metrics(a, b)
         assert abs(report.intersection_volume_cm3 - 500.0) / 500.0 <= 0.06
+
+    def test_oversized_voxel_grid_rejected(self):
+        # 1.1 m cubes, as from meshes in the wrong unit: 220^3 voxels of 0.5 cm
+        with pytest.raises(ArgumentError, match="cells; are the meshes in meters"):
+            plausibility_metrics(cube(1.1), cube(1.1, center=(0.01, 0.0, 0.0)))
 
     def test_non_watertight_rejected(self):
         a = icosphere(1)
@@ -759,8 +755,3 @@ class TestPlausibilityMetrics:
         holed = TriMesh(positions=b.positions, faces=b.faces[:-1])
         with pytest.raises(ArgumentError):
             plausibility_metrics(holed, a)
-
-    def test_bad_voxel_rejected(self):
-        a, b = overlapping_spheres(radius=0.03)
-        with pytest.raises(ArgumentError):
-            plausibility_metrics(a, b, voxel_cm=0.0)

@@ -29,7 +29,7 @@ class TestBuildScene:
 
     def test_gt2d_is_each_cameras_projection(self, toy):
         config, assets = toy
-        scene = build_scene(SceneSpec(seed=6, noise=1e-3), assets, config)
+        scene = build_scene(SceneSpec(seed=6), assets, config)
         assert len(scene.gt_cameras) == config.n_views
         assert scene.gt2d.shape == (config.n_views, 2 * assets.n_hand_vertices, 2)
         for view, cam in zip(scene.gt2d, scene.gt_cameras):
