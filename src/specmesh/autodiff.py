@@ -2,10 +2,14 @@
 
 A Tensor wraps an ndarray and remembers how it was produced; calling
 ``backward()`` on a scalar walks the graph in reverse topological order and
-accumulates gradients into every tensor with ``requires_grad``. Only the
-operations the reconstruction model needs are implemented, each with an
-exact analytic adjoint. Everything is float64-friendly and deterministic:
+accumulates gradients into every tensor with ``requires_grad``. Each op has
+an exact analytic adjoint. Everything is float64-friendly and deterministic:
 ties in ``max`` route to the first occurrence, and there is no hidden RNG.
+
+A tensor that needs no gradient keeps no parents and no backward closure.
+So the tape holds exactly the nodes ``backward()`` can walk, ops on
+constants alone (the model's eval forward) build none, and a closure runs
+only for a node whose output needs a gradient.
 
 A graph is walked once and released as the walk goes: each interior node
 drops its backward closure and its parents right after its closure has
@@ -56,8 +60,8 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = _parents if self.requires_grad else ()
+        self._backward = _backward if self.requires_grad else None
         self.name = name
 
     @property
@@ -240,8 +244,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, -g)
+        _accumulate(a, -g)
 
     return Tensor(-a.data, a.requires_grad, (a,), backward)
 
@@ -286,8 +289,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     out_data = a.data.reshape(shape)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(a.shape), owned=False)
+        _accumulate(a, g.reshape(a.shape), owned=False)
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
@@ -297,8 +299,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g.transpose(inverse), owned=False)
+        _accumulate(a, g.transpose(inverse), owned=False)
 
     return Tensor(a.data.transpose(axes), a.requires_grad, (a,), backward)
 
@@ -324,10 +325,9 @@ def getitem(a: Tensor, key) -> Tensor:
     out_data = a.data[key]
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            ga[key] = g
-            _accumulate(a, ga)
+        ga = np.zeros_like(a.data)
+        ga[key] = g
+        _accumulate(a, ga)
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
@@ -338,11 +338,10 @@ def take(a: Tensor, indices, axis=0) -> Tensor:
     out_data = np.take(a.data, indices, axis=axis)
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            moved = np.moveaxis(ga, axis, 0)
-            np.add.at(moved, indices, np.moveaxis(g, axis, 0))
-            _accumulate(a, ga)
+        ga = np.zeros_like(a.data)
+        moved = np.moveaxis(ga, axis, 0)
+        np.add.at(moved, indices, np.moveaxis(g, axis, 0))
+        _accumulate(a, ga)
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
@@ -351,12 +350,9 @@ def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if a.requires_grad:
-            if axis is None:
-                _accumulate(a, np.broadcast_to(g, a.shape).copy())
-            else:
-                gk = g if keepdims else np.expand_dims(g, axis)
-                _accumulate(a, np.broadcast_to(gk, a.shape).copy())
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(g, a.shape).copy())
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
@@ -376,12 +372,11 @@ def reduce_max(a: Tensor, axis: int) -> Tensor:
     out_data = a.data.max(axis=axis)
 
     def backward(g):
-        if a.requires_grad:
-            expanded = np.expand_dims(out_data, axis)
-            hit = a.data == expanded
-            first = np.cumsum(hit, axis=axis) == 1
-            mask = hit & first
-            _accumulate(a, mask * np.expand_dims(g, axis))
+        expanded = np.expand_dims(out_data, axis)
+        hit = a.data == expanded
+        first = np.cumsum(hit, axis=axis) == 1
+        mask = hit & first
+        _accumulate(a, mask * np.expand_dims(g, axis))
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
@@ -390,16 +385,14 @@ def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0.0)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * (a.data > 0))
+        _accumulate(a, g * (a.data > 0))
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
 
 def absolute(a: Tensor) -> Tensor:
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * np.sign(a.data))
+        _accumulate(a, g * np.sign(a.data))
 
     return Tensor(np.abs(a.data), a.requires_grad, (a,), backward)
 
@@ -408,8 +401,7 @@ def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * out_data)
+        _accumulate(a, g * out_data)
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
@@ -418,8 +410,7 @@ def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * 0.5 / out_data)
+        _accumulate(a, g * 0.5 / out_data)
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
@@ -430,9 +421,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     out_data = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        if a.requires_grad:
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            _accumulate(a, out_data * (g - inner))
+        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        _accumulate(a, out_data * (g - inner))
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
@@ -440,17 +430,16 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 def axis_matrix(a: Tensor, matrix: np.ndarray, axis: int) -> Tensor:
     """Multiply one axis by a fixed matrix: out[..., i, ...] = sum_j M[i, j] x[..., j, ...].
 
-    Used for constant linear resamplings (bilinear upsampling rows/cols).
+    No package code calls it; the upsampling in tests/oracles.py and the benchmark's tracer do.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     moved = np.moveaxis(a.data, axis, 0)
     out_data = np.moveaxis(np.tensordot(matrix, moved, axes=([1], [0])), 0, axis)
 
     def backward(g):
-        if a.requires_grad:
-            gm = np.moveaxis(g, axis, 0)
-            ga = np.moveaxis(np.tensordot(matrix.T, gm, axes=([1], [0])), 0, axis)
-            _accumulate(a, ga)
+        gm = np.moveaxis(g, axis, 0)
+        ga = np.moveaxis(np.tensordot(matrix.T, gm, axes=([1], [0])), 0, axis)
+        _accumulate(a, ga)
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 

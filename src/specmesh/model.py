@@ -71,6 +71,8 @@ class ModelConfig:
                 raise ArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ArgumentError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ArgumentError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
     def encoder_widths(self) -> list[int]:
         """Token widths entering each block: C+3 halved (ceiling) per block."""
@@ -325,7 +327,7 @@ def _batch_norm(x: ad.Tensor, gain: ad.Tensor, bias: ad.Tensor, name: str,
         return centered * inv * gain + bias
     stats = bn_state.get(name)
     if stats is None:
-        raise NumericalError(f"batch-norm {name} has no running statistics for eval mode")
+        raise ArgumentError(f"batch-norm {name} has no running statistics for eval mode")
     mu = ad.constant(stats["mean"])
     inv = ad.constant(1.0 / np.sqrt(stats["var"] + BN_EPS))
     return (x - mu) * inv * gain + bias
@@ -352,7 +354,7 @@ def fusion_forward(features, params: dict, config: ModelConfig, bn_state: dict,
     Returns tensors of shape (N, H*W, C) and (N, H*W, K); every mask channel
     is a distribution over spatial positions.
     """
-    x = features if isinstance(features, ad.Tensor) else ad.constant(features)
+    x = ad.as_tensor(features)
     n, g, g2, bc = x.shape
     if (g, g2, bc) != (BACKBONE_GRID, BACKBONE_GRID, config.backbone_channels):
         raise ArgumentError(
@@ -411,7 +413,7 @@ def _encoder_layer(x: ad.Tensor, params: dict, prefix: str) -> ad.Tensor:
 
 def transformer_forward(tokens, params: dict, config: ModelConfig) -> ad.Tensor:
     """Encoder blocks with width halving between them; final projection to 3D."""
-    x = tokens if isinstance(tokens, ad.Tensor) else ad.constant(tokens)
+    x = ad.as_tensor(tokens)
     widths = config.encoder_widths()
     if x.shape != (config.n_tokens, widths[0]):
         raise ArgumentError(
@@ -457,7 +459,14 @@ class ModelOutput:
 
 def forward(features, params: dict, assets: TemplateAssets, config: ModelConfig,
             bn_state: dict, train: bool = True) -> ModelOutput:
-    """Full pipeline from backbone features to predicted two-hand vertices."""
+    """Full pipeline from backbone features to predicted two-hand vertices.
+
+    Eval mode (``train=False``) needs running statistics in ``bn_state``
+    (``ArgumentError`` without them) and runs on constant views of the
+    parameters, so it builds no tape.
+    """
+    if not train:
+        params = {name: ad.constant(p.data) for name, p in params.items()}
     f_prime, mask = fusion_forward(features, params, config, bn_state, train)
     f_r = fuse_views(f_prime, mask)
     cams = camera_head(f_r, params, config)

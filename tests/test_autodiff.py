@@ -119,6 +119,46 @@ class TestSoftmaxAndNorm:
                "b": RNG.normal(size=(6,))})
 
 
+OPS_RNG = np.random.default_rng(9)  # its own stream: RNG's draws for other tests stay put
+SIGNED = OPS_RNG.uniform(0.5, 2.0, size=(3, 4)) * np.where(OPS_RNG.random((3, 4)) < 0.5, -1, 1)
+RESAMPLE = OPS_RNG.normal(size=(5, 4))
+SINGLE_PARENT_OPS = [
+    pytest.param(ad.neg, SIGNED, id="neg"),
+    pytest.param(lambda a: ad.reshape(a, (4, 3)), SIGNED, id="reshape"),
+    pytest.param(lambda a: ad.transpose(a, (1, 0)), SIGNED, id="transpose"),
+    pytest.param(lambda a: ad.getitem(a, (slice(1, 3), 2)), SIGNED, id="getitem"),
+    pytest.param(lambda a: ad.take(a, [0, 2, 2], axis=1), SIGNED, id="take"),
+    pytest.param(lambda a: ad.reduce_sum(a, axis=0), SIGNED, id="reduce_sum"),
+    pytest.param(lambda a: ad.reduce_max(a, axis=1), SIGNED, id="reduce_max"),
+    pytest.param(ad.relu, SIGNED, id="relu"),
+    pytest.param(ad.absolute, SIGNED, id="absolute"),
+    pytest.param(ad.exp, SIGNED, id="exp"),
+    pytest.param(ad.sqrt, np.abs(SIGNED), id="sqrt"),
+    pytest.param(lambda a: ad.softmax(a, axis=1), SIGNED, id="softmax"),
+    pytest.param(lambda a: ad.axis_matrix(a, RESAMPLE, axis=1), SIGNED, id="axis_matrix"),
+]
+
+
+class TestNoTapeWithoutGradient:
+    """A tensor that needs no gradient keeps no parents and no closure."""
+
+    @pytest.mark.parametrize("op, x", SINGLE_PARENT_OPS)
+    def test_op_on_constant_keeps_no_tape(self, op, x):
+        out = op(ad.constant(x))
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+
+    @pytest.mark.parametrize("op, x", SINGLE_PARENT_OPS)
+    def test_op_on_parameter_gradient(self, op, x):
+        probe = ad.constant(OPS_RNG.normal(size=op(ad.constant(x)).shape))
+        fd_ok(lambda t: (op(t["a"]) * probe).sum(), {"a": x})
+
+    def test_constructor_drops_parents_of_a_constant(self):
+        a = ad.parameter(np.ones(2))
+        out = ad.Tensor(a.data * 2.0, False, (a,), lambda g: None)
+        assert out._parents == () and out._backward is None
+
+
 def backward_keeps_upstream_grads(loss):
     """Run ``loss.backward()`` and assert that no node's gradient changed
     after its own backward ran, i.e. no later accumulation wrote into an

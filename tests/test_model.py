@@ -268,12 +268,15 @@ class TestCheckpoint:
         ("n_views", 0), ("n_blocks", 0), ("cheb_order", 0), ("feature_width", 0),
         ("backbone_channels", 0), ("n_tokens", 33), ("n_tokens", 0), ("seed", -1),
         ("decoder_sizes", [80, 40, 159]), ("decoder_sizes", []),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", 0.0), ("learning_rate", -1.0),
     ])
     def test_out_of_range_config_value_is_argument_error(self, tmp_path, key, value):
         # a manifest can carry any of these; unchecked, cheb_order 0 or empty
         # decoder_sizes end in an IndexError, feature_width 0 or seed -1 in a
-        # ValueError, and n_tokens 0 in an error naming another value, deep
-        # in set-up or train_step
+        # ValueError, n_tokens 0 in an error naming another value and a NaN
+        # learning_rate in a NumericalError naming a parameter, deep in
+        # set-up or train_step
         with pytest.raises(ArgumentError, match=key):
             M.toy_config(**{key: value})
         edited = dict(M.toy_config().to_dict(), **{key: value})
@@ -395,6 +398,37 @@ def perturbed_toy():
     for name in sorted(params):
         params[name].data += 1e-2 * rng.standard_normal(params[name].data.shape)
     return config, assets, params
+
+
+class TestEvalForward:
+    """Eval mode runs on constant views of the parameters and builds no tape."""
+
+    def test_builds_no_tape_and_equals_taped_composition(self, perturbed_toy):
+        config, assets, params = perturbed_toy
+        bn_state = {}
+        M.forward(M.synth_backbone_features(1, config), params, assets, config, bn_state,
+                  train=True)
+        features = M.synth_backbone_features(2, config)
+        out = M.forward(features, params, assets, config, bn_state, train=False)
+        for t in (out.pred_vertices, out.cameras, out.f_r, out.tokens):
+            assert t._parents == () and t._backward is None
+        # the same stages on the grad-requiring parameters, which tape
+        f_prime, mask = M.fusion_forward(features, params, config, bn_state, train=False)
+        f_r = M.fuse_views(f_prime, mask)
+        cams = M.camera_head(f_r, params, config)
+        region = ad.take(f_r, assets.token_labels, axis=0)
+        tokens = ad.concat([region, ad.constant(assets.token_positions)], axis=1)
+        pred = M.decoder_forward(M.transformer_forward(tokens, params, config), assets,
+                                 params, config)
+        assert pred._backward is not None and cams._backward is not None
+        assert out.pred_vertices.data.tobytes() == pred.data.tobytes()
+        assert out.cameras.data.tobytes() == cams.data.tobytes()
+
+    def test_missing_running_statistics_is_argument_error(self, perturbed_toy):
+        config, assets, params = perturbed_toy
+        with pytest.raises(ArgumentError, match="fuse_a_bn1 has no running statistics"):
+            M.forward(M.synth_backbone_features(2, config), params, assets, config, {},
+                      train=False)
 
 
 # One tensor per parameter group, three seeded entries each.
