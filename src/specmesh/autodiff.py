@@ -6,22 +6,33 @@ accumulates gradients into every tensor with ``requires_grad``. Each op has
 an exact analytic adjoint. Everything is float64-friendly and deterministic:
 ties in ``max`` route to the first occurrence, and there is no hidden RNG.
 
-A tensor that needs no gradient keeps no parents and no backward closure.
-So the tape holds exactly the nodes ``backward()`` can walk, ops on
-constants alone (the model's eval forward) build none, and a closure runs
-only for a node whose output needs a gradient.
+What the tape holds: a tensor that needs a gradient owns a graph node:
+its gradient slot, the nodes of its op's inputs that need a gradient, and
+its op's backward closure. ``backward()`` walks nodes, never tensors, so a node
+does not keep its tensor's ``data`` alive. A tensor that needs no gradient
+has no node, so ops on constants alone (the model's eval forward) build no
+tape, and a closure runs only for a node whose output needs a gradient.
+
+What a closure captures: the nodes it hands gradients to and only the
+arrays its adjoint reads for the inputs that need a gradient. ``add``,
+``neg``, ``reshape``, ``transpose``, ``concat``, ``getitem``, ``take``,
+``reduce_sum`` and ``axis_matrix`` keep shapes but no input array; ``mul``
+keeps each operand only for the other's gradient; ``relu`` keeps its own
+output, whose sign is its input's; ``layer_norm`` its normalized input,
+not the input. So an activation stays alive only while a closure still to
+be walked reads it or the caller holds its tensor.
 
 A graph is walked once and released as the walk goes: each interior node
 drops its backward closure and its parents right after its closure has
-run, so the arrays that closure saved (a layer norm's normalized input, a
-Chebyshev basis, an attention node's per-row softmax statistics) are freed
-as soon as no node still to be walked needs them. Leaves keep their
+run, so the arrays that closure captured (a layer norm's normalized input,
+a Chebyshev basis, an attention node's per-row softmax statistics) are
+freed as soon as no node still to be walked reads them. Leaves keep their
 gradients. An interior node keeps its gradient only while the caller still
 holds the tensor; a second ``backward()`` that reaches a walked node raises
 ``ArgumentError``.
 
-Gradient ownership: a backward closure hands each parent its gradient
-through ``_accumulate``. The first gradient a tensor receives becomes its
+Gradient ownership: a backward closure hands each parent node its gradient
+through ``_accumulate``. The first gradient a node receives becomes its
 ``grad`` array as it is, without a zero-filled copy, when the closure marks
 it owned, and later ones are added into that array in place. So a closure
 may pass an array as owned only if it allocated it and keeps no other
@@ -37,7 +48,7 @@ consumes it has been walked, since only a consumer's closure adds into it.
 moment, so a caller can update the leaf and drop its gradient while the
 rest of the graph is still being walked. This is safe because of a read
 contract that every op here keeps: a backward closure reads a leaf's
-``data`` only when that leaf is a parent of its node. A node whose data is
+array only when that leaf is a parent of its node. A node whose data is
 a view of a leaf (``reshape``, ``transpose``, basic ``getitem``) is that
 leaf's consumer, and every node that reads the view consumes the view, so
 they are all walked before the leaf is reported. A new op must keep the
@@ -47,22 +58,65 @@ parent could read it after an in-place update.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
 from .errors import ArgumentError
 
 
+class _Node:
+    """What ``backward()`` walks for one tensor that needs a gradient.
+
+    ``parents`` are the nodes of the op's inputs that need a gradient and
+    ``backward`` the op's closure, ``None`` for a leaf. A leaf's node also
+    refers weakly to its tensor, which ``on_final`` hands over.
+    """
+
+    __slots__ = ("grad", "parents", "backward", "leaf")
+
+    def __init__(self, parents, backward, leaf):
+        self.grad = None
+        self.parents = parents
+        self.backward = backward
+        self.leaf = leaf
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "name", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None, name=""):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = _parents if self.requires_grad else ()
-        self._backward = _backward if self.requires_grad else None
         self.name = name
+        self._node = None
+        if requires_grad:
+            parents = tuple(p._node for p in _parents if p._node is not None)
+            leaf = weakref.ref(self) if _backward is None else None
+            self._node = _Node(parents, _backward, leaf)
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise ArgumentError("a tensor that needs no gradient cannot hold one")
+
+    @property
+    def _backward(self):
+        """The op's backward closure; settable, so a caller can wrap it."""
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node.backward = fn
 
     @property
     def shape(self):
@@ -82,19 +136,20 @@ class Tensor:
         The graph is walked once and released as it goes (see the module
         docstring): afterwards only the leaves and the interior tensors the
         caller still holds keep a ``grad``, and walking the graph again
-        raises ``ArgumentError``.
+        raises ``ArgumentError``. On a tensor that needs no gradient there
+        is nothing to walk.
 
         ``on_final(leaf)``, when given, is called once for each reached leaf
-        with ``requires_grad``, as soon as its gradient is final: right
-        after the last node that consumes it has been walked (its closure
-        run, or skipped because the node received no gradient), or at once
-        for a leaf that is ``self``. Constants are never reported. The
-        callback may update ``leaf.data`` in place and set ``leaf.grad`` to
-        ``None``; see the read contract in the module docstring. An
-        exception raised partway through the walk, by a closure or by the
-        callback, ends it with only the leaves reported so far handed to
-        the callback, so a caller that updates them is left with a partial
-        update.
+        with ``requires_grad`` that the caller still holds, as soon as its
+        gradient is final: right after the last node that consumes it has
+        been walked (its closure run, or skipped because the node received
+        no gradient), or at once for a leaf that is ``self``. Constants are
+        never reported. The callback may update ``leaf.data`` in place and
+        set ``leaf.grad`` to ``None``; see the read contract in the module
+        docstring. An exception raised partway through the walk, by a
+        closure or by the callback, ends it with only the leaves reported
+        so far handed to the callback, so a caller that updates them is
+        left with a partial update.
 
         Raises:
             ArgumentError: ``self`` is not a scalar, or the walk reaches a
@@ -102,9 +157,12 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ArgumentError("backward() only on scalar tensors")
-        topo: list[Tensor] = []
+        root = self._node
+        if root is None:
+            return
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:  # iterative DFS: graphs can be deep (training unrolls)
             node, expanded = stack.pop()
             if expanded:
@@ -114,32 +172,33 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        pending: dict[int, int] = {}  # id(leaf) -> consumer edges still to walk
+        pending: dict[int, int] = {}  # id(leaf node) -> consumer edges still to walk
         for node in topo:
             node.grad = None
-            if on_final is not None and node._backward is not None:
-                for p in node._parents:
-                    if p.requires_grad and p._backward is None:
+            if on_final is not None and node.backward is not None:
+                for p in node.parents:
+                    if p.backward is None:
                         pending[id(p)] = pending.get(id(p), 0) + 1
-        self.grad = np.ones_like(self.data)
-        if on_final is not None and self._backward is None and self.requires_grad:
+        root.grad = np.ones_like(self.data)
+        if on_final is not None and root.backward is None:
             on_final(self)  # a leaf root has no consumer to wait for
         while topo:  # popping lets each walked node go once nothing else holds it
             node = topo.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue
             if node.grad is not None:
-                node._backward(node.grad)
-            parents = node._parents
-            node._backward, node._parents = _walked, ()
+                node.backward(node.grad)
+            parents = node.parents
+            node.backward, node.parents = _walked, ()
             for p in parents:
                 if id(p) in pending:
                     pending[id(p)] -= 1
-                    if not pending[id(p)]:
-                        on_final(p)
+                    leaf = None if pending[id(p)] else p.leaf()
+                    if leaf is not None:  # final, and the caller still holds it
+                        on_final(leaf)
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -205,12 +264,12 @@ def constant(data, name="") -> Tensor:
     return Tensor(data, requires_grad=False, name=name)
 
 
-def _accumulate(t: Tensor, g: np.ndarray, owned: bool = True):
-    """Add ``g`` into ``t.grad``; see the module docstring for ``owned``."""
-    if t.grad is None:
-        t.grad = np.asarray(g) if owned else g.copy()  # 0-d products are NumPy scalars
+def _accumulate(node: _Node, g: np.ndarray, owned: bool = True):
+    """Add ``g`` into ``node.grad``; see the module docstring for ``owned``."""
+    if node.grad is None:
+        node.grad = np.asarray(g) if owned else g.copy()  # 0-d products are NumPy scalars
     else:
-        t.grad += g
+        node.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -230,66 +289,80 @@ def _needs(*tensors):
     return any(t.requires_grad for t in tensors)
 
 
+def _read_for(t: Tensor, other: Tensor):
+    """``t.data`` if ``other``'s gradient needs it, i.e. ``other`` needs one."""
+    return t.data if other.requires_grad else None
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
+    targets = [(t._node, t.shape) for t in (a, b) if t.requires_grad]
 
     def backward(g):
-        for t in (a, b):
-            if t.requires_grad:
-                gt = _unbroadcast(g, t.shape)
-                _accumulate(t, gt, owned=gt is not g)
+        for node, shape in targets:
+            gt = _unbroadcast(g, shape)
+            _accumulate(node, gt, owned=gt is not g)
 
     return Tensor(out_data, _needs(a, b), (a, b), backward)
 
 
 def neg(a: Tensor) -> Tensor:
+    node = a._node
+
     def backward(g):
-        _accumulate(a, -g)
+        _accumulate(node, -g)
 
     return Tensor(-a.data, a.requires_grad, (a,), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
+    na, nb, a_shape, b_shape = a._node, b._node, a.shape, b.shape
+    a_data, b_data = _read_for(a, b), _read_for(b, a)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g * b_data, a_shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g * a_data, b_shape))
 
     return Tensor(out_data, _needs(a, b), (a, b), backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data / b.data
+    na, nb, a_shape, b_shape = a._node, b._node, a.shape, b.shape
+    a_data, b_data = _read_for(a, b), b.data
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data**2), b.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g / b_data, a_shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(-g * a_data / (b_data**2), b_shape))
 
     return Tensor(out_data, _needs(a, b), (a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
+    na, nb, a_shape, b_shape = a._node, b._node, a.shape, b.shape
+    a_data, b_data = _read_for(a, b), _read_for(b, a)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape))
 
     return Tensor(out_data, _needs(a, b), (a, b), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     out_data = a.data.reshape(shape)
+    node, in_shape = a._node, a.shape
 
     def backward(g):
-        _accumulate(a, g.reshape(a.shape), owned=False)
+        _accumulate(node, g.reshape(in_shape), owned=False)
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
@@ -297,9 +370,10 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
+    node = a._node
 
     def backward(g):
-        _accumulate(a, g.transpose(inverse), owned=False)
+        _accumulate(node, g.transpose(inverse), owned=False)
 
     return Tensor(a.data.transpose(axes), a.requires_grad, (a,), backward)
 
@@ -309,25 +383,38 @@ def concat(tensors, axis=0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     offsets = np.cumsum([0] + sizes)
+    targets = [(t._node, lo, hi) for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:])
+               if t.requires_grad]
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                _accumulate(t, g[tuple(idx)], owned=False)
+        for node, lo, hi in targets:
+            idx = [slice(None)] * g.ndim
+            idx[axis] = slice(lo, hi)
+            _accumulate(node, g[tuple(idx)], owned=False)
 
     return Tensor(out_data, _needs(*tensors), tuple(tensors), backward)
 
 
 def getitem(a: Tensor, key) -> Tensor:
-    """Basic indexing / slicing; the adjoint scatters into the source shape."""
+    """Basic indexing / slicing; the adjoint scatters into the source shape.
+
+    Raises:
+        ArgumentError: ``key`` holds an integer array, a list or a boolean.
+            Those index by gather, and the scatter would keep only one of
+            repeated indices; use ``take`` instead.
+    """
+    for k in key if isinstance(key, tuple) else (key,):
+        basic = k is None or k is Ellipsis or isinstance(k, (slice, int, np.integer))
+        if not basic or isinstance(k, bool):
+            raise ArgumentError(f"getitem takes ints, slices, None and Ellipsis, got "
+                                f"{type(k).__name__} {k!r}; gather with ad.take instead")
     out_data = a.data[key]
+    node, shape = a._node, a.shape
 
     def backward(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         ga[key] = g
-        _accumulate(a, ga)
+        _accumulate(node, ga)
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
@@ -336,23 +423,25 @@ def take(a: Tensor, indices, axis=0) -> Tensor:
     """Gather along an axis; the adjoint scatter-adds (indices may repeat)."""
     indices = np.asarray(indices, dtype=np.int64)
     out_data = np.take(a.data, indices, axis=axis)
+    node, shape = a._node, a.shape
 
     def backward(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         moved = np.moveaxis(ga, axis, 0)
         np.add.at(moved, indices, np.moveaxis(g, axis, 0))
-        _accumulate(a, ga)
+        _accumulate(node, ga)
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    node, shape = a._node, a.shape
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
+        _accumulate(node, np.broadcast_to(g, shape).copy())
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
@@ -370,47 +459,54 @@ def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 def reduce_max(a: Tensor, axis: int) -> Tensor:
     """Max over one axis; ties route the gradient to the first occurrence."""
     out_data = a.data.max(axis=axis)
+    node, a_data = a._node, a.data
 
     def backward(g):
         expanded = np.expand_dims(out_data, axis)
-        hit = a.data == expanded
+        hit = a_data == expanded
         first = np.cumsum(hit, axis=axis) == 1
         mask = hit & first
-        _accumulate(a, mask * np.expand_dims(g, axis))
+        _accumulate(node, mask * np.expand_dims(g, axis))
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0.0)
+    node = a._node
 
     def backward(g):
-        _accumulate(a, g * (a.data > 0))
+        # out > 0 exactly where a > 0: a NaN stays NaN, and -0.0 becomes a zero
+        _accumulate(node, g * (out_data > 0))
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
 
 def absolute(a: Tensor) -> Tensor:
+    node, a_data = a._node, a.data
+
     def backward(g):
-        _accumulate(a, g * np.sign(a.data))
+        _accumulate(node, g * np.sign(a_data))
 
     return Tensor(np.abs(a.data), a.requires_grad, (a,), backward)
 
 
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
+    node = a._node
 
     def backward(g):
-        _accumulate(a, g * out_data)
+        _accumulate(node, g * out_data)
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
 
 def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
+    node = a._node
 
     def backward(g):
-        _accumulate(a, g * 0.5 / out_data)
+        _accumulate(node, g * 0.5 / out_data)
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
@@ -419,10 +515,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
+    node = a._node
 
     def backward(g):
         inner = (g * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(a, out_data * (g - inner))
+        _accumulate(node, out_data * (g - inner))
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
@@ -435,11 +532,12 @@ def axis_matrix(a: Tensor, matrix: np.ndarray, axis: int) -> Tensor:
     matrix = np.asarray(matrix, dtype=np.float64)
     moved = np.moveaxis(a.data, axis, 0)
     out_data = np.moveaxis(np.tensordot(matrix, moved, axes=([1], [0])), 0, axis)
+    node = a._node
 
     def backward(g):
         gm = np.moveaxis(g, axis, 0)
         ga = np.moveaxis(np.tensordot(matrix.T, gm, axes=([1], [0])), 0, axis)
-        _accumulate(a, ga)
+        _accumulate(node, ga)
 
     return Tensor(out_data, a.requires_grad, (a,), backward)
 
@@ -467,15 +565,18 @@ def upconv3x3(x: Tensor, weight: Tensor, taps) -> Tensor:
     kernels = weight.data.reshape(9, c_in, c_out)
     mixed = (rows @ kernels).reshape(9, n, hw, c_out)  # tap t's mix of every coarse pixel
     out_data = np.stack([taps @ mixed[:, i].reshape(9 * hw, c_out) for i in range(n)])
+    nx, nw, x_shape, w_shape = x._node, weight._node, x.shape, weight.shape
+    x_rows = rows if weight.requires_grad else None  # the weight's gradient reads x
+    w_kernels = kernels if x.requires_grad else None
 
     def backward(g):
         g = g.reshape(n, -1, c_out)
         g_mixed = np.stack([(taps.T @ g[i]).reshape(9, hw, c_out) for i in range(n)], axis=1)
         g_mixed = g_mixed.reshape(9, n * hw, c_out)
-        if weight.requires_grad:
-            _accumulate(weight, (rows.T @ g_mixed).reshape(weight.shape))
-        if x.requires_grad:
-            _accumulate(x, (g_mixed @ kernels.transpose(0, 2, 1)).sum(axis=0).reshape(x.shape))
+        if nw is not None:
+            _accumulate(nw, (x_rows.T @ g_mixed).reshape(w_shape))
+        if nx is not None:
+            _accumulate(nx, (g_mixed @ w_kernels.transpose(0, 2, 1)).sum(axis=0).reshape(x_shape))
 
     return Tensor(out_data.reshape(n, 2 * h - 2, 2 * w - 2, c_out), _needs(x, weight),
                   (x, weight), backward)
@@ -498,7 +599,8 @@ def cheb_filter(scaled_l, theta: Tensor, signal: Tensor) -> Tensor:
     et al. (2016) is evaluated by the T_k recurrence, without eigenvectors.
     ``scaled_l`` is the Laplacian already rescaled into [-1, 1], as a CSR
     matrix; theta is (order, F_in, F_out), signal (|V|, F_in) and the result
-    (|V|, F_out). The node keeps the forward's basis for theta's gradient.
+    (|V|, F_out). The node keeps the forward's basis for theta's gradient
+    and theta for the signal's.
     L~ is symmetric, so the signal's gradient is the same recurrence run on
     the upstream gradient.
 
@@ -514,15 +616,18 @@ def cheb_filter(scaled_l, theta: Tensor, signal: Tensor) -> Tensor:
     out_data = np.zeros((n, theta.shape[2]))
     for k, tk in enumerate(basis):
         out_data += tk @ theta.data[k]
+    n_theta, n_signal, signal_shape = theta._node, signal._node, signal.shape
+    kept_basis = basis if theta.requires_grad else None
+    theta_data = _read_for(theta, signal)
 
     def backward(g):
-        if theta.requires_grad:
-            _accumulate(theta, np.stack([tk.T @ g for tk in basis], axis=0))
-        if signal.requires_grad:
-            grad_signal = np.zeros_like(signal.data)
+        if n_theta is not None:
+            _accumulate(n_theta, np.stack([tk.T @ g for tk in kept_basis], axis=0))
+        if n_signal is not None:
+            grad_signal = np.zeros(signal_shape)
             for k, gk in enumerate(_cheb_basis(scaled_l, g, order)):
-                grad_signal += gk @ theta.data[k].T
-            _accumulate(signal, grad_signal)
+                grad_signal += gk @ theta_data[k].T
+            _accumulate(n_signal, grad_signal)
 
     return Tensor(out_data, _needs(theta, signal), (theta, signal), backward)
 
@@ -536,6 +641,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     The forward evaluates the textbook expressions in order (mean, centered
     values, variance, 1/sqrt(var + LN_EPS), then gain and bias); the backward
     is the closed form dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)).
+    The node keeps xhat and inv, not the input.
     """
     inv_n = 1.0 / a.shape[-1]
     xhat = a.data - a.data.sum(axis=-1, keepdims=True) * inv_n
@@ -544,20 +650,22 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat *= inv
     out_data = xhat * gain.data
     out_data += bias.data
+    na, n_gain, n_bias = a._node, gain._node, bias._node
+    gain_data = _read_for(gain, a)
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=lead))
-        if gain.requires_grad:
-            _accumulate(gain, (g * xhat).sum(axis=lead))
-        if a.requires_grad:
-            d = g * gain.data  # gradient w.r.t. xhat
+        if n_bias is not None:
+            _accumulate(n_bias, g.sum(axis=lead))
+        if n_gain is not None:
+            _accumulate(n_gain, (g * xhat).sum(axis=lead))
+        if na is not None:
+            d = g * gain_data  # gradient w.r.t. xhat
             along_xhat = (d * xhat).mean(axis=-1, keepdims=True)
             d -= d.mean(axis=-1, keepdims=True)
             d -= xhat * along_xhat
             d *= inv
-            _accumulate(a, d)
+            _accumulate(na, d)
 
     return Tensor(out_data, _needs(a, gain, bias), (a, gain, bias), backward)
 
@@ -573,15 +681,17 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out_data += bias.data
     parents = (x, weight) if bias is None else (x, weight, bias)
+    nx, nw, nb = x._node, weight._node, None if bias is None else bias._node
+    x_data, w_data = _read_for(x, weight), _read_for(weight, x)
 
     def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g @ weight.data.T)
+        if nx is not None:
+            _accumulate(nx, g @ w_data.T)
         rows = g.reshape(-1, g.shape[-1])
-        if weight.requires_grad:
-            _accumulate(weight, x.data.reshape(-1, x.shape[-1]).T @ rows)
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, rows.sum(axis=0))
+        if nw is not None:
+            _accumulate(nw, x_data.reshape(-1, x_data.shape[-1]).T @ rows)
+        if nb is not None:
+            _accumulate(nb, rows.sum(axis=0))
 
     return Tensor(out_data, _needs(*parents), parents, backward)
 
@@ -638,12 +748,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         return w
 
     out_data = merge(np.stack([head_weights(h, True) @ vh[h] for h in range(heads)]))
+    nodes = (q._node, k._node, v._node)
 
     def backward(g):
         gh = split(g)
         rows = (gh * split(out_data)).sum(axis=-1, keepdims=True)  # sum_j w_ij dL/dw_ij
-        gq, gk, gv = (np.empty((heads, tokens, dk)) if t.requires_grad else None
-                      for t in (q, k, v))
+        gq, gk, gv = (np.empty((heads, tokens, dk)) if node is not None else None
+                      for node in nodes)
         for h in range(heads):
             w = head_weights(h, False)
             if gv is not None:
@@ -658,9 +769,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
                 gq[h] = d @ kh[h]
             if gk is not None:
                 gk[h] = (qh[h].T @ d).T
-        for t, gt in ((q, gq), (k, gk), (v, gv)):
+        for node, gt in zip(nodes, (gq, gk, gv)):
             if gt is not None:
-                _accumulate(t, merge(gt))
+                _accumulate(node, merge(gt))
 
     return Tensor(out_data, _needs(q, k, v), (q, k, v), backward)
 

@@ -548,9 +548,11 @@ def train_step(params: dict, opt: ad.Adam, batch, assets: TemplateAssets,
     Adam steps inside the backward walk: each parameter is updated as soon
     as its gradient is final, and its gradient is dropped right after, so
     the gradients of the whole model are never resident at once (the
-    optimizer-in-backward design of LOMO, Lv et al., 2023). The backward
-    also frees each activation as soon as no later node of the tape needs it
-    (see :meth:`autodiff.Tensor.backward`). Parameters the loss does not
+    optimizer-in-backward design of LOMO, Lv et al., 2023). During the walk
+    the step holds only the loss terms, not the model output, so an
+    activation lives only while a backward closure still to be walked reads
+    it, and the walk frees each one as soon as none does (see the
+    :mod:`autodiff` module docstring). Parameters the loss does not
     reach step afterwards with a zero gradient. The result is the same bits
     as ``backward()`` followed by one ``opt.step(params)``, and every
     parameter's ``grad`` is ``None`` on return. Each parameter is checked
@@ -566,8 +568,8 @@ def train_step(params: dict, opt: ad.Adam, batch, assets: TemplateAssets,
     bad = _first_nonfinite(params)
     if bad is not None:
         raise NumericalError(f"non-finite parameter tensor {bad!r} before step")
-    output = forward(batch.features, params, assets, config, bn_state, train=True)
-    losses = compute_losses(output, batch, assets)
+    losses = compute_losses(forward(batch.features, params, assets, config, bn_state,
+                                    train=True), batch, assets)
     for name, term in losses.items():
         if not np.isfinite(term.data):
             raise NumericalError(f"non-finite loss tensor {name!r}")

@@ -10,6 +10,7 @@ from specmesh import autodiff as ad
 from specmesh import model as M
 from specmesh.errors import ArgumentError
 from specmesh.graphs import adjacency_matrix, lambda_max, laplacian, scaled_laplacian
+from specmesh.scenes import SceneSpec, build_scene
 
 
 def fd_ok(build_loss, arrays: dict, h=1e-4, tol=1e-4):
@@ -29,6 +30,35 @@ def fd_ok(build_loss, arrays: dict, h=1e-4, tol=1e-4):
                                    np.full_like(numeric, 1e-6)])
         rel = np.abs(analytic - numeric) / denom
         assert rel.max() < tol, f"{key}: max rel err {rel.max():.3e}"
+
+
+def tape(root: ad.Tensor) -> dict:
+    """Every graph node reachable from ``root``, each once, mapped to the
+    arrays its backward closure holds, through nested closures, lists and
+    tuples. Asserts that no closure holds a Tensor: closures hold graph
+    nodes, shapes and the arrays they read, so a tensor the caller drops
+    frees its data unless a closure still holds that very array."""
+    held, stack = {}, [root._node]
+    while stack:
+        node = stack.pop()
+        if node in held:
+            continue
+        arrays, todo, seen = [], [node.backward], set()
+        while todo:
+            item = todo.pop()
+            if id(item) in seen:
+                continue
+            seen.add(id(item))
+            assert not isinstance(item, ad.Tensor), f"a backward closure holds {item}"
+            if isinstance(item, np.ndarray):
+                arrays.append(item)
+            elif isinstance(item, (list, tuple)):
+                todo.extend(item)
+            elif callable(item) and getattr(item, "__closure__", None):
+                todo.extend(cell.cell_contents for cell in item.__closure__)
+        held[node] = arrays
+        stack.extend(node.parents)
+    return held
 
 
 RNG = np.random.default_rng(42)
@@ -140,13 +170,13 @@ SINGLE_PARENT_OPS = [
 
 
 class TestNoTapeWithoutGradient:
-    """A tensor that needs no gradient keeps no parents and no closure."""
+    """A tensor that needs no gradient has no graph node: no parents, no closure."""
 
     @pytest.mark.parametrize("op, x", SINGLE_PARENT_OPS)
     def test_op_on_constant_keeps_no_tape(self, op, x):
         out = op(ad.constant(x))
         assert not out.requires_grad
-        assert out._parents == () and out._backward is None
+        assert out._node is None and out._backward is None
 
     @pytest.mark.parametrize("op, x", SINGLE_PARENT_OPS)
     def test_op_on_parameter_gradient(self, op, x):
@@ -156,29 +186,91 @@ class TestNoTapeWithoutGradient:
     def test_constructor_drops_parents_of_a_constant(self):
         a = ad.parameter(np.ones(2))
         out = ad.Tensor(a.data * 2.0, False, (a,), lambda g: None)
-        assert out._parents == () and out._backward is None
+        assert out._node is None and out._backward is None
+
+
+GAIN, BIAS = OPS_RNG.uniform(0.5, 1.5, size=(4,)), OPS_RNG.normal(size=(4,))
+FREES_INPUT_OPS = [  # the adjoint of each reads nothing of its input's data
+    pytest.param(ad.neg, SIGNED, id="neg"),
+    pytest.param(lambda a: ad.add(a, ad.exp(a)), SIGNED, id="add"),
+    pytest.param(lambda a: ad.mul(a, ad.constant(SIGNED)), SIGNED, id="mul_by_constant"),
+    pytest.param(lambda a: ad.div(a, ad.constant(SIGNED)), SIGNED, id="div_by_constant"),
+    pytest.param(lambda a: ad.matmul(a, ad.constant(RESAMPLE.T)), SIGNED, id="matmul_constant"),
+    pytest.param(lambda a: ad.reshape(a, (4, 3)), SIGNED, id="reshape"),
+    pytest.param(lambda a: ad.transpose(a, (1, 0)), SIGNED, id="transpose"),
+    pytest.param(lambda a: ad.concat([a, ad.exp(a)], axis=1), SIGNED, id="concat"),
+    pytest.param(lambda a: ad.getitem(a, (slice(1, 3), 2)), SIGNED, id="getitem"),
+    pytest.param(lambda a: ad.take(a, [0, 2, 2], axis=1), SIGNED, id="take"),
+    pytest.param(lambda a: ad.reduce_sum(a, axis=0), SIGNED, id="reduce_sum"),
+    pytest.param(ad.relu, SIGNED, id="relu"),
+    pytest.param(ad.exp, SIGNED, id="exp"),
+    pytest.param(ad.sqrt, np.abs(SIGNED), id="sqrt"),
+    pytest.param(lambda a: ad.softmax(a, axis=1), SIGNED, id="softmax"),
+    pytest.param(lambda a: ad.axis_matrix(a, RESAMPLE, axis=1), SIGNED, id="axis_matrix"),
+    pytest.param(lambda a: ad.layer_norm(a, ad.parameter(GAIN), ad.parameter(BIAS)), SIGNED,
+                 id="layer_norm"),
+]
+
+
+class TestTapeKeepsOnlyWhatClosuresRead:
+    """A graph node does not hold its tensor's data; a closure holds only the
+    arrays its adjoint reads."""
+
+    @pytest.mark.parametrize("op, x", FREES_INPUT_OPS)
+    def test_input_array_freed_while_the_graph_lives(self, op, x):
+        probe = ad.constant(OPS_RNG.normal(size=op(ad.constant(x)).shape))
+
+        def build(leaf, watch=None):
+            hidden = leaf * 1.0  # an interior tensor as the op's input
+            if watch is not None:
+                watch.append(weakref.ref(hidden.data))
+            return (op(hidden) * probe).sum()
+
+        leaf, watch = ad.parameter(x), []
+        loss = build(leaf, watch)
+        tape(loss)  # asserts that no closure holds a Tensor
+        assert watch[0]() is None  # the caller dropped it and no closure reads it
+        loss.backward()
+        numeric = central_difference(lambda v: build(ad.constant(v)).item(), x.copy())
+        assert np.allclose(leaf.grad, numeric, rtol=1e-6, atol=1e-8)
+
+    def test_relu_mask_at_signed_zero_and_nan(self):
+        x = np.array([-0.0, 0.0, np.nan, -np.inf, -1.0, 5e-324, 2.0, np.inf])
+        probe = OPS_RNG.normal(size=x.shape)
+        a = ad.parameter(x)
+        (ad.relu(a) * ad.constant(probe)).sum().backward()
+        assert a.grad.tobytes() == (probe * (x > 0)).tobytes()
+
+    def test_train_mode_model_tape_holds_no_tensor(self):
+        config = M.toy_config()
+        assets = M.build_assets(config)
+        params = M.init_parameters(config, assets)
+        scene = build_scene(SceneSpec(seed=3), assets, config)
+        output = M.forward(scene.features, params, assets, config, {}, train=True)
+        held = tape(M.compute_losses(output, scene, assets)["total"])
+        assert {p._node for p in params.values()} <= held.keys()
+
+    @pytest.mark.parametrize("key", [
+        np.array([0, 0, 2]), [0, 0, 2], np.array([True, False, True]),
+        (slice(None), np.array([1, 1])), True, np.True_,
+    ], ids=["int_array", "list", "bool_array", "tuple_with_array", "bool", "numpy_bool"])
+    def test_getitem_rejects_advanced_keys(self, key):
+        with pytest.raises(ArgumentError, match="ad.take"):
+            ad.getitem(ad.parameter(SIGNED), key)
 
 
 def backward_keeps_upstream_grads(loss):
     """Run ``loss.backward()`` and assert that no node's gradient changed
     after its own backward ran, i.e. no later accumulation wrote into an
     array that a node's ``grad`` still holds."""
-    nodes, stack, seen = [], [loss], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        nodes.append(node)
-        stack.extend(node._parents)
     consumed = []
-    for node in nodes:
-        if node._backward is not None:
-            def spy(g, node=node, original=node._backward):
+    for node in tape(loss):
+        if node.backward is not None:
+            def spy(g, node=node, original=node.backward):
                 consumed.append((node, g.copy()))
                 original(g)
 
-            node._backward = spy
+            node.backward = spy
     loss.backward()
     assert consumed
     for node, grad in consumed:
@@ -287,18 +379,7 @@ class TestFusedNodes:
         tokens = 200
         q, k, v = (ad.parameter(RNG.normal(size=(tokens, 6))) for _ in range(3))
         out = ad.attention(q, k, v, 3)
-        sizes, seen, todo = [], set(), [out._backward]
-        while todo:  # every array the backward closure can reach, through nested closures
-            item = todo.pop()
-            if id(item) in seen:
-                continue
-            seen.add(id(item))
-            if isinstance(item, np.ndarray):
-                sizes.append(item.size)
-            elif isinstance(item, ad.Tensor):
-                todo.append(item.data)
-            elif callable(item) and getattr(item, "__closure__", None):
-                todo.extend(cell.cell_contents for cell in item.__closure__)
+        sizes = [a.size for a in tape(out)[out._node]]
         assert sizes and max(sizes) < tokens * tokens
         (out * out).sum().backward()
         assert all(t.grad.shape == (tokens, 6) for t in (q, k, v))
@@ -370,25 +451,20 @@ def final_reports(build_loss, arrays: dict) -> list:
     plain = {k: ad.parameter(v) for k, v in arrays.items()}
     build_loss(plain).backward()
     leaves = {k: ad.parameter(v) for k, v in arrays.items()}
-    names = {id(t): k for k, t in leaves.items()}
+    names = {t._node: k for k, t in leaves.items()}
     loss = build_loss(leaves)
-    consumers, reached, stack, seen = {}, set(), [loss], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if id(node) in names:
-            reached.add(names[id(node)])
-        for p in node._parents:
-            consumers.setdefault(id(p), []).append(node)
-            stack.append(p)
+    consumers, reached = {}, set()
+    for node in tape(loss):
+        if node in names:
+            reached.add(names[node])
+        for p in node.parents:
+            consumers.setdefault(p, []).append(node)
     reports = []
 
     def on_final(leaf):
         assert leaf.requires_grad
-        assert all(node._backward is ad._walked for node in consumers.get(id(leaf), ()))
-        name = names[id(leaf)]
+        assert all(node.backward is ad._walked for node in consumers.get(leaf._node, ()))
+        name = names[leaf._node]
         want = plain[name].grad
         assert (leaf.grad is None) == (want is None), name
         if want is not None:

@@ -411,7 +411,7 @@ class TestEvalForward:
         features = M.synth_backbone_features(2, config)
         out = M.forward(features, params, assets, config, bn_state, train=False)
         for t in (out.pred_vertices, out.cameras, out.f_r, out.tokens):
-            assert t._parents == () and t._backward is None
+            assert t._node is None and t._backward is None
         # the same stages on the grad-requiring parameters, which tape
         f_prime, mask = M.fusion_forward(features, params, config, bn_state, train=False)
         f_r = M.fuse_views(f_prime, mask)
