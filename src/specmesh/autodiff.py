@@ -54,15 +54,201 @@ leaf's consumer, and every node that reads the view consumes the view, so
 they are all walked before the leaf is reported. A new op must keep the
 contract: a closure that captured a leaf's array without making the leaf a
 parent could read it after an in-place update.
+
+Intra-op threads: the module keeps one thread pool, ``POOL``, and the nodes
+that dominate a full-config step split their NumPy/SciPy work into
+independent pieces on it (``Pool.run``): ``attention`` (forward by head
+and row block, backward by head), ``linear`` and ``matmul`` (forward by row
+block of a 2-D left operand, backward with the input- and weight-gradient
+products side by side), ``upconv3x3`` (by tap and by image) and
+``Adam.step`` (by chunk range). It mirrors intra-op parallelism as in
+PyTorch (Paszke et al., 2019), and a result is the same bits at any pool
+width:
+
+- The pieces depend on array shapes only, never on the pool's width or on
+  ``POOL_FLOOR``: row blocks are cut on a multiple of 64 rows
+  (``_row_blocks``), each piece writes a disjoint slice of a preallocated
+  output, and any sum across pieces runs on the calling thread afterwards,
+  in the order of the unsplit code. So a result is the same bits at any
+  width, run inline or pooled. (``Adam.step`` cuts one range of chunks
+  per thread; its update is elementwise, so no cut changes a bit.)
+- The width is the number of CPUs the process may use divided by the BLAS
+  threads per call, at least 1 (``pool_width``), so the pool only fills
+  cores that BLAS leaves idle. Where the BLAS thread count cannot be read,
+  the width is 1 and every piece runs inline.
+- Work below ``POOL_FLOOR`` runs inline, in piece order, on the caller,
+  and so does all work for a while after a worker lagged far behind the
+  caller (``POOL_BACKOFF``).
+- A piece runs in a copy of the caller's ``contextvars`` context, so
+  ``np.errstate`` applies in workers as on the caller.
+- Workers run array code only: never an op of this module, ``Adam.step``
+  or ``_accumulate`` (which mutates a node), nor a function of ``model``.
+  The benchmark's tracer wraps those by name, and its span stack is not
+  thread-safe; every gradient is accumulated on the calling thread.
 """
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
+import glob
+import itertools
 import math
+import os
+import threading
+import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import ArgumentError
+
+# Work, in multiply-adds of a float64 product, below which a run of pieces
+# stays on the calling thread. Timed with one BLAS thread on a 2-core x86
+# (median of 41, best of 3), a (rows, k) @ (k, n) product by two row blocks
+# took inline -> pooled: 1.0M multiply-adds 57 -> 141 us, 2.4M 161 -> 208,
+# 4.2M 260 -> 257, 6.3M 387 -> 299, 8.4M 413 -> 372, 13.8M 1003 -> 667; a
+# toy-config train step, whose largest run is 5.3M, only lost by pooling.
+POOL_FLOOR = 1 << 23
+# After a pooled run whose caller waited on a lagging worker longer than it
+# worked itself, the pool runs inline for this many times that wait; see Pool.run
+POOL_BACKOFF = 8
+
+
+def _blas_threads() -> int | None:
+    """Threads per call of the OpenBLAS that NumPy loaded, or None if it cannot be asked."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*.so*"))):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded by NumPy: the same handle
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            query = getattr(lib, symbol, None)
+            if query is not None:
+                query.argtypes, query.restype = [], ctypes.c_int
+                return query()
+    return None
+
+
+def pool_width() -> int:
+    """CPUs this process may use over BLAS threads per call, at least 1; 1 if
+    the BLAS thread count cannot be read."""
+    blas = _blas_threads()
+    if not blas or blas < 1:
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // blas)
+
+
+class Pool:
+    """Runs independent pieces of array work on ``width`` threads, the caller one of them."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.backoff = POOL_BACKOFF
+        self._executor = (ThreadPoolExecutor(width - 1, thread_name_prefix="specmesh-autodiff")
+                          if width > 1 else None)
+        self._inline_until = 0.0  # time.perf_counter() before which every run is inline
+
+    def ways(self, work: int) -> int:
+        """Threads a run of ``work`` multiply-adds uses: 1 below ``POOL_FLOOR``
+        or while the pool backs off from a lagging worker."""
+        if work < POOL_FLOOR or time.perf_counter() < self._inline_until:
+            return 1
+        return self.width
+
+    def run(self, pieces, work: int) -> list:
+        """Call each of ``pieces`` (no-argument callables) and return their results in order.
+
+        Pieces must not depend on each other: each writes its own outputs.
+        Below ``POOL_FLOOR`` of ``work`` they run inline, in order. Pooled,
+        the caller and the workers claim pieces in order, each in a copy of
+        the caller's context. Every piece runs even if one raises; then the
+        exception of the first failing piece is raised on the caller, as
+        inline.
+
+        A worker's CPU can stall: on a shared virtual machine, the host runs
+        another guest on it for milliseconds at a time. With one OpenBLAS
+        thread on a 2-vCPU guest, a 13.8M multiply-add run's caller once
+        waited 40 ms on a piece worth about 1 ms, and in periods of heavy steal
+        time a pooled eval forward took 3 to 7 times as long as inline. A
+        run whose caller waited on the workers longer than it worked itself
+        took longer than the caller would have taken alone for its share and
+        one more like it. After such a run the pool runs inline for
+        ``backoff`` times that wait, which bounds what a stalled CPU costs
+        to about 1/``backoff`` of the time.
+        """
+        if self.ways(work) < 2 or len(pieces) < 2:
+            return [piece() for piece in pieces]
+        results, errors = [None] * len(pieces), {}
+        claims = itertools.count()  # next() on it is atomic under the GIL
+        unfinished, lock, done = [len(pieces)], threading.Lock(), threading.Event()
+
+        def drain():
+            while (i := next(claims)) < len(pieces):
+                try:
+                    results[i] = pieces[i]()
+                except BaseException as exc:
+                    errors[i] = exc
+                with lock:
+                    unfinished[0] -= 1
+                    if not unfinished[0]:
+                        done.set()
+
+        for _ in range(min(self.width, len(pieces)) - 1):
+            self._executor.submit(contextvars.copy_context().run, drain)
+        start = time.perf_counter()
+        drain()
+        drained = time.perf_counter()
+        # drain() keeps every exception, so no future holds one; and waiting on the
+        # futures would wait for a worker that never starts, whose share the caller ran
+        done.wait()
+        waited = time.perf_counter() - drained
+        if waited > drained - start:
+            self._inline_until = drained + waited * (1 + self.backoff)
+        if errors:
+            raise errors[min(errors)]
+        return results
+
+    def close(self):
+        if self._executor is not None:
+            self._executor.shutdown()
+
+
+POOL = Pool(pool_width())
+
+
+def _row_blocks(rows: int) -> list[slice]:
+    """Two row blocks of a product's left operand, cut on a multiple of 64
+    near the middle; one block under 128 rows. Whether a cut keeps the bits
+    of the uncut product depends on the BLAS kernel. With one OpenBLAS
+    thread, these cuts kept them for every forward product of the full
+    config; cuts at row 400, 402 or 448 of 804 did not."""
+    if rows < 128:
+        return [slice(0, rows)]
+    cut = 64 * ((rows + 64) // 128)
+    return [slice(0, cut), slice(cut, rows)]
+
+
+def _rowwise_matmul(a: np.ndarray, b: np.ndarray, bias=None) -> np.ndarray:
+    """``a @ b``, then ``+= bias`` if given, by row blocks of a 2-D ``a`` on the pool."""
+    blocks = _row_blocks(a.shape[0]) if a.ndim == 2 and b.ndim == 2 else ()
+    if len(blocks) < 2:
+        out = a @ b
+        if bias is not None:
+            out += bias
+        return out
+    out = np.empty((a.shape[0], b.shape[1]))
+
+    def block(rows):
+        np.matmul(a[rows], b, out=out[rows])
+        if bias is not None:
+            out[rows] += bias
+
+    POOL.run([functools.partial(block, r) for r in blocks], a.size * b.shape[1])
+    return out
 
 
 class _Node:
@@ -344,15 +530,20 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data @ b.data
+    out_data = _rowwise_matmul(a.data, b.data)
     na, nb, a_shape, b_shape = a._node, b._node, a.shape, b.shape
     a_data, b_data = _read_for(a, b), _read_for(b, a)
 
     def backward(g):
+        pieces = []
         if na is not None:
-            _accumulate(na, _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape))
+            pieces.append(lambda: g @ np.swapaxes(b_data, -1, -2))
         if nb is not None:
-            _accumulate(nb, _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape))
+            pieces.append(lambda: np.swapaxes(a_data, -1, -2) @ g)
+        grads = iter(POOL.run(pieces, len(pieces) * g.size * a_shape[-1]))
+        for node, shape in ((na, a_shape), (nb, b_shape)):
+            if node is not None:
+                _accumulate(node, _unbroadcast(next(grads), shape))
 
     return Tensor(out_data, _needs(a, b), (a, b), backward)
 
@@ -553,6 +744,9 @@ def upconv3x3(x: Tensor, weight: Tensor, taps) -> Tensor:
     grid, per image. Column t*h*w + p of ``taps`` weighs coarse pixel p
     (row-major) seen through tap t = 3 dy + dx. The backward applies the
     transposes of the two steps; no array of the upsampled grid is made.
+    On the pool, the dense products run one piece per tap and the sparse
+    ones one piece per image; the input gradient's sum over taps runs on
+    the caller.
     """
     n, h, w, c_in = x.shape
     c_out = weight.shape[3]
@@ -563,20 +757,44 @@ def upconv3x3(x: Tensor, weight: Tensor, taps) -> Tensor:
                             f"got {weight.shape} and {taps.shape}")
     rows = x.data.reshape(n * hw, c_in)
     kernels = weight.data.reshape(9, c_in, c_out)
-    mixed = (rows @ kernels).reshape(9, n, hw, c_out)  # tap t's mix of every coarse pixel
-    out_data = np.stack([taps @ mixed[:, i].reshape(9 * hw, c_out) for i in range(n)])
+    mixed = np.empty((9, n * hw, c_out))  # tap t's mix of every coarse pixel
+    POOL.run([functools.partial(np.matmul, rows, kernels[t], out=mixed[t]) for t in range(9)],
+             9 * rows.size * c_out)
+    mixed = mixed.reshape(9, n, hw, c_out)
+    out_data = np.empty((n, taps.shape[0], c_out))
+
+    def image(i):
+        out_data[i] = taps @ mixed[:, i].reshape(9 * hw, c_out)
+
+    POOL.run([functools.partial(image, i) for i in range(n)], n * taps.nnz * c_out)
     nx, nw, x_shape, w_shape = x._node, weight._node, x.shape, weight.shape
     x_rows = rows if weight.requires_grad else None  # the weight's gradient reads x
     w_kernels = kernels if x.requires_grad else None
 
     def backward(g):
         g = g.reshape(n, -1, c_out)
-        g_mixed = np.stack([(taps.T @ g[i]).reshape(9, hw, c_out) for i in range(n)], axis=1)
+        taps_t = taps.T
+        g_mixed = np.empty((9, n, hw, c_out))
+
+        def image(i):
+            g_mixed[:, i] = (taps_t @ g[i]).reshape(9, hw, c_out)
+
+        POOL.run([functools.partial(image, i) for i in range(n)], n * taps.nnz * c_out)
         g_mixed = g_mixed.reshape(9, n * hw, c_out)
+        pieces = []
         if nw is not None:
-            _accumulate(nw, (x_rows.T @ g_mixed).reshape(w_shape))
+            g_w = np.empty((9, c_in, c_out))
+            pieces += [functools.partial(np.matmul, x_rows.T, g_mixed[t], out=g_w[t])
+                       for t in range(9)]
         if nx is not None:
-            _accumulate(nx, (g_mixed @ w_kernels.transpose(0, 2, 1)).sum(axis=0).reshape(x_shape))
+            g_x = np.empty((9, n * hw, c_in))  # per tap, summed over taps below
+            pieces += [functools.partial(np.matmul, g_mixed[t], w_kernels[t].T, out=g_x[t])
+                       for t in range(9)]
+        POOL.run(pieces, len(pieces) * n * hw * c_in * c_out)
+        if nw is not None:
+            _accumulate(nw, g_w.reshape(w_shape))
+        if nx is not None:
+            _accumulate(nx, g_x.sum(axis=0).reshape(x_shape))
 
     return Tensor(out_data.reshape(n, 2 * h - 2, 2 * w - 2, c_out), _needs(x, weight),
                   (x, weight), backward)
@@ -677,19 +895,22 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     leading axes, which the weight and bias gradients sum over in one
     matrix product.
     """
-    out_data = x.data @ weight.data
-    if bias is not None:
-        out_data += bias.data
+    out_data = _rowwise_matmul(x.data, weight.data, None if bias is None else bias.data)
     parents = (x, weight) if bias is None else (x, weight, bias)
     nx, nw, nb = x._node, weight._node, None if bias is None else bias._node
-    x_data, w_data = _read_for(x, weight), _read_for(weight, x)
+    x_data, w_data, c_in = _read_for(x, weight), _read_for(weight, x), weight.shape[0]
 
     def backward(g):
-        if nx is not None:
-            _accumulate(nx, g @ w_data.T)
         rows = g.reshape(-1, g.shape[-1])
+        pieces = []
+        if nx is not None:
+            pieces.append(lambda: g @ w_data.T)
         if nw is not None:
-            _accumulate(nw, x_data.reshape(-1, x_data.shape[-1]).T @ rows)
+            pieces.append(lambda: x_data.reshape(-1, x_data.shape[-1]).T @ rows)
+        grads = iter(POOL.run(pieces, len(pieces) * g.size * c_in))
+        for node in (nx, nw):
+            if node is not None:
+                _accumulate(node, next(grads))
         if nb is not None:
             _accumulate(nb, rows.sum(axis=0))
 
@@ -711,7 +932,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     Staats, 2021, and FlashAttention, Dao et al., 2022). The softmax's row
     term sum_j w_ij dL/dw_ij equals g_i . out_i, with g the upstream
     gradient and out this node's output, so it is a (tokens, dk) product.
-    At most two (tokens, tokens) temporaries are alive at once.
+    On the pool, the forward runs one piece per head and row block
+    (``_row_blocks``) and the backward one per head, which recomputes the
+    weights by the same row blocks. At most two (tokens, tokens)
+    temporaries are alive per running piece.
 
     Raises:
         ArgumentError: ``heads`` is below 1, or q, k and v differ in shape
@@ -733,21 +957,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         return x.transpose(1, 0, 2).reshape(tokens, inner)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    blocks = _row_blocks(tokens)
     row_max, row_sum = np.empty((heads, tokens, 1)), np.empty((heads, tokens, 1))
 
-    def head_weights(h, first):  # the forward fills the statistics, the backward reads them
-        w = qh[h] @ kh[h].T
+    # one row block of head h's weights; the forward fills the statistics, the backward reads them
+    def weights(h, rows, first, out=None):
+        w = np.matmul(qh[h][rows], kh[h].T, out=out)
         w *= scale
         if first:
-            row_max[h] = w.max(axis=-1, keepdims=True)
-        w -= row_max[h]
+            row_max[h, rows] = w.max(axis=-1, keepdims=True)
+        w -= row_max[h, rows]
         np.exp(w, out=w)
         if first:
-            row_sum[h] = w.sum(axis=-1, keepdims=True)
-        w /= row_sum[h]
+            row_sum[h, rows] = w.sum(axis=-1, keepdims=True)
+        w /= row_sum[h, rows]
         return w
 
-    out_data = merge(np.stack([head_weights(h, True) @ vh[h] for h in range(heads)]))
+    out_heads = np.empty((heads, tokens, dk))
+
+    def forward_piece(h, rows):
+        np.matmul(weights(h, rows, True), vh[h], out=out_heads[h, rows])
+
+    POOL.run([functools.partial(forward_piece, h, r) for h in range(heads) for r in blocks],
+             2 * heads * tokens * tokens * dk)
+    out_data = merge(out_heads)
     nodes = (q._node, k._node, v._node)
 
     def backward(g):
@@ -755,12 +988,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         rows = (gh * split(out_data)).sum(axis=-1, keepdims=True)  # sum_j w_ij dL/dw_ij
         gq, gk, gv = (np.empty((heads, tokens, dk)) if node is not None else None
                       for node in nodes)
-        for h in range(heads):
-            w = head_weights(h, False)
+
+        def head(h):
+            w = np.empty((tokens, tokens))
+            for r in blocks:  # the forward's row blocks give the forward's bits
+                weights(h, r, False, out=w[r])
             if gv is not None:
                 gv[h] = w.T @ gh[h]
             if gq is None and gk is None:
-                continue
+                return
             d = gh[h] @ vh[h].T  # gradient w.r.t. the weights
             d -= rows[h]
             d *= w
@@ -769,6 +1005,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
                 gq[h] = d @ kh[h]
             if gk is not None:
                 gk[h] = (qh[h].T @ d).T
+
+        POOL.run([functools.partial(head, h) for h in range(heads)],
+                 5 * heads * tokens * tokens * dk)
         for node, gt in zip(nodes, (gq, gk, gv)):
             if gt is not None:
                 _accumulate(node, merge(gt))
@@ -795,14 +1034,18 @@ class Adam:
     ``b2*v + ((1-b2)*g)*g`` and ``p - lr*m_hat / (sqrt(v_hat) + eps)``, with
     b1, b2 and eps ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``, so
     the parameters are the same bits as with whole-array expressions. A
-    parameter whose ``grad`` is ``None`` steps with a zero gradient.
+    parameter whose ``grad`` is ``None`` steps with a zero gradient. On the
+    pool (see the module docstring), a tensor's chunks are cut into up to
+    ``POOL.width`` contiguous ranges, one piece each with a scratch pair of
+    its own; the update is elementwise, so any cut gives the same bits.
 
     The chunk size was chosen by timing one step over the full config's
     41.5M parameters (best of 4, one BLAS thread, 2-core x86): whole-array
     expressions took 1432 ms, chunks of 4K elements 604 ms, 16K 480 ms,
     32K 425 ms, 64K 434 ms and 128K 492 ms. Small chunks pay per-call
     overhead on 13 ufunc calls; large ones stream each operand from memory
-    once per call.
+    once per call. These are timings of one thread: on the pool, each
+    worker walks its own range of chunks in this way.
     """
 
     def __init__(self, params: dict, lr: float = 1e-4):
@@ -811,15 +1054,17 @@ class Adam:
         # np.zeros leaves the zeroing to the first step (zeros_like writes it now)
         self.m = {k: np.zeros(p.data.shape) for k, p in params.items()}
         self.v = {k: np.zeros(p.data.shape) for k, p in params.items()}
-        self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
+        # one pair of chunk buffers per piece of a step, which has at most POOL.width
+        self._scratch = [(np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)) for _ in range(POOL.width)]
 
     def step(self, params: dict):
         """One Adam update of each of ``params``, a name->Tensor dict.
 
         Raises:
-            ArgumentError: a name that ``Adam(...)`` was not built with, or
-                a parameter whose data is not C-contiguous; checked before
-                any parameter is updated.
+            ArgumentError: a name that ``Adam(...)`` was not built with, a
+                parameter whose data is not C-contiguous, or a gradient of
+                another shape than its parameter; checked before any
+                parameter is updated.
         """
         for key, p in params.items():
             if key not in self.t:
@@ -827,32 +1072,51 @@ class Adam:
             if not p.data.flags.c_contiguous:
                 raise ArgumentError(f"Adam updates {key!r} in place; its data must be "
                                     "C-contiguous")
-        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, self.lr, ADAM_EPS
+            if p.grad is not None and p.grad.shape != p.data.shape:
+                raise ArgumentError(f"Adam got a gradient of shape {p.grad.shape} for "
+                                    f"{key!r} of shape {p.data.shape}")
         for key, p in params.items():
             self.t[key] += 1
-            c1, c2 = 1 - b1**self.t[key], 1 - b2**self.t[key]
             data, m, v = p.data.reshape(-1), self.m[key].reshape(-1), self.v[key].reshape(-1)
             grad = None if p.grad is None else p.grad.reshape(-1)
-            for lo in range(0, data.size, ADAM_CHUNK):
-                hi = min(lo + ADAM_CHUNK, data.size)
-                x, mc, vc = data[lo:hi], m[lo:hi], v[lo:hi]
-                a, b = (buf[:hi - lo] for buf in self._scratch)
-                if grad is None:
-                    g = b  # b is free until v_hat below
-                    g.fill(0.0)
-                else:
-                    g = grad[lo:hi]
-                np.multiply(mc, b1, out=mc)
-                np.multiply(g, 1 - b1, out=a)
-                np.add(mc, a, out=mc)
-                np.multiply(vc, b2, out=vc)
-                np.multiply(g, 1 - b2, out=a)
-                np.multiply(a, g, out=a)
-                np.add(vc, a, out=vc)
-                np.divide(mc, c1, out=a)  # m_hat
-                np.multiply(a, lr, out=a)
-                np.divide(vc, c2, out=b)  # v_hat
-                np.sqrt(b, out=b)
-                np.add(b, eps, out=b)
-                np.divide(a, b, out=a)
-                np.subtract(x, a, out=x)
+            starts = range(0, data.size, ADAM_CHUNK)
+            # an element update takes as long as 128 or more multiply-adds
+            ways = min(POOL.ways(128 * data.size), len(starts))
+            if ways < 2:
+                self._update(self.t[key], data, m, v, grad, starts, self._scratch[0])
+                continue
+            while len(self._scratch) < ways:
+                self._scratch.append((np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)))
+            POOL.run([functools.partial(self._update, self.t[key], data, m, v, grad,
+                                        starts[i * len(starts) // ways:
+                                               (i + 1) * len(starts) // ways],
+                                        self._scratch[i])
+                      for i in range(ways)], 128 * data.size)
+
+    def _update(self, t, data, m, v, grad, starts, scratch):
+        """Step ``t`` of the chunks of one flat parameter that begin at ``starts``."""
+        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, self.lr, ADAM_EPS
+        c1, c2 = 1 - b1**t, 1 - b2**t
+        for lo in starts:
+            hi = min(lo + ADAM_CHUNK, data.size)
+            x, mc, vc = data[lo:hi], m[lo:hi], v[lo:hi]
+            a, b = (buf[:hi - lo] for buf in scratch)
+            if grad is None:
+                g = b  # b is free until v_hat below
+                g.fill(0.0)
+            else:
+                g = grad[lo:hi]
+            np.multiply(mc, b1, out=mc)
+            np.multiply(g, 1 - b1, out=a)
+            np.add(mc, a, out=mc)
+            np.multiply(vc, b2, out=vc)
+            np.multiply(g, 1 - b2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(vc, a, out=vc)
+            np.divide(mc, c1, out=a)  # m_hat
+            np.multiply(a, lr, out=a)
+            np.divide(vc, c2, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(x, a, out=x)

@@ -527,18 +527,28 @@ def compute_losses(output: ModelOutput, batch, assets: TemplateAssets) -> dict:
     return terms
 
 
-def _nonfinite(data: np.ndarray) -> bool:
-    """Whether an array holds a NaN or an inf."""
+def _nonfinite(data: np.ndarray, total=None) -> bool:
+    """Whether an array holds a NaN or an inf; ``total`` is its sum, if taken."""
     # a sum is finite only if every term is, so one read without a
     # temporary clears an array; the element test settles an overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = data.sum()
+    if total is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = data.sum()
     return not np.isfinite(total) and not np.all(np.isfinite(data))
 
 
 def _first_nonfinite(params: dict) -> str | None:
-    """Name of the first tensor, in name order, holding a NaN or an inf."""
-    return next((name for name in sorted(params) if _nonfinite(params[name].data)), None)
+    """Name of the first tensor, in name order, holding a NaN or an inf.
+
+    The sums that clear the tensors run on the autodiff pool, one piece each.
+    """
+    names = sorted(params)
+    arrays = [params[name].data for name in names]
+    with np.errstate(over="ignore", invalid="ignore"):  # pieces run in this context
+        # an element of a sum takes about as long as 16 multiply-adds
+        totals = ad.POOL.run([a.sum for a in arrays], 16 * sum(a.size for a in arrays))
+    return next((name for name, a, total in zip(names, arrays, totals)
+                 if _nonfinite(a, total)), None)
 
 
 def train_step(params: dict, opt: ad.Adam, batch, assets: TemplateAssets,

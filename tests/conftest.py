@@ -1,4 +1,6 @@
+import functools
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from specmesh import autodiff as ad
 from specmesh.graphs import adjacency_matrix
 from specmesh.meshes import edge_set
 from specmesh.primitives import hand_template, icosphere
@@ -50,3 +53,53 @@ def hand_levels(hand_graph):
 @pytest.fixture(scope="session")
 def ico162():
     return icosphere(2)
+
+
+class LockstepPool(ad.Pool):
+    """A width-2 ``autodiff.Pool`` whose pooled runs always use both threads.
+
+    The first two pieces of each run above the floor wait for each other at
+    a barrier, so the caller and the worker each run one of them, whatever
+    the scheduling. Records the pooled runs, the threads that ran pieces,
+    and the type and thread of each exception a piece raised.
+    """
+
+    def __init__(self):
+        super().__init__(2)
+        self.backoff = 0  # a slow test machine must not turn pooled runs inline
+        self.pooled_runs = 0
+        self.threads = set()
+        self.raised = []
+
+    def run(self, pieces, work):
+        if self.ways(work) < 2 or len(pieces) < 2:
+            return super().run(pieces, work)
+        self.pooled_runs += 1
+        barrier = threading.Barrier(2, timeout=60)
+
+        def piece(i):
+            self.threads.add(threading.current_thread())
+            if i < 2:
+                barrier.wait()
+            try:
+                return pieces[i]()
+            except BaseException as exc:
+                self.raised.append((type(exc), threading.current_thread()))
+                raise
+
+        return super().run([functools.partial(piece, i) for i in range(len(pieces))], work)
+
+
+@pytest.fixture
+def pool_of_width(monkeypatch):
+    """Makes ``autodiff.POOL`` a pool of width 1 or a ``LockstepPool``; returns it."""
+    made = []
+
+    def install(width: int) -> ad.Pool:
+        made.append(ad.Pool(1) if width == 1 else LockstepPool())
+        monkeypatch.setattr(ad, "POOL", made[-1])
+        return made[-1]
+
+    yield install
+    for pool in made:
+        pool.close()

@@ -1,9 +1,14 @@
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from conftest import LockstepPool
 from oracles import (WholeArrayAdam, attention_composed, central_difference,
                      layer_norm_composed, linear_composed, upconv3x3_composed)
 from specmesh import autodiff as ad
@@ -616,6 +621,17 @@ class TestMachinery:
             opt.step({"p": p, "q": q})
         assert np.array_equal(p.data, np.ones(3)) and opt.t == {"p": 0}
 
+    @pytest.mark.parametrize("grad_shape", [(4, 3), (13,), (11,)])
+    def test_adam_rejects_gradient_of_another_shape_before_updating(self, grad_shape):
+        shape = (3, 4) if len(grad_shape) == 2 else (12,)
+        a, p = ad.parameter(np.ones(5)), ad.parameter(np.ones(shape))
+        opt = ad.Adam({"a": a, "p": p})
+        a.grad, p.grad = np.ones(5), np.ones(grad_shape)
+        with pytest.raises(ArgumentError, match=r"'p'.*\(3, 4\)|'p'.*\(12,\)"):
+            opt.step({"a": a, "p": p})
+        assert np.array_equal(a.data, np.ones(5)) and np.array_equal(p.data, np.ones(shape))
+        assert opt.t == {"a": 0, "p": 0} and not opt.m["a"].any()
+
     def test_adam_rejects_strided_parameter(self):
         p = ad.parameter(np.ones((3, 4)))
         opt = ad.Adam({"p": p})
@@ -636,3 +652,168 @@ class TestMachinery:
         for _ in range(300):
             (p * p).sum().backward(on_final=step)
         assert np.abs(p.data).max() < 1e-2
+
+
+def pooled_gradients(build, shapes: dict, rng) -> list:
+    """The output of ``build`` on parameters of ``shapes`` drawn from
+    ``rng``, then each parameter's gradient of a random weighting of it."""
+    inputs = {k: ad.parameter(rng.normal(size=s)) for k, s in shapes.items()}
+    out = build(**inputs)
+    (out * ad.constant(rng.normal(size=out.shape))).sum().backward()
+    return [out.data] + [t.grad for t in inputs.values()]
+
+
+def pooled_adam_steps(rng) -> list:
+    params = {k: ad.parameter(rng.normal(size=s))
+              for k, s in (("w", (200_000,)), ("m", (300, 700)), ("b", (70,)))}
+    opt = ad.Adam(params, lr=1e-2)
+    for _ in range(3):
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape)
+        opt.step(params)
+    return [a for k in params for a in (params[k].data, opt.m[k], opt.v[k])]
+
+
+# case -> (run on a generator, pooled runs at width 2). Every case is above
+# the floor, and each row-blocked product has 128 rows or more, so it is cut.
+POOLED_CASES = {
+    "attention": (lambda rng: pooled_gradients(
+        lambda q, k, v: ad.attention(q, k, v, 3), dict.fromkeys("qkv", (256, 96)), rng), 2),
+    "linear": (lambda rng: pooled_gradients(
+        ad.linear, {"x": (256, 192), "weight": (192, 192), "bias": (192,)}, rng), 2),
+    "matmul": (lambda rng: pooled_gradients(
+        ad.matmul, {"a": (320, 160), "b": (160, 192)}, rng), 2),
+    "upconv3x3": (lambda rng: pooled_gradients(
+        lambda x, weight: ad.upconv3x3(x, weight, M._upconv_taps(12, 12)),
+        {"x": (4, 12, 12, 64), "weight": (3, 3, 64, 128)}, rng), 4),
+    "adam": (pooled_adam_steps, 6),
+}
+
+
+class TestPool:
+    """Pieces on ``autodiff.POOL`` give the same bits at any width."""
+
+    @pytest.mark.parametrize("case", POOLED_CASES)
+    def test_same_bytes_at_width_1_and_2(self, case, pool_of_width):
+        run, pooled = POOLED_CASES[case]
+        pool_of_width(1)
+        inline = run(np.random.default_rng(11))
+        pool = pool_of_width(2)
+        both = run(np.random.default_rng(11))
+        assert pool.pooled_runs == pooled and len(pool.threads) == 2
+        assert len(inline) == len(both)
+        for got, want in zip(both, inline):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_below_the_floor_runs_inline(self):
+        pool = LockstepPool()
+        try:
+            pool.run([lambda: None] * 4, ad.POOL_FLOOR - 1)
+            assert pool.pooled_runs == 0 and pool.threads == set()
+        finally:
+            pool.close()
+
+    def test_pieces_run_in_the_callers_context(self):
+        # NumPy keeps np.errstate in a contextvar; a thread of its own would
+        # only warn about the overflow
+        big, barrier = np.full(4, 1e300), threading.Barrier(2, timeout=60)
+
+        def piece():
+            barrier.wait()  # one piece on each thread
+            try:
+                big * big
+            except Exception as exc:
+                return type(exc), threading.current_thread()
+
+        pool = ad.Pool(2)
+        try:
+            with np.errstate(over="raise"):
+                (first, on_a), (second, on_b) = pool.run([piece, piece], ad.POOL_FLOOR)
+        finally:
+            pool.close()
+        assert (first, second) == (FloatingPointError, FloatingPointError) and on_a is not on_b
+
+    def test_pooled_attention_raises_as_inline(self, pool_of_width):
+        q = ad.constant(np.full((256, 96), 1e200))  # q k^T overflows
+        raised = []
+        for width in (1, 2):
+            pool = pool_of_width(width)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
+                ad.attention(q, q, q, 3)
+            raised.append(str(info.value))
+        assert raised == ["overflow encountered in matmul"] * 2
+        assert {kind for kind, _ in pool.raised} == {FloatingPointError}
+        assert any(thread is not threading.main_thread() for _, thread in pool.raised)
+
+    def test_first_failing_piece_raises_after_every_piece_ran(self):
+        ran = []
+
+        def piece(i):
+            ran.append(i)
+            if i % 2:
+                raise ValueError(f"piece {i}")
+
+        pool = LockstepPool()
+        try:
+            with pytest.raises(ValueError, match="piece 1"):
+                pool.run([lambda i=i: piece(i) for i in range(6)], ad.POOL_FLOOR)
+        finally:
+            pool.close()
+        assert sorted(ran) == list(range(6))
+
+    def test_every_piece_runs_once_under_contention(self):
+        # more threads than cores and a short switch interval, so a lost
+        # claim or count would run a piece twice, skip one or end a run early
+        def runs():
+            pool = ad.Pool(4)
+            pool.backoff = 0  # every run pooled
+            try:
+                for _ in range(300):
+                    counts = [0] * 40
+
+                    def piece(i):
+                        counts[i] += 1
+                        return i
+
+                    got = pool.run([lambda i=i: piece(i) for i in range(40)], ad.POOL_FLOOR)
+                    checked.append(got == list(range(40)) and counts == [1] * 40)
+            finally:
+                pool.close()
+
+        checked, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=runs, daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and checked == [True] * 300
+
+    def test_backs_off_after_a_worker_lags(self):
+        barrier = threading.Barrier(2, timeout=60)
+
+        def piece():
+            barrier.wait()  # one piece on each thread
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)  # the worker's CPU stalls
+
+        pool = ad.Pool(2)
+        try:
+            pool.run([piece, piece], ad.POOL_FLOOR)
+            assert pool.ways(ad.POOL_FLOOR) == 1  # for about POOL_BACKOFF * 50 ms
+            ran_on = []
+            pool.run([lambda: ran_on.append(threading.current_thread())] * 2, ad.POOL_FLOOR)
+            assert ran_on == [threading.main_thread()] * 2
+            deadline = time.monotonic() + 60
+            while pool.ways(ad.POOL_FLOOR) == 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool.ways(ad.POOL_FLOOR) == 2
+        finally:
+            pool.close()
+
+    def test_width_is_cpus_over_blas_threads(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        for blas, width in ((1, cpus), (2, max(1, cpus // 2)), (cpus + 1, 1), (None, 1)):
+            monkeypatch.setattr(ad, "_blas_threads", lambda blas=blas: blas)
+            assert ad.pool_width() == width

@@ -1,11 +1,15 @@
 """The benchmark's tracer wraps specmesh functions by name; a rename in
 ``src/`` must fail here, not only in a traced benchmark run."""
 import importlib.util
+import threading
 from pathlib import Path
 
+from conftest import LockstepPool
+from specmesh import autodiff as ad
 from specmesh import model as M
 from specmesh import refine
 from specmesh.primitives import icosphere
+from specmesh.scenes import SceneSpec, build_scene
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # perfbench/workloads.py::SETUP_SPANS: the spans a model workload's setup_s covers
@@ -69,3 +73,33 @@ def test_kernel_pair_counters_read_points_times_faces(monkeypatch):
     assert made["ray_crossings"] > 0 and made["point_triangle_dists"] > 0
     for name, pairs in made.items():
         assert counters[f"kernels.{name}.pair_tests"] == pairs
+
+
+def test_no_target_is_entered_off_the_main_thread(monkeypatch):
+    # the tracer's span stack and counters are not thread-safe, so the
+    # autodiff pool's workers must run array code only
+    entered = []
+    for owner, attr in _load_tracer().targets():
+        def on_main_only(*args, _original=vars(owner)[attr], _name=f"{owner.__name__}.{attr}",
+                         **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                entered.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, on_main_only)
+    pool = LockstepPool()
+    monkeypatch.setattr(ad, "POOL", pool)
+    try:
+        # the toy config's runs all stay under the pool's floor; these widths
+        # put attention, linear, upconv3x3, Adam and the finiteness scan above it
+        config = M.toy_config(n_tokens=256, feature_width=125, backbone_channels=256)
+        assets = M.build_assets(config)
+        params = M.init_parameters(config, assets)
+        scene = build_scene(SceneSpec(seed=1), assets, config)
+        bn_state = {}
+        M.train_step(params, ad.Adam(params, lr=config.learning_rate), scene, assets, config,
+                     bn_state)
+        M.forward(scene.features, params, assets, config, bn_state, train=False)
+    finally:
+        pool.close()
+    assert pool.pooled_runs > 0 and len(pool.threads) == 2
+    assert entered == []
