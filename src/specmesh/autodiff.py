@@ -71,14 +71,13 @@ width:
   output, and any sum across pieces runs on the calling thread afterwards,
   in the order of the unsplit code. So a result is the same bits at any
   width, run inline or pooled. (``Adam.step`` cuts one range of chunks
-  per thread; its update is elementwise, so no cut changes a bit.)
+  per thread; its update is elementwise, so no cut changes a bit.) Rows
+  are cut only where BLAS runs one thread per call (see ``_row_blocks``).
 - The width is the number of CPUs the process may use divided by the BLAS
   threads per call, at least 1 (``pool_width``), so the pool only fills
   cores that BLAS leaves idle. Where the BLAS thread count cannot be read,
   the width is 1 and every piece runs inline.
-- Work below ``POOL_FLOOR`` runs inline, in piece order, on the caller,
-  and so does all work for a while after a worker lagged far behind the
-  caller (``POOL_BACKOFF``).
+- Work below ``POOL_FLOOR`` runs inline, in piece order, on the caller.
 - A piece runs in a copy of the caller's ``contextvars`` context, so
   ``np.errstate`` applies in workers as on the caller.
 - Workers run array code only: never an op of this module, ``Adam.step``
@@ -96,7 +95,6 @@ import itertools
 import math
 import os
 import threading
-import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -111,9 +109,6 @@ from .errors import ArgumentError
 # 4.2M 260 -> 257, 6.3M 387 -> 299, 8.4M 413 -> 372, 13.8M 1003 -> 667; a
 # toy-config train step, whose largest run is 5.3M, only lost by pooling.
 POOL_FLOOR = 1 << 23
-# After a pooled run whose caller waited on a lagging worker longer than it
-# worked itself, the pool runs inline for this many times that wait; see Pool.run
-POOL_BACKOFF = 8
 
 
 def _blas_threads() -> int | None:
@@ -147,40 +142,20 @@ class Pool:
 
     def __init__(self, width: int):
         self.width = width
-        self.backoff = POOL_BACKOFF
         self._executor = (ThreadPoolExecutor(width - 1, thread_name_prefix="specmesh-autodiff")
                           if width > 1 else None)
-        self._inline_until = 0.0  # time.perf_counter() before which every run is inline
-
-    def ways(self, work: int) -> int:
-        """Threads a run of ``work`` multiply-adds uses: 1 below ``POOL_FLOOR``
-        or while the pool backs off from a lagging worker."""
-        if work < POOL_FLOOR or time.perf_counter() < self._inline_until:
-            return 1
-        return self.width
 
     def run(self, pieces, work: int) -> list:
         """Call each of ``pieces`` (no-argument callables) and return their results in order.
 
         Pieces must not depend on each other: each writes its own outputs.
-        Below ``POOL_FLOOR`` of ``work`` they run inline, in order. Pooled,
-        the caller and the workers claim pieces in order, each in a copy of
-        the caller's context. Every piece runs even if one raises; then the
-        exception of the first failing piece is raised on the caller, as
-        inline.
-
-        A worker's CPU can stall: on a shared virtual machine, the host runs
-        another guest on it for milliseconds at a time. With one OpenBLAS
-        thread on a 2-vCPU guest, a 13.8M multiply-add run's caller once
-        waited 40 ms on a piece worth about 1 ms, and in periods of heavy steal
-        time a pooled eval forward took 3 to 7 times as long as inline. A
-        run whose caller waited on the workers longer than it worked itself
-        took longer than the caller would have taken alone for its share and
-        one more like it. After such a run the pool runs inline for
-        ``backoff`` times that wait, which bounds what a stalled CPU costs
-        to about 1/``backoff`` of the time.
+        Below ``POOL_FLOOR`` of ``work``, or at width 1, they run inline, in
+        order. Pooled, the caller and the workers claim pieces in order,
+        each in a copy of the caller's context. Every piece runs even if one
+        raises; then the exception of the first failing piece is raised on
+        the caller, as inline.
         """
-        if self.ways(work) < 2 or len(pieces) < 2:
+        if self.width < 2 or work < POOL_FLOOR or len(pieces) < 2:
             return [piece() for piece in pieces]
         results, errors = [None] * len(pieces), {}
         claims = itertools.count()  # next() on it is atomic under the GIL
@@ -199,15 +174,10 @@ class Pool:
 
         for _ in range(min(self.width, len(pieces)) - 1):
             self._executor.submit(contextvars.copy_context().run, drain)
-        start = time.perf_counter()
         drain()
-        drained = time.perf_counter()
         # drain() keeps every exception, so no future holds one; and waiting on the
         # futures would wait for a worker that never starts, whose share the caller ran
         done.wait()
-        waited = time.perf_counter() - drained
-        if waited > drained - start:
-            self._inline_until = drained + waited * (1 + self.backoff)
         if errors:
             raise errors[min(errors)]
         return results
@@ -218,15 +188,24 @@ class Pool:
 
 
 POOL = Pool(pool_width())
+# Whether _row_blocks cuts: only where BLAS runs one thread per call
+_ROW_CUTS = _blas_threads() == 1
 
 
 def _row_blocks(rows: int) -> list[slice]:
     """Two row blocks of a product's left operand, cut on a multiple of 64
-    near the middle; one block under 128 rows. Whether a cut keeps the bits
-    of the uncut product depends on the BLAS kernel. With one OpenBLAS
-    thread, these cuts kept them for every forward product of the full
-    config; cuts at row 400, 402 or 448 of 804 did not."""
-    if rows < 128:
+    near the middle; one block under 128 rows, or unless ``_ROW_CUTS``.
+
+    Whether a cut keeps the bits of the uncut product depends on the BLAS
+    kernel and its threads. With one OpenBLAS thread, these cuts kept them
+    for every forward product of the full config on the SkylakeX, Haswell
+    and Sandybridge kernels (``tests/test_autodiff.py::TestRowCuts`` checks
+    the kernel it runs on); cuts at row 400, 402 or 448 of 804 did not.
+    With two OpenBLAS threads, a cut changed the bits of 6 of the full
+    config's 24 distinct ``linear`` and ``matmul`` forward products, so
+    there no row is cut.
+    """
+    if rows < 128 or not _ROW_CUTS:
         return [slice(0, rows)]
     cut = 64 * ((rows + 64) // 128)
     return [slice(0, cut), slice(cut, rows)]
@@ -1028,8 +1007,8 @@ class Adam:
     stepping the parameters one at a time, as ``model.train_step`` does
     from inside ``backward``, gives the same bits as one ``step`` over all
     of them. It walks every tensor's flat view in chunks of ``ADAM_CHUNK``
-    elements with two scratch buffers allocated here, so a step allocates
-    no array as large as a parameter. Each chunk applies the textbook
+    elements with scratch buffers allocated here, so a step allocates no
+    array as large as a parameter. Each chunk applies the textbook
     expressions in their usual order, ``b1*m + (1-b1)*g``,
     ``b2*v + ((1-b2)*g)*g`` and ``p - lr*m_hat / (sqrt(v_hat) + eps)``, with
     b1, b2 and eps ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``, so
@@ -1037,7 +1016,8 @@ class Adam:
     parameter whose ``grad`` is ``None`` steps with a zero gradient. On the
     pool (see the module docstring), a tensor's chunks are cut into up to
     ``POOL.width`` contiguous ranges, one piece each with a scratch pair of
-    its own; the update is elementwise, so any cut gives the same bits.
+    its own, and ``Pool.run`` runs them inline below its floor; the update
+    is elementwise, so any cut gives the same bits.
 
     The chunk size was chosen by timing one step over the full config's
     41.5M parameters (best of 4, one BLAS thread, 2-core x86): whole-array
@@ -1054,7 +1034,7 @@ class Adam:
         # np.zeros leaves the zeroing to the first step (zeros_like writes it now)
         self.m = {k: np.zeros(p.data.shape) for k, p in params.items()}
         self.v = {k: np.zeros(p.data.shape) for k, p in params.items()}
-        # one pair of chunk buffers per piece of a step, which has at most POOL.width
+        # one pair of chunk buffers per piece of a step, so at most one per pool thread
         self._scratch = [(np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)) for _ in range(POOL.width)]
 
     def step(self, params: dict):
@@ -1080,13 +1060,8 @@ class Adam:
             data, m, v = p.data.reshape(-1), self.m[key].reshape(-1), self.v[key].reshape(-1)
             grad = None if p.grad is None else p.grad.reshape(-1)
             starts = range(0, data.size, ADAM_CHUNK)
+            ways = min(len(self._scratch), len(starts))
             # an element update takes as long as 128 or more multiply-adds
-            ways = min(POOL.ways(128 * data.size), len(starts))
-            if ways < 2:
-                self._update(self.t[key], data, m, v, grad, starts, self._scratch[0])
-                continue
-            while len(self._scratch) < ways:
-                self._scratch.append((np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)))
             POOL.run([functools.partial(self._update, self.t[key], data, m, v, grad,
                                         starts[i * len(starts) // ways:
                                                (i + 1) * len(starts) // ways],

@@ -66,13 +66,12 @@ class LockstepPool(ad.Pool):
 
     def __init__(self):
         super().__init__(2)
-        self.backoff = 0  # a slow test machine must not turn pooled runs inline
         self.pooled_runs = 0
         self.threads = set()
         self.raised = []
 
     def run(self, pieces, work):
-        if self.ways(work) < 2 or len(pieces) < 2:
+        if work < ad.POOL_FLOOR or len(pieces) < 2:
             return super().run(pieces, work)
         self.pooled_runs += 1
         barrier = threading.Barrier(2, timeout=60)

@@ -1,7 +1,6 @@
 import os
 import sys
 import threading
-import time
 import tracemalloc
 import weakref
 
@@ -694,7 +693,8 @@ class TestPool:
     """Pieces on ``autodiff.POOL`` give the same bits at any width."""
 
     @pytest.mark.parametrize("case", POOLED_CASES)
-    def test_same_bytes_at_width_1_and_2(self, case, pool_of_width):
+    def test_same_bytes_at_width_1_and_2(self, case, pool_of_width, monkeypatch):
+        monkeypatch.setattr(ad, "_ROW_CUTS", True)  # cut rows at any BLAS thread count
         run, pooled = POOLED_CASES[case]
         pool_of_width(1)
         inline = run(np.random.default_rng(11))
@@ -766,7 +766,6 @@ class TestPool:
         # claim or count would run a piece twice, skip one or end a run early
         def runs():
             pool = ad.Pool(4)
-            pool.backoff = 0  # every run pooled
             try:
                 for _ in range(300):
                     counts = [0] * 40
@@ -790,30 +789,55 @@ class TestPool:
             sys.setswitchinterval(interval)
         assert not worker.is_alive() and checked == [True] * 300
 
-    def test_backs_off_after_a_worker_lags(self):
-        barrier = threading.Barrier(2, timeout=60)
-
-        def piece():
-            barrier.wait()  # one piece on each thread
-            if threading.current_thread() is not threading.main_thread():
-                time.sleep(0.05)  # the worker's CPU stalls
-
-        pool = ad.Pool(2)
-        try:
-            pool.run([piece, piece], ad.POOL_FLOOR)
-            assert pool.ways(ad.POOL_FLOOR) == 1  # for about POOL_BACKOFF * 50 ms
-            ran_on = []
-            pool.run([lambda: ran_on.append(threading.current_thread())] * 2, ad.POOL_FLOOR)
-            assert ran_on == [threading.main_thread()] * 2
-            deadline = time.monotonic() + 60
-            while pool.ways(ad.POOL_FLOOR) == 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert pool.ways(ad.POOL_FLOOR) == 2
-        finally:
-            pool.close()
-
     def test_width_is_cpus_over_blas_threads(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
         for blas, width in ((1, cpus), (2, max(1, cpus // 2)), (cpus + 1, 1), (None, 1)):
             monkeypatch.setattr(ad, "_blas_threads", lambda blas=blas: blas)
             assert ad.pool_width() == width
+
+
+# (left, right) operand shapes of the 2-D products that a full-config
+# forward (M.ModelConfig()) hands to linear and matmul: the transformer's
+# projections and feed-forward layers at token widths 259, 130 and 65, then
+# the decoder's vertex maps of each hand
+FULL_CONFIG_PRODUCTS = [
+    ((804, 259), (259, 261)), ((804, 261), (261, 259)), ((804, 259), (259, 518)),
+    ((804, 518), (518, 259)), ((804, 259), (259, 130)),
+    ((804, 130), (130, 132)), ((804, 132), (132, 130)), ((804, 130), (130, 260)),
+    ((804, 260), (260, 130)), ((804, 130), (130, 65)),
+    ((804, 65), (65, 66)), ((804, 66), (66, 65)), ((804, 65), (65, 130)),
+    ((804, 65), (65, 3)),
+    ((617, 402), (402, 3)), ((1234, 617), (617, 3)), ((2468, 1234), (1234, 3)),
+    ((4023, 2468), (2468, 3)),
+]
+
+
+class TestRowCuts:
+    """Row cuts keep the bits of the uncut products, on the BLAS kernel and
+    thread count the tests run with, for the full config's shapes."""
+
+    def test_cut_only_at_one_blas_thread(self):
+        assert ad._ROW_CUTS == (ad._blas_threads() == 1)
+        assert len(ad._row_blocks(804)) == (2 if ad._ROW_CUTS else 1)
+
+    @pytest.mark.parametrize("left, right", FULL_CONFIG_PRODUCTS)
+    def test_linear_and_matmul_products(self, left, right):
+        rng = np.random.default_rng(5)
+        a, b, bias = rng.normal(size=left), rng.normal(size=right), rng.normal(size=right[1])
+        assert ad._rowwise_matmul(a, b).tobytes() == (a @ b).tobytes()
+        uncut = a @ b
+        uncut += bias
+        assert ad._rowwise_matmul(a, b, bias).tobytes() == uncut.tobytes()
+
+    @pytest.mark.parametrize("inner", [261, 132, 66])
+    def test_attention_products(self, inner):
+        # a head's q k^T and weights @ v, by the row blocks attention uses
+        tokens, heads, rng = 804, M.N_HEADS, np.random.default_rng(6)
+        qh, kh, vh = (rng.normal(size=(tokens, inner)).reshape(tokens, heads, -1)
+                      .transpose(1, 0, 2) for _ in range(3))
+        for h in range(heads):
+            scores = qh[h] @ kh[h].T
+            out = scores @ vh[h]
+            for rows in ad._row_blocks(tokens):
+                assert np.matmul(qh[h][rows], kh[h].T).tobytes() == scores[rows].tobytes()
+                assert np.matmul(scores[rows], vh[h]).tobytes() == out[rows].tobytes()
