@@ -130,6 +130,22 @@ class FaceClusters:
         return self.tri.shape[0]
 
 
+def _cluster_hits(p, faces, grow, along=None):
+    """Whether query r reaches cluster k, as a (len(p), K) bool array.
+
+    It does when the sphere of k, grown by ``grow[r]``, holds the point
+    ``p[r]`` or, given ``along`` (each center's ray parameter, clipped at 0),
+    meets the ray from ``p[r]``. Expanding |c - p|^2 rounds by under
+    1e-14 (|p|^2 + |c|^2), which the last term covers.
+    """
+    p_sq = np.einsum("rc,rc->r", p, p)
+    gap_sq = p_sq[:, None] - 2.0 * (p @ faces.center.T) + faces.center_sq
+    if along is not None:
+        gap_sq -= along * along
+    reach = faces.radius + grow[:, None]
+    return gap_sq <= reach * reach + 1e-12 * (p_sq + faces.center_sq.max())[:, None]
+
+
 def _cluster_pairs(hit, members, n_tri):
     """(query row, face) columns for every face of every hit cluster, by row."""
     row, cl = np.nonzero(hit)
@@ -202,7 +218,6 @@ def ray_hits(origins, dirs, faces):
     n_tri = len(faces)
     if n_tri == 0:
         return hit_ray[0], hit_t[0], grazing
-    center, radius, center_sq = faces.center, faces.radius, faces.center_sq
     ray_cols = np.concatenate([origins.T, dirs.T])
 
     for lo in range(0, n_pts, _RAY_CHUNK):
@@ -212,14 +227,9 @@ def ray_hits(origins, dirs, faces):
         d_norm = np.linalg.norm(d, axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
             unit = d / d_norm[:, None]
-        # Squared distance from each sphere center to the ray, a half-line
-        # that may start up to _EPS_T behind its origin; expanding |c - p|^2
-        # rounds by under 1e-14 (|p|^2 + |c|^2), which the last term covers.
-        p_sq = np.einsum("rc,rc->r", p, p)
-        along = np.maximum(unit @ center.T - np.einsum("rc,rc->r", unit, p)[:, None], 0.0)
-        gap_sq = p_sq[:, None] - 2.0 * (p @ center.T) + center_sq - along * along
-        reach = radius + (2.0 * _EPS_T) * d_norm[:, None]
-        hit = gap_sq <= reach * reach + 1e-12 * (p_sq + center_sq.max())[:, None]
+        # the ray is a half-line that may start up to _EPS_T behind its origin
+        along = np.maximum(unit @ faces.center.T - np.einsum("rc,rc->r", unit, p)[:, None], 0.0)
+        hit = _cluster_hits(p, faces, (2.0 * _EPS_T) * d_norm, along)
         ray, face = _cluster_pairs(hit, faces.members, n_tri)
         # Rays in a face's plane graze it wherever they are: keep the
         # near-parallel pairs that the sphere test dropped.
@@ -340,18 +350,14 @@ def point_triangle_dists(points, faces):
     n_tri = len(faces)
     if n == 0 or n_tri == 0:
         return out
-    tri, center, radius, center_sq = faces.tri, faces.center, faces.radius, faces.center_sq
+    tri = faces.tri
     # the nearest vertex bounds the nearest face from above
     bound, _ = _kdtree(tri.reshape(-1, 3)).query(points)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         p = points[lo:hi]
-        # Keep a sphere when |p - c| - r <= bound. Expanding |p - c|^2 rounds
-        # by under 1e-14 (|p|^2 + |c|^2), which the last term covers.
-        p_sq = np.einsum("rc,rc->r", p, p)
-        gap_sq = p_sq[:, None] - 2.0 * (p @ center.T) + center_sq
-        reach = radius + bound[lo:hi, None]
-        hit = gap_sq <= reach * reach + 1e-12 * (p_sq + center_sq.max())[:, None]
+        # keep a sphere when |p - c| - r <= bound
+        hit = _cluster_hits(p, faces, bound[lo:hi])
         row, face = _cluster_pairs(hit, faces.members, n_tri)
         dists = _closest_point_dists(p[row], tri[face, 0], tri[face, 1], tri[face, 2])
         # every point keeps the cluster of its nearest vertex's faces

@@ -1,14 +1,14 @@
 """Triangle mesh ingestion and topology utilities.
 
-Handles Wavefront OBJ round-tripping (quads are split into triangle pairs),
-area-weighted vertex normals, and deterministic farthest-point subsampling,
-which returns the sorted indices of the kept vertices (the coarse token
-templates). Faces are split into edges in one place, ``_edge_counts``:
-every face edge, sorted so i <= j, is summed into a sparse matrix, whose
-stored entries are the unique edges and whose values count the faces at
-each edge. That gives the unique edges (``edge_set``: the graph adjacency,
-the edge-length loss and the rigidity energy all take them) and the
-watertightness check.
+Handles Wavefront OBJ round-tripping (``split_quads`` splits quads into
+triangle pairs), area-weighted vertex normals, and deterministic
+farthest-point sampling of any point set, which picks the coarse token
+templates and seeds k-means. Faces are split into edges in one place,
+``_edge_counts``: every face edge, sorted so i <= j, is summed into a
+sparse matrix, whose stored entries are the unique edges and whose values
+count the faces at each edge. That gives the unique edges (``edge_set``:
+the graph adjacency, the edge-length loss and the rigidity energy all take
+them) and the watertightness check.
 
 All positions are meters. OBJ text is ASCII with 1-based ``v``/``f`` records;
 ``#`` comments and unknown record types are ignored.
@@ -81,7 +81,6 @@ def load_obj(source) -> TriMesh:
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     positions: list[tuple[float, float, float]] = []
-    faces: list[tuple[int, int, int]] = []
     pending: list[tuple[int, list[int]]] = []  # faces checked after all v records
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -116,14 +115,21 @@ def load_obj(source) -> TriMesh:
         for value in idx:
             if value >= n:
                 raise ParseError(f"line {lineno}: face index {value + 1} exceeds vertex count {n}")
-        if len(idx) == 3:
-            faces.append((idx[0], idx[1], idx[2]))
-        else:
-            faces.append((idx[0], idx[1], idx[2]))
-            faces.append((idx[0], idx[2], idx[3]))
     pos = np.array(positions, dtype=np.float64).reshape(n, 3)
-    fac = np.array(faces, dtype=np.int32).reshape(len(faces), 3)
-    return TriMesh(positions=pos, faces=fac)
+    return TriMesh(positions=pos, faces=split_quads(idx for _, idx in pending))
+
+
+def split_quads(faces) -> np.ndarray:
+    """(F, 3) int32 triangles of faces of 3 or 4 vertex indices, in order: a
+    quad (a, b, c, d) splits along its 0-2 diagonal into (a, b, c), (a, c, d)."""
+    tris = []
+    for face in faces:
+        if len(face) == 4:
+            a, b, c, d = face
+            tris += [(a, b, c), (a, c, d)]
+        else:
+            tris.append(face)
+    return np.array(tris, dtype=np.int32).reshape(len(tris), 3)
 
 
 def save_obj(mesh: TriMesh) -> str:
@@ -162,32 +168,37 @@ def is_watertight(mesh: TriMesh) -> bool:
     return bool(counts.size) and bool((counts == 2).all())
 
 
-def subsample_to_count(mesh: TriMesh, n_keep: int, seed: int) -> np.ndarray:
-    """Indices of ``n_keep`` vertices kept by farthest-point sampling.
+def farthest_points(points: np.ndarray, start: int, count: int) -> list[int]:
+    """Rows of ``count`` of the (P, D) ``points`` in the order a farthest-point
+    walk from row ``start`` takes them, ties broken by lowest index.
 
-    The walk starts at vertex ``seed mod V`` and repeatedly adds the vertex
-    farthest from the kept set (ties broken by lowest index), so the result
-    is deterministic in (mesh, n_keep, seed). Returns a strictly increasing
-    int32 array.
+    Only the order of distances matters, so the walk compares squared
+    distances, summing the columns left to right as ``np.linalg.norm`` does:
+    einsum's order rounds near-ties differently and changes the hand's kept
+    vertices.
     """
+    cols = points.T.copy()
+
+    def dist_sq(i):
+        d = cols[0] - cols[0, i]
+        total = d * d
+        for col in cols[1:]:
+            d = col - col[i]
+            total += d * d
+        return total
+
+    taken = [start]
+    d2 = dist_sq(start)
+    for _ in range(count - 1):
+        taken.append(int(np.argmax(d2)))
+        np.minimum(d2, dist_sq(taken[-1]), out=d2)
+    return taken
+
+
+def subsample_to_count(mesh: TriMesh, n_keep: int, seed: int) -> np.ndarray:
+    """Strictly increasing int32 indices of the ``n_keep`` vertices that
+    ``farthest_points`` keeps from vertex ``seed mod V``."""
     n = mesh.n_vertices
     if not 1 <= n_keep <= n:
         raise ArgumentError(f"n_keep must be in [1, {n}], got {n_keep}")
-    x, y, z = mesh.positions.T.copy()
-
-    def dist_sq(i):
-        # Only the order of distances matters, so no sqrt per step. The sum
-        # runs x, y, z left to right, as in np.linalg.norm: einsum's order
-        # rounds near-ties differently and changes the hand's kept vertices.
-        dx, dy, dz = x - x[i], y - y[i], z - z[i]
-        return dx * dx + dy * dy + dz * dz
-
-    start = seed % n
-    kept = [start]
-    d2 = dist_sq(start)
-    for _ in range(n_keep - 1):
-        nxt = int(np.argmax(d2))
-        kept.append(nxt)
-        np.minimum(d2, dist_sq(nxt), out=d2)
-    return np.array(sorted(kept), dtype=np.int32)
-
+    return np.array(sorted(farthest_points(mesh.positions, seed % n, n_keep)), dtype=np.int32)

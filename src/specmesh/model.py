@@ -69,6 +69,9 @@ class ModelConfig:
                      "backbone_channels"):
             if getattr(self, name) < 1:
                 raise ArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_tokens > 2 * self.decoder_sizes[-1]:
+            raise ArgumentError(f"n_tokens must be at most twice decoder_sizes[-1] = "
+                                f"{self.decoder_sizes[-1]}, got {self.n_tokens}")
         if self.seed < 0:
             raise ArgumentError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -317,6 +320,8 @@ def _batch_norm(x: ad.Tensor, gain: ad.Tensor, bias: ad.Tensor, name: str,
         var = ad.reduce_mean(ad.mul(centered, centered), axis=axes, keepdims=True)
         mean_data = mu.data.reshape(-1)
         var_data = var.data.reshape(-1)
+        if _nonfinite(mean_data) or _nonfinite(var_data):  # before the running ones take them
+            raise NumericalError(f"non-finite batch statistics in batch-norm {name}")
         if name not in bn_state:
             bn_state[name] = {"mean": mean_data.copy(), "var": var_data.copy()}
         else:
@@ -356,9 +361,10 @@ def fusion_forward(features, params: dict, config: ModelConfig, bn_state: dict,
     """
     x = ad.as_tensor(features)
     n, g, g2, bc = x.shape
-    if (g, g2, bc) != (BACKBONE_GRID, BACKBONE_GRID, config.backbone_channels):
+    if (n, g, g2, bc) != (config.n_views, BACKBONE_GRID, BACKBONE_GRID,
+                          config.backbone_channels):
         raise ArgumentError(
-            f"features must be (N, {BACKBONE_GRID}, {BACKBONE_GRID}, "
+            f"features must be ({config.n_views}, {BACKBONE_GRID}, {BACKBONE_GRID}, "
             f"{config.backbone_channels}), got {x.shape}")
     fa = _fusion_branch(x, params, "fuse_a", bn_state, train)
     fb = _fusion_branch(x, params, "fuse_b", bn_state, train)
@@ -367,7 +373,7 @@ def fusion_forward(features, params: dict, config: ModelConfig, bn_state: dict,
     # no bias: it would be constant along the spatial axis the softmax runs over
     logits = ad.linear(ad.reshape(fb, (n, hw, config.feature_width)), params["mask_conv_w"])
     mask = ad.softmax(logits, axis=1)  # distribution over spatial positions
-    if not np.all(np.isfinite(f_prime.data)) or not np.all(np.isfinite(mask.data)):
+    if _nonfinite(f_prime.data) or _nonfinite(mask.data):
         raise NumericalError("non-finite values in fusion forward")
     return f_prime, mask
 
@@ -424,7 +430,7 @@ def transformer_forward(tokens, params: dict, config: ModelConfig) -> ad.Tensor:
         if b + 1 < config.n_blocks:
             x = ad.linear(x, params[f"reduce{b}_w"], params[f"reduce{b}_b"])
     x = ad.linear(x, params["project_w"], params["project_b"])
-    if not np.all(np.isfinite(x.data)):
+    if _nonfinite(x.data):
         raise NumericalError("non-finite values in transformer forward")
     return x  # (V', 3)
 
@@ -633,7 +639,8 @@ def load_checkpoint(directory: str | Path):
 
     Raises:
         ParseError: ``manifest.json`` or ``tensors.npz`` is missing or
-            malformed, naming the file.
+            malformed, naming the file; a tensor holds a NaN or an inf, or a
+            batch-norm variance is negative, naming the file and the key.
         ArgumentError: the manifest's config does not match its hash.
     """
     path = Path(directory) / "manifest.json"
@@ -654,8 +661,12 @@ def load_checkpoint(directory: str | Path):
                 array = archive[key]  # bytes for a member that is not a .npy file
                 if not isinstance(array, np.ndarray) or array.dtype != np.float64:
                     raise ParseError(f"{path}: tensor {key!r} is not a float64 array")
+                if _nonfinite(array):
+                    raise ParseError(f"{path}: tensor {key!r} holds a NaN or an inf")
                 if key.startswith("bn/"):
                     layer, _, stat = key[len("bn/"):].partition("/")
+                    if stat == "var" and (array < 0).any():
+                        raise ParseError(f"{path}: batch-norm variance {key!r} is negative")
                     bn_state.setdefault(layer, {})[stat] = array
                 else:
                     params[key] = ad.parameter(array, name=key)  # C order, as Adam needs

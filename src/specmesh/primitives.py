@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ArgumentError
-from .meshes import TriMesh
+from .meshes import TriMesh, split_quads
 
 _HAND_SEGMENTS = 28  # ring resolution; equals the wrist boundary edge count
 _CAP_GRID_W = 10
@@ -82,10 +82,7 @@ def cube(side: float = 1.0, center=(0.0, 0.0, 0.0)) -> TriMesh:
         (0, 2, 6, 4),  # -z
         (1, 5, 7, 3),  # +z
     ]
-    faces = []
-    for a, b, c, d in quads:
-        faces += [(a, b, c), (a, c, d)]
-    return TriMesh(positions=corners, faces=np.array(faces, dtype=np.int32))
+    return TriMesh(positions=corners, faces=split_quads(quads))
 
 
 def _cap_grid():
@@ -146,20 +143,11 @@ def hand_template(n_vertices: int = 4023) -> TriMesh:
     """Stylized hand-with-forearm template mesh of ``n_vertices`` vertices.
 
     Open at the wrist (28-edge boundary), closed everywhere else; quads are
-    split into triangle pairs along the 0-2 diagonal, matching the OBJ loader.
+    split into triangle pairs by ``split_quads``, as the OBJ loader splits them.
 
     Raises:
         ArgumentError: ``n_vertices`` is not 47 + 28k for k >= 1 tube rings.
     """
-    quads, verts = _hand_quads(n_vertices)
-    faces = []
-    for a, b, c, d in quads:
-        faces += [(a, b, c), (a, c, d)]
-    return TriMesh(positions=verts, faces=np.array(faces, dtype=np.int32))
-
-
-def _hand_quads(n_vertices: int):
-    """Quad faces and vertex positions of the ``n_vertices`` hand template."""
     vid, cap_quads = _cap_grid()
     n_cap = len(vid)
     rings, rest = divmod(n_vertices - n_cap, _HAND_SEGMENTS)
@@ -230,15 +218,7 @@ def _hand_quads(n_vertices: int):
         for i in range(_HAND_SEGMENTS):
             j = (i + 1) % _HAND_SEGMENTS
             quads.append((upper[i], lower[i], lower[j], upper[j]))
-    return quads, verts
-
-
-def hand_template_obj() -> str:
-    """The hand template as quad-face OBJ text (4023 v records, 4008 f records)."""
-    quads, verts = _hand_quads(4023)
-    lines = [f"v {float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in verts]
-    lines += [f"f {a + 1} {b + 1} {c + 1} {d + 1}" for a, b, c, d in quads]
-    return "\n".join(lines) + "\n"
+    return TriMesh(positions=verts, faces=split_quads(quads))
 
 
 def mirror_x(mesh: TriMesh) -> TriMesh:

@@ -69,12 +69,6 @@ class PlausibilityReport:
     max_penetration_mm: float
     intersection_volume_cm3: float  # in voxels of edge VOXEL_CM
 
-    def to_dict(self) -> dict:
-        return {
-            "max_penetration_mm": self.max_penetration_mm,
-            "intersection_volume_cm3": self.intersection_volume_cm3,
-        }
-
 
 @dataclass
 class RefineResult:

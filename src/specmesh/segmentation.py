@@ -14,6 +14,7 @@ import scipy.sparse as sp
 
 from .errors import ArgumentError
 from .graphs import eigendecompose, laplacian
+from .meshes import farthest_points
 
 KMEANS_MAX_ITERS = 100
 KMEANS_TOL = 1e-8
@@ -48,13 +49,13 @@ def segment(adjacency: sp.csr_matrix, K: int) -> np.ndarray:
 def _kmeans(points: np.ndarray, K: int):
     """Lloyd iterations with greedy (deterministic) k-means++ seeding.
 
-    Seeding is value-driven (max-norm start, then argmax of min squared
-    distance), which makes the partition invariant to vertex relabeling on
+    Seeding is value-driven (``farthest_points`` from the max-norm point),
+    which makes the partition invariant to vertex relabeling on
     graphs without exact embedding ties, and needs no random seed.
     Assignment ties go to the lowest cluster index; empty clusters are
     repaired by splitting the largest one.
     """
-    centroids = _kmeans_pp_init(points, K)
+    centroids = points[farthest_points(points, int(np.argmax(np.sum(points**2, axis=1))), K)]
     labels = np.zeros(points.shape[0], dtype=np.int64)
     for _ in range(KMEANS_MAX_ITERS):
         d2 = _sq_distances(points, centroids)
@@ -70,17 +71,6 @@ def _kmeans(points: np.ndarray, K: int):
         if shift < KMEANS_TOL:
             break
     return labels
-
-
-def _kmeans_pp_init(points: np.ndarray, K: int) -> np.ndarray:
-    """Greedy k-means++: each center maximizes its distance to the chosen set."""
-    first = int(np.argmax(np.sum(points**2, axis=1)))
-    chosen = [first]
-    d2 = np.sum((points - points[first]) ** 2, axis=1)
-    for _ in range(K - 1):
-        chosen.append(int(np.argmax(d2)))  # argmax breaks ties at the lowest index
-        d2 = np.minimum(d2, np.sum((points - points[chosen[-1]]) ** 2, axis=1))
-    return points[chosen].copy()
 
 
 def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

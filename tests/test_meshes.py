@@ -7,12 +7,13 @@ from specmesh.graphs import adjacency_matrix
 from specmesh.meshes import (
     TriMesh,
     edge_set,
+    farthest_points,
     is_watertight,
     load_obj,
     save_obj,
     subsample_to_count,
 )
-from specmesh.primitives import cube, hand_template, hand_template_obj, icosphere
+from specmesh.primitives import cube, hand_template, icosphere
 
 QUAD_OBJ = """# a single quad
 v 0.0 0.0 0.0
@@ -30,10 +31,10 @@ class TestLoadObj:
         assert mesh.n_faces == 2
         assert np.array_equal(mesh.faces, [[0, 1, 2], [0, 2, 3]])
 
-    def test_hand_template_quads(self):
-        mesh = load_obj(hand_template_obj())
-        assert mesh.n_vertices == 4023
-        assert mesh.n_faces == 8016
+    def test_triangles_and_quads_keep_file_order(self):
+        text = QUAD_OBJ + "v 2 0 0\nf 2 5 3\nf 3 4 1 5\n"
+        assert load_obj(text).faces.tolist() == [[0, 1, 2], [0, 2, 3], [1, 4, 2], [2, 3, 0],
+                                                 [2, 0, 4]]
 
     def test_bad_face_index_names_line(self):
         text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n"
@@ -60,7 +61,7 @@ class TestLoadObj:
         assert np.array_equal(twice.faces, once.faces)
 
     def test_normals_unit_length(self):
-        mesh = load_obj(hand_template_obj())
+        mesh = load_obj(save_obj(hand_template()))
         assert np.max(np.abs(np.linalg.norm(mesh.normals, axis=1) - 1.0)) < 1e-6
 
 
@@ -108,6 +109,14 @@ class TestSubsample:
         for seed in range(10):
             kept = subsample_to_count(hand, n_keep, seed=seed)
             assert kept.tolist() == farthest_point_dense(hand.positions, n_keep, seed)
+
+    @pytest.mark.parametrize("columns", [1, 3, 7])
+    def test_walk_of_any_point_set(self, columns):
+        # the k-means seeding walks a spectral embedding of up to 7 columns
+        points = np.random.default_rng(columns).normal(size=(300, columns))
+        walk = farthest_points(points, 17, 40)
+        assert walk[0] == 17 and len(set(walk)) == 40
+        assert sorted(walk) == farthest_point_dense(points, 40, 17)
 
     def test_factor_errors(self, ico162):
         # the factor n_vertices / n_keep must be finite and at least one

@@ -266,7 +266,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("key, value", [
         ("n_views", 0), ("n_blocks", 0), ("cheb_order", 0), ("feature_width", 0),
-        ("backbone_channels", 0), ("n_tokens", 33), ("n_tokens", 0), ("seed", -1),
+        ("backbone_channels", 0), ("n_tokens", 33), ("n_tokens", 0), ("n_tokens", 400),
+        ("seed", -1),
         ("decoder_sizes", [80, 40, 159]), ("decoder_sizes", []),
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("learning_rate", 0.0), ("learning_rate", -1.0),
@@ -286,6 +287,12 @@ class TestCheckpoint:
         with pytest.raises(ArgumentError, match=key):
             M.load_checkpoint(tmp_path)
 
+    def test_too_many_tokens_names_the_template_size(self):
+        # 400 tokens are 200 per hand, more than the 159-vertex toy template has
+        with pytest.raises(ArgumentError, match=r"n_tokens.*decoder_sizes\[-1\] = 159"):
+            M.toy_config(n_tokens=400)
+        M.toy_config(n_tokens=318)
+
     def test_numbers_of_either_json_form_load(self):
         # JSON writes 0.001 and 1 alike as numbers; a float field takes an int
         config = M.ModelConfig.from_dict(dict(M.toy_config().to_dict(), learning_rate=1))
@@ -293,16 +300,18 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 5), (0, 4), ()])
     def test_special_values_roundtrip_bit_exact(self, tmp_path, shape):
-        payload_nan = np.frombuffer(np.uint64(0x7FF8_0000_DEAD_BEEF).tobytes(), np.float64)[0]
-        specials = [-0.0, np.inf, -np.inf, 5e-324, payload_nan, -5e-324]
+        big = np.finfo(np.float64).max
+        specials = [-0.0, big, -big, 5e-324, np.finfo(np.float64).tiny, -5e-324]
         x = np.random.default_rng(0).normal(size=shape)
         flat = x.reshape(-1)
         flat[:len(specials)] = specials[:flat.size]
+        var = np.abs(x)
+        var.reshape(-1)[:1] = -0.0  # not below zero
         M.save_checkpoint(tmp_path, {"x": ad.parameter(x)}, M.toy_config(),
-                          {"bn": {"mean": x, "var": -x}})
+                          {"bn": {"mean": x, "var": var}})
         params, _, bn_state = M.load_checkpoint(tmp_path)
         for loaded, saved in ((params["x"].data, x), (bn_state["bn"]["mean"], x),
-                              (bn_state["bn"]["var"], -x)):
+                              (bn_state["bn"]["var"], var)):
             assert loaded.dtype == np.float64 and loaded.shape == shape
             assert loaded.tobytes() == saved.tobytes()
 
@@ -369,6 +378,24 @@ class TestCheckpoint:
             with pytest.raises(ParseError, match="tensors.npz"):
                 M.load_checkpoint(tmp_path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("project_b", np.nan), ("project_b", -np.inf), ("bn/fuse_b_bn2/mean", np.inf),
+        ("bn/fuse_a_bn1/var", np.nan), ("bn/fuse_a_bn1/var", -1e-3),
+    ])
+    def test_nonfinite_tensor_or_negative_variance_is_parse_error(self, trained_toy, tmp_path,
+                                                                 key, value):
+        # unchecked, an eval forward on such a checkpoint warns in a square
+        # root or fails on a non-finite value without naming the tensor
+        config, params, bn_state = trained_toy
+        M.save_checkpoint(tmp_path, params, config, bn_state)
+        path = tmp_path / "tensors.npz"
+        with np.load(path) as archive:
+            tensors = {name: archive[name].copy() for name in archive.files}
+        tensors[key].reshape(-1)[1] = value
+        np.savez(path, **tensors)
+        with pytest.raises(ParseError, match=f"tensors.npz.*'{key}'"):
+            M.load_checkpoint(tmp_path)
+
     def test_transposed_parameter_loads_c_contiguous_and_trains(self, trained_toy, tmp_path):
         config, params, bn_state = trained_toy
         saved = {name: ad.Tensor(t.data, requires_grad=True) for name, t in params.items()}
@@ -429,6 +456,32 @@ class TestEvalForward:
         with pytest.raises(ArgumentError, match="fuse_a_bn1 has no running statistics"):
             M.forward(M.synth_backbone_features(2, config), params, assets, config, {},
                       train=False)
+
+    def test_nonfinite_batch_leaves_running_statistics_unchanged(self, perturbed_toy):
+        config, assets, start = perturbed_toy
+        params = params_copy(start)
+        bn_state = {}
+        M.forward(M.synth_backbone_features(1, config), params, assets, config, bn_state,
+                  train=True)
+        before = {name: {stat: a.tobytes() for stat, a in stats.items()}
+                  for name, stats in bn_state.items()}
+        scene = build_scene(SceneSpec(seed=2), assets, config)
+        scene.features[1, 3, 4, 5] = np.nan
+        opt = ad.Adam(params, lr=config.learning_rate)
+        with pytest.raises(NumericalError, match="batch-norm fuse_a_bn1"):
+            M.train_step(params, opt, scene, assets, config, bn_state)
+        assert {name: {stat: a.tobytes() for stat, a in stats.items()}
+                for name, stats in bn_state.items()} == before
+        out = M.forward(M.synth_backbone_features(3, config), params, assets, config,
+                        bn_state, train=False)
+        assert np.all(np.isfinite(out.pred_vertices.data))
+
+
+@pytest.mark.parametrize("shape", [(3, 7, 7, 64), (1, 7, 7, 64), (2, 6, 7, 64), (2, 7, 7, 32)])
+def test_wrong_feature_shape_is_argument_error(perturbed_toy, shape):
+    config, assets, params = perturbed_toy
+    with pytest.raises(ArgumentError, match=r"features must be \(2, 7, 7, 64\), got"):
+        M.forward(np.zeros(shape), params, assets, config, {}, train=True)
 
 
 # One tensor per parameter group, three seeded entries each.

@@ -265,6 +265,7 @@ class TestColumnParity:
 # the divergence flag.
 REFINE_SCRIPT = """
 import hashlib, json
+from dataclasses import asdict
 import numpy as np
 from specmesh import primitives, refine
 
@@ -272,7 +273,7 @@ target = primitives.icosphere(3, radius=0.05)
 source = target.with_positions(target.positions + 0.0875 * np.array([0.48, -0.6, 0.64]))
 result = refine.refine_mesh(source, target, refine.RefineConfig(max_iters=30))
 print(json.dumps({"positions": hashlib.sha256(result.mesh.positions.tobytes()).hexdigest(),
-                  "before": result.before.to_dict(), "after": result.after.to_dict(),
+                  "before": asdict(result.before), "after": asdict(result.after),
                   "iterations": result.iterations, "diverged": result.diverged}))
 """
 
