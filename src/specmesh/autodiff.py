@@ -55,6 +55,19 @@ they are all walked before the leaf is reported. A new op must keep the
 contract: a closure that captured a leaf's array without making the leaf a
 parent could read it after an in-place update.
 
+Late gradients: ``matmul`` hands each operand's gradient to the walk as a
+product of two arrays. When the operand is a leaf, the closure is its last
+consumer still to walk, the two factors hold fewer elements than the
+product and the product holds at least ``LATE_FLOOR`` elements, the walk
+keeps copies of the factors instead of the product (``_defer``). In the
+model these are the decoder's largest vertex maps: a 79 MB gradient made
+from a 4023 x 3 and a 2468 x 3 factor. Once every node is walked and the
+tape is released, the walk forms each late product, largest first, by the
+same NumPy call and so with the same bits, adds it into the leaf's
+gradient, and only then reports the leaf. So a late gradient never sits
+on top of the tape. Plain ``backward()`` takes the same path, and every
+other gradient is formed and accumulated at once.
+
 Intra-op threads: the module keeps one thread pool, ``POOL``, and the nodes
 that dominate a full-config step split their NumPy/SciPy work into
 independent pieces on it (``Pool.run``): ``attention`` (forward by head
@@ -109,6 +122,9 @@ from .errors import ArgumentError
 # 4.2M 260 -> 257, 6.3M 387 -> 299, 8.4M 413 -> 372, 13.8M 1003 -> 667; a
 # toy-config train step, whose largest run is 5.3M, only lost by pooling.
 POOL_FLOOR = 1 << 23
+# Elements of a thin gradient product below which ``_defer`` forms it at
+# once; see ``_defer``. 32 MiB of float64, glibc's largest mmap threshold.
+LATE_FLOOR = 1 << 22
 
 
 def _blas_threads() -> int | None:
@@ -242,16 +258,21 @@ class _Node:
 
     ``parents`` are the nodes of the op's inputs that need a gradient and
     ``backward`` the op's closure, ``None`` for a leaf. A leaf's node also
-    refers weakly to its tensor, which ``on_final`` hands over.
+    refers weakly to its tensor, which ``on_final`` hands over. During a
+    walk, ``pending`` counts the consumer edges still to walk, and a leaf's
+    ``late`` holds the gradient term it is to receive after the walk (see
+    ``_defer``).
     """
 
-    __slots__ = ("grad", "parents", "backward", "leaf")
+    __slots__ = ("grad", "parents", "backward", "leaf", "pending", "late")
 
     def __init__(self, parents, backward, leaf):
         self.grad = None
         self.parents = parents
         self.backward = backward
         self.leaf = leaf
+        self.pending = 0
+        self.late = None
 
 
 class Tensor:
@@ -315,7 +336,10 @@ class Tensor:
         with ``requires_grad`` that the caller still holds, as soon as its
         gradient is final: right after the last node that consumes it has
         been walked (its closure run, or skipped because the node received
-        no gradient), or at once for a leaf that is ``self``. Constants are
+        no gradient), or at once for a leaf that is ``self``. A leaf whose
+        gradient ends in a late product (see the module docstring) is
+        reported after the whole walk instead, once that product is formed,
+        largest product first. Constants are
         never reported. The callback may update ``leaf.data`` in place and
         set ``leaf.grad`` to ``None``; see the read contract in the module
         docstring. An exception raised partway through the walk, by a
@@ -347,16 +371,15 @@ class Tensor:
             for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        pending: dict[int, int] = {}  # id(leaf node) -> consumer edges still to walk
-        for node in topo:
-            node.grad = None
-            if on_final is not None and node.backward is not None:
+        for node in topo:  # a node's parents come before it
+            node.grad, node.pending, node.late = None, 0, None
+            if node.backward is not None:
                 for p in node.parents:
-                    if p.backward is None:
-                        pending[id(p)] = pending.get(id(p), 0) + 1
+                    p.pending += 1
         root.grad = np.ones_like(self.data)
         if on_final is not None and root.backward is None:
             on_final(self)  # a leaf root has no consumer to wait for
+        late = []  # leaves whose gradient ends in a late product
         while topo:  # popping lets each walked node go once nothing else holds it
             node = topo.pop()
             if node.backward is None:
@@ -366,11 +389,24 @@ class Tensor:
             parents = node.parents
             node.backward, node.parents = _walked, ()
             for p in parents:
-                if id(p) in pending:
-                    pending[id(p)] -= 1
-                    leaf = None if pending[id(p)] else p.leaf()
-                    if leaf is not None:  # final, and the caller still holds it
-                        on_final(leaf)
+                p.pending -= 1
+                if p.pending or p.backward is not None:
+                    continue
+                if p.late is not None:
+                    late.append(p)
+                elif on_final is not None and (leaf := p.leaf()) is not None:
+                    on_final(leaf)  # final, and the caller still holds it
+        node = parents = None  # the last walked node: now no node of the tape is held
+        late.sort(key=lambda p: -p.late[0])  # largest first
+        for p in late:
+            _, form, x, y, shape = p.late
+            p.late = None
+            leaf = p.leaf()
+            if leaf is None:  # nobody can read the gradient
+                continue
+            _accumulate(p, _unbroadcast(form(x, y), shape))
+            if on_final is not None:
+                on_final(leaf)
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -515,21 +551,61 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, _needs(a, b), (a, b), backward)
 
 
+def _defer(node: _Node, size: int, form, x: np.ndarray, y: np.ndarray, shape) -> bool:
+    """Whether ``node``'s gradient term ``_unbroadcast(form(x, y), shape)``,
+    a product of ``size`` elements, goes late; if so, keeps it on the node.
+
+    It goes late when ``node`` is a leaf, the calling closure is its last
+    consumer still to walk, ``x`` and ``y`` together hold fewer elements
+    than the product, and the product holds ``LATE_FLOOR`` elements or more.
+    ``backward()`` then forms it after the walk, from copies that keep the
+    factors' memory layout, so by the same call on the same bits. The
+    copies also keep a factor safe from an ``on_final`` that updates a leaf
+    in place, and free any larger array a factor is a view of.
+
+    The floor was set by measurement. On the full config, whose thin leaf
+    gradients are the decoder's vertex maps (2, 6, 24 and 79 MB per hand),
+    making only the 79 MB maps late took the benchmark's peak RSS from 1288
+    to 1248 MB at the same 7.1k page faults per step (medians of 10 pairs,
+    one BLAS thread); making all of them late, largest first, took it to
+    1239 MB but 13.1k faults (one run). Below glibc's
+    largest mmap threshold, an eager gradient grows the heap that the next
+    step's forward reuses; a late one, formed in memory the tape has freed,
+    does not, so the next forward faults that growth in again.
+    """
+    if (node.backward is not None or node.pending != 1 or size < LATE_FLOOR
+            or x.size + y.size >= size):
+        return False
+    node.late = (size, form, np.copy(x), np.copy(y), shape)
+    return True
+
+
+def _grad_left(g, b):
+    """The gradient of ``a`` in ``a @ b``, before unbroadcasting."""
+    return g @ np.swapaxes(b, -1, -2)
+
+
+def _grad_right(a, g):
+    """The gradient of ``b`` in ``a @ b``, before unbroadcasting."""
+    return np.swapaxes(a, -1, -2) @ g
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = _rowwise_matmul(a.data, b.data)
     na, nb, a_shape, b_shape = a._node, b._node, a.shape, b.shape
     a_data, b_data = _read_for(a, b), _read_for(b, a)
 
     def backward(g):
-        pieces = []
-        if na is not None:
-            pieces.append(lambda: g @ np.swapaxes(b_data, -1, -2))
-        if nb is not None:
-            pieces.append(lambda: np.swapaxes(a_data, -1, -2) @ g)
-        grads = iter(POOL.run(pieces, len(pieces) * g.size * a_shape[-1]))
-        for node, shape in ((na, a_shape), (nb, b_shape)):
-            if node is not None:
-                _accumulate(node, _unbroadcast(next(grads), shape))
+        batch = math.prod(g.shape[:-2])  # either product's leading elements
+        now = []  # (node, shape, piece) of each gradient formed here
+        for node, form, x, y, shape in ((na, _grad_left, g, b_data, a_shape),
+                                        (nb, _grad_right, a_data, g, b_shape)):
+            size = batch * shape[-2] * shape[-1]
+            if node is not None and not _defer(node, size, form, x, y, shape):
+                now.append((node, shape, functools.partial(form, x, y)))
+        grads = POOL.run([piece for *_, piece in now], len(now) * g.size * a_shape[-1])
+        for (node, shape, _), grad in zip(now, grads):
+            _accumulate(node, _unbroadcast(grad, shape))
 
     return Tensor(out_data, _needs(a, b), (a, b), backward)
 
@@ -1024,7 +1100,10 @@ class Adam:
     pool (see the module docstring), a tensor's chunks are cut into up to
     ``POOL.width`` contiguous ranges, one piece each with a scratch pair of
     its own, and ``Pool.run`` runs them inline below its floor; the update
-    is elementwise, so any cut gives the same bits.
+    is elementwise, so any cut gives the same bits. Each chunk is summed
+    right after it is written, while it is still in cache, and ``step``
+    returns each parameter's sum: a finite sum clears the parameter of NaN
+    and inf without another read (see ``model._nonfinite``).
 
     The chunk size was chosen by timing one step over the full config's
     41.5M parameters (best of 4, one BLAS thread, 2-core x86): whole-array
@@ -1044,8 +1123,12 @@ class Adam:
         # one pair of chunk buffers per piece of a step, so at most one per pool thread
         self._scratch = [(np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)) for _ in range(POOL.width)]
 
-    def step(self, params: dict):
+    def step(self, params: dict) -> dict:
         """One Adam update of each of ``params``, a name->Tensor dict.
+
+        Returns each parameter's name mapped to the sum of its updated data,
+        taken with overflow and invalid-value warnings off: an inf or a NaN
+        in a sum means an element is non-finite or the sum overflowed.
 
         Raises:
             ArgumentError: a name that ``Adam(...)`` was not built with, a
@@ -1062,23 +1145,29 @@ class Adam:
             if p.grad is not None and p.grad.shape != p.data.shape:
                 raise ArgumentError(f"Adam got a gradient of shape {p.grad.shape} for "
                                     f"{key!r} of shape {p.data.shape}")
+        totals = {}
         for key, p in params.items():
             self.t[key] += 1
             data, m, v = p.data.reshape(-1), self.m[key].reshape(-1), self.v[key].reshape(-1)
             grad = None if p.grad is None else p.grad.reshape(-1)
             starts = range(0, data.size, ADAM_CHUNK)
             ways = min(len(self._scratch), len(starts))
-            # an element update takes as long as 128 or more multiply-adds
-            POOL.run([functools.partial(self._update, self.t[key], data, m, v, grad,
-                                        starts[i * len(starts) // ways:
-                                               (i + 1) * len(starts) // ways],
-                                        self._scratch[i])
-                      for i in range(ways)], 128 * data.size)
+            with np.errstate(over="ignore", invalid="ignore"):  # pieces run in this context
+                # an element update takes as long as 128 or more multiply-adds
+                totals[key] = sum(POOL.run(
+                    [functools.partial(self._update, self.t[key], data, m, v, grad,
+                                       starts[i * len(starts) // ways:
+                                              (i + 1) * len(starts) // ways],
+                                       self._scratch[i])
+                     for i in range(ways)], 128 * data.size))
+        return totals
 
-    def _update(self, t, data, m, v, grad, starts, scratch):
-        """Step ``t`` of the chunks of one flat parameter that begin at ``starts``."""
+    def _update(self, t, data, m, v, grad, starts, scratch) -> float:
+        """Step ``t`` of the chunks of one flat parameter that begin at
+        ``starts``; returns the sum of the updated chunks."""
         b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, self.lr, ADAM_EPS
         c1, c2 = 1 - b1**t, 1 - b2**t
+        total = 0.0
         for lo in starts:
             hi = min(lo + ADAM_CHUNK, data.size)
             x, mc, vc = data[lo:hi], m[lo:hi], v[lo:hi]
@@ -1102,3 +1191,5 @@ class Adam:
             np.add(b, eps, out=b)
             np.divide(a, b, out=a)
             np.subtract(x, a, out=x)
+            total += float(x.sum())
+        return total

@@ -35,6 +35,8 @@ from .segmentation import segment
 
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
+# the batch-norm layers, one per fusion branch and stage, whose running statistics bn_state keeps
+BN_LAYERS = ("fuse_a_bn1", "fuse_a_bn2", "fuse_b_bn1", "fuse_b_bn2")
 # Fixed properties of the architecture, as in Mesh Graphormer
 N_CLUSTERS = 7  # mesh segmentation clusters, one region feature each
 N_HEADS = 3  # attention heads per transformer layer
@@ -198,72 +200,74 @@ def build_assets(config: ModelConfig) -> TemplateAssets:
 # parameter initialization
 
 
-def _uniform(rng, fan_in, shape):
-    bound = 1.0 / math.sqrt(max(fan_in, 1))
-    return rng.uniform(-bound, bound, size=shape)
+def parameter_layout(config: ModelConfig) -> dict[str, tuple[tuple, int | None]]:
+    """Every learnable tensor of ``config``, in the order
+    :func:`init_parameters` draws them: name -> (shape, fan-in).
+
+    A tensor with a fan-in starts uniform in +-1/sqrt(fan-in); one without
+    starts at one if its name ends in ``_gain``, else at zero.
+    """
+    # the fusion convs, the mask conv and the key projections have no bias:
+    # the forward would remove its effect (see where each is applied)
+    c, bc, k = config.feature_width, config.backbone_channels, N_CLUSTERS
+    layout = {}
+    for branch in ("fuse_a", "fuse_b"):
+        for stage, cin in (("1", bc), ("2", c)):
+            layout[f"{branch}_conv{stage}_w"] = ((3, 3, cin, c), 9 * cin)
+            layout[f"{branch}_bn{stage}_gain"] = ((c,), None)
+            layout[f"{branch}_bn{stage}_bias"] = ((c,), None)
+    layout["mask_conv_w"] = ((c, k), c)
+    layout["camera_w"] = ((c, config.n_views * 3), None)  # start at scale 1, shift 0
+    layout["camera_b"] = ((config.n_views * 3,), None)
+
+    widths = config.encoder_widths()
+    for b, w in enumerate(widths):
+        inner = N_HEADS * math.ceil(w / N_HEADS)
+        hidden = FFN_FACTOR * w
+        for l in range(SUBLAYERS):
+            prefix = f"enc{b}_{l}"
+            layout[f"{prefix}_ln1_gain"] = layout[f"{prefix}_ln1_bias"] = ((w,), None)
+            for proj in ("q", "k", "v"):
+                layout[f"{prefix}_{proj}_w"] = ((w, inner), w)
+                if proj != "k":
+                    layout[f"{prefix}_{proj}_b"] = ((inner,), None)
+            layout[f"{prefix}_o_w"] = ((inner, w), inner)
+            layout[f"{prefix}_o_b"] = ((w,), None)
+            layout[f"{prefix}_ln2_gain"] = layout[f"{prefix}_ln2_bias"] = ((w,), None)
+            layout[f"{prefix}_ffn1_w"] = ((w, hidden), w)
+            layout[f"{prefix}_ffn1_b"] = ((hidden,), None)
+            layout[f"{prefix}_ffn2_w"] = ((hidden, w), hidden)
+            layout[f"{prefix}_ffn2_b"] = ((w,), None)
+        if b + 1 < len(widths):
+            layout[f"reduce{b}_w"] = ((w, widths[b + 1]), w)
+            layout[f"reduce{b}_b"] = ((widths[b + 1],), None)
+    layout["project_w"] = ((widths[-1], 3), widths[-1])
+    layout["project_b"] = ((3,), None)
+
+    for h in range(2):
+        prev = config.tokens_per_hand
+        for i, size in enumerate(config.decoder_sizes):
+            layout[f"dec{h}_up{i}_w"] = ((size, prev), prev)
+            layout[f"dec{h}_up{i}_b"] = ((size, 3), None)
+            if i + 1 < len(config.decoder_sizes):
+                layout[f"dec{h}_cheb{i}"] = ((config.cheb_order, 3, 3), 3 * config.cheb_order)
+            prev = size
+    return layout
 
 
 def init_parameters(config: ModelConfig, assets: TemplateAssets) -> dict:
     """Seeded initialization of every learnable tensor, keyed by name."""
     rng = np.random.default_rng(config.seed)
     p: dict[str, ad.Tensor] = {}
-
-    def par(name, value):
-        # every value below is a fresh C-order float64 array, so it becomes
-        # the tensor's data as it is, without ad.parameter's defensive copy
+    for name, (shape, fan_in) in parameter_layout(config).items():
+        if fan_in is not None:
+            bound = 1.0 / math.sqrt(max(fan_in, 1))
+            value = rng.uniform(-bound, bound, size=shape)
+        else:
+            value = (np.ones if name.endswith("_gain") else np.zeros)(shape)
+        # every value is a fresh C-order float64 array, so it becomes the
+        # tensor's data as it is, without ad.parameter's defensive copy
         p[name] = ad.Tensor(value, requires_grad=True, name=name)
-
-    # the fusion convs, the mask conv and the key projections have no bias:
-    # the forward would remove its effect (see where each is applied)
-    c, bc, k = config.feature_width, config.backbone_channels, N_CLUSTERS
-    for branch, cin1 in (("fuse_a", bc), ("fuse_b", bc)):
-        par(f"{branch}_conv1_w", _uniform(rng, 9 * cin1, (3, 3, cin1, c)))
-        par(f"{branch}_bn1_gain", np.ones(c))
-        par(f"{branch}_bn1_bias", np.zeros(c))
-        par(f"{branch}_conv2_w", _uniform(rng, 9 * c, (3, 3, c, c)))
-        par(f"{branch}_bn2_gain", np.ones(c))
-        par(f"{branch}_bn2_bias", np.zeros(c))
-    par("mask_conv_w", _uniform(rng, c, (c, k)))
-    par("camera_w", np.zeros((c, config.n_views * 3)))  # start at scale 1, shift 0
-    par("camera_b", np.zeros(config.n_views * 3))
-
-    widths = config.encoder_widths()
-    for b, w in enumerate(widths):
-        dk = math.ceil(w / N_HEADS)
-        inner = N_HEADS * dk
-        hidden = FFN_FACTOR * w
-        for l in range(SUBLAYERS):
-            prefix = f"enc{b}_{l}"
-            par(f"{prefix}_ln1_gain", np.ones(w))
-            par(f"{prefix}_ln1_bias", np.zeros(w))
-            for proj in ("q", "k", "v"):
-                par(f"{prefix}_{proj}_w", _uniform(rng, w, (w, inner)))
-                if proj != "k":
-                    par(f"{prefix}_{proj}_b", np.zeros(inner))
-            par(f"{prefix}_o_w", _uniform(rng, inner, (inner, w)))
-            par(f"{prefix}_o_b", np.zeros(w))
-            par(f"{prefix}_ln2_gain", np.ones(w))
-            par(f"{prefix}_ln2_bias", np.zeros(w))
-            par(f"{prefix}_ffn1_w", _uniform(rng, w, (w, hidden)))
-            par(f"{prefix}_ffn1_b", np.zeros(hidden))
-            par(f"{prefix}_ffn2_w", _uniform(rng, hidden, (hidden, w)))
-            par(f"{prefix}_ffn2_b", np.zeros(w))
-        if b + 1 < len(widths):
-            par(f"reduce{b}_w", _uniform(rng, w, (w, widths[b + 1])))
-            par(f"reduce{b}_b", np.zeros(widths[b + 1]))
-    par("project_w", _uniform(rng, widths[-1], (widths[-1], 3)))
-    par("project_b", np.zeros(3))
-
-    sizes = config.decoder_sizes
-    for h in range(2):
-        prev = config.tokens_per_hand
-        for i, size in enumerate(sizes):
-            par(f"dec{h}_up{i}_w", _uniform(rng, prev, (size, prev)))
-            par(f"dec{h}_up{i}_b", np.zeros((size, 3)))
-            if i + 1 < len(sizes):
-                par(f"dec{h}_cheb{i}", _uniform(rng, 3 * config.cheb_order,
-                                                  (config.cheb_order, 3, 3)))
-            prev = size
     return p
 
 
@@ -307,11 +311,13 @@ def _upconv_taps(h: int, w: int) -> sp.csr_matrix:
 
 
 def _batch_norm(x: ad.Tensor, gain: ad.Tensor, bias: ad.Tensor, name: str,
-                bn_state: dict, train: bool) -> ad.Tensor:
+                bn_state: dict, train: bool, staged: dict) -> ad.Tensor:
     """Per-channel normalization over (view, spatial) axes.
 
-    Training uses batch statistics and refreshes the running ones; eval uses
-    the stored running statistics, so single samples normalize stably.
+    Training uses batch statistics and puts the refreshed running ones in
+    ``staged`` under ``name``, for the caller to commit into ``bn_state``;
+    eval uses the stored running statistics, so single samples normalize
+    stably.
     """
     axes = tuple(range(x.ndim - 1))
     if train:
@@ -320,14 +326,14 @@ def _batch_norm(x: ad.Tensor, gain: ad.Tensor, bias: ad.Tensor, name: str,
         var = ad.reduce_mean(ad.mul(centered, centered), axis=axes, keepdims=True)
         mean_data = mu.data.reshape(-1)
         var_data = var.data.reshape(-1)
-        if _nonfinite(mean_data) or _nonfinite(var_data):  # before the running ones take them
+        if _nonfinite(mean_data) or _nonfinite(var_data):
             raise NumericalError(f"non-finite batch statistics in batch-norm {name}")
         if name not in bn_state:
-            bn_state[name] = {"mean": mean_data.copy(), "var": var_data.copy()}
+            staged[name] = {"mean": mean_data.copy(), "var": var_data.copy()}
         else:
             s = bn_state[name]
-            s["mean"] = BN_MOMENTUM * s["mean"] + (1 - BN_MOMENTUM) * mean_data
-            s["var"] = BN_MOMENTUM * s["var"] + (1 - BN_MOMENTUM) * var_data
+            staged[name] = {"mean": BN_MOMENTUM * s["mean"] + (1 - BN_MOMENTUM) * mean_data,
+                            "var": BN_MOMENTUM * s["var"] + (1 - BN_MOMENTUM) * var_data}
         inv = ad.div(ad.constant(1.0), ad.sqrt(var + ad.constant(BN_EPS)))
         return centered * inv * gain + bias
     stats = bn_state.get(name)
@@ -339,7 +345,7 @@ def _batch_norm(x: ad.Tensor, gain: ad.Tensor, bias: ad.Tensor, name: str,
 
 
 def _fusion_branch(x: ad.Tensor, params: dict, prefix: str, bn_state: dict,
-                   train: bool) -> ad.Tensor:
+                   train: bool, staged: dict) -> ad.Tensor:
     # each stage upsamples bilinearly x2 and convolves 3x3 (valid) in one
     # node, which mixes channels on the coarse grid before resampling; no
     # conv bias: train-mode batch norm subtracts the channel mean next
@@ -347,17 +353,21 @@ def _fusion_branch(x: ad.Tensor, params: dict, prefix: str, bn_state: dict,
         x = ad.upconv3x3(x, params[f"{prefix}_conv{stage}_w"],
                          _upconv_taps(x.shape[1], x.shape[2]))
         x = _batch_norm(x, params[f"{prefix}_bn{stage}_gain"], params[f"{prefix}_bn{stage}_bias"],
-                        f"{prefix}_bn{stage}", bn_state, train)
+                        f"{prefix}_bn{stage}", bn_state, train, staged)
         x = ad.relu(x)
     return x
 
 
 def fusion_forward(features, params: dict, config: ModelConfig, bn_state: dict,
-                   train: bool = True):
+                   train: bool = True, staged: dict | None = None):
     """Backbone features -> (finer per-view features, soft-attention mask).
 
     Returns tensors of shape (N, H*W, C) and (N, H*W, K); every mask channel
-    is a distribution over spatial positions.
+    is a distribution over spatial positions. In train mode, the refreshed
+    running statistics of the four batch-norm layers go into ``staged``
+    (layer -> {"mean", "var"}) when it is given, for the caller to commit
+    into ``bn_state``; otherwise they are committed once the outputs pass
+    the finiteness check. So a forward that raises leaves ``bn_state`` as it was.
     """
     x = ad.as_tensor(features)
     n, g, g2, bc = x.shape
@@ -366,8 +376,9 @@ def fusion_forward(features, params: dict, config: ModelConfig, bn_state: dict,
         raise ArgumentError(
             f"features must be ({config.n_views}, {BACKBONE_GRID}, {BACKBONE_GRID}, "
             f"{config.backbone_channels}), got {x.shape}")
-    fa = _fusion_branch(x, params, "fuse_a", bn_state, train)
-    fb = _fusion_branch(x, params, "fuse_b", bn_state, train)
+    updates = {} if staged is None else staged
+    fa = _fusion_branch(x, params, "fuse_a", bn_state, train, updates)
+    fb = _fusion_branch(x, params, "fuse_b", bn_state, train, updates)
     hw = fa.shape[1] * fa.shape[2]
     f_prime = ad.reshape(fa, (n, hw, config.feature_width))
     # no bias: it would be constant along the spatial axis the softmax runs over
@@ -375,6 +386,8 @@ def fusion_forward(features, params: dict, config: ModelConfig, bn_state: dict,
     mask = ad.softmax(logits, axis=1)  # distribution over spatial positions
     if _nonfinite(f_prime.data) or _nonfinite(mask.data):
         raise NumericalError("non-finite values in fusion forward")
+    if staged is None:
+        bn_state.update(updates)
     return f_prime, mask
 
 
@@ -464,22 +477,28 @@ class ModelOutput:
 
 
 def forward(features, params: dict, assets: TemplateAssets, config: ModelConfig,
-            bn_state: dict, train: bool = True) -> ModelOutput:
+            bn_state: dict, train: bool = True, staged: dict | None = None) -> ModelOutput:
     """Full pipeline from backbone features to predicted two-hand vertices.
 
     Eval mode (``train=False``) needs running statistics in ``bn_state``
     (``ArgumentError`` without them) and runs on constant views of the
-    parameters, so it builds no tape.
+    parameters, so it builds no tape. Train mode refreshes the running
+    statistics: into ``staged`` if it is given (see :func:`fusion_forward`),
+    else into ``bn_state`` at the end, so a forward that raises leaves
+    ``bn_state`` as it was.
     """
     if not train:
         params = {name: ad.constant(p.data) for name, p in params.items()}
-    f_prime, mask = fusion_forward(features, params, config, bn_state, train)
+    updates = {} if staged is None else staged
+    f_prime, mask = fusion_forward(features, params, config, bn_state, train, updates)
     f_r = fuse_views(f_prime, mask)
     cams = camera_head(f_r, params, config)
     region = ad.take(f_r, assets.token_labels, axis=0)  # (V', C)
     tokens = ad.concat([region, ad.constant(assets.token_positions)], axis=1)
     f_c = transformer_forward(tokens, params, config)
     pred = decoder_forward(f_c, assets, params, config)
+    if staged is None:
+        bn_state.update(updates)
     return ModelOutput(pred_vertices=pred, cameras=cams, f_r=f_r, tokens=tokens)
 
 
@@ -568,14 +587,21 @@ def train_step(params: dict, opt: ad.Adam, batch, assets: TemplateAssets,
     the step holds only the loss terms, not the model output, so an
     activation lives only while a backward closure still to be walked reads
     it, and the walk frees each one as soon as none does (see the
-    :mod:`autodiff` module docstring). Parameters the loss does not
+    :mod:`autodiff` module docstring). The decoder's largest vertex maps
+    get their gradients late, after the walk has released the tape, and
+    step then, largest first. Parameters the loss does not
     reach step afterwards with a zero gradient. The result is the same bits
     as ``backward()`` followed by one ``opt.step(params)``, and every
     parameter's ``grad`` is ``None`` on return. Each parameter is checked
-    for finiteness right after its update, while it is still in cache.
+    for finiteness by the sum that ``Adam.step`` takes of each chunk as it
+    writes it; only a sum that is not finite makes the check read the
+    parameter again.
 
-    An exception raised during the walk leaves a partial step: the
-    parameters stepped before it are updated, the others are not.
+    The step's batch-norm statistics are committed to ``bn_state`` only
+    once its losses are finite, so a step that raises before its walk
+    leaves ``bn_state`` as it was. An exception raised during the walk
+    leaves a partial step: the statistics are committed, the parameters
+    stepped before it are updated, and the others are not.
 
     Raises:
         NumericalError: a loss or parameter went non-finite, naming the
@@ -584,29 +610,31 @@ def train_step(params: dict, opt: ad.Adam, batch, assets: TemplateAssets,
     bad = _first_nonfinite(params)
     if bad is not None:
         raise NumericalError(f"non-finite parameter tensor {bad!r} before step")
+    staged = {}  # the batch-norm statistics of this step, committed once its losses are finite
     losses = compute_losses(forward(batch.features, params, assets, config, bn_state,
-                                    train=True), batch, assets)
+                                    train=True, staged=staged), batch, assets)
     for name, term in losses.items():
         if not np.isfinite(term.data):
             raise NumericalError(f"non-finite loss tensor {name!r}")
+    bn_state.update(staged)
     names = {id(p): name for name, p in params.items()}
     idle = dict(params)  # parameters the walk has not reported yet
     bad = []  # parameters the step made non-finite
 
     def step_final(leaf):
         name = names[id(leaf)]
-        opt.step({name: leaf})
+        totals = opt.step({name: leaf}) or {}  # a wrapper of the step may return nothing
         leaf.grad = None
         del idle[name]
-        if _nonfinite(leaf.data):
+        if _nonfinite(leaf.data, totals.get(name)):
             bad.append(name)
 
     losses["total"].backward(step_final)
     for p in idle.values():
         p.grad = None  # a gradient left from outside this step must not be applied
     if idle:
-        opt.step(idle)
-        bad += [name for name, p in idle.items() if _nonfinite(p.data)]
+        totals = opt.step(idle) or {}
+        bad += [name for name, p in idle.items() if _nonfinite(p.data, totals.get(name))]
     if bad:
         raise NumericalError(f"non-finite parameter tensor {min(bad)!r} after step")
     return {name: float(t.data) for name, t in losses.items()}
@@ -637,10 +665,16 @@ def load_checkpoint(directory: str | Path):
     """Returns (params, config, bn_state) as :func:`save_checkpoint` wrote them,
     bit-exactly. There is no optimizer state: a new ``Adam`` starts at step 0.
 
+    The archive must hold exactly the tensors the config runs on: each
+    parameter of :func:`parameter_layout` and a mean and a var for each of
+    ``BN_LAYERS``, each of its shape.
+
     Raises:
         ParseError: ``manifest.json`` or ``tensors.npz`` is missing or
-            malformed, naming the file; a tensor holds a NaN or an inf, or a
-            batch-norm variance is negative, naming the file and the key.
+            malformed, naming the file; a tensor is missing, unknown to the
+            config or of another shape than the config's, holds a NaN or an
+            inf, or is a negative batch-norm variance, naming the file and
+            the key.
         ArgumentError: the manifest's config does not match its hash.
     """
     path = Path(directory) / "manifest.json"
@@ -653,6 +687,9 @@ def load_checkpoint(directory: str | Path):
     if config.config_hash() != expected_hash:
         raise ArgumentError("checkpoint manifest hash mismatch")
     path = path.with_name("tensors.npz")
+    shapes = {name: shape for name, (shape, _) in parameter_layout(config).items()}
+    shapes.update({f"bn/{layer}/{stat}": (config.feature_width,)
+                   for layer in BN_LAYERS for stat in ("mean", "var")})
     params, bn_state = {}, {}
     try:
         # np.load leaves a file it opened itself open when zipfile rejects it
@@ -661,6 +698,11 @@ def load_checkpoint(directory: str | Path):
                 array = archive[key]  # bytes for a member that is not a .npy file
                 if not isinstance(array, np.ndarray) or array.dtype != np.float64:
                     raise ParseError(f"{path}: tensor {key!r} is not a float64 array")
+                if key not in shapes:
+                    raise ParseError(f"{path}: tensor {key!r} is not one of the config's")
+                if array.shape != shapes[key]:
+                    raise ParseError(f"{path}: tensor {key!r} has shape {array.shape}, "
+                                     f"the config's is {shapes[key]}")
                 if _nonfinite(array):
                     raise ParseError(f"{path}: tensor {key!r} holds a NaN or an inf")
                 if key.startswith("bn/"):
@@ -670,8 +712,9 @@ def load_checkpoint(directory: str | Path):
                     bn_state.setdefault(layer, {})[stat] = array
                 else:
                     params[key] = ad.parameter(array, name=key)  # C order, as Adam needs
+            missing = sorted(set(shapes) - set(archive.files))
+            if missing:
+                raise ParseError(f"{path}: tensor {missing[0]!r} is missing")
     except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
         raise ParseError(f"{path}: unreadable tensor archive: {exc!r}") from exc
-    if any(sorted(stats) != ["mean", "var"] for stats in bn_state.values()):
-        raise ParseError(f"{path}: batch-norm statistics are not one mean and one var per layer")
     return params, config, bn_state

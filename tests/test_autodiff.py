@@ -440,9 +440,10 @@ class TestChebPrimitive:
               {"theta": RNG.normal(size=(3, 3, 2)) * 0.5, "x": RNG.normal(size=(8, 3))})
 
 
-def final_reports(build_loss, arrays: dict) -> list:
+def final_reports(build_loss, arrays: dict, after_walk: list | None = None) -> list:
     """Walk one graph with ``backward(on_final)`` and return the names of
-    the reported leaves, in report order.
+    the reported leaves, in report order; ``after_walk``, if given, gets
+    the names of those reported once every node of the graph was walked.
 
     A second graph over the same arrays is walked with plain ``backward()``.
     Every leaf with ``requires_grad`` that the walk reaches must be reported
@@ -474,6 +475,9 @@ def final_reports(build_loss, arrays: dict) -> list:
         if want is not None:
             assert leaf.grad.tobytes() == want.tobytes(), name
         reports.append(name)
+        if after_walk is not None and all(node.backward in (None, ad._walked)
+                                          for node in consumers):
+            after_walk.append(name)
         leaf.data[...] = np.nan
         leaf.grad = None
 
@@ -521,6 +525,96 @@ class TestOnFinal:
     def test_leaf_root_is_reported_once(self):
         reports = final_reports(lambda t: t["s"], {"s": np.array(1.5)})
         assert reports == ["s"]
+
+
+PROBE_60x2 = RNG.normal(size=(60, 2))
+
+
+class TestLateGradients:
+    """A leaf's gradient that is a product of two thinner factors is formed
+    after the walk, and the leaf is reported then, with the same bits.
+    ``LATE_FLOOR`` is lifted, so small products go late as the model's
+    79 MB maps do."""
+
+    @pytest.fixture(autouse=True)
+    def no_floor(self, monkeypatch):
+        monkeypatch.setattr(ad, "LATE_FLOOR", 0)
+
+    @staticmethod
+    def thin_term(t):
+        return ((ad.exp(t["w"] @ ad.exp(t["x"])) * ad.constant(PROBE_60x2)).sum()
+                + (t["u"] * t["u"]).sum())
+
+    def test_thin_matmul_leaf_is_reported_after_every_node(self):
+        # the first term is walked first; x's gradient is not thin, so x is
+        # reported at once, and w after the second term's u
+        arrays = {"w": RNG.normal(size=(60, 50)), "x": RNG.normal(size=(50, 2)),
+                  "u": RNG.normal(size=(3,))}
+        after_walk = []
+        reports = final_reports(self.thin_term, arrays, after_walk)
+        assert reports == ["x", "u", "w"] and after_walk == ["u", "w"]
+        # the bits of the eager product, by the closures' own expressions
+        w = ad.parameter(arrays["w"])
+        (ad.exp(w @ ad.constant(np.exp(arrays["x"])))
+         * ad.constant(PROBE_60x2)).sum().backward()
+        g = np.ones((60, 2)) * PROBE_60x2 * np.exp(arrays["w"] @ np.exp(arrays["x"]))
+        assert w.grad.tobytes() == (g @ np.exp(arrays["x"]).T).tobytes()
+
+    def test_product_below_the_floor_is_formed_at_once(self, monkeypatch):
+        monkeypatch.setattr(ad, "LATE_FLOOR", 60 * 50 + 1)
+        reports = final_reports(self.thin_term, {"w": RNG.normal(size=(60, 50)),
+                                                 "x": RNG.normal(size=(50, 2)),
+                                                 "u": RNG.normal(size=(3,))})
+        assert reports == ["w", "x", "u"]  # w at the matmul, before its input x
+
+    def test_thin_leaf_that_another_consumer_reached_earlier(self):
+        # mul(w, s) reads the matmul's output through s, so it is walked first
+        probe = RNG.normal(size=(30, 20))
+        after_walk = []
+
+        def build(t):
+            s = (t["w"] @ t["x"]).sum()
+            return ((ad.exp(t["w"] * ad.constant(0.1) * s) * ad.constant(probe)).sum()
+                    + (t["u"] * t["u"]).sum())
+
+        arrays = {"w": RNG.normal(size=(30, 20)) * 0.1, "x": RNG.normal(size=(20, 1)),
+                  "u": RNG.normal(size=(3,))}
+        reports = final_reports(build, arrays, after_walk)
+        assert reports == ["x", "u", "w"] and after_walk == ["u", "w"]
+        fd_ok(build, arrays)  # the late term is added to the earlier one
+
+    def test_thin_product_whose_other_factor_is_an_updated_leaf(self):
+        # x is reported (and overwritten with NaN) before w's late product,
+        # which reads x: the product must use x as the walk saw it
+        after_walk = []
+        reports = final_reports(lambda t: (t["w"] @ t["x"]).sum(),
+                                {"w": RNG.normal(size=(40, 30)), "x": RNG.normal(size=(30, 3))},
+                                after_walk)
+        assert reports == ["x", "w"] and after_walk == ["x", "w"]
+
+    def test_matmul_with_both_factors_thick_goes_eager(self):
+        reports = final_reports(lambda t: (t["a"] @ t["b"]).sum() + (t["u"] * t["u"]).sum(),
+                                {"a": RNG.normal(size=(4, 6)), "b": RNG.normal(size=(6, 5)),
+                                 "u": RNG.normal(size=(3,))})
+        assert reports == ["a", "b", "u"]
+
+    def test_walk_peak_holds_no_late_gradient_on_top_of_the_tape(self):
+        n = 1000
+        w, x = ad.parameter(RNG.normal(size=(n, n))), ad.parameter(RNG.normal(size=(n, 2)))
+        a = ad.parameter(RNG.normal(size=(1, n)))
+        probe = ad.constant(RNG.normal(size=(n, 2)))
+        tracemalloc.start()
+        try:
+            # the second term's closure holds the only reference to an n x n
+            # constant, which the walk frees after the first term's matmul
+            loss = ((w @ x) * probe).sum() + (a @ ad.constant(RNG.normal(size=(n, n)))).sum()
+            start = tracemalloc.get_traced_memory()[0]
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w.grad.nbytes == 8 * n * n
+        assert peak - start < w.grad.nbytes // 4  # formed after the tape's n x n array went
 
 
 class TestMachinery:
@@ -611,6 +705,23 @@ class TestMachinery:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_adam_step_returns_each_parameters_sum(self):
+        big = np.finfo(np.float64).max
+        params = {"w": ad.parameter(RNG.normal(size=70_000)),
+                  "nan": ad.parameter(RNG.normal(size=(33, 1001))),
+                  "over": ad.parameter(np.full(3 * ad.ADAM_CHUNK, big)),
+                  "idle": ad.parameter(np.ones(4))}
+        params["nan"].data[20, 7] = np.nan
+        for key in ("w", "nan", "over"):
+            params[key].grad = RNG.normal(size=params[key].shape)
+        totals = ad.Adam(params, lr=1e-3).step(params)
+        assert sorted(totals) == sorted(params)
+        assert np.isclose(totals["w"], params["w"].data.sum(), rtol=1e-12, atol=1e-9)
+        assert totals["idle"] == params["idle"].data.sum()
+        assert np.isnan(totals["nan"]) and totals["over"] == np.inf
+        assert [M._nonfinite(p.data, totals[k]) for k, p in params.items()] == [
+            False, True, False, False]
 
     def test_adam_rejects_unknown_key_before_updating(self):
         p, q = ad.parameter(np.ones(3)), ad.parameter(np.ones(2))

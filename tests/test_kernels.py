@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from oracles import nearest_vertex_loop, point_triangle_dists_dense, ray_crossings_loop
 
+import specmesh
 from specmesh import kernels
 from specmesh.primitives import cube, icosphere
 
@@ -316,3 +322,24 @@ class TestKernelSemantics:
 
 def test_backend_reports_name():
     assert kernels.BACKEND == "numpy"
+
+
+LAZY_SPATIAL_SCRIPT = """
+import sys
+import specmesh.kernels, specmesh.model, specmesh.primitives, specmesh.refine, specmesh.scenes
+assert "scipy.spatial" not in sys.modules, "a module-level import loads scipy.spatial"
+import numpy as np
+specmesh.kernels.nearest_vertex(np.zeros((1, 3)), np.ones((2, 3)))
+assert "scipy.spatial" in sys.modules
+"""
+
+
+def test_scipy_spatial_loads_on_first_use():
+    # the model processes import the kernels without calling them, and
+    # need not carry scipy.spatial (about 6 MB of RSS)
+    src = str(Path(specmesh.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LAZY_SPATIAL_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

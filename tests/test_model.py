@@ -298,22 +298,25 @@ class TestCheckpoint:
         config = M.ModelConfig.from_dict(dict(M.toy_config().to_dict(), learning_rate=1))
         assert config.learning_rate == 1
 
-    @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 5), (0, 4), ()])
-    def test_special_values_roundtrip_bit_exact(self, tmp_path, shape):
+    @pytest.mark.parametrize("name", ["project_b", "project_w", "dec0_cheb0",
+                                      "fuse_a_conv1_w", "dec1_up2_w"])
+    def test_special_values_roundtrip_bit_exact(self, trained_toy, tmp_path, name):
+        config, params, bn_state = trained_toy
         big = np.finfo(np.float64).max
         specials = [-0.0, big, -big, 5e-324, np.finfo(np.float64).tiny, -5e-324]
-        x = np.random.default_rng(0).normal(size=shape)
-        flat = x.reshape(-1)
-        flat[:len(specials)] = specials[:flat.size]
-        var = np.abs(x)
-        var.reshape(-1)[:1] = -0.0  # not below zero
-        M.save_checkpoint(tmp_path, {"x": ad.parameter(x)}, M.toy_config(),
-                          {"bn": {"mean": x, "var": var}})
-        params, _, bn_state = M.load_checkpoint(tmp_path)
-        for loaded, saved in ((params["x"].data, x), (bn_state["bn"]["mean"], x),
-                              (bn_state["bn"]["var"], var)):
-            assert loaded.dtype == np.float64 and loaded.shape == shape
-            assert loaded.tobytes() == saved.tobytes()
+        x = params[name].data.copy()
+        x.reshape(-1)[:len(specials)] = specials[:x.size]
+        mean = bn_state["fuse_b_bn2"]["mean"].copy()
+        mean[:len(specials)] = specials
+        var = np.abs(mean)
+        var[:1] = -0.0  # not below zero
+        M.save_checkpoint(tmp_path, dict(params, **{name: ad.parameter(x)}), config,
+                          dict(bn_state, fuse_b_bn2={"mean": mean, "var": var}))
+        loaded, _, loaded_bn = M.load_checkpoint(tmp_path)
+        for got, saved in ((loaded[name].data, x), (loaded_bn["fuse_b_bn2"]["mean"], mean),
+                           (loaded_bn["fuse_b_bn2"]["var"], var)):
+            assert got.dtype == np.float64 and got.shape == saved.shape
+            assert got.tobytes() == saved.tobytes()
 
     def test_directory_holds_manifest_and_npz(self, trained_toy, tmp_path):
         config, params, bn_state = trained_toy
@@ -396,6 +399,26 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match=f"tensors.npz.*'{key}'"):
             M.load_checkpoint(tmp_path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("enc0_0_q_w", None), ("enc0_0_q_w", np.ones((3, 3))), ("bn/fuse_a_bn1/mean", None),
+        ("bn/fuse_a_bn1/var", None), ("dec0_up9_w", np.ones((3, 3))),
+    ], ids=["missing", "wrong-shape", "missing-bn-mean", "missing-bn-var", "unknown"])
+    def test_tensor_the_config_cannot_run_is_parse_error(self, trained_toy, tmp_path, key,
+                                                         value):
+        # unchecked, these load and then fail in the eval forward, with a
+        # KeyError or NumPy's matmul error that names no tensor
+        config, params, bn_state = trained_toy
+        M.save_checkpoint(tmp_path, params, config, bn_state)
+        path = tmp_path / "tensors.npz"
+        with np.load(path) as archive:
+            tensors = {name: archive[name] for name in archive.files}
+        tensors.pop(key, None)
+        if value is not None:
+            tensors[key] = value
+        np.savez(path, **tensors)
+        with pytest.raises(ParseError, match=f"tensors.npz.*'{key}'"):
+            M.load_checkpoint(tmp_path)
+
     def test_transposed_parameter_loads_c_contiguous_and_trains(self, trained_toy, tmp_path):
         config, params, bn_state = trained_toy
         saved = {name: ad.Tensor(t.data, requires_grad=True) for name, t in params.items()}
@@ -457,7 +480,15 @@ class TestEvalForward:
             M.forward(M.synth_backbone_features(2, config), params, assets, config, {},
                       train=False)
 
-    def test_nonfinite_batch_leaves_running_statistics_unchanged(self, perturbed_toy):
+    @pytest.mark.parametrize("poison, error", [
+        (None, "batch-norm fuse_a_bn1"),
+        (("fuse_b_conv2_w", 1e300), "batch-norm fuse_b_bn2"),
+        (("project_w", 1.5e308), "transformer forward"),
+    ], ids=["features", "fuse_b_bn2", "transformer"])
+    def test_nonfinite_batch_leaves_running_statistics_unchanged(self, perturbed_toy, poison,
+                                                                 error):
+        # a step that raises before its walk commits none of its statistics,
+        # not even those of the layers that ran before the failure
         config, assets, start = perturbed_toy
         params = params_copy(start)
         bn_state = {}
@@ -466,15 +497,35 @@ class TestEvalForward:
         before = {name: {stat: a.tobytes() for stat, a in stats.items()}
                   for name, stats in bn_state.items()}
         scene = build_scene(SceneSpec(seed=2), assets, config)
-        scene.features[1, 3, 4, 5] = np.nan
+        if poison is None:
+            scene.features[1, 3, 4, 5] = np.nan
+        else:
+            name, value = poison
+            kept = params[name].data.copy()
+            params[name].data[...] = value
         opt = ad.Adam(params, lr=config.learning_rate)
-        with pytest.raises(NumericalError, match="batch-norm fuse_a_bn1"):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match=error):
             M.train_step(params, opt, scene, assets, config, bn_state)
         assert {name: {stat: a.tobytes() for stat, a in stats.items()}
                 for name, stats in bn_state.items()} == before
+        if poison is not None:
+            params[name].data[...] = kept
         out = M.forward(M.synth_backbone_features(3, config), params, assets, config,
                         bn_state, train=False)
         assert np.all(np.isfinite(out.pred_vertices.data))
+
+    def test_train_mode_forward_commits_at_its_end(self, perturbed_toy):
+        config, assets, params = perturbed_toy
+        features = M.synth_backbone_features(1, config)
+        bn_state, staged = {}, {}
+        M.forward(features, params, assets, config, bn_state, train=True, staged=staged)
+        assert bn_state == {} and sorted(staged) == sorted(M.BN_LAYERS)
+        M.forward(features, params, assets, config, bn_state, train=True)
+        assert sorted(bn_state) == sorted(M.BN_LAYERS)
+        for name in M.BN_LAYERS:
+            for stat in ("mean", "var"):
+                assert bn_state[name][stat].tobytes() == staged[name][stat].tobytes()
 
 
 @pytest.mark.parametrize("shape", [(3, 7, 7, 64), (1, 7, 7, 64), (2, 6, 7, 64), (2, 7, 7, 32)])
