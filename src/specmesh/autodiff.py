@@ -1152,14 +1152,13 @@ class Adam:
             grad = None if p.grad is None else p.grad.reshape(-1)
             starts = range(0, data.size, ADAM_CHUNK)
             ways = min(len(self._scratch), len(starts))
-            with np.errstate(over="ignore", invalid="ignore"):  # pieces run in this context
-                # an element update takes as long as 128 or more multiply-adds
-                totals[key] = sum(POOL.run(
-                    [functools.partial(self._update, self.t[key], data, m, v, grad,
-                                       starts[i * len(starts) // ways:
-                                              (i + 1) * len(starts) // ways],
-                                       self._scratch[i])
-                     for i in range(ways)], 128 * data.size))
+            # an element update takes as long as 128 or more multiply-adds
+            totals[key] = sum(POOL.run(
+                [functools.partial(self._update, self.t[key], data, m, v, grad,
+                                   starts[i * len(starts) // ways:
+                                          (i + 1) * len(starts) // ways],
+                                   self._scratch[i])
+                 for i in range(ways)], 128 * data.size))
         return totals
 
     def _update(self, t, data, m, v, grad, starts, scratch) -> float:
@@ -1191,5 +1190,6 @@ class Adam:
             np.add(b, eps, out=b)
             np.divide(a, b, out=a)
             np.subtract(x, a, out=x)
-            total += float(x.sum())
+            with np.errstate(over="ignore", invalid="ignore"):
+                total += float(x.sum())
         return total

@@ -359,15 +359,14 @@ def _fusion_branch(x: ad.Tensor, params: dict, prefix: str, bn_state: dict,
 
 
 def fusion_forward(features, params: dict, config: ModelConfig, bn_state: dict,
-                   train: bool = True, staged: dict | None = None):
+                   train: bool = True, *, staged: dict):
     """Backbone features -> (finer per-view features, soft-attention mask).
 
     Returns tensors of shape (N, H*W, C) and (N, H*W, K); every mask channel
     is a distribution over spatial positions. In train mode, the refreshed
     running statistics of the four batch-norm layers go into ``staged``
-    (layer -> {"mean", "var"}) when it is given, for the caller to commit
-    into ``bn_state``; otherwise they are committed once the outputs pass
-    the finiteness check. So a forward that raises leaves ``bn_state`` as it was.
+    (layer -> {"mean", "var"}), for the caller to commit into ``bn_state``;
+    ``bn_state`` itself is only read.
     """
     x = ad.as_tensor(features)
     n, g, g2, bc = x.shape
@@ -376,9 +375,8 @@ def fusion_forward(features, params: dict, config: ModelConfig, bn_state: dict,
         raise ArgumentError(
             f"features must be ({config.n_views}, {BACKBONE_GRID}, {BACKBONE_GRID}, "
             f"{config.backbone_channels}), got {x.shape}")
-    updates = {} if staged is None else staged
-    fa = _fusion_branch(x, params, "fuse_a", bn_state, train, updates)
-    fb = _fusion_branch(x, params, "fuse_b", bn_state, train, updates)
+    fa = _fusion_branch(x, params, "fuse_a", bn_state, train, staged)
+    fb = _fusion_branch(x, params, "fuse_b", bn_state, train, staged)
     hw = fa.shape[1] * fa.shape[2]
     f_prime = ad.reshape(fa, (n, hw, config.feature_width))
     # no bias: it would be constant along the spatial axis the softmax runs over
@@ -386,8 +384,6 @@ def fusion_forward(features, params: dict, config: ModelConfig, bn_state: dict,
     mask = ad.softmax(logits, axis=1)  # distribution over spatial positions
     if _nonfinite(f_prime.data) or _nonfinite(mask.data):
         raise NumericalError("non-finite values in fusion forward")
-    if staged is None:
-        bn_state.update(updates)
     return f_prime, mask
 
 
@@ -490,7 +486,7 @@ def forward(features, params: dict, assets: TemplateAssets, config: ModelConfig,
     if not train:
         params = {name: ad.constant(p.data) for name, p in params.items()}
     updates = {} if staged is None else staged
-    f_prime, mask = fusion_forward(features, params, config, bn_state, train, updates)
+    f_prime, mask = fusion_forward(features, params, config, bn_state, train, staged=updates)
     f_r = fuse_views(f_prime, mask)
     cams = camera_head(f_r, params, config)
     region = ad.take(f_r, assets.token_labels, axis=0)  # (V', C)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -82,15 +83,18 @@ class TestFusionMatchesOracle:
         eval-mode outputs and the batch-norm running statistics, by name."""
         for p in params.values():
             p.grad = None
-        bn_state = {}
-        f_prime, mask = M.fusion_forward(features, params, config, bn_state, train=True)
+        bn_state, staged = {}, {}
+        f_prime, mask = M.fusion_forward(features, params, config, bn_state, train=True,
+                                         staged=staged)
+        bn_state.update(staged)
         rng = np.random.default_rng(4)
         sum(ad.reduce_sum(t * ad.constant(rng.normal(size=t.shape)))
             for t in (f_prime, mask)).backward()
         arrays = {"train f_prime": f_prime.data, "train mask": mask.data}
         arrays.update({f"grad {name}": p.grad for name, p in params.items()
                        if p.grad is not None})
-        f_prime, mask = M.fusion_forward(features, params, config, bn_state, train=False)
+        f_prime, mask = M.fusion_forward(features, params, config, bn_state, train=False,
+                                         staged={})
         arrays.update({"eval f_prime": f_prime.data, "eval mask": mask.data})
         arrays.update({f"{key} {stat}": stats[stat] for key, stats in bn_state.items()
                        for stat in ("mean", "var")})
@@ -463,7 +467,8 @@ class TestEvalForward:
         for t in (out.pred_vertices, out.cameras, out.f_r, out.tokens):
             assert t._node is None and t._backward is None
         # the same stages on the grad-requiring parameters, which tape
-        f_prime, mask = M.fusion_forward(features, params, config, bn_state, train=False)
+        f_prime, mask = M.fusion_forward(features, params, config, bn_state, train=False,
+                                         staged={})
         f_r = M.fuse_views(f_prime, mask)
         cams = M.camera_head(f_r, params, config)
         region = ad.take(f_r, assets.token_labels, axis=0)
@@ -504,8 +509,10 @@ class TestEvalForward:
             kept = params[name].data.copy()
             params[name].data[...] = value
         opt = ad.Adam(params, lr=config.learning_rate)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericalError, match=error):
+        # the poisoned weights overflow on the way to the error; NaN features do not
+        quiet = (contextlib.nullcontext() if poison is None
+                 else np.errstate(over="ignore", invalid="ignore"))
+        with quiet, pytest.raises(NumericalError, match=error):
             M.train_step(params, opt, scene, assets, config, bn_state)
         assert {name: {stat: a.tobytes() for stat, a in stats.items()}
                 for name, stats in bn_state.items()} == before
