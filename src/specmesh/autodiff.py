@@ -568,7 +568,7 @@ def _defer(node: _Node, size: int, form, x: np.ndarray, y: np.ndarray, shape) ->
     making only the 79 MB maps late took the benchmark's peak RSS from 1288
     to 1248 MB at the same 7.1k page faults per step (medians of 10 pairs,
     one BLAS thread); making all of them late, largest first, took it to
-    1239 MB but 13.1k faults (one run). Below glibc's
+    1240 MB but 12.6k faults (medians of another 10 pairs). Below glibc's
     largest mmap threshold, an eager gradient grows the heap that the next
     step's forward reuses; a late one, formed in memory the tape has freed,
     does not, so the next forward faults that growth in again.

@@ -723,6 +723,19 @@ class TestMachinery:
         assert [M._nonfinite(p.data, totals[k]) for k, p in params.items()] == [
             False, True, False, False]
 
+    def test_adam_update_keeps_the_callers_errstate_but_its_sum_does_not_warn(self):
+        # only the sum is taken with warnings off: an overflow in the update
+        # itself still reaches a caller that asked for it
+        big = np.finfo(np.float64).max
+        summed = ad.parameter(np.full(3 * ad.ADAM_CHUNK, big))
+        summed.grad = np.zeros(summed.shape)
+        squared = ad.parameter(np.ones(3 * ad.ADAM_CHUNK))
+        squared.grad = np.full(squared.shape, 1e200)  # its square overflows v
+        with np.errstate(over="raise"):
+            assert ad.Adam({"s": summed}).step({"s": summed}) == {"s": np.inf}
+            with pytest.raises(FloatingPointError, match="overflow"):
+                ad.Adam({"q": squared}).step({"q": squared})
+
     def test_adam_rejects_unknown_key_before_updating(self):
         p, q = ad.parameter(np.ones(3)), ad.parameter(np.ones(2))
         opt = ad.Adam({"p": p})
