@@ -20,17 +20,28 @@ a conservative bounding sphere, and holds the per-face columns of the ray
 test. A chunk of queries is tested against all spheres at once, and the pair
 test runs only on the faces of the clusters that pass:
 
-- ``ray_hits`` keeps the clusters a ray reaches and runs the
-  Moller-Trumbore test (Moller & Trumbore, JGT 1997). A ray lying in the
-  plane of a face grazes it even where it never reaches the face, so a
-  near-parallel prefilter, one ``dirs @ normals.T`` product per chunk, adds
-  those few pairs.
+- ``ray_hits`` keeps the clusters a ray reaches, then the faces of those
+  whose own bounding sphere it reaches (about one in fourteen, for rays
+  between two overlapping 642-vertex icospheres), and runs the
+  Moller-Trumbore test (Moller & Trumbore, JGT 1997) on them. A ray lying
+  in the plane of a face grazes it even where it never reaches the face,
+  so a near-parallel prefilter, one ``dirs @ normals.T`` product per chunk,
+  adds those few pairs. A ray along a coordinate axis, as in the voxel column
+  passes, is parallel to every face whose normal has no component along
+  that axis, and such a pair can only graze, by its plane distance. So a
+  chunk of such rays takes that distance to those faces for every ray at
+  once, without gathering the pairs, and leaves them out of the pair test.
 - ``point_triangle_dists`` bounds each point's answer by its distance to the
-  nearest mesh vertex, keeps the clusters whose sphere comes within that
-  bound, and runs Ericson's closest-point case split on their faces.
+  nearest face corner (a KD-tree the ``FaceClusters`` builds on first use),
+  keeps the clusters whose sphere comes within that bound, and runs
+  Ericson's closest-point case split on their faces.
 
 Crossings, counts, grazing flags and distances are the same as from testing
-every pair.
+every pair. A ray's crossings, t values and grazing flag are also the same
+whatever other rays share its call: the pair test is elementwise, and the
+per-chunk quantities (direction norms, the prefilter's tolerance) only
+decide which pairs are tested, conservatively. ``refine.points_interior``
+casts its retry rounds in one call on that ground.
 """
 from __future__ import annotations
 
@@ -77,6 +88,11 @@ def _morton_order(centroids):
     return np.argsort(code, kind="stable")
 
 
+def _length(x):
+    """|x| over a last axis of 3, summed in ``np.linalg.norm``'s order."""
+    return np.sqrt(x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1] + x[..., 2] * x[..., 2])
+
+
 class FaceClusters:
     """A triangle soup prepared once for both triangle kernels.
 
@@ -91,11 +107,15 @@ class FaceClusters:
     the (K, _CLUSTER) face indices of each cluster, where the last cluster
     may be short and its padding indices run past the last face; ``center``,
     ``radius`` (slack-grown) and ``center_sq`` (|center|^2) of each sphere;
-    ``cluster_of``, each face's cluster; ``normal`` (e1 x e2), ``det_eps``
-    and ``parallel_tol`` per face; ``face_cols``, the rows v0, e1, e2,
-    normal, |normal| and ``det_eps`` that ``_pair_test`` reads; and ``lo``
+    ``face_center`` and ``face_radius`` (slack-grown), each face's own
+    bounding sphere; ``normal`` (e1 x e2), ``det_eps`` and
+    ``parallel_tol`` per face; ``flat``, the (F, 3) flags of the faces
+    that ``_pair_test`` finds parallel to a unit ray along each axis, and
+    ``flat_faces``, their indices per axis; ``face_cols``, the rows v0, e1,
+    e2, normal, |normal| and ``det_eps`` that ``_pair_test`` reads; ``lo``
     and ``hi``, the (3,) axis-aligned box of all corners, which for an empty
-    soup is (+inf, -inf) and holds no point.
+    soup is (+inf, -inf) and holds no point; and ``corner_tree``, a KD-tree
+    of the corners built on first use.
     """
 
     def __init__(self, tri):
@@ -106,16 +126,27 @@ class FaceClusters:
         n_clusters = -(-n_tri // _CLUSTER)
         self.tri = tri
         self.members = np.arange(n_clusters * _CLUSTER).reshape(n_clusters, _CLUSTER)
-        self.cluster_of = np.arange(n_tri) // _CLUSTER
+        # Boxes and spheres from the three corner columns: NumPy reduces a
+        # short middle axis row by row, which took most of the build.
+        a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+        face_lo = np.minimum(np.minimum(a, b), c)
+        face_hi = np.maximum(np.maximum(a, b), c)
+        self.face_center = 0.5 * (face_lo + face_hi)
+        self.face_radius = np.maximum(np.maximum(_length(a - self.face_center),
+                                                 _length(b - self.face_center)),
+                                      _length(c - self.face_center))
+        self.face_radius *= 1.0 + _SPHERE_SLACK
         # the padding of a short last cluster repeats a face for the sphere only
-        corners = tri[np.minimum(self.members, n_tri - 1)].reshape(n_clusters, 3 * _CLUSTER, 3)
-        self.center = 0.5 * (corners.min(axis=1) + corners.max(axis=1))
-        self.radius = np.linalg.norm(corners - self.center[:, None, :], axis=2).max(axis=1)
+        padded = np.minimum(self.members, n_tri - 1)
+        self.center = 0.5 * (np.minimum.reduce(face_lo[padded], axis=1)
+                             + np.maximum.reduce(face_hi[padded], axis=1))
+        corners = tri[padded].reshape(n_clusters, 3 * _CLUSTER, 3)
+        self.radius = _length(corners - self.center[:, None, :]).max(axis=1)
         self.radius *= 1.0 + _SPHERE_SLACK
         self.center_sq = np.einsum("kc,kc->k", self.center, self.center)
-        self.lo = tri.reshape(-1, 3).min(axis=0, initial=np.inf)
-        self.hi = tri.reshape(-1, 3).max(axis=0, initial=-np.inf)
-        v0 = tri[:, 0]
+        self.lo = np.minimum.reduce(face_lo, axis=0, initial=np.inf)
+        self.hi = np.maximum.reduce(face_hi, axis=0, initial=-np.inf)
+        v0 = a
         e1 = tri[:, 1] - v0
         e2 = tri[:, 2] - v0
         self.normal = np.cross(e1, e2)
@@ -125,9 +156,22 @@ class FaceClusters:
                              * np.linalg.norm(e2, axis=1))
         self.face_cols = np.concatenate([v0.T, e1.T, e2.T, self.normal.T, norm_n[None],
                                          self.det_eps[None]])
+        # For a direction with one component +-1 and the others 0, _pair_test's
+        # det rounds to -+normal[axis] bit for bit (np.cross subtracts the same
+        # two products), so its parallel test reads this per-face flag.
+        self.flat = np.abs(self.normal) < self.det_eps[:, None]
+        self.flat_faces = [np.flatnonzero(self.flat[:, c]) for c in range(3)]
+        self._corner_tree = None
 
     def __len__(self):
         return self.tri.shape[0]
+
+    @property
+    def corner_tree(self):
+        """``scipy.spatial.cKDTree`` of the face corners."""
+        if self._corner_tree is None:
+            self._corner_tree = _kdtree(self.tri.reshape(-1, 3))
+        return self._corner_tree
 
 
 def _cluster_hits(p, faces, grow, along=None):
@@ -195,9 +239,21 @@ def _pair_test(ray, face):
         & (u + v < 1.0 + _EPS_BARY)
         & (t > -_EPS_T)
     )
-    plane_dist = np.abs(tvx * nx + tvy * ny + tvz * nz) / np.maximum(norm_n, 1e-30)
-    on_plane = parallel & (plane_dist < _EPS_PLANE)
+    on_plane = parallel & (_plane_dist(tvx, tvy, tvz, nx, ny, nz, norm_n) < _EPS_PLANE)
     return inside, (loose & ~inside) | on_plane, t
+
+
+def _common_axis(d):
+    """The axis along which every row of ``d`` is +-1, with 0 in its other
+    components, or None."""
+    axis = int(np.argmax(np.abs(d[0])))
+    along = np.abs(d[:, axis]) == 1.0
+    return axis if along.all() and np.count_nonzero(d) == len(d) else None
+
+
+def _plane_dist(tvx, tvy, tvz, nx, ny, nz, norm_n):
+    """Distance from the origin to the face's plane, ``tv = origin - v0``."""
+    return np.abs(tvx * nx + tvy * ny + tvz * nz) / np.maximum(norm_n, 1e-30)
 
 
 def ray_hits(origins, dirs, faces):
@@ -231,22 +287,43 @@ def ray_hits(origins, dirs, faces):
         along = np.maximum(unit @ faces.center.T - np.einsum("rc,rc->r", unit, p)[:, None], 0.0)
         hit = _cluster_hits(p, faces, (2.0 * _EPS_T) * d_norm, along)
         ray, face = _cluster_pairs(hit, faces.members, n_tri)
+        # of the faces of those clusters, keep the ones whose own sphere the
+        # ray meets; |c - p|^2 - along^2 rounds by under 1e-15 |c - p|^2
+        diff = np.take(faces.face_center, face, axis=0) - np.take(p, ray, axis=0)
+        dist_sq = np.einsum("ic,ic->i", diff, diff)
+        along = np.maximum(np.einsum("ic,ic->i", np.take(unit, ray, axis=0), diff), 0.0)
+        reach = faces.face_radius[face] + (2.0 * _EPS_T) * d_norm[ray]
+        keep = dist_sq - along * along <= reach * reach + 1e-12 * dist_sq
+        ray, face = ray[keep], face[keep]
         # Rays in a face's plane graze it wherever they are: keep the
-        # near-parallel pairs that the sphere test dropped.
+        # near-parallel pairs that the sphere tests dropped.
         with np.errstate(divide="ignore"):
             tol = (faces.parallel_tol * np.fmax.reduce(d_norm)
                    + faces.det_eps / np.fmin.reduce(d_norm))
         dn = d @ faces.normal.T
         near = np.abs(dn, out=dn) <= tol
+        axis = _common_axis(d)
+        if axis is not None:
+            # Every ray runs along the axis, so _pair_test finds it parallel
+            # to the faces ``flat`` marks: such a pair is never inside and
+            # grazes by its plane distance alone, taken here for all of them.
+            flat = faces.flat_faces[axis]
+            tv = p.T[:, :, None] - faces.face_cols[:3, None, flat]
+            on_plane = _plane_dist(*tv, *faces.face_cols[9:13, None, flat]) < _EPS_PLANE
+            keep = ~faces.flat[face, axis]
+            ray, face = ray[keep], face[keep]
+            near[:, flat] = False
         if near.any():
+            near[ray, face] = False
             near_ray, near_face = np.nonzero(near)
-            missed = ~hit[near_ray, faces.cluster_of[near_face]]
-            ray = np.concatenate([ray, near_ray[missed]])
-            face = np.concatenate([face, near_face[missed]])
+            ray = np.concatenate([ray, near_ray])
+            face = np.concatenate([face, near_face])
         inside, graz, t = _pair_test(ray_cols[:, lo + ray], faces.face_cols[:, face])
         hit_ray.append(lo + ray[inside])
         hit_t.append(t[inside])
         grazing[lo:hi] = np.bincount(ray[graz], minlength=hi - lo) > 0
+        if axis is not None:
+            grazing[lo:hi] |= on_plane.any(axis=1)
     return np.concatenate(hit_ray), np.concatenate(hit_t), grazing
 
 
@@ -262,11 +339,13 @@ def ray_crossings(origins, dirs, faces):
     return np.bincount(ray, minlength=len(grazing)), grazing
 
 
-def nearest_vertex(query, ref):
+def nearest_vertex(query, ref, tree=None):
     """Index and distance of the nearest reference vertex per query point.
 
-    Ties resolve to the lowest index. With no reference vertices, every
-    query gets index 0 and distance inf.
+    ``tree`` is a ``scipy.spatial.cKDTree`` of ``ref``, such as a mesh's
+    ``vertex_tree``; without it one is built. Ties resolve to the lowest
+    index. With no reference vertices, every query gets index 0 and distance
+    inf.
     """
     query = np.asarray(query, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
@@ -275,7 +354,8 @@ def nearest_vertex(query, ref):
     dist = np.full(n, np.inf)
     if n == 0:
         return idx, dist
-    tree = _kdtree(ref)
+    if tree is None:
+        tree = _kdtree(ref)
     radius, _ = tree.query(query)
     # The tree rounds distances its own way: widen the radius so every vertex
     # that ties with the nearest after re-scoring is gathered. With no
@@ -351,8 +431,8 @@ def point_triangle_dists(points, faces):
     if n == 0 or n_tri == 0:
         return out
     tri = faces.tri
-    # the nearest vertex bounds the nearest face from above
-    bound, _ = _kdtree(tri.reshape(-1, 3)).query(points)
+    # the nearest corner bounds the nearest face from above
+    bound, _ = faces.corner_tree.query(points)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         p = points[lo:hi]

@@ -8,7 +8,8 @@ templates and seeds k-means. Faces are split into edges in one place,
 sparse matrix, whose stored entries are the unique edges and whose values
 count the faces at each edge. That gives the unique edges (``edge_set``:
 the graph adjacency, the edge-length loss and the rigidity energy all take
-them) and the watertightness check.
+them) and the watertightness check. A mesh computes them once, on its
+``Topology``, which every mesh ``with_positions`` makes from it shares.
 
 All positions are meters. OBJ text is ASCII with 1-based ``v``/``f`` records;
 ``#`` comments and unknown record types are ignored.
@@ -21,15 +22,59 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ArgumentError, ParseError
+from .kernels import FaceClusters, _kdtree
+
+
+class Topology:
+    """What a mesh's faces alone determine, computed on first use.
+
+    ``edge_counts`` backs ``edge_set`` and ``is_watertight``; ``derived``
+    keeps what another module builds from the faces (refinement keeps its
+    ARAP incidence, order and band here). One record serves every mesh that
+    ``TriMesh.with_positions`` makes from the same mesh, so each is computed
+    once per topology, not once per set of positions. The edge arrays are
+    read-only.
+    """
+
+    def __init__(self, faces: np.ndarray):
+        self.faces = faces
+        self._edge_counts = None
+        self._derived = {}
+
+    def edge_counts(self):
+        """``_edge_counts`` of the faces: (unique edges, faces per edge)."""
+        if self._edge_counts is None:
+            self._edge_counts = _edge_counts(self.faces)
+            for array in self._edge_counts:
+                array.setflags(write=False)
+        return self._edge_counts
+
+    def derived(self, key, build):
+        """``build()``, called on the first call with ``key`` only."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
 
 @dataclass
 class TriMesh:
-    """Triangular surface mesh with lazily computed vertex normals."""
+    """Triangular surface mesh with lazily computed, cached structures.
+
+    The normals, the ``FaceClusters`` of the triangle kernels and the KD-tree
+    of the vertices are computed from ``positions`` and ``faces`` on first
+    use and kept, so the arrays must not be changed in place: make a new mesh
+    (``with_positions``) instead. Such a mesh shares this one's ``topology``
+    (the edges behind ``edge_set`` and ``is_watertight``, and refinement's
+    ARAP incidence, order and band) and builds its own normals, faces and
+    vertex tree.
+    """
 
     positions: np.ndarray  # (V, 3) float64
     faces: np.ndarray  # (F, 3) int32
     _normals: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _face_clusters: FaceClusters | None = field(default=None, repr=False, compare=False)
+    _vertex_tree: object = field(default=None, repr=False, compare=False)
+    _topology: Topology | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -46,11 +91,32 @@ class TriMesh:
             self._normals = vertex_normals(self.positions, self.faces)
         return self._normals
 
+    @property
+    def face_clusters(self) -> FaceClusters:
+        """The faces, prepared for the triangle kernels."""
+        if self._face_clusters is None:
+            self._face_clusters = FaceClusters(self.positions[self.faces])
+        return self._face_clusters
+
+    @property
+    def vertex_tree(self):
+        """``scipy.spatial.cKDTree`` of the vertices, for ``nearest_vertex``."""
+        if self._vertex_tree is None:
+            self._vertex_tree = _kdtree(self.positions)
+        return self._vertex_tree
+
+    @property
+    def topology(self) -> Topology:
+        if self._topology is None:
+            self._topology = Topology(self.faces)
+        return self._topology
+
     def with_positions(self, positions: np.ndarray) -> "TriMesh":
-        """Same topology, new vertex positions (normals recomputed lazily)."""
+        """Same faces and ``topology``, new vertex positions."""
         return TriMesh(
             positions=np.ascontiguousarray(positions, dtype=np.float64),
             faces=self.faces,
+            _topology=self.topology,
         )
 
 
@@ -158,13 +224,14 @@ def _edge_counts(faces: np.ndarray):
 
 
 def edge_set(mesh: TriMesh) -> np.ndarray:
-    """Every undirected face edge exactly once: (E, 2) int64, i <= j, sorted."""
-    return _edge_counts(mesh.faces)[0]
+    """Every undirected face edge exactly once: (E, 2) int64, i <= j, sorted
+    (read-only: the mesh's topology keeps it)."""
+    return mesh.topology.edge_counts()[0]
 
 
 def is_watertight(mesh: TriMesh) -> bool:
     """True iff every edge is shared by exactly two faces."""
-    _, counts = _edge_counts(mesh.faces)
+    _, counts = mesh.topology.edge_counts()
     return bool(counts.size) and bool((counts == 2).all())
 
 

@@ -105,11 +105,6 @@ def _random_directions(n: int, rng: np.random.Generator) -> np.ndarray:
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
-def _face_clusters(mesh: TriMesh) -> FaceClusters:
-    """The mesh's faces, prepared for the triangle kernels."""
-    return FaceClusters(mesh.positions[mesh.faces])
-
-
 def points_interior(points: np.ndarray, faces: FaceClusters, seed: int):
     """Ray-parity interior test for a batch of points against a surface.
 
@@ -130,6 +125,20 @@ def points_interior(points: np.ndarray, faces: FaceClusters, seed: int):
     those beyond the box, so each point that casts gets the direction it
     would get with no cull, and so does every retry unless a ray from beyond
     the box would have grazed.
+
+    The retries are cast in as few ``ray_crossings`` calls as the rounds
+    allow, with the directions and results of one call per round. Round k
+    draws one direction per point still grazing, so the draws of rounds
+    that keep the same points are one normal draw of all their rows (a
+    Generator fills rows in order). After round 1, every round left is cast
+    in one call for the points still grazing, and the rounds are read in
+    order. At the first round where a point resolves, the later rounds of
+    that call used directions one call per round would not draw (its next
+    draw is smaller): the generator is reset to where that round's draw
+    ended, and the points still grazing are cast again, in one call for the
+    rounds left. A ray's
+    result does not depend on the other rays of its call (``kernels``), so
+    flags, failures and warnings equal one call per round.
     """
     rng = np.random.default_rng(seed)
     n = points.shape[0]
@@ -137,17 +146,26 @@ def points_interior(points: np.ndarray, faces: FaceClusters, seed: int):
     slack = _BOX_SLACK * (1.0 + np.abs(faces.lo) + np.abs(faces.hi))
     with np.errstate(invalid="ignore"):  # an empty soup's box gives inf - inf: no point is in
         in_box = np.all((points >= faces.lo - slack) & (points <= faces.hi + slack), axis=1)
-    active = np.arange(n)
-    for _ in range(MAX_RAY_RETRIES):
-        dirs = _random_directions(active.size, rng)
-        cast = in_box[active]
-        active, dirs = active[cast], dirs[cast]
-        if active.size == 0:
+    active = np.flatnonzero(in_box)
+    dirs = _random_directions(n, rng)[in_box]
+    rounds, left = 1, MAX_RAY_RETRIES
+    while active.size:
+        counts, grazing = ray_crossings(np.tile(points[active], (rounds, 1)), dirs, faces)
+        ok = (grazing == 0).reshape(rounds, active.size)
+        # the first round that resolves a point ends what this call can read
+        last = int(np.argmax(ok.any(axis=1))) if ok.any() else rounds - 1
+        done = ok[last]
+        interior[active[done]] = counts.reshape(rounds, -1)[last, done] % 2 == 1
+        active = active[~done]
+        left -= last + 1
+        if not (left and active.size):
             break
-        counts, grazing = ray_crossings(points[active], dirs, faces)
-        ok = grazing == 0
-        interior[active[ok]] = (counts[ok] % 2) == 1
-        active = active[~ok]
+        if last + 1 < rounds:  # back to the end of round last's draw
+            rng.bit_generator.state = state
+            rng.normal(size=((last + 1) * done.size, 3))
+        rounds = left
+        state = rng.bit_generator.state
+        dirs = _random_directions(rounds * active.size, rng)
     failures = int(active.size)
     if failures:
         _LOGGER.warning("ray parity unresolved for %d points; treated exterior", failures)
@@ -177,7 +195,7 @@ def collision_mask(source: TriMesh, target: TriMesh) -> np.ndarray:
     """
     _reject_self(source, target, "collision mask")
     _check_mesh(target, "target", "collision mask")
-    return points_interior(source.positions, _face_clusters(target), seed=0)[0]
+    return points_interior(source.positions, target.face_clusters, seed=0)[0]
 
 
 def _gated_pairs(source: TriMesh, interior: np.ndarray, target: TriMesh):
@@ -186,7 +204,7 @@ def _gated_pairs(source: TriMesh, interior: np.ndarray, target: TriMesh):
     masked = np.flatnonzero(interior)
     if masked.size == 0:
         return masked, masked
-    nn_idx, _ = nearest_vertex(source.positions[masked], target.positions)
+    nn_idx, _ = nearest_vertex(source.positions[masked], target.positions, target.vertex_tree)
     dots = np.einsum("ij,ij->i", source.normals[masked], target.normals[nn_idx])
     keep = dots < 0.0
     return masked[keep], nn_idx[keep]
@@ -282,6 +300,44 @@ def _best_rotations(s: np.ndarray) -> np.ndarray:
     return np.moveaxis(r, -1, 0)
 
 
+class _ArapTopology:
+    """What ``_Arap`` needs of a topology: the incidences ``owner`` and
+    ``inc`` over the edge ``ends``, the reverse Cuthill-McKee ``order`` of
+    4 L with each vertex's ``slot`` in it, each ordered vertex's
+    ``component``, and 4 L's upper ``band`` in that order. Built once per
+    topology (``_arap``)."""
+
+    def __init__(self, edges: np.ndarray, n: int):
+        m = edges.shape[0]
+        self.ends = np.ascontiguousarray(edges.T)  # (2, E): first endpoints, then second
+        ends = self.ends.ravel()
+        order = np.argsort(ends, kind="stable")
+        cols = np.tile(np.arange(m), 2)[order]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
+        self.owner = sp.csr_matrix((np.ones(2 * m), cols, indptr), shape=(n, m))
+        self.inc = sp.csr_matrix((np.repeat([1.0, -1.0], m)[order], cols, indptr), shape=(n, m))
+        four_lap = 4.0 * laplacian(adjacency_matrix(edges, n))
+        _, component = connected_components(four_lap, directed=False)
+        self.order = reverse_cuthill_mckee(four_lap, symmetric_mode=True)
+        self.slot = np.argsort(self.order)  # each vertex's place in the order
+        self.component = component[self.order]
+        # upper band storage for solveh_banded: band[bw + r - c, c] = A[r, c], r <= c
+        lap = four_lap[self.order][:, self.order].tocoo()
+        upper = lap.row <= lap.col
+        row, col = lap.row[upper], lap.col[upper]
+        bw = int(np.max(col - row, initial=0))
+        self.band = np.zeros((bw + 1, n))
+        self.band[bw + row - col, col] = lap.data[upper]
+
+
+def _arap(mesh: TriMesh) -> _Arap:
+    """The ``_Arap`` of the mesh at its positions as rest, on the
+    ``_ArapTopology`` its ``topology`` keeps."""
+    n = mesh.n_vertices
+    topology = mesh.topology.derived(("arap", n), lambda: _ArapTopology(edge_set(mesh), n))
+    return _Arap(mesh.positions, topology)
+
+
 class _Arap:
     """ARAP's local and global steps on one source topology.
 
@@ -307,49 +363,30 @@ class _Arap:
 
     That system is ``4 L`` plus the pairs' weights on its diagonal. Its
     pattern is fixed per topology, so a reverse Cuthill-McKee order of L and
-    L's upper band in that order are computed once; each solve adds the
-    weights to the band's diagonal and runs a banded Cholesky (LAPACK
-    ``pbsv``) in O(n bw^2) for bandwidth bw (41 on ``icosphere(3)``, 42 on
+    L's upper band in that order are computed once per topology, with the
+    incidences, as an ``_ArapTopology``; each solve adds the weights to the
+    band's diagonal and runs a banded Cholesky (LAPACK ``pbsv``) in
+    O(n bw^2) for bandwidth bw (41 on ``icosphere(3)``, 42 on
     ``hand_template(4023)``).
     """
 
-    def __init__(self, rest: np.ndarray, edges: np.ndarray):
-        n, m = rest.shape[0], edges.shape[0]
-        self._ends = np.ascontiguousarray(edges.T)  # (2, E): first endpoints, then second
-        ends = self._ends.ravel()
-        order = np.argsort(ends, kind="stable")
-        cols = np.tile(np.arange(m), 2)[order]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
-        self._owner = sp.csr_matrix((np.ones(2 * m), cols, indptr), shape=(n, m))
-        self._inc = sp.csr_matrix((np.repeat([1.0, -1.0], m)[order], cols, indptr),
-                                  shape=(n, m))
-        self._e_rest = rest[edges[:, 0]] - rest[edges[:, 1]]
-        four_lap = 4.0 * laplacian(adjacency_matrix(edges, n))
-        _, component = connected_components(four_lap, directed=False)
-        self._order = reverse_cuthill_mckee(four_lap, symmetric_mode=True)
-        self._slot = np.argsort(self._order)  # each vertex's place in the order
-        self._component = component[self._order]
-        # upper band storage for solveh_banded: band[bw + r - c, c] = A[r, c], r <= c
-        lap = four_lap[self._order][:, self._order].tocoo()
-        upper = lap.row <= lap.col
-        row, col = lap.row[upper], lap.col[upper]
-        bw = int(np.max(col - row, initial=0))
-        self._band = np.zeros((bw + 1, n))
-        self._band[bw + row - col, col] = lap.data[upper]
+    def __init__(self, rest: np.ndarray, topology: _ArapTopology):
+        self._t = topology
+        self._e_rest = rest[topology.ends[0]] - rest[topology.ends[1]]
 
     def covariances(self, x: np.ndarray) -> np.ndarray:
         """(V, 3, 3) sums of e_rest e_def^T over each cell's edges at x."""
-        return self._cell_sums(x[self._ends[0]] - x[self._ends[1]])
+        return self._cell_sums(x[self._t.ends[0]] - x[self._t.ends[1]])
 
     def _cell_sums(self, e_def: np.ndarray) -> np.ndarray:
         outer = (self._e_rest[:, :, None] * e_def[:, None, :]).reshape(-1, 9)
-        return (self._owner @ outer).reshape(-1, 3, 3)
+        return (self._t.owner @ outer).reshape(-1, 3, 3)
 
     def local(self, x: np.ndarray):
         """(energy, per-cell rotations) at x: ``_best_rotations`` of the
         covariances, with the identity for degenerate and unmoved cells, and
         the energy summed over both directions of every edge."""
-        e_def = x[self._ends[0]] - x[self._ends[1]]
+        e_def = x[self._t.ends[0]] - x[self._t.ends[1]]
         s = self._cell_sums(e_def)
         degenerate = np.linalg.norm(s, axis=(1, 2)) < 1e-30
         if degenerate.any():
@@ -359,32 +396,33 @@ class _Arap:
         r = _best_rotations(s)
         # an unmoved cell keeps the identity exactly, whatever its eigenvector rounds to
         moved = np.any(e_def != self._e_rest, axis=1)
-        r[self._owner @ moved == 0] = np.eye(3)
+        r[self._t.owner @ moved == 0] = np.eye(3)
         # seen from j, edge (i, j)'s residual is the negation of this one: same squares
-        residual = e_def - np.einsum("kvab,vb->kva", r[self._ends], self._e_rest)
+        residual = e_def - np.einsum("kvab,vb->kva", r[self._t.ends], self._e_rest)
         return float(np.sum(residual**2)), r
 
     def solve(self, x: np.ndarray, rot: np.ndarray, src_idx: np.ndarray,
               y: np.ndarray) -> np.ndarray:
         """Minimizer of both majorizers at x; src_idx holds at least one pair."""
-        h = 0.5 * np.einsum("eab,eb->ea", rot[self._ends[0]] + rot[self._ends[1]], self._e_rest)
-        rhs = 4.0 * (self._inc @ h)
+        ends = self._t.ends
+        h = 0.5 * np.einsum("eab,eb->ea", rot[ends[0]] + rot[ends[1]], self._e_rest)
+        rhs = 4.0 * (self._t.inc @ h)
         pull = 1.0 / np.maximum(np.linalg.norm(x[src_idx] - y, axis=1), _DIST_FLOOR)
         rhs[src_idx] += pull[:, None] * y
-        rhs = rhs[self._order]
-        band = self._band.copy()
-        band[-1, self._slot[src_idx]] += pull
+        rhs = rhs[self._t.order]
+        band = self._t.band.copy()
+        band[-1, self._t.slot[src_idx]] += pull
         # a component without a pair is free to translate in L, so its solve
         # is arbitrary: it stays where it is, bit for bit. Components share no
         # edge, so clearing its band columns leaves every other row as it was
-        dead = ~np.isin(self._component, self._component[self._slot[src_idx]])
+        dead = ~np.isin(self._t.component, self._t.component[self._t.slot[src_idx]])
         if dead.any():
             band[:, dead] = 0.0
             band[-1, dead] = 1.0
-            rhs[dead] = x[self._order[dead]]
+            rhs[dead] = x[self._t.order[dead]]
         out = np.empty_like(x)
-        out[self._order] = solveh_banded(band, rhs, overwrite_ab=True, overwrite_b=True,
-                                         check_finite=False)
+        out[self._t.order] = solveh_banded(band, rhs, overwrite_ab=True, overwrite_b=True,
+                                           check_finite=False)
         return out
 
 
@@ -405,8 +443,12 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     the reason the loop stopped (see ``RefineResult``); topology is
     untouched. When the best iterate is the input, as for an input with no
     pair, the input object is returned with ``after`` equal to ``before``,
-    and no second report is computed. Each mesh is checked once, and the
-    target's faces are prepared once for the loop and both reports.
+    and no second report is computed. Each mesh is checked once. The meshes
+    keep what is built from them (``TriMesh``): the target's faces and vertex
+    tree serve the loop and both reports, and the source's topology its
+    ARAP. The first iteration's interior flags are the report before's pass
+    over the source (the same positions, faces and seed), and the report
+    after's pass is the flags of the best iterate.
 
     Raises:
         ArgumentError: source and target are one mesh, or either is not
@@ -415,23 +457,26 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     _reject_self(source, target, "refinement")
     _check_mesh(target, "target", "refinement")
     _check_mesh(source, "source", "refinement")
-    target_faces = _face_clusters(target)  # the target never moves
-    before = _plausibility(source, target, _face_clusters(source), target_faces)
-    arap = _Arap(source.positions, edge_set(source))
+    target_faces = target.face_clusters
+    interior, _ = points_interior(source.positions, target_faces, seed=0)
+    before = _plausibility(source, target, interior)
+    arap = _arap(source)
     x = best_x = source.positions
+    best_interior = interior
     best_loss = prev_loss = np.inf
     best_unpaired = 0
     rises = 0
     stop = "max_iters"
     for iterations in range(1, config.max_iters + 1):
-        interior, _ = points_interior(x, target_faces, seed=0)
+        if iterations > 1:  # the first iterate is the source, whose flags are above
+            interior, _ = points_interior(x, target_faces, seed=0)
         src_idx, tgt_idx = _gated_pairs(source.with_positions(x), interior, target)
         unpaired = int(np.count_nonzero(interior)) - src_idx.size
         y = target.positions[tgt_idx]
         energy, rot = arap.local(x)
         loss = float(np.linalg.norm(x[src_idx] - y, axis=1).sum()) + energy
         if loss < best_loss:
-            best_loss, best_x, best_unpaired = loss, x, unpaired
+            best_loss, best_x, best_unpaired, best_interior = loss, x, unpaired, interior
         if src_idx.size == 0:
             stop = "no_gated_pair" if unpaired else "no_interior"
             break
@@ -450,7 +495,7 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     mesh, after = source, before
     if best_x is not source.positions:
         mesh = source.with_positions(best_x)  # the source's topology: watertight
-        after = _plausibility(mesh, target, _face_clusters(mesh), target_faces)
+        after = _plausibility(mesh, target, best_interior)
     return RefineResult(mesh=mesh, before=before, after=after, iterations=iterations,
                         stop_reason=stop, unpaired_interior=best_unpaired)
 
@@ -543,16 +588,16 @@ def plausibility_metrics(a: TriMesh, b: TriMesh) -> PlausibilityReport:
     _reject_self(a, b, "plausibility metrics")
     _check_mesh(a, "a", "plausibility metrics")
     _check_mesh(b, "b", "plausibility metrics")
-    return _plausibility(a, b, _face_clusters(a), _face_clusters(b))
+    return _plausibility(a, b, points_interior(a.positions, b.face_clusters, seed=0)[0])
 
 
-def _plausibility(a: TriMesh, b: TriMesh, faces_a: FaceClusters,
-                  faces_b: FaceClusters) -> PlausibilityReport:
-    """``plausibility_metrics`` of two checked meshes, with their faces
-    already prepared."""
+def _plausibility(a: TriMesh, b: TriMesh, a_in_b: np.ndarray) -> PlausibilityReport:
+    """``plausibility_metrics`` of two checked meshes, given the flags of a's
+    vertices inside b (``points_interior`` with seed 0)."""
+    faces_a, faces_b = a.face_clusters, b.face_clusters
+    b_in_a, _ = points_interior(b.positions, faces_a, seed=0)
     pen = 0.0
-    for src, dst_faces in ((a, faces_b), (b, faces_a)):
-        interior, _ = points_interior(src.positions, dst_faces, seed=0)
+    for src, dst_faces, interior in ((a, faces_b, a_in_b), (b, faces_a, b_in_a)):
         pts = src.positions[interior]
         if pts.size:
             pen = max(pen, float(point_triangle_dists(pts, dst_faces).max()))

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive (loops, dense math, classic textbook
 iterations) and shares no code with the library paths it checks. There are
-three exceptions. ``points_interior_uncut`` casts its rays with the library's
+a few exceptions. ``points_interior_uncut`` casts its rays with the library's
 ``ray_crossings``, which has oracles of its own, because what it checks is
-the box cull around that kernel. ``voxel_flags_per_center`` runs the
+the box cull around that kernel; ``points_interior_per_round`` does too,
+and so does ``refine``'s direction draw, because what it checks is how the
+retry rounds are batched around them. ``voxel_flags_per_center`` runs the
 library's ``points_interior``, checked against the oracles above, once per
 voxel center, because what it checks is the column pass that replaced that
 loop. The autodiff references at the end compose
@@ -15,6 +17,7 @@ because what it checks is when ``train_step`` steps each parameter.
 """
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -22,7 +25,7 @@ import numpy as np
 from specmesh import autodiff as ad
 from specmesh.kernels import ray_crossings
 from specmesh.model import _interp_matrix, compute_losses, forward
-from specmesh.refine import MAX_RAY_RETRIES, points_interior
+from specmesh.refine import _BOX_SLACK, MAX_RAY_RETRIES, _random_directions, points_interior
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
@@ -278,6 +281,37 @@ def points_interior_uncut(points, faces, seed: int):
         interior[active[ok]] = counts[ok] % 2 == 1
         active = active[~ok]
     return interior, int(active.size)
+
+
+def points_interior_per_round(points, faces, seed: int):
+    """``refine.points_interior`` as one ``ray_crossings`` call per retry
+    round, its loop before the rounds were batched, kept verbatim.
+
+    Logs the same warning, on the ``specmesh.refine`` logger. Returns
+    (interior flags, unresolved count).
+    """
+    rng = np.random.default_rng(seed)
+    n = points.shape[0]
+    interior = np.zeros(n, dtype=bool)
+    slack = _BOX_SLACK * (1.0 + np.abs(faces.lo) + np.abs(faces.hi))
+    with np.errstate(invalid="ignore"):  # an empty soup's box gives inf - inf: no point is in
+        in_box = np.all((points >= faces.lo - slack) & (points <= faces.hi + slack), axis=1)
+    active = np.arange(n)
+    for _ in range(MAX_RAY_RETRIES):
+        dirs = _random_directions(active.size, rng)
+        cast = in_box[active]
+        active, dirs = active[cast], dirs[cast]
+        if active.size == 0:
+            break
+        counts, grazing = ray_crossings(points[active], dirs, faces)
+        ok = grazing == 0
+        interior[active[ok]] = (counts[ok] % 2) == 1
+        active = active[~ok]
+    failures = int(active.size)
+    if failures:
+        logging.getLogger("specmesh.refine").warning(
+            "ray parity unresolved for %d points; treated exterior", failures)
+    return interior, failures
 
 
 def voxel_flags_per_center(axes, faces_a, faces_b):

@@ -77,6 +77,39 @@ def _fixture_long_unscaled():
     return pts, dirs, mesh.positions[mesh.faces]
 
 
+def _fixture_sphere_columns():
+    """Rays along +z on a grid over a moved sphere, as the voxel passes cast
+    them: parallel to every face whose normal has no z component."""
+    mesh = icosphere(2, radius=0.75, center=(0.1, -0.05, 0.02))
+    xy = np.stack(np.meshgrid(np.linspace(-0.8, 0.9, 9), np.linspace(-0.9, 0.8, 8)),
+                  axis=-1).reshape(-1, 2)
+    pts = np.column_stack([xy, np.full(len(xy), -2.0)])
+    return pts, np.tile([0.0, 0.0, 1.0], (len(pts), 1)), mesh.positions[mesh.faces]
+
+
+def _fixture_cube_columns():
+    """Rays along -x, some in the planes of the cube's y and z faces: those
+    graze, whether or not they reach the face."""
+    mesh = cube(1.0)
+    yz = [(0.5, 0.0), (-0.5, 0.2), (0.1, 0.5), (0.3, -0.5), (0.5, 2.0), (3.0, -0.5),
+          (0.1, 0.2), (0.5 + 1e-12, 0.1), (-0.2, 0.5 - 1e-8), (0.7, 0.7)]
+    pts = np.array([(2.0, y, z) for y, z in yz])
+    return pts, np.tile([-1.0, 0.0, 0.0], (len(pts), 1)), mesh.positions[mesh.faces]
+
+
+def _fixture_tilted_columns():
+    """Rays along +x against a quad tilted 1e-7 off the x axis, which they
+    cross far out, and a quad parallel to it, in whose plane some lie."""
+    tilted = [[0.0, -1.0, 0.0], [10.0, -1.0, 1e-6], [10.0, 1.0, 1e-6], [0.0, 1.0, 0.0]]
+    level = [[0.0, 0.5, -1.0], [10.0, 0.5, -1.0], [10.0, 0.5, 1.0], [0.0, 0.5, 1.0]]
+    tri = np.array([[q[0], q[1], q[2]] for q in (tilted, level)]
+                   + [[q[0], q[2], q[3]] for q in (tilted, level)])
+    yz = [(0.2, 2e-7), (-0.3, 5e-7), (0.1, 9e-7), (0.0, -1e-7), (0.3, 1.1e-6),
+          (0.5, 0.3), (0.5, 2.0), (0.5 + 1e-8, 0.0), (-0.5, 5e-7)]
+    pts = np.array([(-1.0, y, z) for y, z in yz])
+    return pts, np.tile([1.0, 0.0, 0.0], (len(pts), 1)), tri
+
+
 RAY_FIXTURES = {
     "around_sphere": _fixture_around_sphere,
     "near_surface": _fixture_near_surface,
@@ -85,6 +118,9 @@ RAY_FIXTURES = {
     "in_plane": _fixture_in_plane,
     "cube": _fixture_cube,
     "long_unscaled": _fixture_long_unscaled,
+    "sphere_columns": _fixture_sphere_columns,
+    "cube_columns": _fixture_cube_columns,
+    "tilted_columns": _fixture_tilted_columns,
 }
 
 
@@ -150,6 +186,49 @@ class TestRayHits:
         assert ray.size == t.size == grazing.size == 0
 
 
+def _per_ray(ray, t, n):
+    """Each ray's crossings as the bytes of its sorted t values."""
+    order = np.lexsort((t, ray))
+    ray, t = ray[order], t[order]
+    return [t[ray == r].tobytes() for r in range(n)]
+
+
+class TestRayIndependence:
+    """A ray's crossings, t values and grazing flag do not depend on the
+    other rays of its call (``points_interior`` batches rounds on this)."""
+
+    @pytest.mark.parametrize("name", RAY_FIXTURES)
+    def test_alone_and_reordered_equal_together(self, name):
+        pts, dirs, tri = RAY_FIXTURES[name]()
+        faces = kernels.FaceClusters(tri)
+        ray, t, grazing = kernels.ray_hits(pts, dirs, faces)
+        together = _per_ray(ray, t, len(pts))
+        for r in range(len(pts)):
+            alone = kernels.ray_hits(pts[r:r + 1], dirs[r:r + 1], faces)
+            assert _per_ray(alone[0], alone[1], 1) == [together[r]]
+            assert alone[2].tolist() == [grazing[r]]
+        flip = np.arange(len(pts))[::-1]
+        ray_f, t_f, grazing_f = kernels.ray_hits(pts[flip], dirs[flip], faces)
+        assert _per_ray(ray_f, t_f, len(pts)) == [together[r] for r in flip]
+        assert np.array_equal(grazing_f, grazing[flip])
+
+    @pytest.mark.parametrize("name", ["sphere_columns", "cube_columns", "tilted_columns"])
+    def test_axis_rays_equal_the_pair_test(self, name):
+        # one oblique ray in the call keeps every pair on the pair test; the
+        # axis rays' plane-distance shortcut must give the same bits
+        pts, dirs, tri = RAY_FIXTURES[name]()
+        faces = kernels.FaceClusters(tri)
+        axis = kernels._common_axis(dirs[:kernels._RAY_CHUNK])
+        assert axis is not None and faces.flat[:, axis].any()
+        ray, t, grazing = kernels.ray_hits(pts, dirs, faces)
+        oblique = (np.concatenate([pts, [[0.0, 0.0, 0.0]]]),
+                   np.concatenate([dirs, _unit([[1.0, 2.0, 3.0]])]))
+        ray_o, t_o, grazing_o = kernels.ray_hits(*oblique, faces)
+        keep = ray_o < len(pts)
+        assert _per_ray(ray, t, len(pts)) == _per_ray(ray_o[keep], t_o[keep], len(pts))
+        assert np.array_equal(grazing, grazing_o[:-1])
+
+
 class TestFaceClusters:
     def test_len_is_face_count(self):
         for make in RAY_FIXTURES.values():
@@ -165,6 +244,23 @@ class TestFaceClusters:
             assert np.array_equal(faces.hi, tri.reshape(-1, 3).max(axis=0))
         empty = kernels.FaceClusters(np.zeros((0, 3, 3)))
         assert empty.lo.tolist() == [np.inf] * 3 and empty.hi.tolist() == [-np.inf] * 3
+
+    def test_spheres_hold_their_corners_as_reductions_give_them(self):
+        # the build takes boxes and spheres from the corner columns; they equal
+        # the reductions over every corner of a face or cluster, bit for bit
+        for make in RAY_FIXTURES.values():
+            faces = kernels.FaceClusters(make()[2])
+            tri, n_tri = faces.tri, len(faces)
+            corners = tri[np.minimum(faces.members, n_tri - 1)].reshape(len(faces.members), -1, 3)
+            center = 0.5 * (corners.min(axis=1) + corners.max(axis=1))
+            radius = np.linalg.norm(corners - center[:, None], axis=2).max(axis=1)
+            face_center = 0.5 * (tri.min(axis=1) + tri.max(axis=1))
+            face_radius = np.linalg.norm(tri - face_center[:, None], axis=2).max(axis=1)
+            slack = 1.0 + kernels._SPHERE_SLACK
+            assert faces.center.tobytes() == center.tobytes()
+            assert faces.radius.tobytes() == (radius * slack).tobytes()
+            assert faces.face_center.tobytes() == face_center.tobytes()
+            assert faces.face_radius.tobytes() == (face_radius * slack).tobytes()
 
     def test_one_object_serves_every_call(self):
         # a call must leave the prepared arrays as it found them

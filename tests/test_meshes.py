@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import farthest_point_dense, union_find_components
+from specmesh import meshes
 from specmesh.errors import ArgumentError, ParseError
 from specmesh.graphs import adjacency_matrix
 from specmesh.meshes import (
@@ -213,6 +214,38 @@ class TestWatertight:
         assert not is_watertight(hand_mesh)
         assert union_find_components(hand_mesh.n_vertices,
                                      edge_set(hand_mesh)) == 1
+
+
+class TestCaches:
+    """A mesh computes each derived structure once; ``with_positions``
+    shares what the faces alone determine and nothing else."""
+
+    def test_with_positions_shares_the_topology_only(self, monkeypatch):
+        counted = []
+        edge_counts = meshes._edge_counts
+        monkeypatch.setattr(meshes, "_edge_counts",
+                            lambda faces: counted.append(faces) or edge_counts(faces))
+        mesh = icosphere(2)
+        built = (mesh.normals, mesh.face_clusters, mesh.vertex_tree, edge_set(mesh))
+        assert (mesh.normals, mesh.face_clusters, mesh.vertex_tree, edge_set(mesh)) == built
+        moved = mesh.with_positions(2.0 * mesh.positions)
+        assert moved.topology is mesh.topology and moved.faces is mesh.faces
+        assert edge_set(moved) is edge_set(mesh) and is_watertight(moved)
+        assert len(counted) == 1
+        assert not edge_set(mesh).flags.writeable
+        # every position-derived structure is the moved mesh's own
+        assert moved.face_clusters is not mesh.face_clusters
+        assert np.array_equal(moved.face_clusters.hi, 2.0 * mesh.face_clusters.hi)
+        assert moved.vertex_tree is not mesh.vertex_tree
+        assert np.array_equal(moved.vertex_tree.data, moved.positions)
+        assert moved.normals is not mesh.normals
+        assert np.allclose(moved.normals, mesh.normals, rtol=0, atol=1e-15)
+
+    def test_a_new_mesh_on_the_same_faces_has_its_own_topology(self):
+        mesh = icosphere(1)
+        other = TriMesh(positions=mesh.positions, faces=mesh.faces[:-1])
+        assert other.topology is not mesh.topology
+        assert is_watertight(mesh) and not is_watertight(other)
 
 
 class TestHandTemplateSize:

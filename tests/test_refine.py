@@ -6,18 +6,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 import specmesh
+import oracles
 from oracles import (
     arap_covariances_add_at,
     arap_global_step_dense,
     collision_loss_loop,
+    points_interior_per_round,
     points_interior_uncut,
     procrustes_rotations_svd,
     sphere_contains,
     voxel_flags_per_center,
 )
-from specmesh import kernels, refine
+from specmesh import kernels, meshes, refine
 from specmesh.errors import ArgumentError
 from specmesh.meshes import TriMesh, edge_set
 from specmesh.primitives import apply_rigid, cube, hand_template, icosphere, rotation_matrix
@@ -40,13 +43,13 @@ class TestPointInMesh:
     def test_cube_centroid_inside(self):
         c = cube(1.0, center=(0.2, -0.1, 0.3))
         interior, failures = points_interior(c.positions.mean(axis=0)[None],
-                                             refine._face_clusters(c), seed=0)
+                                             c.face_clusters, seed=0)
         assert failures == 0
         assert interior.tolist() == [True]
 
     def test_far_point_outside(self):
         interior, failures = points_interior(np.array([[10.0, 10.0, 10.0]]),
-                                             refine._face_clusters(cube(1.0)), seed=0)
+                                             cube(1.0).face_clusters, seed=0)
         assert failures == 0
         assert interior.tolist() == [False]
 
@@ -60,7 +63,7 @@ class TestPointInMesh:
         inradius = np.min(np.linalg.norm(
             mesh.positions[mesh.faces].mean(axis=1), axis=1))
         test_idx = np.flatnonzero((radii < inradius - 1e-6) | (radii > 1.0 + 1e-6))
-        interior, failures = points_interior(pts[test_idx], refine._face_clusters(mesh), seed=3)
+        interior, failures = points_interior(pts[test_idx], mesh.face_clusters, seed=3)
         assert failures == 0
         analytic = sphere_contains(pts[test_idx], (0, 0, 0), 1.0)
         inside_faceted = radii[test_idx] < inradius
@@ -74,7 +77,7 @@ class TestPointInMesh:
         pts = rng.uniform(-0.8, 0.8, size=(64, 3))
         dist_to_surface = np.abs(np.linalg.norm(pts, axis=1) - 0.5)
         pts = pts[dist_to_surface > 1e-4]
-        faces = refine._face_clusters(mesh)
+        faces = mesh.face_clusters
         results = []
         for seed in range(16):
             interior, failures = points_interior(pts, faces, seed=seed)
@@ -88,7 +91,7 @@ class TestPointInMesh:
         # retry resolves it; the surface bounds the interior, hence exterior
         c = cube(1.0)
         corner = c.positions[:1]
-        interior, failures = points_interior(corner, refine._face_clusters(c), seed=0)
+        interior, failures = points_interior(corner, c.face_clusters, seed=0)
         assert failures == 1
         assert not interior[0]
 
@@ -118,7 +121,7 @@ class TestBoxCull:
 
     def test_flags_equal_uncut_on_point_in_mesh_fixtures(self):
         for points, mesh, seed in point_in_mesh_fixtures():
-            faces = refine._face_clusters(mesh)
+            faces = mesh.face_clusters
             got = points_interior(points, faces, seed)
             want = points_interior_uncut(points, faces, seed)
             assert np.array_equal(got[0], want[0]) and got[1] == want[1]
@@ -128,7 +131,7 @@ class TestBoxCull:
         target = icosphere(3, radius=0.05)
         source = target.with_positions(target.positions + 0.0875 * np.array(direction))
         for a, b in ((source, target), (target, source)):
-            faces = refine._face_clusters(b)
+            faces = b.face_clusters
             interior, failures = points_interior(a.positions, faces, seed=0)
             want, want_failures = points_interior_uncut(a.positions, faces, seed=0)
             assert np.array_equal(interior, want) and failures == want_failures
@@ -136,7 +139,7 @@ class TestBoxCull:
 
     def test_points_beyond_the_slack_cast_no_ray(self, monkeypatch):
         target = icosphere(2, radius=0.5, center=(0.1, -0.2, 0.3))
-        faces = refine._face_clusters(target)
+        faces = target.face_clusters
         slack = refine._BOX_SLACK * (1.0 + np.abs(faces.lo) + np.abs(faces.hi))
         extreme = target.positions[np.argmax(target.positions[:, 0])]
         assert extreme[0] == faces.hi[0]
@@ -169,6 +172,97 @@ class TestBoxCull:
         assert calls == []
 
 
+def near_face_points(mesh, gaps):
+    """Points at each distance of ``gaps`` inside the mesh's first faces, off
+    their centroids along the unit normal. A ray from one grazes its face
+    when it meets the plane within ``_EPS_T``, as most directions do, so
+    these points resolve in assorted rounds or never."""
+    tri = mesh.positions[mesh.faces[:len(gaps)]]
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    return tri.mean(axis=1) - np.asarray(gaps)[:, None] * normal
+
+
+def rewound_point(mesh, n, row, seed):
+    """A point for row ``row`` of ``n`` whose first seeded direction d1 runs
+    from it through a mesh vertex V (``P = V - t d1``, inside the mesh): it
+    grazes in round 1 and resolves in a later round."""
+    d1 = refine._random_directions(n, np.random.default_rng(seed))[row]
+    vertex = mesh.positions[np.argmax(mesh.positions @ d1)]
+    return vertex - 0.5 * np.abs(mesh.positions).max() * d1
+
+
+class TestBatchedRetries:
+    """``points_interior`` casts its retry rounds in few calls, with the
+    flags, failures and warnings of one call per round."""
+
+    def assert_equals_per_round(self, points, faces, seed, caplog):
+        caplog.clear()
+        got = points_interior(points, faces, seed)
+        got_log = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        want = points_interior_per_round(points, faces, seed)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert got_log == [r.getMessage() for r in caplog.records]
+        return got
+
+    def test_surface_points_never_resolve(self, caplog):
+        mesh = icosphere(2, radius=0.05)
+        interior, failures = self.assert_equals_per_round(mesh.positions[::7], mesh.face_clusters,
+                                                          0, caplog)
+        assert failures == len(mesh.positions[::7]) and not interior.any()
+        assert "ray parity unresolved for 24 points" in caplog.text
+
+    def test_grazing_point_resolves_after_round_one(self, caplog, monkeypatch):
+        # the point resolves in round 2, the first round of the batched call,
+        # while the surface points go on: the generator is rewound for them
+        mesh = icosphere(2, radius=0.05)
+        points = mesh.positions[:6].copy()
+        points[3] = rewound_point(mesh, len(points), 3, seed=5)
+        faces = mesh.face_clusters
+        _, grazing = kernels.ray_crossings(
+            points[3:4], refine._random_directions(6, np.random.default_rng(5))[3:4], faces)
+        assert grazing[0] == 1
+        rows = []
+        ray_crossings = refine.ray_crossings
+        monkeypatch.setattr(refine, "ray_crossings",
+                            lambda *args: rows.append(len(args[0])) or ray_crossings(*args))
+        interior, failures = self.assert_equals_per_round(points, faces, 5, caplog)
+        assert interior.tolist() == [False, False, False, True, False, False] and failures == 5
+        assert rows == [6, 7 * 6, 6 * 5]
+
+    def test_points_resolving_in_different_rounds(self, caplog, monkeypatch):
+        mesh = icosphere(2)
+        gaps = np.tile([1e-10, 3e-10, 5e-10, 7e-10, -2e-10, -6e-10], 8)
+        points = near_face_points(mesh, gaps)
+        faces = mesh.face_clusters
+        for seed in range(3):
+            per_round, calls = [], []
+            oracle_crossings, ray_crossings = oracles.ray_crossings, refine.ray_crossings
+            monkeypatch.setattr(oracles, "ray_crossings",
+                                lambda *a: per_round.append(len(a[0])) or oracle_crossings(*a))
+            monkeypatch.setattr(refine, "ray_crossings",
+                                lambda *a: calls.append(len(a[0])) or ray_crossings(*a))
+            interior, failures = self.assert_equals_per_round(points, faces, seed, caplog)
+            monkeypatch.undo()
+            # points resolve in at least three rounds, and some never do; the
+            # batched calls recast the rounds after each one that resolves
+            assert len(set(per_round)) >= 4 and 0 < failures < len(points)
+            assert len(calls) >= 3 and sum(calls) > sum(per_round)
+            assert interior[gaps > 0].any() and not interior[gaps < 0].any()
+
+    def test_empty_and_culled_inputs(self, caplog, monkeypatch):
+        calls = []
+        ray_crossings = refine.ray_crossings
+        monkeypatch.setattr(refine, "ray_crossings",
+                            lambda *args: calls.append(args) or ray_crossings(*args))
+        faces = icosphere(2).face_clusters
+        for points in (np.zeros((0, 3)), np.full((5, 3), 3.0)):
+            interior, failures = self.assert_equals_per_round(points, faces, 0, caplog)
+            assert interior.shape == (len(points),) and not interior.any() and failures == 0
+        assert calls == [] and caplog.records == []
+
+
 def column_passes(a, b, monkeypatch):
     """Both voxel passes of a plausibility report on (a, b): the column
     pass's flags, the per-center oracle's, and what each pass cast.
@@ -178,7 +272,7 @@ def column_passes(a, b, monkeypatch):
     reached ``ray_crossings`` (``cast``).
     """
     h = refine.VOXEL_CM / 100.0  # the report's voxel edge, in meters
-    faces_a, faces_b = refine._face_clusters(a), refine._face_clusters(b)
+    faces_a, faces_b = a.face_clusters, b.face_clusters
     axes = refine._voxel_axes(a, b, h)
     want = voxel_flags_per_center(axes, faces_a, faces_b)
     log = []
@@ -247,7 +341,7 @@ class TestColumnParity:
     def test_centers_near_a_crossing_fall_back(self, monkeypatch):
         # the first center of each column lies on the cube's -x face, where
         # the column's ray crosses it; no column runs along a face diagonal
-        faces = refine._face_clusters(cube(0.10, center=(0.05, 0.05, 0.05)))
+        faces = cube(0.10, center=(0.05, 0.05, 0.05)).face_clusters
         axes = [0.01 * np.arange(10), 0.0123 + 0.02 * np.arange(4), 0.0171 + 0.02 * np.arange(4)]
         unsure = []
         points_interior = refine.points_interior
@@ -378,7 +472,7 @@ class TestCollisionLoss:
 
 def arap_for(mesh):
     """The ``_Arap`` of a mesh's topology, at its positions as rest."""
-    return refine._Arap(mesh.positions, edge_set(mesh))
+    return refine._arap(mesh)
 
 
 def arap_energy(mesh, deformed):
@@ -432,7 +526,7 @@ class TestArap:
         edges = edge_set(mesh)
         rng = np.random.default_rng(4)
         deformed = mesh.positions + rng.normal(scale=0.01, size=mesh.positions.shape)
-        got = refine._Arap(mesh.positions, edges).covariances(deformed)
+        got = refine._arap(mesh).covariances(deformed)
         assert np.array_equal(got, arap_covariances_add_at(mesh.positions, deformed, edges))
 
     def test_local_energy_equals_directed_residuals(self, ico162):
@@ -526,7 +620,7 @@ class TestGlobalStep:
                         for _ in range(n)])
         src_idx = np.sort(rng.choice(n, 40, replace=False))
         y = x[src_idx] + rng.normal(scale=5e-3, size=(40, 3))
-        got = refine._Arap(mesh.positions, edges).solve(x, rot, src_idx, y)
+        got = refine._arap(mesh).solve(x, rot, src_idx, y)
         want = arap_global_step_dense(mesh.positions, edges, x, rot, src_idx, y)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -617,7 +711,7 @@ class TestRefineMesh:
         b = icosphere(2, radius=0.03, center=(0.045, 0, 0))
         arap = arap_for(a)
         x = a.positions
-        b_faces = refine._face_clusters(b)
+        b_faces = b.face_clusters
         steps = 0
         for _ in range(20):
             current = a.with_positions(x)
@@ -677,12 +771,12 @@ class TestRefineMesh:
         positions = source.positions.copy()
         positions[k] = target.positions[m]
         source = source.with_positions(positions)
-        builds, ray_calls = [], []
+        builds, cast = [], []
         morton_order, ray_crossings = kernels._morton_order, refine.ray_crossings
         monkeypatch.setattr(kernels, "_morton_order",
                             lambda c: builds.append(len(c)) or morton_order(c))
         monkeypatch.setattr(refine, "ray_crossings",
-                            lambda *args: ray_calls.append(len(args[0])) or ray_crossings(*args))
+                            lambda *args: cast.append(args) or ray_crossings(*args))
         checked = []
         is_watertight = refine.is_watertight
         monkeypatch.setattr(refine, "is_watertight",
@@ -690,7 +784,11 @@ class TestRefineMesh:
         result = refine_mesh(source, target, RefineConfig())
         assert result.iterations >= 3
         assert "ray parity unresolved" in caplog.text
-        assert len(ray_calls) > 40
+        # against the target, the vertex casts all its rounds, once: the first
+        # iteration reads the flags of the report before
+        stuck = sum(int(np.all(rows == positions[k], axis=1).sum())
+                    for rows, _, faces in cast if faces is target.face_clusters)
+        assert stuck == refine.MAX_RAY_RETRIES
         # the target once for the loop and both reports, the source for the
         # report before, the refined mesh for the report after
         assert len(builds) == 3
@@ -699,6 +797,75 @@ class TestRefineMesh:
     def test_config_validation(self):
         with pytest.raises(ArgumentError):
             RefineConfig(max_iters=0)
+
+
+def counting_builds(monkeypatch):
+    """Records what refinement builds: FaceClusters (their face counts),
+    KD-trees (their points), edge counts and ARAP topologies."""
+    built = {"faces": [], "trees": [], "edge_counts": 0, "arap": 0}
+    morton_order, cKDTree = kernels._morton_order, scipy.spatial.cKDTree
+    edge_counts, rcm = meshes._edge_counts, refine.reverse_cuthill_mckee
+    monkeypatch.setattr(kernels, "_morton_order",
+                        lambda c: built["faces"].append(len(c)) or morton_order(c))
+    monkeypatch.setattr(scipy.spatial, "cKDTree",
+                        lambda points: built["trees"].append(points) or cKDTree(points))
+
+    def count(key, fn):
+        def call(*args, **kwargs):
+            built[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(meshes, "_edge_counts", count("edge_counts", edge_counts))
+    monkeypatch.setattr(refine, "reverse_cuthill_mckee", count("arap", rcm))
+    return built
+
+
+class TestCaches:
+    """Refinement builds each structure of a surface once (``TriMesh``)."""
+
+    def test_refine_then_report_builds_each_structure_once(self, monkeypatch):
+        target = icosphere(3, radius=0.05)
+        source = target.with_positions(target.positions + 0.0875 * np.array(PAIR_DIRECTIONS[1]))
+        built = counting_builds(monkeypatch)
+        result = refine_mesh(source, target, RefineConfig(max_iters=30))
+        report = plausibility_metrics(result.mesh, target)
+        assert report == result.after and result.iterations > 3
+        # the target, the source and the refined mesh, once each
+        assert built["faces"] == [1280] * 3
+        # one topology: the three meshes share it
+        assert built["edge_counts"] == 1 and built["arap"] == 1
+        # the target's vertex tree, and the corner trees of the surfaces a
+        # penetration was measured against, none of them twice
+        trees = built["trees"]
+        assert sum(len(t) == target.n_vertices for t in trees) == 1
+        assert len(trees) >= 3
+        for i, a in enumerate(trees):
+            assert not any(len(a) == len(b) and np.array_equal(a, b) for b in trees[i + 1:])
+        # a second report on the same meshes builds nothing
+        before = {key: list(value) if isinstance(value, list) else value
+                  for key, value in built.items()}
+        assert plausibility_metrics(result.mesh, target) == report
+        assert built == before
+
+    def test_target_vertex_tree_built_once_per_refinement(self, monkeypatch):
+        source, target = overlapping_spheres(radius=0.03)
+        built = counting_builds(monkeypatch)
+        nearest, queries = refine.nearest_vertex, []
+        monkeypatch.setattr(refine, "nearest_vertex",
+                            lambda *args: queries.append(args) or nearest(*args))
+        result = refine_mesh(source, target, RefineConfig())
+        assert len(queries) == result.iterations - 1 >= 5
+        assert all(args[2] is target.vertex_tree for args in queries)
+        at_target = [t for t in built["trees"] if t is target.positions]
+        assert len(at_target) == 1
+
+    def test_arap_topology_shared_by_moved_meshes(self):
+        mesh = icosphere(2)
+        moved = mesh.with_positions(mesh.positions + 1.0)
+        assert refine._arap(moved)._t is refine._arap(mesh)._t
+        other = icosphere(2)  # equal faces, but a topology of its own
+        assert refine._arap(other)._t is not refine._arap(mesh)._t
 
 
 class TestPlausibilityMetrics:
