@@ -16,21 +16,16 @@ The two triangle kernels take one hierarchy per mesh, a ``FaceClusters``
 built from the mesh's faces once and shared by every call against that
 surface. It sorts the faces along a Morton curve of their centroids
 (Karras, HPG 2012), cuts them into clusters of ``_CLUSTER`` faces, each with
-a conservative bounding sphere, and holds the per-face columns of the ray
-test. A chunk of queries is tested against all spheres at once, and the pair
-test runs only on the faces of the clusters that pass:
+a bounding sphere that holds its faces' own spheres, and holds the per-face
+columns of the ray test. A chunk of queries is tested against all spheres at
+once, and the pair test runs only on the faces of the clusters that pass:
 
 - ``ray_hits`` keeps the clusters a ray reaches, then the faces of those
   whose own bounding sphere it reaches (about one in fourteen, for rays
   between two overlapping 642-vertex icospheres), and runs the
-  Moller-Trumbore test (Moller & Trumbore, JGT 1997) on them. A ray lying
-  in the plane of a face grazes it even where it never reaches the face,
-  so a near-parallel prefilter, one ``dirs @ normals.T`` product per chunk,
-  adds those few pairs. A ray along a coordinate axis, as in the voxel column
-  passes, is parallel to every face whose normal has no component along
-  that axis, and such a pair can only graze, by its plane distance. So a
-  chunk of such rays takes that distance to those faces for every ray at
-  once, without gathering the pairs, and leaves them out of the pair test.
+  Moller-Trumbore test (Moller & Trumbore, JGT 1997) on them. A ray parallel
+  to a face grazes it when it lies in the face's plane and meets the face's
+  grown bounding sphere, so no pair that test drops can graze.
 - ``point_triangle_dists`` bounds each point's answer by its distance to the
   nearest face corner (a KD-tree the ``FaceClusters`` builds on first use),
   keeps the clusters whose sphere comes within that bound, and runs
@@ -39,9 +34,8 @@ test runs only on the faces of the clusters that pass:
 Crossings, counts, grazing flags and distances are the same as from testing
 every pair. A ray's crossings, t values and grazing flag are also the same
 whatever other rays share its call: the pair test is elementwise, and the
-per-chunk quantities (direction norms, the prefilter's tolerance) only
-decide which pairs are tested, conservatively. ``refine.points_interior``
-casts its retry rounds in one call on that ground.
+sphere tests only decide which pairs are tested, conservatively.
+``refine.points_interior`` casts its retry rounds in one call on that ground.
 """
 from __future__ import annotations
 
@@ -58,11 +52,9 @@ _EPS_BARY = 1e-9  # barycentric closeness to an edge counts as grazing
 _EPS_T = 1e-9  # ray parameter closeness to the origin counts as grazing
 _EPS_PLANE = 1e-9  # origin-to-plane distance for parallel rays
 # Culling slack, orders of magnitude above rounding error: relative growth
-# of each bounding sphere, the |d . n| / (|d| |e1| |e2|) the parallel
-# prefilter keeps, and the relative growth of the KD-tree's nearest distance
-# before nearest_vertex gathers the vertices to compare.
+# of each bounding sphere, and of the KD-tree's nearest distance before
+# nearest_vertex gathers the vertices to compare.
 _SPHERE_SLACK = 1e-6
-_PARALLEL_SLACK = 1e-9
 _BALL_SLACK = 1e-9
 
 
@@ -97,25 +89,25 @@ class FaceClusters:
     """A triangle soup prepared once for both triangle kernels.
 
     The faces are sorted along a Morton curve of their centroids and cut
-    into clusters of ``_CLUSTER`` faces with conservative bounding spheres,
-    and the per-face columns of the Moller-Trumbore test are computed.
+    into clusters of ``_CLUSTER`` faces; every face and every cluster gets a
+    bounding sphere, and the per-face columns of the Moller-Trumbore test
+    are computed.
     Nothing here changes after construction, so one object serves any
     number of kernel calls against the same surface. ``len()`` is the face
     count.
 
     Attributes: ``tri``, the (F, 3, 3) faces in Morton order; ``members``,
     the (K, _CLUSTER) face indices of each cluster, where the last cluster
-    may be short and its padding indices run past the last face; ``center``,
-    ``radius`` (slack-grown) and ``center_sq`` (|center|^2) of each sphere;
+    may be short and its padding indices run past the last face;
     ``face_center`` and ``face_radius`` (slack-grown), each face's own
-    bounding sphere; ``normal`` (e1 x e2), ``det_eps`` and
-    ``parallel_tol`` per face; ``flat``, the (F, 3) flags of the faces
-    that ``_pair_test`` finds parallel to a unit ray along each axis, and
-    ``flat_faces``, their indices per axis; ``face_cols``, the rows v0, e1,
-    e2, normal, |normal| and ``det_eps`` that ``_pair_test`` reads; ``lo``
-    and ``hi``, the (3,) axis-aligned box of all corners, which for an empty
-    soup is (+inf, -inf) and holds no point; and ``corner_tree``, a KD-tree
-    of the corners built on first use.
+    bounding sphere; ``center``, ``radius`` and ``center_sq`` (|center|^2)
+    of each cluster's sphere, which holds its faces' spheres (the radius is
+    the largest |center - face_center| + face_radius, slack-grown);
+    ``face_cols``, the rows v0, e1, e2, normal (e1 x e2), |normal| and the
+    parallel threshold that ``_pair_test`` reads; ``lo`` and ``hi``, the
+    (3,) axis-aligned box of all corners, which for an empty soup is
+    (+inf, -inf) and holds no point; and ``corner_tree``, a KD-tree of the
+    corners built on first use.
     """
 
     def __init__(self, tri):
@@ -140,8 +132,8 @@ class FaceClusters:
         padded = np.minimum(self.members, n_tri - 1)
         self.center = 0.5 * (np.minimum.reduce(face_lo[padded], axis=1)
                              + np.maximum.reduce(face_hi[padded], axis=1))
-        corners = tri[padded].reshape(n_clusters, 3 * _CLUSTER, 3)
-        self.radius = _length(corners - self.center[:, None, :]).max(axis=1)
+        self.radius = (_length(self.face_center[padded] - self.center[:, None, :])
+                       + self.face_radius[padded]).max(axis=1)
         self.radius *= 1.0 + _SPHERE_SLACK
         self.center_sq = np.einsum("kc,kc->k", self.center, self.center)
         self.lo = np.minimum.reduce(face_lo, axis=0, initial=np.inf)
@@ -149,18 +141,11 @@ class FaceClusters:
         v0 = a
         e1 = tri[:, 1] - v0
         e2 = tri[:, 2] - v0
-        self.normal = np.cross(e1, e2)
-        norm_n = np.linalg.norm(self.normal, axis=1)
-        self.det_eps = 1e-12 * np.maximum(norm_n, 1e-30)
-        self.parallel_tol = (_PARALLEL_SLACK * np.linalg.norm(e1, axis=1)
-                             * np.linalg.norm(e2, axis=1))
-        self.face_cols = np.concatenate([v0.T, e1.T, e2.T, self.normal.T, norm_n[None],
-                                         self.det_eps[None]])
-        # For a direction with one component +-1 and the others 0, _pair_test's
-        # det rounds to -+normal[axis] bit for bit (np.cross subtracts the same
-        # two products), so its parallel test reads this per-face flag.
-        self.flat = np.abs(self.normal) < self.det_eps[:, None]
-        self.flat_faces = [np.flatnonzero(self.flat[:, c]) for c in range(3)]
+        normal = np.cross(e1, e2)
+        norm_n = np.linalg.norm(normal, axis=1)
+        det_eps = 1e-12 * np.maximum(norm_n, 1e-30)
+        self.face_cols = np.concatenate([v0.T, e1.T, e2.T, normal.T, norm_n[None],
+                                         det_eps[None]])
         self._corner_tree = None
 
     def __len__(self):
@@ -239,21 +224,9 @@ def _pair_test(ray, face):
         & (u + v < 1.0 + _EPS_BARY)
         & (t > -_EPS_T)
     )
-    on_plane = parallel & (_plane_dist(tvx, tvy, tvz, nx, ny, nz, norm_n) < _EPS_PLANE)
+    plane_dist = np.abs(tvx * nx + tvy * ny + tvz * nz) / np.maximum(norm_n, 1e-30)
+    on_plane = parallel & (plane_dist < _EPS_PLANE)
     return inside, (loose & ~inside) | on_plane, t
-
-
-def _common_axis(d):
-    """The axis along which every row of ``d`` is +-1, with 0 in its other
-    components, or None."""
-    axis = int(np.argmax(np.abs(d[0])))
-    along = np.abs(d[:, axis]) == 1.0
-    return axis if along.all() and np.count_nonzero(d) == len(d) else None
-
-
-def _plane_dist(tvx, tvy, tvz, nx, ny, nz, norm_n):
-    """Distance from the origin to the face's plane, ``tv = origin - v0``."""
-    return np.abs(tvx * nx + tvy * ny + tvz * nz) / np.maximum(norm_n, 1e-30)
 
 
 def ray_hits(origins, dirs, faces):
@@ -262,9 +235,9 @@ def ray_hits(origins, dirs, faces):
     Returns (ray, t, grazing): the ray index and ray parameter of each
     crossing, under the strict interior test, and per ray the flag of
     ``ray_crossings``. Crossings come grouped by chunk of ``_RAY_CHUNK`` rays,
-    in no order within a chunk. Only faces in the bounding spheres a ray
-    reaches, and faces the ray is nearly parallel to, get the pair test; the
-    result equals testing every pair.
+    in no order within a chunk. Only faces whose bounding sphere, and whose
+    cluster's sphere, a ray reaches get the pair test; the result equals
+    testing every pair.
     """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -295,35 +268,10 @@ def ray_hits(origins, dirs, faces):
         reach = faces.face_radius[face] + (2.0 * _EPS_T) * d_norm[ray]
         keep = dist_sq - along * along <= reach * reach + 1e-12 * dist_sq
         ray, face = ray[keep], face[keep]
-        # Rays in a face's plane graze it wherever they are: keep the
-        # near-parallel pairs that the sphere tests dropped.
-        with np.errstate(divide="ignore"):
-            tol = (faces.parallel_tol * np.fmax.reduce(d_norm)
-                   + faces.det_eps / np.fmin.reduce(d_norm))
-        dn = d @ faces.normal.T
-        near = np.abs(dn, out=dn) <= tol
-        axis = _common_axis(d)
-        if axis is not None:
-            # Every ray runs along the axis, so _pair_test finds it parallel
-            # to the faces ``flat`` marks: such a pair is never inside and
-            # grazes by its plane distance alone, taken here for all of them.
-            flat = faces.flat_faces[axis]
-            tv = p.T[:, :, None] - faces.face_cols[:3, None, flat]
-            on_plane = _plane_dist(*tv, *faces.face_cols[9:13, None, flat]) < _EPS_PLANE
-            keep = ~faces.flat[face, axis]
-            ray, face = ray[keep], face[keep]
-            near[:, flat] = False
-        if near.any():
-            near[ray, face] = False
-            near_ray, near_face = np.nonzero(near)
-            ray = np.concatenate([ray, near_ray])
-            face = np.concatenate([face, near_face])
         inside, graz, t = _pair_test(ray_cols[:, lo + ray], faces.face_cols[:, face])
         hit_ray.append(lo + ray[inside])
         hit_t.append(t[inside])
         grazing[lo:hi] = np.bincount(ray[graz], minlength=hi - lo) > 0
-        if axis is not None:
-            grazing[lo:hi] |= on_plane.any(axis=1)
     return np.concatenate(hit_ray), np.concatenate(hit_t), grazing
 
 

@@ -117,8 +117,13 @@ def ray_crossings_loop(origins, dirs, tri):
 
     Same rules as the geometry kernels: a hit strictly inside the face and
     ahead of the origin counts; a hit within 1e-9 of an edge or of the
-    origin, or a ray parallel to a face and within 1e-9 of its plane, marks
-    the ray as grazing. Returns (counts, grazing) as Python lists.
+    origin marks the ray as grazing, and so does a ray parallel to a face,
+    within 1e-9 of its plane, that meets the face's bounding sphere. That
+    sphere is centered on the face's box, holds its corners with a relative
+    1e-6 to spare, and is grown by 2e-9 |d| for the origin's slack; the ray
+    meets it when the squared distance from its center to the half-line
+    exceeds its squared radius by at most 1e-12 of the squared distance to
+    the origin. Returns (counts, grazing) as Python lists.
     """
     eps = 1e-9
 
@@ -148,7 +153,16 @@ def ray_crossings_loop(origins, dirs, tri):
             det = dot(e1, pvec)
             if abs(det) < 1e-12 * n_len:
                 if abs(dot(tvec, n)) / n_len < eps:
-                    graze = 1
+                    center = tuple(0.5 * (min(a[k], b[k], c[k]) + max(a[k], b[k], c[k]))
+                                   for k in range(3))
+                    radius = max(math.sqrt(dot(sub(x, center), sub(x, center)))
+                                 for x in (a, b, c)) * (1.0 + 1e-6)
+                    d_len = math.sqrt(dot(d, d))
+                    reach = radius + 2.0 * eps * d_len
+                    gap = sub(center, o)
+                    along = max(dot(d, gap) / d_len, 0.0)
+                    if dot(gap, gap) - along * along <= reach * reach + 1e-12 * dot(gap, gap):
+                        graze = 1
                 continue
             qvec = cross(tvec, e1)
             u = dot(tvec, pvec) / det

@@ -60,6 +60,15 @@ def _fixture_in_plane():
     return pts, dirs, mesh.positions[mesh.faces]
 
 
+def _fixture_in_plane_far():
+    """Two cubes, and a ray along +x in the plane of cube A's +y faces that
+    never reaches cube A and crosses cube B twice."""
+    a = cube(1.0)
+    b = cube(1.0, center=(0.0, 0.3, 3.0))
+    tri = np.concatenate([a.positions[a.faces], b.positions[b.faces]])
+    return np.array([[-2.0, 0.5, 3.1]]), np.array([[1.0, 0.0, 0.0]]), tri
+
+
 def _fixture_cube():
     """Seeded points around a 12-face mesh, whose last cluster is short."""
     rng = np.random.default_rng(25)
@@ -89,7 +98,8 @@ def _fixture_sphere_columns():
 
 def _fixture_cube_columns():
     """Rays along -x, some in the planes of the cube's y and z faces: those
-    graze, whether or not they reach the face."""
+    that reach such a face graze, and the two at (0.5, 2.0) and (3.0, -0.5),
+    which never do, do not."""
     mesh = cube(1.0)
     yz = [(0.5, 0.0), (-0.5, 0.2), (0.1, 0.5), (0.3, -0.5), (0.5, 2.0), (3.0, -0.5),
           (0.1, 0.2), (0.5 + 1e-12, 0.1), (-0.2, 0.5 - 1e-8), (0.7, 0.7)]
@@ -116,6 +126,7 @@ RAY_FIXTURES = {
     "far": _fixture_far,
     "vertex_aim": _fixture_vertex_aim,
     "in_plane": _fixture_in_plane,
+    "in_plane_far": _fixture_in_plane_far,
     "cube": _fixture_cube,
     "long_unscaled": _fixture_long_unscaled,
     "sphere_columns": _fixture_sphere_columns,
@@ -133,12 +144,22 @@ class TestRayCrossingsOracle:
         assert counts.tolist() == want_counts
         assert grazing.tolist() == want_grazing
 
-    def test_in_plane_ray_grazes(self):
-        # the ray never reaches the +y faces, yet lies in their plane
+    def test_in_plane_ray_grazes_only_faces_it_reaches(self):
+        # the rays lie in the plane of the +y faces but never reach them
         pts, dirs, tri = _fixture_in_plane()
-        counts, grazing = kernels.ray_crossings(pts, dirs, kernels.FaceClusters(tri))
+        faces = kernels.FaceClusters(tri)
+        counts, grazing = kernels.ray_crossings(pts, dirs, faces)
         assert counts.tolist() == [0, 0, 0]
-        assert grazing.tolist() == [1, 1, 1]
+        assert grazing.tolist() == [0, 0, 0]
+        # in the same plane, along the faces
+        counts, grazing = kernels.ray_crossings([[2.0, 0.5, 0.1]], [[-1.0, 0.0, 0.0]], faces)
+        assert counts.tolist() == [0]
+        assert grazing.tolist() == [1]
+        # cube A's +y plane holds the ray, which crosses cube B cleanly
+        pts, dirs, tri = _fixture_in_plane_far()
+        counts, grazing = kernels.ray_crossings(pts, dirs, kernels.FaceClusters(tri))
+        assert counts.tolist() == [2]
+        assert grazing.tolist() == [0]
 
     def test_empty_mesh(self):
         pts, dirs, _ = _fixture_around_sphere()
@@ -212,22 +233,6 @@ class TestRayIndependence:
         assert _per_ray(ray_f, t_f, len(pts)) == [together[r] for r in flip]
         assert np.array_equal(grazing_f, grazing[flip])
 
-    @pytest.mark.parametrize("name", ["sphere_columns", "cube_columns", "tilted_columns"])
-    def test_axis_rays_equal_the_pair_test(self, name):
-        # one oblique ray in the call keeps every pair on the pair test; the
-        # axis rays' plane-distance shortcut must give the same bits
-        pts, dirs, tri = RAY_FIXTURES[name]()
-        faces = kernels.FaceClusters(tri)
-        axis = kernels._common_axis(dirs[:kernels._RAY_CHUNK])
-        assert axis is not None and faces.flat[:, axis].any()
-        ray, t, grazing = kernels.ray_hits(pts, dirs, faces)
-        oblique = (np.concatenate([pts, [[0.0, 0.0, 0.0]]]),
-                   np.concatenate([dirs, _unit([[1.0, 2.0, 3.0]])]))
-        ray_o, t_o, grazing_o = kernels.ray_hits(*oblique, faces)
-        keep = ray_o < len(pts)
-        assert _per_ray(ray, t, len(pts)) == _per_ray(ray_o[keep], t_o[keep], len(pts))
-        assert np.array_equal(grazing, grazing_o[:-1])
-
 
 class TestFaceClusters:
     def test_len_is_face_count(self):
@@ -245,22 +250,33 @@ class TestFaceClusters:
         empty = kernels.FaceClusters(np.zeros((0, 3, 3)))
         assert empty.lo.tolist() == [np.inf] * 3 and empty.hi.tolist() == [-np.inf] * 3
 
-    def test_spheres_hold_their_corners_as_reductions_give_them(self):
-        # the build takes boxes and spheres from the corner columns; they equal
-        # the reductions over every corner of a face or cluster, bit for bit
+    def test_spheres_as_reductions_give_them(self):
+        # the build takes spheres from the corner columns; they equal the
+        # reductions over every corner of a face, and over every face sphere
+        # of a cluster, bit for bit
+        slack = 1.0 + kernels._SPHERE_SLACK
         for make in RAY_FIXTURES.values():
             faces = kernels.FaceClusters(make()[2])
             tri, n_tri = faces.tri, len(faces)
-            corners = tri[np.minimum(faces.members, n_tri - 1)].reshape(len(faces.members), -1, 3)
-            center = 0.5 * (corners.min(axis=1) + corners.max(axis=1))
-            radius = np.linalg.norm(corners - center[:, None], axis=2).max(axis=1)
             face_center = 0.5 * (tri.min(axis=1) + tri.max(axis=1))
-            face_radius = np.linalg.norm(tri - face_center[:, None], axis=2).max(axis=1)
-            slack = 1.0 + kernels._SPHERE_SLACK
+            face_radius = np.linalg.norm(tri - face_center[:, None], axis=2).max(axis=1) * slack
+            member = np.minimum(faces.members, n_tri - 1)
+            corners = tri[member].reshape(len(member), -1, 3)
+            center = 0.5 * (corners.min(axis=1) + corners.max(axis=1))
+            radius = (np.linalg.norm(face_center[member] - center[:, None], axis=2)
+                      + face_radius[member]).max(axis=1)
+            assert faces.face_center.tobytes() == face_center.tobytes()
+            assert faces.face_radius.tobytes() == face_radius.tobytes()
             assert faces.center.tobytes() == center.tobytes()
             assert faces.radius.tobytes() == (radius * slack).tobytes()
-            assert faces.face_center.tobytes() == face_center.tobytes()
-            assert faces.face_radius.tobytes() == (face_radius * slack).tobytes()
+
+    def test_cluster_spheres_hold_their_faces_spheres(self):
+        # so the cluster test never drops a pair the face-sphere test keeps
+        for make in RAY_FIXTURES.values():
+            faces = kernels.FaceClusters(make()[2])
+            member = np.minimum(faces.members, len(faces) - 1)
+            gap = np.linalg.norm(faces.face_center[member] - faces.center[:, None], axis=2)
+            assert np.all(gap + faces.face_radius[member] <= faces.radius[:, None])
 
     def test_one_object_serves_every_call(self):
         # a call must leave the prepared arrays as it found them
