@@ -7,18 +7,19 @@ voxel centers reads its parities from the t of one ray. ``nearest_vertex``
 finds the nearest reference vertex, and ``point_triangle_dists`` the
 distance to the nearest triangle.
 
-``nearest_vertex`` asks a ``scipy.spatial.cKDTree`` for the distance to the
-nearest vertex, takes every vertex within a hair of that distance, and picks
-among them by the same squared-distance expression a brute-force search
-uses, lowest index first on ties: the result is that of testing every pair.
+``nearest_vertex`` asks the caller's ``scipy.spatial.cKDTree`` of the
+reference vertices for the distance to the nearest one, takes every vertex
+within a hair of that distance, and picks among them by the same
+squared-distance expression a brute-force search uses, lowest index first on
+ties: the result is that of testing every pair.
 
-The two triangle kernels take one hierarchy per mesh, a ``FaceClusters``
-built from the mesh's faces once and shared by every call against that
-surface. It sorts the faces along a Morton curve of their centroids
-(Karras, HPG 2012), cuts them into clusters of ``_CLUSTER`` faces, each with
-a bounding sphere that holds its faces' own spheres, and holds the per-face
-columns of the ray test. A chunk of queries is tested against all spheres at
-once, and the pair test runs only on the faces of the clusters that pass:
+The two triangle kernels take one ``FaceClusters`` per surface, built from
+its faces once and shared by every call against that surface. It sorts the
+faces along a Morton curve of their centroids (Karras, HPG 2012) and cuts
+them into clusters, each a run of ``_CLUSTER`` consecutive faces with a
+bounding sphere that holds its faces' own spheres, and holds the per-face
+columns of the ray test. A chunk of queries is tested against all spheres
+at once, and the pair test runs only on the faces of the clusters that pass:
 
 - ``ray_hits`` keeps the clusters a ray reaches, then the faces of those
   whose own bounding sphere it reaches (about one in fourteen, for rays
@@ -27,9 +28,9 @@ once, and the pair test runs only on the faces of the clusters that pass:
   to a face grazes it when it lies in the face's plane and meets the face's
   grown bounding sphere, so no pair that test drops can graze.
 - ``point_triangle_dists`` bounds each point's answer by its distance to the
-  nearest face corner (a KD-tree the ``FaceClusters`` builds on first use),
-  keeps the clusters whose sphere comes within that bound, and runs
-  Ericson's closest-point case split on their faces.
+  nearest vertex of the surface, from the caller's KD-tree of them, keeps
+  the clusters whose sphere comes within that bound, and runs Ericson's
+  closest-point case split on their faces.
 
 Crossings, counts, grazing flags and distances are the same as from testing
 every pair. A ray's crossings, t values and grazing flag are also the same
@@ -68,16 +69,22 @@ def _kdtree(points):
     return cKDTree(points)
 
 
+def _morton_codes(grid):
+    """30-bit Morton code of each row of an (N, 3) integer grid in [0, 1023]:
+    bit b of column c goes to bit 3 b + c."""
+    x = np.asarray(grid, dtype=np.uint32)
+    # spread each coordinate's 10 bits so that two zero bits follow each one
+    for shift, mask in ((16, 0x030000FF), (8, 0x0300F00F), (4, 0x030C30C3), (2, 0x09249249)):
+        x = (x | (x << shift)) & mask
+    return x[:, 0] | (x[:, 1] << 1) | (x[:, 2] << 2)
+
+
 def _morton_order(centroids):
     """Order of the points along a 30-bit Morton curve over their bounding box."""
     lo = centroids.min(axis=0)
     extent = max(float((centroids.max(axis=0) - lo).max()), 1e-300)
-    grid = np.clip((centroids - lo) * (1023.0 / extent), 0, 1023).astype(np.uint64)
-    code = np.zeros(len(centroids), dtype=np.uint64)
-    for bit in range(10):
-        for axis in range(3):
-            code |= ((grid[:, axis] >> np.uint64(bit)) & np.uint64(1)) << np.uint64(3 * bit + axis)
-    return np.argsort(code, kind="stable")
+    grid = np.clip((centroids - lo) * (1023.0 / extent), 0, 1023).astype(np.uint32)
+    return np.argsort(_morton_codes(grid), kind="stable")
 
 
 def _length(x):
@@ -89,25 +96,23 @@ class FaceClusters:
     """A triangle soup prepared once for both triangle kernels.
 
     The faces are sorted along a Morton curve of their centroids and cut
-    into clusters of ``_CLUSTER`` faces; every face and every cluster gets a
-    bounding sphere, and the per-face columns of the Moller-Trumbore test
-    are computed.
-    Nothing here changes after construction, so one object serves any
-    number of kernel calls against the same surface. ``len()`` is the face
-    count.
+    into clusters: cluster k is the run of ``_CLUSTER`` faces from
+    ``k * _CLUSTER``, the last run maybe short. Every face and cluster gets
+    a bounding sphere, and the per-face columns of the Moller-Trumbore test
+    are computed. It holds only arrays, all set here and never changed, so
+    one object serves any number of kernel calls against the same surface;
+    the KD-tree that bounds ``point_triangle_dists`` is the caller's.
+    ``len()`` is the face count.
 
-    Attributes: ``tri``, the (F, 3, 3) faces in Morton order; ``members``,
-    the (K, _CLUSTER) face indices of each cluster, where the last cluster
-    may be short and its padding indices run past the last face;
+    Attributes: ``tri``, the (F, 3, 3) faces in Morton order;
     ``face_center`` and ``face_radius`` (slack-grown), each face's own
     bounding sphere; ``center``, ``radius`` and ``center_sq`` (|center|^2)
     of each cluster's sphere, which holds its faces' spheres (the radius is
     the largest |center - face_center| + face_radius, slack-grown);
     ``face_cols``, the rows v0, e1, e2, normal (e1 x e2), |normal| and the
-    parallel threshold that ``_pair_test`` reads; ``lo`` and ``hi``, the
+    parallel threshold that ``_pair_test`` reads; and ``lo`` and ``hi``, the
     (3,) axis-aligned box of all corners, which for an empty soup is
-    (+inf, -inf) and holds no point; and ``corner_tree``, a KD-tree of the
-    corners built on first use.
+    (+inf, -inf) and holds no point.
     """
 
     def __init__(self, tri):
@@ -117,7 +122,6 @@ class FaceClusters:
             tri = tri[_morton_order(tri.mean(axis=1))]
         n_clusters = -(-n_tri // _CLUSTER)
         self.tri = tri
-        self.members = np.arange(n_clusters * _CLUSTER).reshape(n_clusters, _CLUSTER)
         # Boxes and spheres from the three corner columns: NumPy reduces a
         # short middle axis row by row, which took most of the build.
         a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
@@ -128,12 +132,13 @@ class FaceClusters:
                                                  _length(b - self.face_center)),
                                       _length(c - self.face_center))
         self.face_radius *= 1.0 + _SPHERE_SLACK
-        # the padding of a short last cluster repeats a face for the sphere only
-        padded = np.minimum(self.members, n_tri - 1)
-        self.center = 0.5 * (np.minimum.reduce(face_lo[padded], axis=1)
-                             + np.maximum.reduce(face_hi[padded], axis=1))
-        self.radius = (_length(self.face_center[padded] - self.center[:, None, :])
-                       + self.face_radius[padded]).max(axis=1)
+        # each cluster's faces; a short last run repeats its last face, which
+        # leaves the sphere as it is
+        members = np.minimum(np.arange(n_clusters * _CLUSTER), n_tri - 1).reshape(-1, _CLUSTER)
+        self.center = 0.5 * (np.minimum.reduce(face_lo[members], axis=1)
+                             + np.maximum.reduce(face_hi[members], axis=1))
+        self.radius = (_length(self.face_center[members] - self.center[:, None, :])
+                       + self.face_radius[members]).max(axis=1)
         self.radius *= 1.0 + _SPHERE_SLACK
         self.center_sq = np.einsum("kc,kc->k", self.center, self.center)
         self.lo = np.minimum.reduce(face_lo, axis=0, initial=np.inf)
@@ -146,17 +151,9 @@ class FaceClusters:
         det_eps = 1e-12 * np.maximum(norm_n, 1e-30)
         self.face_cols = np.concatenate([v0.T, e1.T, e2.T, normal.T, norm_n[None],
                                          det_eps[None]])
-        self._corner_tree = None
 
     def __len__(self):
         return self.tri.shape[0]
-
-    @property
-    def corner_tree(self):
-        """``scipy.spatial.cKDTree`` of the face corners."""
-        if self._corner_tree is None:
-            self._corner_tree = _kdtree(self.tri.reshape(-1, 3))
-        return self._corner_tree
 
 
 def _cluster_hits(p, faces, grow, along=None):
@@ -175,11 +172,11 @@ def _cluster_hits(p, faces, grow, along=None):
     return gap_sq <= reach * reach + 1e-12 * (p_sq + faces.center_sq.max())[:, None]
 
 
-def _cluster_pairs(hit, members, n_tri):
+def _cluster_pairs(hit, n_tri):
     """(query row, face) columns for every face of every hit cluster, by row."""
     row, cl = np.nonzero(hit)
     row = np.repeat(row, _CLUSTER)
-    face = members[cl].reshape(-1)
+    face = (cl[:, None] * _CLUSTER + np.arange(_CLUSTER)).reshape(-1)
     if n_tri % _CLUSTER:
         keep = face < n_tri
         row, face = row[keep], face[keep]
@@ -259,7 +256,7 @@ def ray_hits(origins, dirs, faces):
         # the ray is a half-line that may start up to _EPS_T behind its origin
         along = np.maximum(unit @ faces.center.T - np.einsum("rc,rc->r", unit, p)[:, None], 0.0)
         hit = _cluster_hits(p, faces, (2.0 * _EPS_T) * d_norm, along)
-        ray, face = _cluster_pairs(hit, faces.members, n_tri)
+        ray, face = _cluster_pairs(hit, n_tri)
         # of the faces of those clusters, keep the ones whose own sphere the
         # ray meets; |c - p|^2 - along^2 rounds by under 1e-15 |c - p|^2
         diff = np.take(faces.face_center, face, axis=0) - np.take(p, ray, axis=0)
@@ -287,13 +284,12 @@ def ray_crossings(origins, dirs, faces):
     return np.bincount(ray, minlength=len(grazing)), grazing
 
 
-def nearest_vertex(query, ref, tree=None):
+def nearest_vertex(query, ref, tree):
     """Index and distance of the nearest reference vertex per query point.
 
     ``tree`` is a ``scipy.spatial.cKDTree`` of ``ref``, such as a mesh's
-    ``vertex_tree``; without it one is built. Ties resolve to the lowest
-    index. With no reference vertices, every query gets index 0 and distance
-    inf.
+    ``vertex_tree``. Ties resolve to the lowest index. With no reference
+    vertices, every query gets index 0 and distance inf.
     """
     query = np.asarray(query, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
@@ -302,8 +298,6 @@ def nearest_vertex(query, ref, tree=None):
     dist = np.full(n, np.inf)
     if n == 0:
         return idx, dist
-    if tree is None:
-        tree = _kdtree(ref)
     radius, _ = tree.query(query)
     # The tree rounds distances its own way: widen the radius so every vertex
     # that ties with the nearest after re-scoring is gathered. With no
@@ -365,12 +359,15 @@ def _closest_point_dists(p, a, b, c):
     return np.linalg.norm(p - closest, axis=1)
 
 
-def point_triangle_dists(points, faces):
+def point_triangle_dists(points, faces, tree):
     """Distance from each point to the nearest triangle of a ``FaceClusters``.
 
-    Only faces in the bounding spheres that come within a point's
-    nearest-vertex distance get the closest-point test; the result equals
-    testing every face. With no faces every distance is inf.
+    ``tree`` is a ``scipy.spatial.cKDTree`` of points that each lie on a
+    face, such as the vertices of a mesh with no vertex off its faces (its
+    ``vertex_tree``); a point's distance to the nearest of them bounds its
+    answer. Only faces in the bounding spheres that come within that bound
+    get the closest-point test; the result equals testing every face. With
+    no faces every distance is inf.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -379,16 +376,15 @@ def point_triangle_dists(points, faces):
     if n == 0 or n_tri == 0:
         return out
     tri = faces.tri
-    # the nearest corner bounds the nearest face from above
-    bound, _ = faces.corner_tree.query(points)
+    bound, _ = tree.query(points)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         p = points[lo:hi]
         # keep a sphere when |p - c| - r <= bound
         hit = _cluster_hits(p, faces, bound[lo:hi])
-        row, face = _cluster_pairs(hit, faces.members, n_tri)
+        row, face = _cluster_pairs(hit, n_tri)
         dists = _closest_point_dists(p[row], tri[face, 0], tri[face, 1], tri[face, 2])
-        # every point keeps the cluster of its nearest vertex's faces
+        # every point keeps the cluster of a face that holds its nearest tree point
         starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
         out[lo:hi] = np.minimum.reduceat(dists, starts)
     return out

@@ -16,6 +16,7 @@ All positions are meters. OBJ text is ASCII with 1-based ``v``/``f`` records;
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,16 +39,15 @@ class Topology:
 
     def __init__(self, faces: np.ndarray):
         self.faces = faces
-        self._edge_counts = None
         self._derived = {}
 
+    @functools.cached_property
     def edge_counts(self):
         """``_edge_counts`` of the faces: (unique edges, faces per edge)."""
-        if self._edge_counts is None:
-            self._edge_counts = _edge_counts(self.faces)
-            for array in self._edge_counts:
-                array.setflags(write=False)
-        return self._edge_counts
+        counts = _edge_counts(self.faces)
+        for array in counts:
+            array.setflags(write=False)
+        return counts
 
     def derived(self, key, build):
         """``build()``, called on the first call with ``key`` only."""
@@ -60,20 +60,18 @@ class Topology:
 class TriMesh:
     """Triangular surface mesh with lazily computed, cached structures.
 
-    The normals, the ``FaceClusters`` of the triangle kernels and the KD-tree
-    of the vertices are computed from ``positions`` and ``faces`` on first
-    use and kept, so the arrays must not be changed in place: make a new mesh
-    (``with_positions``) instead. Such a mesh shares this one's ``topology``
-    (the edges behind ``edge_set`` and ``is_watertight``, and refinement's
-    ARAP incidence, order and band) and builds its own normals, faces and
-    vertex tree.
+    ``normals``, ``face_clusters`` (the faces prepared for the triangle
+    kernels) and ``vertex_tree`` (the KD-tree of the vertices, which both
+    distance kernels read) are computed from ``positions`` and ``faces`` on
+    first use and kept, so the arrays must not be changed in place: make a
+    new mesh (``with_positions``) instead. Such a mesh shares this one's
+    ``topology`` (the edges behind ``edge_set`` and ``is_watertight``, and
+    refinement's ARAP incidence, order and band) and builds its own normals,
+    face clusters and vertex tree.
     """
 
     positions: np.ndarray  # (V, 3) float64
     faces: np.ndarray  # (F, 3) int32
-    _normals: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _face_clusters: FaceClusters | None = field(default=None, repr=False, compare=False)
-    _vertex_tree: object = field(default=None, repr=False, compare=False)
     _topology: Topology | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -84,26 +82,21 @@ class TriMesh:
     def n_faces(self) -> int:
         return self.faces.shape[0]
 
-    @property
+    @functools.cached_property
     def normals(self) -> np.ndarray:
         """Per-vertex unit normals, area-weighted over incident faces."""
-        if self._normals is None:
-            self._normals = vertex_normals(self.positions, self.faces)
-        return self._normals
+        return vertex_normals(self.positions, self.faces)
 
-    @property
+    @functools.cached_property
     def face_clusters(self) -> FaceClusters:
         """The faces, prepared for the triangle kernels."""
-        if self._face_clusters is None:
-            self._face_clusters = FaceClusters(self.positions[self.faces])
-        return self._face_clusters
+        return FaceClusters(self.positions[self.faces])
 
-    @property
+    @functools.cached_property
     def vertex_tree(self):
-        """``scipy.spatial.cKDTree`` of the vertices, for ``nearest_vertex``."""
-        if self._vertex_tree is None:
-            self._vertex_tree = _kdtree(self.positions)
-        return self._vertex_tree
+        """``scipy.spatial.cKDTree`` of the vertices, for ``nearest_vertex``
+        and ``point_triangle_dists``."""
+        return _kdtree(self.positions)
 
     @property
     def topology(self) -> Topology:
@@ -226,12 +219,12 @@ def _edge_counts(faces: np.ndarray):
 def edge_set(mesh: TriMesh) -> np.ndarray:
     """Every undirected face edge exactly once: (E, 2) int64, i <= j, sorted
     (read-only: the mesh's topology keeps it)."""
-    return mesh.topology.edge_counts()[0]
+    return mesh.topology.edge_counts[0]
 
 
 def is_watertight(mesh: TriMesh) -> bool:
     """True iff every edge is shared by exactly two faces."""
-    _, counts = mesh.topology.edge_counts()
+    _, counts = mesh.topology.edge_counts
     return bool(counts.size) and bool((counts == 2).all())
 
 

@@ -22,13 +22,23 @@ _CAP_GRID_H = 4
 _CAP_NOTCH = 8  # cells removed from the top row to make the L-shape
 
 
+def _check_size(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ArgumentError(f"{name} must be finite and > 0, got {value}")
+
+
 def icosphere(subdivisions: int = 2, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> TriMesh:
     """Subdivided icosahedron projected to a sphere (watertight).
 
     Vertex count is 10 * 4**subdivisions + 2 (162 at two subdivisions).
+
+    Raises:
+        ArgumentError: ``subdivisions`` is negative, or ``radius`` is not
+            finite and > 0 (a negative radius would turn the sphere inside out).
     """
     if subdivisions < 0:
         raise ArgumentError("subdivisions must be >= 0")
+    _check_size("radius", radius)
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     verts = np.array(
         [
@@ -68,7 +78,12 @@ def icosphere(subdivisions: int = 2, radius: float = 1.0, center=(0.0, 0.0, 0.0)
 
 
 def cube(side: float = 1.0, center=(0.0, 0.0, 0.0)) -> TriMesh:
-    """Axis-aligned closed cube of 8 vertices and 12 outward-wound triangles."""
+    """Axis-aligned closed cube of 8 vertices and 12 outward-wound triangles.
+
+    Raises:
+        ArgumentError: ``side`` is not finite and > 0.
+    """
+    _check_size("side", side)
     h = side / 2.0
     corners = np.array(
         [(sx, sy, sz) for sx in (-h, h) for sy in (-h, h) for sz in (-h, h)],

@@ -26,8 +26,8 @@ Every check is between two distinct meshes, as for the two hands: passing
 one mesh object as both source and target is rejected, because a vertex
 measured against its own surface always reads zero depth.
 
-Meshes are in meters; watertightness is required wherever parity or volume
-is computed.
+Meshes are in meters; each must have finite positions, be watertight and
+have every vertex on a face (its nearest vertex bounds a depth from above).
 """
 from __future__ import annotations
 
@@ -178,12 +178,14 @@ def _reject_self(source: TriMesh, target: TriMesh, what: str) -> None:
 
 
 def _check_mesh(mesh: TriMesh, name: str, what: str) -> None:
-    """Raise ``ArgumentError`` naming the mesh unless its positions are finite
-    and it is watertight."""
+    """Raise ``ArgumentError`` naming the mesh unless its positions are finite,
+    it is watertight and every vertex lies on a face."""
     if not np.isfinite(mesh.positions).all():
         raise ArgumentError(f"{what}: mesh {name!r} has a NaN or infinite position")
     if not is_watertight(mesh):
         raise ArgumentError(f"{what} requires a watertight {name!r} mesh")
+    if not np.bincount(mesh.faces.ravel(), minlength=mesh.n_vertices).all():
+        raise ArgumentError(f"{what}: mesh {name!r} has a vertex on no face")
 
 
 def collision_mask(source: TriMesh, target: TriMesh) -> np.ndarray:
@@ -191,7 +193,7 @@ def collision_mask(source: TriMesh, target: TriMesh) -> np.ndarray:
 
     Raises:
         ArgumentError: source and target are one mesh, or target is not
-            watertight or has a non-finite position.
+            watertight, has a non-finite position or has a vertex on no face.
     """
     _reject_self(source, target, "collision mask")
     _check_mesh(target, "target", "collision mask")
@@ -452,7 +454,7 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
 
     Raises:
         ArgumentError: source and target are one mesh, or either is not
-            watertight or has a non-finite position.
+            watertight, has a non-finite position or has a vertex on no face.
     """
     _reject_self(source, target, "refinement")
     _check_mesh(target, "target", "refinement")
@@ -581,9 +583,9 @@ def plausibility_metrics(a: TriMesh, b: TriMesh) -> PlausibilityReport:
     grid column (seeds 1 and 2 for its fallback).
 
     Raises:
-        ArgumentError: a and b are one mesh, a mesh is not watertight or has
-            a non-finite position, or the voxel grid would exceed the
-            supported size.
+        ArgumentError: a and b are one mesh, a mesh is not watertight, has
+            a non-finite position or has a vertex on no face, or the voxel
+            grid would exceed the supported size.
     """
     _reject_self(a, b, "plausibility metrics")
     _check_mesh(a, "a", "plausibility metrics")
@@ -597,10 +599,11 @@ def _plausibility(a: TriMesh, b: TriMesh, a_in_b: np.ndarray) -> PlausibilityRep
     faces_a, faces_b = a.face_clusters, b.face_clusters
     b_in_a, _ = points_interior(b.positions, faces_a, seed=0)
     pen = 0.0
-    for src, dst_faces, interior in ((a, faces_b, a_in_b), (b, faces_a, b_in_a)):
+    for src, dst, interior in ((a, b, a_in_b), (b, a, b_in_a)):
         pts = src.positions[interior]
         if pts.size:
-            pen = max(pen, float(point_triangle_dists(pts, dst_faces).max()))
+            pen = max(pen, float(point_triangle_dists(pts, dst.face_clusters,
+                                                      dst.vertex_tree).max()))
     h = VOXEL_CM / 100.0  # meters
     axes = _voxel_axes(a, b, h)
     volume = 0.0

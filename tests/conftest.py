@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from specmesh import autodiff as ad
 from specmesh.graphs import adjacency_matrix
-from specmesh.meshes import edge_set
+from specmesh.meshes import TriMesh, edge_set
 from specmesh.primitives import hand_template, icosphere
 from specmesh.pyramid import build_pyramid
 
@@ -31,6 +31,17 @@ def random_mesh_graph(n: int, seed: int, extra_edges: int = 0):
         if u != v:
             edges.append((min(u, v), max(u, v)))
     return adjacency_matrix(edges, n)
+
+
+def capped_hand():
+    """``hand_template()`` closed at its 28-edge wrist by a fan of 26 triangles
+    from the wrist ring's first vertex: no new vertex, each triangle wound
+    opposite to the boundary, so the mesh is watertight and faces out (8042
+    faces, 659 cm^3)."""
+    hand = hand_template()
+    ring = np.arange(hand.n_vertices - 28, hand.n_vertices)  # the last tube ring
+    fan = np.stack([np.full(26, ring[0]), ring[2:], ring[1:-1]], axis=1).astype(np.int32)
+    return TriMesh(positions=hand.positions, faces=np.concatenate([hand.faces, fan]))
 
 
 @pytest.fixture(scope="session")

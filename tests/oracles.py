@@ -177,6 +177,19 @@ def ray_crossings_loop(origins, dirs, tri):
     return counts, grazing
 
 
+def morton_codes_loop(grid) -> list:
+    """30-bit Morton code of each row of an (N, 3) integer grid in [0, 1023],
+    one bit at a time: bit b of column c goes to bit 3 b + c."""
+    codes = []
+    for row in np.asarray(grid).tolist():
+        code = 0
+        for bit in range(10):
+            for axis in range(3):
+                code |= ((int(row[axis]) >> bit) & 1) << (3 * bit + axis)
+        codes.append(code)
+    return codes
+
+
 def nearest_vertex_loop(query, ref):
     """Nearest reference vertex per query point, one pair at a time.
 

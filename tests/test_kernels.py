@@ -5,11 +5,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import nearest_vertex_loop, point_triangle_dists_dense, ray_crossings_loop
+from oracles import (morton_codes_loop, nearest_vertex_loop, point_triangle_dists_dense,
+                     ray_crossings_loop)
 
 import specmesh
 from specmesh import kernels
 from specmesh.primitives import cube, icosphere
+
+
+def soup_dists(points, tri):
+    """``point_triangle_dists`` against a triangle soup, bounded by the KD-tree
+    of its corners."""
+    tri = np.asarray(tri, dtype=np.float64)
+    return kernels.point_triangle_dists(points, kernels.FaceClusters(tri),
+                                        kernels._kdtree(tri.reshape(-1, 3)))
+
+
+def cluster_runs(n_tri):
+    """Each cluster's faces, as a slice: runs of ``_CLUSTER``, the last short."""
+    return [slice(lo, min(lo + kernels._CLUSTER, n_tri))
+            for lo in range(0, n_tri, kernels._CLUSTER)]
 
 
 def _unit(v):
@@ -253,41 +268,89 @@ class TestFaceClusters:
     def test_spheres_as_reductions_give_them(self):
         # the build takes spheres from the corner columns; they equal the
         # reductions over every corner of a face, and over every face sphere
-        # of a cluster, bit for bit
+        # of a cluster, bit for bit. Cluster k is the run of faces from
+        # k * _CLUSTER, the last run short
         slack = 1.0 + kernels._SPHERE_SLACK
         for make in RAY_FIXTURES.values():
             faces = kernels.FaceClusters(make()[2])
-            tri, n_tri = faces.tri, len(faces)
+            tri = faces.tri
             face_center = 0.5 * (tri.min(axis=1) + tri.max(axis=1))
             face_radius = np.linalg.norm(tri - face_center[:, None], axis=2).max(axis=1) * slack
-            member = np.minimum(faces.members, n_tri - 1)
-            corners = tri[member].reshape(len(member), -1, 3)
-            center = 0.5 * (corners.min(axis=1) + corners.max(axis=1))
-            radius = (np.linalg.norm(face_center[member] - center[:, None], axis=2)
-                      + face_radius[member]).max(axis=1)
             assert faces.face_center.tobytes() == face_center.tobytes()
             assert faces.face_radius.tobytes() == face_radius.tobytes()
-            assert faces.center.tobytes() == center.tobytes()
-            assert faces.radius.tobytes() == (radius * slack).tobytes()
+            runs = cluster_runs(len(faces))
+            assert len(faces.center) == len(faces.radius) == len(runs)
+            for k, run in enumerate(runs):
+                corners = tri[run].reshape(-1, 3)
+                center = 0.5 * (corners.min(axis=0) + corners.max(axis=0))
+                radius = (np.linalg.norm(face_center[run] - center, axis=1)
+                          + face_radius[run]).max()
+                assert faces.center[k].tobytes() == center.tobytes()
+                assert faces.radius[k].tobytes() == (radius * slack).tobytes()
 
     def test_cluster_spheres_hold_their_faces_spheres(self):
         # so the cluster test never drops a pair the face-sphere test keeps
         for make in RAY_FIXTURES.values():
             faces = kernels.FaceClusters(make()[2])
-            member = np.minimum(faces.members, len(faces) - 1)
-            gap = np.linalg.norm(faces.face_center[member] - faces.center[:, None], axis=2)
-            assert np.all(gap + faces.face_radius[member] <= faces.radius[:, None])
+            for k, run in enumerate(cluster_runs(len(faces))):
+                gap = np.linalg.norm(faces.face_center[run] - faces.center[k], axis=1)
+                assert np.all(gap + faces.face_radius[run] <= faces.radius[k])
+
+    def test_holds_only_arrays_set_by_the_constructor(self):
+        faces = kernels.FaceClusters(_fixture_around_sphere()[2])
+        held = dict(vars(faces))
+        assert all(isinstance(value, np.ndarray) for value in held.values())
+        pts, dirs, _ = _fixture_around_sphere()
+        kernels.ray_crossings(pts, dirs, faces)
+        kernels.point_triangle_dists(pts, faces, kernels._kdtree(faces.tri.reshape(-1, 3)))
+        assert vars(faces).keys() == held.keys()
+        assert all(vars(faces)[key] is value for key, value in held.items())
 
     def test_one_object_serves_every_call(self):
         # a call must leave the prepared arrays as it found them
         pts, dirs, tri = _fixture_around_sphere()
-        faces = kernels.FaceClusters(tri)
+        faces, tree = kernels.FaceClusters(tri), kernels._kdtree(tri.reshape(-1, 3))
         want = ray_crossings_loop(pts, dirs, tri)
         for _ in range(2):
             counts, grazing = kernels.ray_crossings(pts, dirs, faces)
             assert (counts.tolist(), grazing.tolist()) == want
-            dists = kernels.point_triangle_dists(pts, faces)
+            dists = kernels.point_triangle_dists(pts, faces, tree)
             assert np.array_equal(dists, point_triangle_dists_dense(pts, tri))
+
+
+class TestMortonCodes:
+    """The shift-and-mask spread gives the codes of the bit-by-bit loop."""
+
+    def assert_codes_match_loop(self, grid):
+        codes = kernels._morton_codes(grid)
+        assert codes.tolist() == morton_codes_loop(grid)
+
+    def test_random_grids(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 7, 1000):
+            self.assert_codes_match_loop(rng.integers(0, 1024, size=(n, 3)))
+
+    def test_duplicate_rows(self):
+        rng = np.random.default_rng(32)
+        grid = rng.integers(0, 1024, size=(20, 3))
+        self.assert_codes_match_loop(np.concatenate([grid, grid[::2], grid[:3]]))
+
+    def test_extremes(self):
+        corners = np.array([(x, y, z) for x in (0, 1023) for y in (0, 1023) for z in (0, 1023)])
+        self.assert_codes_match_loop(corners)
+        assert kernels._morton_codes(np.full((1, 3), 1023)).tolist() == [2**30 - 1]
+        one_bit = np.array([[1 << b, 0, 0] for b in range(10)] + [[0, 1 << b, 0] for b in range(10)]
+                           + [[0, 0, 1 << b] for b in range(10)])
+        self.assert_codes_match_loop(one_bit)
+
+    def test_order_is_the_stable_sort_of_the_codes(self):
+        # centroids on a coarse lattice, so many share a grid cell
+        rng = np.random.default_rng(33)
+        centroids = rng.integers(0, 5, size=(500, 3)) * 0.25 - 0.3
+        lo = centroids.min(axis=0)
+        grid = np.clip((centroids - lo) * (1023.0 / np.ptp(centroids, axis=0).max()), 0, 1023)
+        want = np.argsort(morton_codes_loop(grid.astype(np.int64)), kind="stable")
+        assert np.array_equal(kernels._morton_order(centroids), want)
 
 
 def _fixture_hairline():
@@ -308,8 +371,13 @@ DISTANCE_FIXTURES = {name: (lambda make=make: make()[::2]) for name, make in RAY
 DISTANCE_FIXTURES["hairline"] = _fixture_hairline
 
 
+def nearest(query, ref):
+    """``nearest_vertex`` with a KD-tree of ``ref``."""
+    return kernels.nearest_vertex(query, ref, kernels._kdtree(ref))
+
+
 def _assert_nearest_matches_loop(query, ref):
-    idx, dist = kernels.nearest_vertex(query, ref)
+    idx, dist = nearest(query, ref)
     want_idx, want_dist = nearest_vertex_loop(query, ref)
     assert idx.dtype == np.int64
     assert np.array_equal(idx, np.array(want_idx, dtype=np.int64))
@@ -344,12 +412,12 @@ class TestNearestVertexOracle:
     def test_equidistant_query_takes_lowest_index(self):
         ref = np.array([[0.0, 5.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         query = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        idx, dist = kernels.nearest_vertex(query, ref)
+        idx, dist = nearest(query, ref)
         assert idx.tolist() == [1, 1]
         _assert_nearest_matches_loop(query, ref)
 
     def test_empty_query(self):
-        idx, dist = kernels.nearest_vertex(np.zeros((0, 3)), icosphere(1).positions)
+        idx, dist = nearest(np.zeros((0, 3)), icosphere(1).positions)
         assert idx.shape == dist.shape == (0,)
 
 
@@ -357,15 +425,25 @@ class TestPointTriangleOracle:
     @pytest.mark.parametrize("name", DISTANCE_FIXTURES)
     def test_matches_dense_oracle(self, name):
         pts, tri = DISTANCE_FIXTURES[name]()
-        dists = kernels.point_triangle_dists(pts, kernels.FaceClusters(tri))
+        dists = soup_dists(pts, tri)
         assert np.array_equal(dists, point_triangle_dists_dense(pts, tri))
 
+    @pytest.mark.parametrize("name", DISTANCE_FIXTURES)
+    def test_mesh_vertex_tree_equals_corner_tree(self, name):
+        # every vertex of a closed mesh is a face corner, so its vertex tree
+        # gives the bound the tree of the 3F corners gives, and the same bits
+        pts = DISTANCE_FIXTURES[name]()[0]
+        for mesh in (icosphere(2, radius=0.75), cube(1.0)):
+            tri = mesh.positions[mesh.faces]
+            dists = kernels.point_triangle_dists(pts, mesh.face_clusters, mesh.vertex_tree)
+            assert dists.tobytes() == soup_dists(pts, tri).tobytes()
+            assert np.array_equal(dists, point_triangle_dists_dense(pts, tri))
+
     def test_empty_inputs(self):
-        faces = kernels.FaceClusters(cube(1.0).positions[cube(1.0).faces])
-        assert kernels.point_triangle_dists(np.zeros((0, 3)), faces).shape == (0,)
-        pts = np.ones((2, 3))
-        no_faces = kernels.FaceClusters(np.zeros((0, 3, 3)))
-        assert kernels.point_triangle_dists(pts, no_faces).tolist() == [np.inf] * 2
+        mesh = cube(1.0)
+        assert kernels.point_triangle_dists(np.zeros((0, 3)), mesh.face_clusters,
+                                            mesh.vertex_tree).shape == (0,)
+        assert soup_dists(np.ones((2, 3)), np.zeros((0, 3, 3))).tolist() == [np.inf] * 2
 
 
 class TestKernelSemantics:
@@ -394,7 +472,7 @@ class TestKernelSemantics:
         rng = np.random.default_rng(11)
         q = rng.normal(size=(25, 3))
         r = rng.normal(size=(40, 3))
-        idx, dist = kernels.nearest_vertex(q, r)
+        idx, dist = nearest(q, r)
         d2 = np.sum((q[:, None] - r[None]) ** 2, axis=2)
         assert np.array_equal(idx, np.argmin(d2, axis=1))
         assert np.allclose(dist, np.sqrt(d2.min(axis=1)), atol=1e-14)
@@ -407,7 +485,7 @@ class TestKernelSemantics:
             [0.5, -2.0, 0.0],    # below edge ab
             [2.0, 2.0, 0.0],     # beyond edge bc
         ])
-        d = kernels.point_triangle_dists(pts, kernels.FaceClusters(tri))
+        d = soup_dists(pts, tri)
         expected = [0.5, np.sqrt(2.0), 2.0, 1.5 * np.sqrt(2.0)]
         assert np.allclose(d, expected, atol=1e-12)
 
@@ -415,7 +493,7 @@ class TestKernelSemantics:
         rng = np.random.default_rng(5)
         tri = rng.normal(size=(3, 3, 3))
         pts = rng.normal(size=(10, 3)) * 1.5
-        d = kernels.point_triangle_dists(pts, kernels.FaceClusters(tri))
+        d = soup_dists(pts, tri)
         # oracle: dense barycentric sampling of each triangle
         grid = []
         n = 220
@@ -441,7 +519,8 @@ import sys
 import specmesh.kernels, specmesh.model, specmesh.primitives, specmesh.refine, specmesh.scenes
 assert "scipy.spatial" not in sys.modules, "a module-level import loads scipy.spatial"
 import numpy as np
-specmesh.kernels.nearest_vertex(np.zeros((1, 3)), np.ones((2, 3)))
+specmesh.kernels.nearest_vertex(np.zeros((1, 3)), np.ones((2, 3)),
+                                specmesh.kernels._kdtree(np.ones((2, 3))))
 assert "scipy.spatial" in sys.modules
 """
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -241,11 +243,38 @@ class TestCaches:
         assert moved.normals is not mesh.normals
         assert np.allclose(moved.normals, mesh.normals, rtol=0, atol=1e-15)
 
+    def test_constructor_takes_the_arrays_and_the_shared_topology_only(self):
+        # the caches are cached properties, which no caller can pass in
+        assert [f.name for f in dataclasses.fields(TriMesh)] == ["positions", "faces", "_topology"]
+        mesh = icosphere(1)
+        assert set(vars(mesh)) == {"positions", "faces", "_topology"}
+        mesh.normals, mesh.face_clusters, mesh.vertex_tree, edge_set(mesh)
+        assert set(vars(mesh)) == {"positions", "faces", "_topology", "normals",
+                                   "face_clusters", "vertex_tree"}
+        assert set(vars(mesh.topology)) == {"faces", "_derived", "edge_counts"}
+
     def test_a_new_mesh_on_the_same_faces_has_its_own_topology(self):
         mesh = icosphere(1)
         other = TriMesh(positions=mesh.positions, faces=mesh.faces[:-1])
         assert other.topology is not mesh.topology
         assert is_watertight(mesh) and not is_watertight(other)
+
+
+class TestPrimitiveSizes:
+    # a negative radius point-reflects the sphere: watertight, but inside out
+    @pytest.mark.parametrize("radius", [0.0, -0.05, np.nan, np.inf, -np.inf])
+    def test_icosphere_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ArgumentError, match="radius must be finite and > 0"):
+            icosphere(1, radius=radius)
+
+    @pytest.mark.parametrize("side", [0.0, -1.0, np.nan, np.inf])
+    def test_cube_side_must_be_finite_and_positive(self, side):
+        with pytest.raises(ArgumentError, match="side must be finite and > 0"):
+            cube(side)
+
+    def test_small_sizes_accepted(self):
+        assert icosphere(0, radius=1e-6).n_vertices == 12
+        assert cube(1e-6).n_faces == 12
 
 
 class TestHandTemplateSize:

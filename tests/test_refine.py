@@ -33,6 +33,12 @@ from specmesh.refine import (
 )
 
 
+def with_stray_vertex(mesh):
+    """The mesh with one more vertex, at its centroid, on no face."""
+    positions = np.concatenate([mesh.positions, mesh.positions.mean(axis=0, keepdims=True)])
+    return TriMesh(positions=positions, faces=mesh.faces)
+
+
 def overlapping_spheres(radius=1.0, separation=1.5):
     a = icosphere(2, radius=radius, center=(0.0, 0.0, 0.0))
     b = icosphere(2, radius=radius, center=(separation * radius, 0.0, 0.0))
@@ -761,6 +767,18 @@ class TestRefineMesh:
             with pytest.raises(ArgumentError, match=f"'{name}' has a NaN or infinite"):
                 refine_mesh(meshes["source"], meshes["target"], RefineConfig())
 
+    def test_vertex_on_no_face_rejected(self):
+        # a stray vertex leaves the mesh watertight, but the distance bound
+        # of point_triangle_dists is the nearest vertex, which must lie on
+        # the surface
+        source, target = overlapping_spheres(radius=0.03)
+        for name in ("source", "target"):
+            pair = {"source": source, "target": target}
+            pair[name] = with_stray_vertex(pair[name])
+            assert meshes.is_watertight(pair[name])
+            with pytest.raises(ArgumentError, match=f"'{name}' has a vertex on no face"):
+                refine_mesh(pair["source"], pair["target"], RefineConfig())
+
     def test_face_clusters_built_per_mesh_not_per_ray_call(self, monkeypatch, caplog):
         # one source vertex sits exactly on a target vertex, so every ray
         # from it grazes and points_interior spends all its retry rounds
@@ -835,13 +853,13 @@ class TestCaches:
         assert built["faces"] == [1280] * 3
         # one topology: the three meshes share it
         assert built["edge_counts"] == 1 and built["arap"] == 1
-        # the target's vertex tree, and the corner trees of the surfaces a
-        # penetration was measured against, none of them twice
-        trees = built["trees"]
-        assert sum(len(t) == target.n_vertices for t in trees) == 1
-        assert len(trees) >= 3
-        for i, a in enumerate(trees):
-            assert not any(len(a) == len(b) and np.array_equal(a, b) for b in trees[i + 1:])
+        # one KD-tree per mesh, of its vertices: the target's, for the pairs
+        # and the depth of the source's vertices, and the source's, for the
+        # depth of the target's; no vertex of the target is inside the
+        # refined mesh, so it needs none
+        owners = [[t is m.positions for m in (target, source, result.mesh)].index(True)
+                  for t in built["trees"]]
+        assert owners == [0, 1]
         # a second report on the same meshes builds nothing
         before = {key: list(value) if isinstance(value, list) else value
                   for key, value in built.items()}
@@ -854,11 +872,19 @@ class TestCaches:
         nearest, queries = refine.nearest_vertex, []
         monkeypatch.setattr(refine, "nearest_vertex",
                             lambda *args: queries.append(args) or nearest(*args))
+        dists, measured = refine.point_triangle_dists, []
+        monkeypatch.setattr(refine, "point_triangle_dists",
+                            lambda *args: measured.append(args) or dists(*args))
         result = refine_mesh(source, target, RefineConfig())
         assert len(queries) == result.iterations - 1 >= 5
         assert all(args[2] is target.vertex_tree for args in queries)
         at_target = [t for t in built["trees"] if t is target.positions]
         assert len(at_target) == 1
+        # the depth kernel bounds by the vertex tree of the surface it measures
+        surfaces = (source, target, result.mesh)
+        assert measured and all(
+            any(args[1] is m.face_clusters and args[2] is m.vertex_tree for m in surfaces)
+            for args in measured)
 
     def test_arap_topology_shared_by_moved_meshes(self):
         mesh = icosphere(2)
@@ -907,6 +933,13 @@ class TestPlausibilityMetrics:
             args[k] = meshes[k].with_positions(positions)
             with pytest.raises(ArgumentError, match=f"'{'ab'[k]}' has a NaN or infinite"):
                 plausibility_metrics(*args)
+
+    def test_vertex_on_no_face_rejected(self):
+        a, b = overlapping_spheres(radius=0.03)
+        with pytest.raises(ArgumentError, match="'a' has a vertex on no face"):
+            plausibility_metrics(with_stray_vertex(a), b)
+        with pytest.raises(ArgumentError, match="'b' has a vertex on no face"):
+            plausibility_metrics(a, with_stray_vertex(b))
 
     def test_checks_each_mesh_once(self, monkeypatch):
         checked = []

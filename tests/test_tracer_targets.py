@@ -50,13 +50,14 @@ def test_kernel_pair_counters_read_points_times_faces(monkeypatch):
     # the counters take len() of the kernels' arguments, so an argument
     # without a length would break only traced benchmark runs
     made = {"ray_crossings": 0, "point_triangle_dists": 0}
+    faces_at = {"ray_crossings": 2, "point_triangle_dists": 1}
 
     def recording(name):
         kernel = getattr(refine, name)
 
-        def call(points, *rest):
-            made[name] += points.shape[0] * rest[-1].tri.shape[0]
-            return kernel(points, *rest)
+        def call(*args):
+            made[name] += args[0].shape[0] * args[faces_at[name]].tri.shape[0]
+            return kernel(*args)
         return call
 
     for name in made:
