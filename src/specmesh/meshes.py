@@ -56,7 +56,7 @@ class Topology:
         return self._derived[key]
 
 
-@dataclass
+@dataclass(eq=False)
 class TriMesh:
     """Triangular surface mesh with lazily computed, cached structures.
 
@@ -67,12 +67,13 @@ class TriMesh:
     new mesh (``with_positions``) instead. Such a mesh shares this one's
     ``topology`` (the edges behind ``edge_set`` and ``is_watertight``, and
     refinement's ARAP incidence, order and band) and builds its own normals,
-    face clusters and vertex tree.
+    face clusters and vertex tree. Meshes compare by identity: ``==`` is
+    ``is``, as for any object.
     """
 
     positions: np.ndarray  # (V, 3) float64
     faces: np.ndarray  # (F, 3) int32
-    _topology: Topology | None = field(default=None, repr=False, compare=False)
+    _topology: Topology | None = field(default=None, repr=False)
 
     @property
     def n_vertices(self) -> int:

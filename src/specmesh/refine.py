@@ -108,12 +108,13 @@ def _random_directions(n: int, rng: np.random.Generator) -> np.ndarray:
 def points_interior(points: np.ndarray, faces: FaceClusters, seed: int):
     """Ray-parity interior test for a batch of points against a surface.
 
-    ``faces`` is the surface's ``FaceClusters``; every retry round reuses it.
-    Grazing rays are retried with fresh seeded directions up to
-    MAX_RAY_RETRIES times; points that never resolve are reported exterior
-    and counted in the second return value. A point on the surface, such as
-    a vertex that coincides with a vertex of the other mesh to rounding,
-    never resolves: every ray from it grazes the surface at its origin. The
+    ``faces`` is the surface's ``FaceClusters``; every round reuses it. Each
+    round draws one seeded direction per point still unresolved, and a
+    point takes the parity of its first ray that does not graze. Points
+    still grazing after MAX_RAY_RETRIES rounds are reported exterior and
+    counted in the second return value. A point on the surface, such as a
+    vertex that coincides with a vertex of the other mesh to rounding, never
+    resolves: every ray from it grazes the surface at its origin. The
     surface is the boundary of the interior, so exterior is the right answer
     there too.
 
@@ -127,18 +128,16 @@ def points_interior(points: np.ndarray, faces: FaceClusters, seed: int):
     the box would have grazed.
 
     The retries are cast in as few ``ray_crossings`` calls as the rounds
-    allow, with the directions and results of one call per round. Round k
-    draws one direction per point still grazing, so the draws of rounds
-    that keep the same points are one normal draw of all their rows (a
-    Generator fills rows in order). After round 1, every round left is cast
-    in one call for the points still grazing, and the rounds are read in
-    order. At the first round where a point resolves, the later rounds of
-    that call used directions one call per round would not draw (its next
-    draw is smaller): the generator is reset to where that round's draw
-    ended, and the points still grazing are cast again, in one call for the
-    rounds left. A ray's
-    result does not depend on the other rays of its call (``kernels``), so
-    flags, failures and warnings equal one call per round.
+    allow. A Generator fills rows in order, so one draw of
+    ``MAX_RAY_RETRIES - 1`` rows per point grazing after round 1 holds every
+    later round's directions, each round's rows after the last's. A call
+    casts every round left for the points still grazing, reading the draw's
+    next rows as if none resolves. At the first round where one does, the
+    call's later rounds read rows that belong to other points: they are
+    dropped, and the points still grazing are cast again from where that
+    round's rows end. A ray's result does not depend on the other rays of
+    its call (``kernels``), so flags, failures and warnings equal one call
+    per round.
     """
     rng = np.random.default_rng(seed)
     n = points.shape[0]
@@ -149,8 +148,9 @@ def points_interior(points: np.ndarray, faces: FaceClusters, seed: int):
     active = np.flatnonzero(in_box)
     dirs = _random_directions(n, rng)[in_box]
     rounds, left = 1, MAX_RAY_RETRIES
-    while active.size:
-        counts, grazing = ray_crossings(np.tile(points[active], (rounds, 1)), dirs, faces)
+    while active.size and left:
+        counts, grazing = ray_crossings(np.tile(points[active], (rounds, 1)),
+                                        dirs[:rounds * active.size], faces)
         ok = (grazing == 0).reshape(rounds, active.size)
         # the first round that resolves a point ends what this call can read
         last = int(np.argmax(ok.any(axis=1))) if ok.any() else rounds - 1
@@ -158,14 +158,11 @@ def points_interior(points: np.ndarray, faces: FaceClusters, seed: int):
         interior[active[done]] = counts.reshape(rounds, -1)[last, done] % 2 == 1
         active = active[~done]
         left -= last + 1
-        if not (left and active.size):
-            break
-        if last + 1 < rounds:  # back to the end of round last's draw
-            rng.bit_generator.state = state
-            rng.normal(size=((last + 1) * done.size, 3))
+        if rounds == 1:  # round 1's draw is spent: one draw holds every later round's rows
+            dirs = _random_directions(left * active.size, rng)
+        else:  # on from the end of round last's rows
+            dirs = dirs[(last + 1) * done.size:]
         rounds = left
-        state = rng.bit_generator.state
-        dirs = _random_directions(rounds * active.size, rng)
     failures = int(active.size)
     if failures:
         _LOGGER.warning("ray parity unresolved for %d points; treated exterior", failures)

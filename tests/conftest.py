@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from specmesh import autodiff as ad
 from specmesh.graphs import adjacency_matrix
 from specmesh.meshes import TriMesh, edge_set
-from specmesh.primitives import hand_template, icosphere
+from specmesh.primitives import hand_template, icosphere, mirror_x
 from specmesh.pyramid import build_pyramid
 
 
@@ -42,6 +42,18 @@ def capped_hand():
     ring = np.arange(hand.n_vertices - 28, hand.n_vertices)  # the last tube ring
     fan = np.stack([np.full(26, ring[0]), ring[2:], ring[1:-1]], axis=1).astype(np.int32)
     return TriMesh(positions=hand.positions, faces=np.concatenate([hand.faces, fan]))
+
+
+def _box_center(mesh):
+    return 0.5 * (mesh.positions.min(axis=0) + mesh.positions.max(axis=0))
+
+
+def pushed_left(right, push):
+    """The mirror of ``right``, its box centre 180 mm from right's along -x,
+    moved ``push`` meters along +x."""
+    left = mirror_x(right)
+    shift = _box_center(right) - _box_center(left) + np.array([push - 0.180, 0.0, 0.0])
+    return left.with_positions(left.positions + shift)
 
 
 @pytest.fixture(scope="session")

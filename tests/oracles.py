@@ -4,15 +4,15 @@ Everything here is deliberately naive (loops, dense math, classic textbook
 iterations) and shares no code with the library paths it checks. There are
 a few exceptions. ``points_interior_uncut`` casts its rays with the library's
 ``ray_crossings``, which has oracles of its own, because what it checks is
-the box cull around that kernel; ``points_interior_per_round`` does too,
-and so does ``refine``'s direction draw, because what it checks is how the
-retry rounds are batched around them. ``voxel_flags_per_center`` runs the
-library's ``points_interior``, checked against the oracles above, once per
-voxel center, because what it checks is the column pass that replaced that
-loop. The autodiff references at the end compose
-the fused tape nodes out of the primitive ones, whose own gradients the
-tests check (the upsampling one takes its interpolation matrices from the
-model). ``train_step_two_phase`` runs the model's forward, losses and Adam,
+the box cull around that kernel; ``points_interior_ray_by_ray`` does too,
+one ray per call, and so does ``refine``'s direction draw, because what it
+checks is the bookkeeping of the retry rounds around them.
+``voxel_flags_per_center`` runs the library's ``points_interior``, checked
+against the oracles above, once per voxel center, because what it checks is
+the column pass that replaced that loop. The autodiff references at the end
+compose the fused tape nodes out of the primitive ones, whose own gradients
+the tests check (the upsampling one takes its interpolation matrices from
+the model). ``train_step_two_phase`` runs the model's forward, losses and Adam,
 because what it checks is when ``train_step`` steps each parameter.
 """
 from __future__ import annotations
@@ -310,35 +310,44 @@ def points_interior_uncut(points, faces, seed: int):
     return interior, int(active.size)
 
 
-def points_interior_per_round(points, faces, seed: int):
-    """``refine.points_interior`` as one ``ray_crossings`` call per retry
-    round, its loop before the rounds were batched, kept verbatim.
+def points_interior_ray_by_ray(points, faces, seed: int):
+    """``refine.points_interior``'s rounds with one ray per ``ray_crossings``
+    call, point by point.
 
-    Logs the same warning, on the ``specmesh.refine`` logger. Returns
-    (interior flags, unresolved count).
+    Round 1 draws one direction per point, in the box or not, and each point
+    in the box casts its ray; every later round draws one direction per
+    point still grazing, in order, and each casts its own, up to
+    MAX_RAY_RETRIES rounds. A point's flag is the parity of its first ray
+    that does not graze. Logs the same warning, on the ``specmesh.refine``
+    logger. Returns (interior flags, unresolved count, rays cast per point).
     """
     rng = np.random.default_rng(seed)
     n = points.shape[0]
     interior = np.zeros(n, dtype=bool)
+    cast = np.zeros(n, dtype=int)
     slack = _BOX_SLACK * (1.0 + np.abs(faces.lo) + np.abs(faces.hi))
     with np.errstate(invalid="ignore"):  # an empty soup's box gives inf - inf: no point is in
         in_box = np.all((points >= faces.lo - slack) & (points <= faces.hi + slack), axis=1)
-    active = np.arange(n)
+    grazing = [i for i in range(n) if in_box[i]]
+    dirs = _random_directions(n, rng)[in_box]
     for _ in range(MAX_RAY_RETRIES):
-        dirs = _random_directions(active.size, rng)
-        cast = in_box[active]
-        active, dirs = active[cast], dirs[cast]
-        if active.size == 0:
+        still = []
+        for i, d in zip(grazing, dirs):
+            counts, flags = ray_crossings(points[i:i + 1], d[None], faces)
+            cast[i] += 1
+            if flags[0]:
+                still.append(i)
+            else:
+                interior[i] = counts[0] % 2 == 1
+        grazing = still
+        if not grazing:
             break
-        counts, grazing = ray_crossings(points[active], dirs, faces)
-        ok = grazing == 0
-        interior[active[ok]] = (counts[ok] % 2) == 1
-        active = active[~ok]
-    failures = int(active.size)
+        dirs = _random_directions(len(grazing), rng)
+    failures = len(grazing)
     if failures:
         logging.getLogger("specmesh.refine").warning(
             "ray parity unresolved for %d points; treated exterior", failures)
-    return interior, failures
+    return interior, failures, cast
 
 
 def voxel_flags_per_center(axes, faces_a, faces_b):

@@ -5,11 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import capped_hand, pushed_left
 from oracles import (morton_codes_loop, nearest_vertex_loop, point_triangle_dists_dense,
                      ray_crossings_loop)
 
 import specmesh
-from specmesh import kernels
+from specmesh import kernels, refine
 from specmesh.primitives import cube, icosphere
 
 
@@ -229,6 +230,22 @@ def _per_ray(ray, t, n):
     return [t[ray == r].tobytes() for r in range(n)]
 
 
+def assert_rays_independent(pts, dirs, faces):
+    """Each ray's crossings and grazing flag are the same cast alone, with
+    all the others, and with all the others in reverse order."""
+    ray, t, grazing = kernels.ray_hits(pts, dirs, faces)
+    together = _per_ray(ray, t, len(pts))
+    for r in range(len(pts)):
+        alone = kernels.ray_hits(pts[r:r + 1], dirs[r:r + 1], faces)
+        assert _per_ray(alone[0], alone[1], 1) == [together[r]]
+        assert alone[2].tolist() == [grazing[r]]
+    flip = np.arange(len(pts))[::-1]
+    ray_f, t_f, grazing_f = kernels.ray_hits(pts[flip], dirs[flip], faces)
+    assert _per_ray(ray_f, t_f, len(pts)) == [together[r] for r in flip]
+    assert np.array_equal(grazing_f, grazing[flip])
+    return grazing
+
+
 class TestRayIndependence:
     """A ray's crossings, t values and grazing flag do not depend on the
     other rays of its call (``points_interior`` batches rounds on this)."""
@@ -236,17 +253,22 @@ class TestRayIndependence:
     @pytest.mark.parametrize("name", RAY_FIXTURES)
     def test_alone_and_reordered_equal_together(self, name):
         pts, dirs, tri = RAY_FIXTURES[name]()
-        faces = kernels.FaceClusters(tri)
-        ray, t, grazing = kernels.ray_hits(pts, dirs, faces)
-        together = _per_ray(ray, t, len(pts))
-        for r in range(len(pts)):
-            alone = kernels.ray_hits(pts[r:r + 1], dirs[r:r + 1], faces)
-            assert _per_ray(alone[0], alone[1], 1) == [together[r]]
-            assert alone[2].tolist() == [grazing[r]]
-        flip = np.arange(len(pts))[::-1]
-        ray_f, t_f, grazing_f = kernels.ray_hits(pts[flip], dirs[flip], faces)
-        assert _per_ray(ray_f, t_f, len(pts)) == [together[r] for r in flip]
-        assert np.array_equal(grazing_f, grazing[flip])
+        assert_rays_independent(pts, dirs, kernels.FaceClusters(tri))
+
+    def test_hand_scale_retry_rows(self):
+        # left-hand vertices in the right hand's box at the 150 mm push, tiled
+        # 7 times against seeded directions, as the batched retries tile
+        # them. The cluster culls read BLAS products at shapes the icosphere
+        # fixtures never reach, so CI also runs this on forced OpenBLAS
+        # kernels
+        right = capped_hand()
+        faces = right.face_clusters
+        left = pushed_left(right, 0.150).positions
+        pts = left[np.all((left >= faces.lo) & (left <= faces.hi), axis=1)][::12]
+        assert 200 <= len(pts) <= 220
+        pts = np.tile(pts, (7, 1))
+        dirs = refine._random_directions(len(pts), np.random.default_rng(0))
+        assert assert_rays_independent(pts, dirs, faces).any()
 
 
 class TestFaceClusters:

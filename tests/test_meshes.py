@@ -253,6 +253,13 @@ class TestCaches:
                                    "face_clusters", "vertex_tree"}
         assert set(vars(mesh.topology)) == {"faces", "_derived", "edge_counts"}
 
+    def test_meshes_compare_by_identity(self):
+        # comparing the arrays field by field would raise on their truth value
+        mesh, twin = icosphere(1), icosphere(1)
+        assert np.array_equal(mesh.positions, twin.positions)
+        assert (mesh == twin) is False and (mesh != twin) is True
+        assert mesh == mesh and mesh.with_positions(mesh.positions) != mesh
+
     def test_a_new_mesh_on_the_same_faces_has_its_own_topology(self):
         mesh = icosphere(1)
         other = TriMesh(positions=mesh.positions, faces=mesh.faces[:-1])

@@ -14,7 +14,6 @@ from oracles import (
     arap_covariances_add_at,
     arap_global_step_dense,
     collision_loss_loop,
-    points_interior_per_round,
     points_interior_uncut,
     procrustes_rotations_svd,
     sphere_contains,
@@ -189,7 +188,7 @@ def near_face_points(mesh, gaps):
     return tri.mean(axis=1) - np.asarray(gaps)[:, None] * normal
 
 
-def rewound_point(mesh, n, row, seed):
+def round_two_point(mesh, n, row, seed):
     """A point for row ``row`` of ``n`` whose first seeded direction d1 runs
     from it through a mesh vertex V (``P = V - t d1``, inside the mesh): it
     grazes in round 1 and resolves in a later round."""
@@ -198,44 +197,72 @@ def rewound_point(mesh, n, row, seed):
     return vertex - 0.5 * np.abs(mesh.positions).max() * d1
 
 
+def batched_rows(cast):
+    """The rows of each ``ray_crossings`` call of ``points_interior`` when
+    point i casts ``cast[i]`` rays: round 1 for the points in the box, then
+    every round left for the points still grazing, read up to the first
+    round where one resolves."""
+    n_rounds = refine.MAX_RAY_RETRIES
+    grazing = [np.count_nonzero(cast > k) for k in range(n_rounds)]  # casting round k + 1
+    rows, k = [], 0
+    while k < n_rounds and grazing[k]:
+        rounds = 1 if k == 0 else n_rounds - k
+        rows.append(rounds * grazing[k])
+        end = k
+        while end + 1 < k + rounds and grazing[end + 1] == grazing[k]:
+            end += 1
+        k = end + 1
+    return rows
+
+
 class TestBatchedRetries:
     """``points_interior`` casts its retry rounds in few calls, with the
-    flags, failures and warnings of one call per round."""
+    flags, failures and warnings of casting each point's rays one at a time,
+    round by round."""
 
-    def assert_equals_per_round(self, points, faces, seed, caplog):
-        caplog.clear()
-        got = points_interior(points, faces, seed)
-        got_log = [r.getMessage() for r in caplog.records]
-        caplog.clear()
-        want = points_interior_per_round(points, faces, seed)
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-        assert got_log == [r.getMessage() for r in caplog.records]
-        return got
-
-    def test_surface_points_never_resolve(self, caplog):
-        mesh = icosphere(2, radius=0.05)
-        interior, failures = self.assert_equals_per_round(mesh.positions[::7], mesh.face_clusters,
-                                                          0, caplog)
-        assert failures == len(mesh.positions[::7]) and not interior.any()
-        assert "ray parity unresolved for 24 points" in caplog.text
-
-    def test_grazing_point_resolves_after_round_one(self, caplog, monkeypatch):
-        # the point resolves in round 2, the first round of the batched call,
-        # while the surface points go on: the generator is rewound for them
-        mesh = icosphere(2, radius=0.05)
-        points = mesh.positions[:6].copy()
-        points[3] = rewound_point(mesh, len(points), 3, seed=5)
-        faces = mesh.face_clusters
-        _, grazing = kernels.ray_crossings(
-            points[3:4], refine._random_directions(6, np.random.default_rng(5))[3:4], faces)
-        assert grazing[0] == 1
+    def assert_equals_ray_by_ray(self, points, faces, seed, caplog, monkeypatch):
+        """Flags, failures and log equal the oracle's, and the library's ray
+        calls are those of ``batched_rows``. Returns the oracle's flags,
+        failures and rays cast per point, and the library's call rows."""
         rows = []
         ray_crossings = refine.ray_crossings
         monkeypatch.setattr(refine, "ray_crossings",
                             lambda *args: rows.append(len(args[0])) or ray_crossings(*args))
-        interior, failures = self.assert_equals_per_round(points, faces, 5, caplog)
+        caplog.clear()
+        got = points_interior(points, faces, seed)
+        got_log = [r.getMessage() for r in caplog.records]
+        monkeypatch.undo()
+        caplog.clear()
+        interior, failures, cast = oracles.points_interior_ray_by_ray(points, faces, seed)
+        assert np.array_equal(got[0], interior) and got[1] == failures
+        assert got_log == [r.getMessage() for r in caplog.records]
+        assert rows == batched_rows(cast)
+        return interior, failures, cast, rows
+
+    def test_surface_points_never_resolve(self, caplog, monkeypatch):
+        mesh = icosphere(2, radius=0.05)
+        points = mesh.positions[::7]
+        interior, failures, cast, rows = self.assert_equals_ray_by_ray(
+            points, mesh.face_clusters, 0, caplog, monkeypatch)
+        assert failures == len(points) == 24 and not interior.any()
+        assert np.all(cast == refine.MAX_RAY_RETRIES) and rows == [24, 7 * 24]
+        assert "ray parity unresolved for 24 points" in caplog.text
+
+    def test_grazing_point_resolves_after_round_one(self, caplog, monkeypatch):
+        # the point resolves in round 2, the first round of the batched call,
+        # while the surface points go on: they are cast again from the rows
+        # after round 2's
+        mesh = icosphere(2, radius=0.05)
+        points = mesh.positions[:6].copy()
+        points[3] = round_two_point(mesh, len(points), 3, seed=5)
+        faces = mesh.face_clusters
+        _, grazing = kernels.ray_crossings(
+            points[3:4], refine._random_directions(6, np.random.default_rng(5))[3:4], faces)
+        assert grazing[0] == 1
+        interior, failures, cast, rows = self.assert_equals_ray_by_ray(points, faces, 5, caplog,
+                                                                       monkeypatch)
         assert interior.tolist() == [False, False, False, True, False, False] and failures == 5
-        assert rows == [6, 7 * 6, 6 * 5]
+        assert cast.tolist() == [8, 8, 8, 2, 8, 8] and rows == [6, 7 * 6, 6 * 5]
 
     def test_points_resolving_in_different_rounds(self, caplog, monkeypatch):
         mesh = icosphere(2)
@@ -243,30 +270,23 @@ class TestBatchedRetries:
         points = near_face_points(mesh, gaps)
         faces = mesh.face_clusters
         for seed in range(3):
-            per_round, calls = [], []
-            oracle_crossings, ray_crossings = oracles.ray_crossings, refine.ray_crossings
-            monkeypatch.setattr(oracles, "ray_crossings",
-                                lambda *a: per_round.append(len(a[0])) or oracle_crossings(*a))
-            monkeypatch.setattr(refine, "ray_crossings",
-                                lambda *a: calls.append(len(a[0])) or ray_crossings(*a))
-            interior, failures = self.assert_equals_per_round(points, faces, seed, caplog)
-            monkeypatch.undo()
-            # points resolve in at least three rounds, and some never do; the
-            # batched calls recast the rounds after each one that resolves
-            assert len(set(per_round)) >= 4 and 0 < failures < len(points)
-            assert len(calls) >= 3 and sum(calls) > sum(per_round)
+            interior, failures, cast, rows = self.assert_equals_ray_by_ray(
+                points, faces, seed, caplog, monkeypatch)
+            # points resolve in at least three rounds after the first, and
+            # some never do; the batched calls recast the rounds after each
+            # one that resolves
+            resolved = cast[cast < refine.MAX_RAY_RETRIES]
+            assert len(set(resolved[resolved > 1])) >= 3 and 0 < failures < len(points)
+            assert len(rows) >= 4 and sum(rows) > cast.sum()
             assert interior[gaps > 0].any() and not interior[gaps < 0].any()
 
     def test_empty_and_culled_inputs(self, caplog, monkeypatch):
-        calls = []
-        ray_crossings = refine.ray_crossings
-        monkeypatch.setattr(refine, "ray_crossings",
-                            lambda *args: calls.append(args) or ray_crossings(*args))
         faces = icosphere(2).face_clusters
         for points in (np.zeros((0, 3)), np.full((5, 3), 3.0)):
-            interior, failures = self.assert_equals_per_round(points, faces, 0, caplog)
+            interior, failures, cast, rows = self.assert_equals_ray_by_ray(
+                points, faces, 0, caplog, monkeypatch)
             assert interior.shape == (len(points),) and not interior.any() and failures == 0
-        assert calls == [] and caplog.records == []
+            assert not cast.any() and rows == [] and caplog.records == []
 
 
 def column_passes(a, b, monkeypatch):
