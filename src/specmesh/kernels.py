@@ -4,8 +4,9 @@
 parameter t, and flags grazing rays; ``ray_crossings`` counts those
 crossings per ray, the parity test of one point per ray, while a column of
 voxel centers reads its parities from the t of one ray. ``nearest_vertex``
-finds the nearest reference vertex, and ``point_triangle_dists`` the
-distance to the nearest triangle.
+finds the nearest reference vertex, ``point_triangle_dists`` the
+distance to the nearest triangle, and ``near_surface`` whether a point
+lies within a fixed distance of a triangle.
 
 ``nearest_vertex`` asks the caller's ``scipy.spatial.cKDTree`` of the
 reference vertices for the distance to the nearest one, takes every vertex
@@ -32,11 +33,18 @@ at once, and the pair test runs only on the faces of the clusters that pass:
   the clusters whose sphere comes within that bound, and runs Ericson's
   closest-point case split on their faces.
 
-Crossings, counts, grazing flags and distances are the same as from testing
-every pair. A ray's crossings, t values and grazing flag are also the same
-whatever other rays share its call: the pair test is elementwise, and the
-sphere tests only decide which pairs are tested, conservatively.
-``refine.points_interior`` casts its retry rounds in one call on that ground.
+``near_surface`` has a fixed bound, so it needs no clusters: it reads the
+caller's ``face_center_trees``, one KD-tree of face centers per
+power-of-two class of face radius, gathers from each the faces whose
+sphere comes within the bound, and runs the same closest-point test on
+them.
+
+Crossings, counts, grazing flags, distances and flags are the same as from
+testing every pair. A ray's crossings, t values and grazing flag are also
+the same whatever other rays share its call: the pair test is elementwise,
+and the sphere tests only decide which pairs are tested, conservatively.
+So a point's flag from ``refine.points_interior`` does not depend on the
+other points of its batch.
 """
 from __future__ import annotations
 
@@ -388,3 +396,43 @@ def point_triangle_dists(points, faces, tree):
         starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
         out[lo:hi] = np.minimum.reduceat(dists, starts)
     return out
+
+
+def face_center_trees(faces):
+    """The faces of a ``FaceClusters`` in classes of radius, for ``near_surface``.
+
+    A face's class is the binary exponent of its (slack-grown) radius, so
+    the radii of one class are within a factor of 2 of each other. Returns
+    one (face indices, ``scipy.spatial.cKDTree`` of their centers, largest
+    radius) per class, smallest radii first; none for an empty soup.
+    """
+    classes = np.frexp(faces.face_radius)[1]
+    trees = []
+    for c in np.unique(classes):
+        idx = np.flatnonzero(classes == c)
+        trees.append((idx, _kdtree(faces.face_center[idx]), float(faces.face_radius[idx].max())))
+    return tuple(trees)
+
+
+def near_surface(points, faces, trees, tol):
+    """Whether each point lies within ``tol`` of a triangle of a ``FaceClusters``.
+
+    ``trees`` is ``face_center_trees(faces)``, such as a mesh's
+    ``face_trees``. A point within ``tol`` of a face lies within the face's
+    radius plus ``tol`` of its center, so each class's tree gathers every
+    face of the class that can be that near, within its largest radius plus
+    ``tol``, and Ericson's closest-point test decides on those. The result
+    equals testing every face.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    near = np.zeros(points.shape[0], dtype=bool)
+    tri = faces.tri
+    for idx, tree, reach in trees:
+        ball = tree.query_ball_point(points, reach + tol)
+        sizes = np.fromiter(map(len, ball), dtype=np.int64, count=len(ball))
+        row = np.repeat(np.arange(len(ball)), sizes)
+        face = idx[np.fromiter(itertools.chain.from_iterable(ball), dtype=np.int64,
+                               count=row.size)]
+        dists = _closest_point_dists(points[row], tri[face, 0], tri[face, 1], tri[face, 2])
+        near[row[dists <= tol]] = True
+    return near

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ArgumentError, ParseError
-from .kernels import FaceClusters, _kdtree
+from .kernels import FaceClusters, _kdtree, face_center_trees
 
 
 class Topology:
@@ -61,14 +61,16 @@ class TriMesh:
     """Triangular surface mesh with lazily computed, cached structures.
 
     ``normals``, ``face_clusters`` (the faces prepared for the triangle
-    kernels) and ``vertex_tree`` (the KD-tree of the vertices, which both
-    distance kernels read) are computed from ``positions`` and ``faces`` on
-    first use and kept, so the arrays must not be changed in place: make a
-    new mesh (``with_positions``) instead. Such a mesh shares this one's
-    ``topology`` (the edges behind ``edge_set`` and ``is_watertight``, and
-    refinement's ARAP incidence, order and band) and builds its own normals,
-    face clusters and vertex tree. Meshes compare by identity: ``==`` is
-    ``is``, as for any object.
+    kernels), ``vertex_tree`` (the KD-tree of the vertices, which both
+    distance kernels read) and ``face_trees`` (the KD-trees of the face
+    centers, one per class of face radius, which ``near_surface`` reads) are
+    computed from ``positions`` and ``faces`` on first use and kept, so the
+    arrays must not be changed in place: make a new mesh
+    (``with_positions``) instead. Such a mesh shares this one's ``topology``
+    (the edges behind ``edge_set`` and ``is_watertight``, and refinement's
+    ARAP incidence, order and band) and builds its own normals, face
+    clusters and trees. Meshes compare by identity: ``==`` is ``is``, as for
+    any object.
     """
 
     positions: np.ndarray  # (V, 3) float64
@@ -98,6 +100,11 @@ class TriMesh:
         """``scipy.spatial.cKDTree`` of the vertices, for ``nearest_vertex``
         and ``point_triangle_dists``."""
         return _kdtree(self.positions)
+
+    @functools.cached_property
+    def face_trees(self):
+        """``face_center_trees`` of ``face_clusters``, for ``near_surface``."""
+        return face_center_trees(self.face_clusters)
 
     @property
     def topology(self) -> Topology:

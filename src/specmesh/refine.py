@@ -1,9 +1,11 @@
 """Inference-time mesh refinement and plausibility metrics.
 
-Interior vertices are found by ray-parity tests (seeded directions, grazing
-hits retried; a point beyond the target's bounding box is exterior without a
-ray, which spares most of the source's vertices), flagged in a plain (V,)
-bool array (``points_interior``, ``collision_mask``), and pulled toward their
+Interior vertices are found by one rule: a point beyond the target's
+bounding box is exterior without a ray, which spares most of the source's
+vertices; one within ``CONTACT_TOL`` of the target's surface is in contact,
+and exterior; any other takes the parity of a ray that does not graze.
+They are flagged in a plain (V,) bool array (``points_interior``,
+``collision_mask``), and pulled toward their
 nearest opposing-normal vertex on the other surface, while an
 as-rigid-as-possible energy keeps the source locally rigid. Refinement
 alternates ARAP's local step with a global step, and both are closed form.
@@ -20,7 +22,8 @@ intersection volume (cm^3). The volume reads the centers of a voxel grid by
 scanline parity (Nooruddin & Turk, TVCG 2003): one ray per grid column,
 along the grid's longest axis, and a center is inside when an odd number of
 the ray's crossings lie past it. Only the centers of a column whose ray
-grazes, or that lie within ``_EPS_T`` of a crossing, cast rays of their own.
+grazes, or that lie within ``CONTACT_TOL`` of a crossing, go to
+``points_interior`` one by one.
 
 Every check is between two distinct meshes, as for the two hands: passing
 one mesh object as both source and target is rejected, because a vertex
@@ -41,13 +44,13 @@ from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from .errors import ArgumentError
 from .graphs import adjacency_matrix, laplacian
-from .kernels import (FaceClusters, _EPS_T, nearest_vertex, point_triangle_dists, ray_crossings,
-                      ray_hits)
+from .kernels import near_surface, nearest_vertex, point_triangle_dists, ray_crossings, ray_hits
 from .meshes import TriMesh, edge_set, is_watertight
 
 _LOGGER = logging.getLogger(__name__)
 
 MAX_RAY_RETRIES = 8
+CONTACT_TOL = 1e-8  # meters; a point this near the target's surface is in contact, not inside
 CONVERGENCE_TOL = 1e-7  # refinement stops once its objective changes by less
 VOXEL_CM = 0.5  # voxel edge of the intersection volume, in centimeters
 _MAX_VOXELS = 4_000_000
@@ -100,73 +103,54 @@ class RefineResult:
         return self.stop_reason == "diverged"
 
 
-def _random_directions(n: int, rng: np.random.Generator) -> np.ndarray:
-    d = rng.normal(size=(n, 3))
-    return d / np.linalg.norm(d, axis=1, keepdims=True)
+def points_interior(points: np.ndarray, mesh: TriMesh):
+    """Ray-parity interior flags of a batch of points against a watertight
+    mesh, and the count of points in contact with its surface.
 
+    One rule decides each point's flag:
 
-def points_interior(points: np.ndarray, faces: FaceClusters, seed: int):
-    """Ray-parity interior test for a batch of points against a surface.
+    - beyond the mesh's box (``face_clusters.lo``, ``hi``) by more than
+      ``_BOX_SLACK * (1 + |lo| + |hi|)`` on any axis, it is exterior, and
+      casts no ray: a watertight surface's interior lies inside its box;
+    - within ``CONTACT_TOL`` of the surface (``near_surface`` on the mesh's
+      ``face_trees``), it is in contact, exterior, and casts no ray;
+    - otherwise it takes the parity of its first ray that does not graze.
+      Each round is one ``ray_crossings`` call, with directions drawn
+      afresh, for the points still grazing only, from a generator made
+      here. Points that still graze after ``MAX_RAY_RETRIES`` rounds are
+      logged and read exterior.
 
-    ``faces`` is the surface's ``FaceClusters``; every round reuses it. Each
-    round draws one seeded direction per point still unresolved, and a
-    point takes the parity of its first ray that does not graze. Points
-    still grazing after MAX_RAY_RETRIES rounds are reported exterior and
-    counted in the second return value. A point on the surface, such as a
-    vertex that coincides with a vertex of the other mesh to rounding, never
-    resolves: every ray from it grazes the surface at its origin. The
-    surface is the boundary of the interior, so exterior is the right answer
-    there too.
-
-    A watertight surface's interior lies inside its box (``faces.lo``,
-    ``faces.hi``), so a point beyond the box on any axis by more than
-    ``_BOX_SLACK * (1 + |lo| + |hi|)`` is exterior and casts no ray; a point
-    on the box, such as the surface's extreme vertex, casts rays as any
-    other. The first round draws directions for every point and then drops
-    those beyond the box, so each point that casts gets the direction it
-    would get with no cull, and so does every retry unless a ray from beyond
-    the box would have grazed.
-
-    The retries are cast in as few ``ray_crossings`` calls as the rounds
-    allow. A Generator fills rows in order, so one draw of
-    ``MAX_RAY_RETRIES - 1`` rows per point grazing after round 1 holds every
-    later round's directions, each round's rows after the last's. A call
-    casts every round left for the points still grazing, reading the draw's
-    next rows as if none resolves. At the first round where one does, the
-    call's later rounds read rows that belong to other points: they are
-    dropped, and the points still grazing are cast again from where that
-    round's rows end. A ray's result does not depend on the other rays of
-    its call (``kernels``), so flags, failures and warnings equal one call
-    per round.
+    Contact reads exterior because it is contact, not penetration, and
+    refinement needs it so. Refinement pulls vertices onto the target's
+    vertices, and almost every ray from a point within about 1e-9 of the
+    surface grazes it at its origin. A sign taken there from the surface's
+    pseudonormal calls some such points interior; they then pair with the
+    vertex they sit on and keep being pulled, and refinement stalls (see the
+    ROADMAP). Outside the band a ray that does not graze gives the point's
+    parity whatever its direction, so the flags do not depend on the draw.
+    The count of points in contact counts the points in the box only.
     """
-    rng = np.random.default_rng(seed)
-    n = points.shape[0]
-    interior = np.zeros(n, dtype=bool)
+    faces = mesh.face_clusters
+    interior = np.zeros(points.shape[0], dtype=bool)
     slack = _BOX_SLACK * (1.0 + np.abs(faces.lo) + np.abs(faces.hi))
     with np.errstate(invalid="ignore"):  # an empty soup's box gives inf - inf: no point is in
-        in_box = np.all((points >= faces.lo - slack) & (points <= faces.hi + slack), axis=1)
-    active = np.flatnonzero(in_box)
-    dirs = _random_directions(n, rng)[in_box]
-    rounds, left = 1, MAX_RAY_RETRIES
-    while active.size and left:
-        counts, grazing = ray_crossings(np.tile(points[active], (rounds, 1)),
-                                        dirs[:rounds * active.size], faces)
-        ok = (grazing == 0).reshape(rounds, active.size)
-        # the first round that resolves a point ends what this call can read
-        last = int(np.argmax(ok.any(axis=1))) if ok.any() else rounds - 1
-        done = ok[last]
-        interior[active[done]] = counts.reshape(rounds, -1)[last, done] % 2 == 1
+        in_box = np.flatnonzero(np.all((points >= faces.lo - slack)
+                                       & (points <= faces.hi + slack), axis=1))
+    contact = near_surface(points[in_box], faces, mesh.face_trees, CONTACT_TOL)
+    active = in_box[~contact]
+    rng = np.random.default_rng(0)
+    for _ in range(MAX_RAY_RETRIES):
+        if active.size == 0:
+            break
+        dirs = rng.normal(size=(active.size, 3))
+        counts, grazing = ray_crossings(points[active],
+                                        dirs / np.linalg.norm(dirs, axis=1, keepdims=True), faces)
+        done = grazing == 0
+        interior[active[done]] = counts[done] % 2 == 1
         active = active[~done]
-        left -= last + 1
-        if rounds == 1:  # round 1's draw is spent: one draw holds every later round's rows
-            dirs = _random_directions(left * active.size, rng)
-        else:  # on from the end of round last's rows
-            dirs = dirs[(last + 1) * done.size:]
-        rounds = left
-    failures = int(active.size)
-    if failures:
-        _LOGGER.warning("ray parity unresolved for %d points; treated exterior", failures)
-    return interior, failures
+    if active.size:
+        _LOGGER.warning("ray parity unresolved for %d points; treated exterior", active.size)
+    return interior, int(np.count_nonzero(contact))
 
 
 def _reject_self(source: TriMesh, target: TriMesh, what: str) -> None:
@@ -194,7 +178,7 @@ def collision_mask(source: TriMesh, target: TriMesh) -> np.ndarray:
     """
     _reject_self(source, target, "collision mask")
     _check_mesh(target, "target", "collision mask")
-    return points_interior(source.positions, target.face_clusters, seed=0)[0]
+    return points_interior(source.positions, target)[0]
 
 
 def _gated_pairs(source: TriMesh, interior: np.ndarray, target: TriMesh):
@@ -443,11 +427,11 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     untouched. When the best iterate is the input, as for an input with no
     pair, the input object is returned with ``after`` equal to ``before``,
     and no second report is computed. Each mesh is checked once. The meshes
-    keep what is built from them (``TriMesh``): the target's faces and vertex
-    tree serve the loop and both reports, and the source's topology its
+    keep what is built from them (``TriMesh``): the target's faces and trees
+    serve the loop and both reports, and the source's topology its
     ARAP. The first iteration's interior flags are the report before's pass
-    over the source (the same positions, faces and seed), and the report
-    after's pass is the flags of the best iterate.
+    over the source (the same positions and target), and the report after's
+    pass is the flags of the best iterate.
 
     Raises:
         ArgumentError: source and target are one mesh, or either is not
@@ -456,8 +440,7 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     _reject_self(source, target, "refinement")
     _check_mesh(target, "target", "refinement")
     _check_mesh(source, "source", "refinement")
-    target_faces = target.face_clusters
-    interior, _ = points_interior(source.positions, target_faces, seed=0)
+    interior, _ = points_interior(source.positions, target)
     before = _plausibility(source, target, interior)
     arap = _arap(source)
     x = best_x = source.positions
@@ -468,7 +451,7 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     stop = "max_iters"
     for iterations in range(1, config.max_iters + 1):
         if iterations > 1:  # the first iterate is the source, whose flags are above
-            interior, _ = points_interior(x, target_faces, seed=0)
+            interior, _ = points_interior(x, target)
         src_idx, tgt_idx = _gated_pairs(source.with_positions(x), interior, target)
         unpaired = int(np.count_nonzero(interior)) - src_idx.size
         y = target.positions[tgt_idx]
@@ -518,19 +501,19 @@ def _voxel_axes(a: TriMesh, b: TriMesh, h: float):
     return [lo[c] + h * (np.arange(steps[c]) + 0.5) for c in range(3)]
 
 
-def _voxels_interior(axes, h: float, cells: np.ndarray, faces: FaceClusters,
-                     seed: int) -> np.ndarray:
-    """Flags of the grid centers in ``cells`` that lie inside the surface.
+def _voxels_interior(axes, h: float, cells: np.ndarray, mesh: TriMesh) -> np.ndarray:
+    """Flags of the grid centers in ``cells`` that lie inside the mesh.
 
     ``axes`` holds the centers' coordinates per axis and ``cells`` is a bool
     grid of their shape. Each column along the axis with the most centers
     that holds a cell casts one ray along that axis, from a distance ``h``
-    before both the surface's box (``faces.lo``) and the first center. A
-    center is inside when an odd number of the ray's crossings lie past it,
-    which for a closed surface is the parity of any ray from it. A center
-    whose column ray grazes, or that lies within ``_EPS_T`` of a crossing,
-    goes to ``points_interior`` with ``seed`` instead.
+    before both the surface's box and the first center. A center is inside
+    when an odd number of the ray's crossings lie past it, which for a
+    closed surface is the parity of any ray from it. A center whose column
+    ray grazes, or that lies within ``CONTACT_TOL`` of a crossing, and so of
+    the surface, goes to ``points_interior`` instead.
     """
+    faces = mesh.face_clusters
     along = int(np.argmax([x.size for x in axes]))
     across = [c for c in range(3) if c != along]
     shape = [axes[c].size for c in across] + [axes[along].size]
@@ -561,10 +544,10 @@ def _voxels_interior(axes, h: float, cells: np.ndarray, faces: FaceClusters,
     unsure = np.zeros_like(cells)
     unsure[cols[grazing == 1]] = True
     for k in (np.maximum(slot - 1, 0), np.minimum(slot, n - 1)):  # the centers either side
-        near = np.abs(t - t_center[k]) <= _EPS_T
+        near = np.abs(t - t_center[k]) <= CONTACT_TOL
         unsure[cols[ray[near]], k[near]] = True
     unsure &= cells
-    inside[unsure], _ = points_interior(centers(*np.nonzero(unsure)), faces, seed)
+    inside[unsure], _ = points_interior(centers(*np.nonzero(unsure)), mesh)
     inside &= cells
     return np.moveaxis(inside.reshape(shape), -1, along)
 
@@ -577,7 +560,7 @@ def plausibility_metrics(a: TriMesh, b: TriMesh) -> PlausibilityReport:
     (edge ``VOXEL_CM``) interior to both meshes, over the overlap of the two
     vertex boxes: first the centers interior to a, then those of them
     interior to b, each pass by ``_voxels_interior``, one parity ray per
-    grid column (seeds 1 and 2 for its fallback).
+    grid column (``points_interior`` for its fallback).
 
     Raises:
         ArgumentError: a and b are one mesh, a mesh is not watertight, has
@@ -587,14 +570,13 @@ def plausibility_metrics(a: TriMesh, b: TriMesh) -> PlausibilityReport:
     _reject_self(a, b, "plausibility metrics")
     _check_mesh(a, "a", "plausibility metrics")
     _check_mesh(b, "b", "plausibility metrics")
-    return _plausibility(a, b, points_interior(a.positions, b.face_clusters, seed=0)[0])
+    return _plausibility(a, b, points_interior(a.positions, b)[0])
 
 
 def _plausibility(a: TriMesh, b: TriMesh, a_in_b: np.ndarray) -> PlausibilityReport:
     """``plausibility_metrics`` of two checked meshes, given the flags of a's
-    vertices inside b (``points_interior`` with seed 0)."""
-    faces_a, faces_b = a.face_clusters, b.face_clusters
-    b_in_a, _ = points_interior(b.positions, faces_a, seed=0)
+    vertices inside b (``points_interior``)."""
+    b_in_a, _ = points_interior(b.positions, a)
     pen = 0.0
     for src, dst, interior in ((a, b, a_in_b), (b, a, b_in_a)):
         pts = src.positions[interior]
@@ -605,8 +587,7 @@ def _plausibility(a: TriMesh, b: TriMesh, a_in_b: np.ndarray) -> PlausibilityRep
     axes = _voxel_axes(a, b, h)
     volume = 0.0
     if axes is not None:
-        in_a = _voxels_interior(axes, h, np.ones([x.size for x in axes], dtype=bool),
-                                faces_a, seed=1)
-        in_both = _voxels_interior(axes, h, in_a, faces_b, seed=2)
+        in_a = _voxels_interior(axes, h, np.ones([x.size for x in axes], dtype=bool), a)
+        in_both = _voxels_interior(axes, h, in_a, b)
         volume = float(in_both.sum()) * VOXEL_CM**3
     return PlausibilityReport(max_penetration_mm=1000.0 * pen, intersection_volume_cm3=volume)

@@ -56,6 +56,20 @@ def pushed_left(right, push):
     return left.with_positions(left.positions + shift)
 
 
+def tree_owners(trees, meshes):
+    """What the points of each recorded KD-tree belong to: ("vertices", i)
+    for the vertex tree of ``meshes[i]``, ("faces", i) for one of its face
+    center trees, None for neither. Reads only the trees a mesh has built."""
+    owners = []
+    for points in trees:
+        owners.append(next(
+            ((kind, i) for i, mesh in enumerate(meshes) for kind, mine in (
+                ("vertices", points is mesh.positions),
+                ("faces", any(points is tree.data for _, tree, _ in
+                              vars(mesh).get("face_trees", ())))) if mine), None))
+    return owners
+
+
 @pytest.fixture(scope="session")
 def hand_mesh():
     return hand_template()

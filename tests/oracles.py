@@ -2,14 +2,10 @@
 
 Everything here is deliberately naive (loops, dense math, classic textbook
 iterations) and shares no code with the library paths it checks. There are
-a few exceptions. ``points_interior_uncut`` casts its rays with the library's
-``ray_crossings``, which has oracles of its own, because what it checks is
-the box cull around that kernel; ``points_interior_ray_by_ray`` does too,
-one ray per call, and so does ``refine``'s direction draw, because what it
-checks is the bookkeeping of the retry rounds around them.
-``voxel_flags_per_center`` runs the library's ``points_interior``, checked
-against the oracles above, once per voxel center, because what it checks is
-the column pass that replaced that loop. The autodiff references at the end
+a few exceptions. ``voxel_flags_per_center`` runs the library's
+``points_interior``, checked against ``points_interior_dense``, once per
+voxel center, because what it checks is the column pass that replaced that
+loop. The autodiff references at the end
 compose the fused tape nodes out of the primitive ones, whose own gradients
 the tests check (the upsampling one takes its interpolation matrices from
 the model). ``train_step_two_phase`` runs the model's forward, losses and Adam,
@@ -17,15 +13,13 @@ because what it checks is when ``train_step`` steps each parameter.
 """
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
 
 from specmesh import autodiff as ad
-from specmesh.kernels import ray_crossings
 from specmesh.model import _interp_matrix, compute_losses, forward
-from specmesh.refine import _BOX_SLACK, MAX_RAY_RETRIES, _random_directions, points_interior
+from specmesh.refine import CONTACT_TOL, MAX_RAY_RETRIES, points_interior
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
@@ -233,8 +227,8 @@ def point_triangle_dists_dense(points, tri):
     """Distance from each point to the nearest triangle, testing every face.
 
     Ericson's closest-point case split (Real-Time Collision Detection,
-    5.1.5) on dense (points x faces) arrays: the brute-force reference the
-    culled kernel must equal bit for bit.
+    5.1.5) on dense (points x faces) arrays of about 2^17 pairs each: the
+    brute-force reference the culled kernels must equal bit for bit.
     """
     points = np.asarray(points, dtype=np.float64)
     tri = np.asarray(tri, dtype=np.float64)
@@ -243,7 +237,7 @@ def point_triangle_dists_dense(points, tri):
     a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
     ab = b - a
     ac = c - a
-    chunk = 256  # points per dense block
+    chunk = max(1, 2**17 // max(len(tri), 1))  # points per dense block
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         p = points[lo:hi][:, None, :]  # (P, 1, 3)
@@ -287,84 +281,49 @@ def point_triangle_dists_dense(points, tri):
     return out
 
 
-def points_interior_uncut(points, faces, seed: int):
-    """Ray-parity interior flags with every point casting rays, box or not.
+def points_interior_dense(points, tri, seed=0):
+    """The inside rule of ``refine.points_interior``, testing every face.
 
-    The retry rounds of ``refine.points_interior`` without its bounding-box
-    cull: each round draws one seeded unit direction per unresolved point,
-    and grazing points retry up to MAX_RAY_RETRIES times. ``faces`` is a
-    ``FaceClusters``. Returns (interior flags, unresolved count).
+    A point within ``CONTACT_TOL`` of a face (``point_triangle_dists_dense``)
+    is in contact and exterior. Any other point takes the parity of its
+    ``ray_crossings_loop`` ray along a seeded unit direction, redrawn while
+    the ray grazes, up to ``MAX_RAY_RETRIES`` rays; after that it reads
+    exterior. There is no box cull, so a point just beyond the surface's box
+    but within ``CONTACT_TOL`` counts in contact here and not in the library.
+    Returns (interior flags, contact count).
     """
+    points = np.asarray(points, dtype=np.float64)
     rng = np.random.default_rng(seed)
+    contact = point_triangle_dists_dense(points, tri) <= CONTACT_TOL
     interior = np.zeros(len(points), dtype=bool)
-    active = np.arange(len(points))
+    grazing = np.flatnonzero(~contact)
     for _ in range(MAX_RAY_RETRIES):
-        if active.size == 0:
+        if grazing.size == 0:
             break
-        d = rng.normal(size=(active.size, 3))
-        d = d / np.linalg.norm(d, axis=1, keepdims=True)
-        counts, grazing = ray_crossings(points[active], d, faces)
-        ok = grazing == 0
-        interior[active[ok]] = counts[ok] % 2 == 1
-        active = active[~ok]
-    return interior, int(active.size)
+        d = rng.normal(size=(grazing.size, 3))
+        counts, graze = ray_crossings_loop(points[grazing],
+                                           d / np.linalg.norm(d, axis=1, keepdims=True), tri)
+        done = np.array(graze) == 0
+        interior[grazing[done]] = np.array(counts)[done] % 2 == 1
+        grazing = grazing[~done]
+    return interior, int(contact.sum())
 
 
-def points_interior_ray_by_ray(points, faces, seed: int):
-    """``refine.points_interior``'s rounds with one ray per ``ray_crossings``
-    call, point by point.
+def voxel_flags_per_center(axes, a, b, interior=points_interior):
+    """Interior flags of the voxel centers of a plausibility report, center
+    by center.
 
-    Round 1 draws one direction per point, in the box or not, and each point
-    in the box casts its ray; every later round draws one direction per
-    point still grazing, in order, and each casts its own, up to
-    MAX_RAY_RETRIES rounds. A point's flag is the parity of its first ray
-    that does not graze. Logs the same warning, on the ``specmesh.refine``
-    logger. Returns (interior flags, unresolved count, rays cast per point).
-    """
-    rng = np.random.default_rng(seed)
-    n = points.shape[0]
-    interior = np.zeros(n, dtype=bool)
-    cast = np.zeros(n, dtype=int)
-    slack = _BOX_SLACK * (1.0 + np.abs(faces.lo) + np.abs(faces.hi))
-    with np.errstate(invalid="ignore"):  # an empty soup's box gives inf - inf: no point is in
-        in_box = np.all((points >= faces.lo - slack) & (points <= faces.hi + slack), axis=1)
-    grazing = [i for i in range(n) if in_box[i]]
-    dirs = _random_directions(n, rng)[in_box]
-    for _ in range(MAX_RAY_RETRIES):
-        still = []
-        for i, d in zip(grazing, dirs):
-            counts, flags = ray_crossings(points[i:i + 1], d[None], faces)
-            cast[i] += 1
-            if flags[0]:
-                still.append(i)
-            else:
-                interior[i] = counts[0] % 2 == 1
-        grazing = still
-        if not grazing:
-            break
-        dirs = _random_directions(len(grazing), rng)
-    failures = len(grazing)
-    if failures:
-        logging.getLogger("specmesh.refine").warning(
-            "ray parity unresolved for %d points; treated exterior", failures)
-    return interior, failures, cast
-
-
-def voxel_flags_per_center(axes, faces_a, faces_b):
-    """Interior flags of the voxel centers of a plausibility report, one ray
-    per center.
-
-    Every center of the grid with coordinates ``axes`` runs
-    ``points_interior`` against ``faces_a`` with seed 1, and the centers
-    inside a run it against ``faces_b`` with seed 2. Returns (inside a,
-    inside both) as bool grids of the axes' shape.
+    Every center of the grid with coordinates ``axes`` runs ``interior``
+    (``points_interior`` or a function of the same arguments) against mesh
+    ``a``, and the centers inside a run it against mesh ``b``. Returns
+    (inside a, inside both) as bool grids of the axes' shape.
     """
     shape = [x.size for x in axes]
     centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    in_a, _ = points_interior(centers, faces_a, 1)
+    in_a, _ = interior(centers, a)
     in_both = np.zeros_like(in_a)
     if in_a.any():
-        in_both[in_a], _ = points_interior(centers[in_a], faces_b, 2)
+        in_both[in_a], _ = interior(centers[in_a], b)
     return in_a.reshape(shape), in_both.reshape(shape)
 
 

@@ -8,7 +8,8 @@ the centres 30, 20 and 10 mm apart (the hand is 83 mm wide in x).
 import numpy as np
 import pytest
 import scipy.spatial
-from conftest import capped_hand, pushed_left
+from conftest import capped_hand, pushed_left, tree_owners
+from oracles import points_interior_dense
 
 from specmesh import refine
 from specmesh.meshes import is_watertight
@@ -31,6 +32,22 @@ def test_capped_hand_is_closed_and_faces_out():
     assert 1e6 * volume == pytest.approx(659.3, abs=0.05)
 
 
+@pytest.mark.parametrize("push", [0.150, 0.160])
+def test_flags_equal_oracle(push):
+    # every 32nd left-hand vertex in the right hand's box: each of the
+    # oracle's rays tests all 8042 faces, and its distances come in blocks
+    # of 16 points
+    right = capped_hand()
+    left = pushed_left(right, push).positions
+    faces = right.face_clusters
+    points = left[np.all((left >= faces.lo) & (left <= faces.hi), axis=1)][::32]
+    assert 75 <= len(points) <= 100
+    interior, contact = refine.points_interior(points, right)
+    want, want_contact = points_interior_dense(points, right.positions[right.faces])
+    assert np.array_equal(interior, want) and contact == want_contact == 0
+    assert 10 <= interior.sum() < len(points)
+
+
 def test_reports_pinned_with_one_tree_per_mesh(monkeypatch):
     # the cluster culls read BLAS products, so CI also runs this test on
     # forced OpenBLAS kernels; the icosphere fixtures never reach these shapes
@@ -43,11 +60,15 @@ def test_reports_pinned_with_one_tree_per_mesh(monkeypatch):
         report = refine.plausibility_metrics(left, right)
         assert report.max_penetration_mm == pytest.approx(depth, rel=1e-12, abs=0)
         assert report.intersection_volume_cm3 == volume
-    # each hand's vertex tree, once: the right hand serves all three reports
+    # each hand's vertex tree and face center trees, once: the right hand
+    # serves all three reports
     meshes = [right] + lefts
-    owners = sorted([[t is m.positions for m in meshes].index(True) for t in trees])
-    assert owners == [0, 1, 2, 3]
-    assert all(len(t) == 4023 for t in trees)
+    owners = tree_owners(trees, meshes)
+    assert None not in owners
+    assert sorted(o for o in owners if o[0] == "vertices") == [("vertices", i) for i in range(4)]
+    assert all(len(t) == 4023 for t, o in zip(trees, owners) if o[0] == "vertices")
+    assert sorted(o for o in owners if o[0] == "faces") == [
+        ("faces", i) for i, mesh in enumerate(meshes) for _ in mesh.face_trees]
 
 
 def test_refinement_pinned():

@@ -10,7 +10,7 @@ from oracles import (morton_codes_loop, nearest_vertex_loop, point_triangle_dist
                      ray_crossings_loop)
 
 import specmesh
-from specmesh import kernels, refine
+from specmesh import kernels
 from specmesh.primitives import cube, icosphere
 
 
@@ -248,26 +248,26 @@ def assert_rays_independent(pts, dirs, faces):
 
 class TestRayIndependence:
     """A ray's crossings, t values and grazing flag do not depend on the
-    other rays of its call (``points_interior`` batches rounds on this)."""
+    other rays of its call, so a point's interior flag does not depend on
+    the other points of its batch."""
 
     @pytest.mark.parametrize("name", RAY_FIXTURES)
     def test_alone_and_reordered_equal_together(self, name):
         pts, dirs, tri = RAY_FIXTURES[name]()
         assert_rays_independent(pts, dirs, kernels.FaceClusters(tri))
 
-    def test_hand_scale_retry_rows(self):
-        # left-hand vertices in the right hand's box at the 150 mm push, tiled
-        # 7 times against seeded directions, as the batched retries tile
-        # them. The cluster culls read BLAS products at shapes the icosphere
-        # fixtures never reach, so CI also runs this on forced OpenBLAS
-        # kernels
+    def test_hand_scale_rays(self):
+        # left-hand vertices in the right hand's box at the 150 mm push, each
+        # cast 7 times in seeded directions. The cluster culls read BLAS
+        # products at shapes the icosphere fixtures never reach, so CI also
+        # runs this on forced OpenBLAS kernels
         right = capped_hand()
         faces = right.face_clusters
         left = pushed_left(right, 0.150).positions
         pts = left[np.all((left >= faces.lo) & (left <= faces.hi), axis=1)][::12]
         assert 200 <= len(pts) <= 220
         pts = np.tile(pts, (7, 1))
-        dirs = refine._random_directions(len(pts), np.random.default_rng(0))
+        dirs = _unit(np.random.default_rng(0).normal(size=(len(pts), 3)))
         assert assert_rays_independent(pts, dirs, faces).any()
 
 
@@ -466,6 +466,72 @@ class TestPointTriangleOracle:
         assert kernels.point_triangle_dists(np.zeros((0, 3)), mesh.face_clusters,
                                             mesh.vertex_tree).shape == (0,)
         assert soup_dists(np.ones((2, 3)), np.zeros((0, 3, 3))).tolist() == [np.inf] * 2
+
+
+def band_points(tri, gaps):
+    """Each face's centroid, and the points ``gaps`` off it along the face's
+    unit normal."""
+    normal = _unit(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]))
+    return (tri.mean(axis=1)[:, None] + np.asarray(gaps)[:, None] * normal[:, None]).reshape(-1, 3)
+
+
+BAND_GAPS = [0.0, 1e-10, -5e-9, 9e-9, -2e-8, 3e-8, 1e-6]
+
+
+def assert_band_equals_dense(pts, tri, tols):
+    """``near_surface`` equals the dense distances' comparison at each tol;
+    returns the flags at the first."""
+    faces = kernels.FaceClusters(tri)
+    trees = kernels.face_center_trees(faces)
+    dists = point_triangle_dists_dense(pts, tri)
+    flags = [kernels.near_surface(pts, faces, trees, tol) for tol in tols]
+    for got, tol in zip(flags, tols):
+        assert np.array_equal(got, dists <= tol)
+    return flags[0]
+
+
+class TestNearSurface:
+    """``near_surface`` against the distance to every face."""
+
+    @pytest.mark.parametrize("name", DISTANCE_FIXTURES)
+    def test_matches_dense_oracle(self, name):
+        pts, tri = DISTANCE_FIXTURES[name]()
+        assert_band_equals_dense(pts, tri, (1e-8, 1e-6, 1e-3, 0.3))
+
+    def test_band_edge_on_each_side(self):
+        tri = icosphere(2).positions[icosphere(2).faces][::7]
+        near = assert_band_equals_dense(band_points(tri, BAND_GAPS), tri, (1e-8,))
+        assert near.reshape(len(tri), -1).tolist() == [[True] * 4 + [False] * 3] * len(tri)
+
+    def test_hand_scale_band(self):
+        # the capped hand's face radii run from under 2 mm to 28 mm (the
+        # wrist fan, its last 26 faces), so its faces fall in several classes
+        hand = capped_hand()
+        tri = hand.positions[hand.faces]
+        picked = np.concatenate([tri[-26::2], tri[:-26:620]])
+        near = assert_band_equals_dense(band_points(picked, BAND_GAPS), tri, (1e-8, 2e-3))
+        assert near.reshape(len(picked), -1).tolist() == [[True] * 4 + [False] * 3] * len(picked)
+        assert len(hand.face_trees) >= 4
+
+    def test_classes_hold_every_face_once(self):
+        hand = capped_hand()
+        faces = hand.face_clusters
+        trees = kernels.face_center_trees(faces)
+        idx = np.concatenate([i for i, _, _ in trees])
+        assert np.array_equal(np.sort(idx), np.arange(len(faces)))
+        for i, tree, reach in trees:
+            radius = faces.face_radius[i]
+            assert reach == radius.max() and reach < 2.0 * radius.min()
+            assert np.array_equal(tree.data, faces.face_center[i])
+
+    def test_empty_inputs(self):
+        mesh = cube(1.0)
+        trees = kernels.face_center_trees(mesh.face_clusters)
+        assert kernels.near_surface(np.zeros((0, 3)), mesh.face_clusters, trees,
+                                    1e-8).shape == (0,)
+        empty = kernels.FaceClusters(np.zeros((0, 3, 3)))
+        assert kernels.face_center_trees(empty) == ()
+        assert not kernels.near_surface(np.zeros((2, 3)), empty, (), 1e-8).any()
 
 
 class TestKernelSemantics:

@@ -228,8 +228,10 @@ class TestCaches:
         monkeypatch.setattr(meshes, "_edge_counts",
                             lambda faces: counted.append(faces) or edge_counts(faces))
         mesh = icosphere(2)
-        built = (mesh.normals, mesh.face_clusters, mesh.vertex_tree, edge_set(mesh))
-        assert (mesh.normals, mesh.face_clusters, mesh.vertex_tree, edge_set(mesh)) == built
+        built = (mesh.normals, mesh.face_clusters, mesh.vertex_tree, mesh.face_trees,
+                 edge_set(mesh))
+        assert (mesh.normals, mesh.face_clusters, mesh.vertex_tree, mesh.face_trees,
+                edge_set(mesh)) == built
         moved = mesh.with_positions(2.0 * mesh.positions)
         assert moved.topology is mesh.topology and moved.faces is mesh.faces
         assert edge_set(moved) is edge_set(mesh) and is_watertight(moved)
@@ -240,6 +242,9 @@ class TestCaches:
         assert np.array_equal(moved.face_clusters.hi, 2.0 * mesh.face_clusters.hi)
         assert moved.vertex_tree is not mesh.vertex_tree
         assert np.array_equal(moved.vertex_tree.data, moved.positions)
+        assert moved.face_trees is not mesh.face_trees
+        assert np.array_equal(np.concatenate([tree.data for _, tree, _ in moved.face_trees]),
+                              np.concatenate([2.0 * tree.data for _, tree, _ in mesh.face_trees]))
         assert moved.normals is not mesh.normals
         assert np.allclose(moved.normals, mesh.normals, rtol=0, atol=1e-15)
 
@@ -248,9 +253,9 @@ class TestCaches:
         assert [f.name for f in dataclasses.fields(TriMesh)] == ["positions", "faces", "_topology"]
         mesh = icosphere(1)
         assert set(vars(mesh)) == {"positions", "faces", "_topology"}
-        mesh.normals, mesh.face_clusters, mesh.vertex_tree, edge_set(mesh)
+        mesh.normals, mesh.face_clusters, mesh.vertex_tree, mesh.face_trees, edge_set(mesh)
         assert set(vars(mesh)) == {"positions", "faces", "_topology", "normals",
-                                   "face_clusters", "vertex_tree"}
+                                   "face_clusters", "vertex_tree", "face_trees"}
         assert set(vars(mesh.topology)) == {"faces", "_derived", "edge_counts"}
 
     def test_meshes_compare_by_identity(self):

@@ -9,12 +9,12 @@ import pytest
 import scipy.spatial
 
 import specmesh
-import oracles
+from conftest import tree_owners
 from oracles import (
     arap_covariances_add_at,
     arap_global_step_dense,
     collision_loss_loop,
-    points_interior_uncut,
+    points_interior_dense,
     procrustes_rotations_svd,
     sphere_contains,
     voxel_flags_per_center,
@@ -44,19 +44,50 @@ def overlapping_spheres(radius=1.0, separation=1.5):
     return a, b
 
 
+def dense_interior(points, mesh):
+    """``points_interior_dense`` against the mesh's faces."""
+    return points_interior_dense(points, mesh.positions[mesh.faces])
+
+
+def assert_equals_oracle(points, mesh):
+    """``points_interior``'s flags and contact count equal the brute-force
+    oracle's; returns them."""
+    interior, contact = points_interior(points, mesh)
+    want, want_contact = dense_interior(points, mesh)
+    assert np.array_equal(interior, want) and contact == want_contact
+    return interior, contact
+
+
+def near_face_points(mesh, gaps):
+    """Points at each distance of ``gaps`` inside the mesh's first faces (a
+    negative gap is outside), off their centroids along the unit normal."""
+    tri = mesh.positions[mesh.faces[:len(gaps)]]
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    return tri.mean(axis=1) - np.asarray(gaps)[:, None] * normal
+
+
+def recording_rays(monkeypatch):
+    """Records the origins of each ``ray_crossings`` call of ``refine``."""
+    cast = []
+    ray_crossings = refine.ray_crossings
+    monkeypatch.setattr(refine, "ray_crossings",
+                        lambda *args: cast.append(args[0].copy()) or ray_crossings(*args))
+    return cast
+
+
+BAND_GAPS = [1e-10, -1e-10, 5e-9, -5e-9, 2e-8, -2e-8, 1e-6, -1e-6]
+
+
 class TestPointInMesh:
     def test_cube_centroid_inside(self):
         c = cube(1.0, center=(0.2, -0.1, 0.3))
-        interior, failures = points_interior(c.positions.mean(axis=0)[None],
-                                             c.face_clusters, seed=0)
-        assert failures == 0
-        assert interior.tolist() == [True]
+        interior, contact = assert_equals_oracle(c.positions.mean(axis=0)[None], c)
+        assert interior.tolist() == [True] and contact == 0
 
     def test_far_point_outside(self):
-        interior, failures = points_interior(np.array([[10.0, 10.0, 10.0]]),
-                                             cube(1.0).face_clusters, seed=0)
-        assert failures == 0
-        assert interior.tolist() == [False]
+        interior, contact = assert_equals_oracle(np.array([[10.0, 10.0, 10.0]]), cube(1.0))
+        assert interior.tolist() == [False] and contact == 0
 
     def test_sphere_parity_matches_analytic(self):
         mesh = icosphere(3)  # 642 vertices: a tight sphere approximation
@@ -68,51 +99,79 @@ class TestPointInMesh:
         inradius = np.min(np.linalg.norm(
             mesh.positions[mesh.faces].mean(axis=1), axis=1))
         test_idx = np.flatnonzero((radii < inradius - 1e-6) | (radii > 1.0 + 1e-6))
-        interior, failures = points_interior(pts[test_idx], mesh.face_clusters, seed=3)
-        assert failures == 0
+        interior, contact = points_interior(pts[test_idx], mesh)
+        assert contact == 0
         analytic = sphere_contains(pts[test_idx], (0, 0, 0), 1.0)
         inside_faceted = radii[test_idx] < inradius
         assert np.array_equal(interior, inside_faceted)
         # analytic sphere agrees wherever the faceted hull is conclusive
         assert np.array_equal(interior, analytic & inside_faceted | inside_faceted)
 
-    def test_direction_seed_invariance(self):
-        mesh = icosphere(2, radius=0.5)
-        rng = np.random.default_rng(1)
-        pts = rng.uniform(-0.8, 0.8, size=(64, 3))
-        dist_to_surface = np.abs(np.linalg.norm(pts, axis=1) - 0.5)
-        pts = pts[dist_to_surface > 1e-4]
-        faces = mesh.face_clusters
-        results = []
-        for seed in range(16):
-            interior, failures = points_interior(pts, faces, seed=seed)
-            assert failures == 0
-            results.append(interior)
-        for r in results[1:]:
-            assert np.array_equal(r, results[0])
-
-    def test_surface_point_grazes_and_reads_exterior(self):
-        # every ray from a corner grazes the faces that meet there, so no
-        # retry resolves it; the surface bounds the interior, hence exterior
+    def test_surface_point_is_in_contact_and_casts_no_ray(self, monkeypatch):
+        # every ray from a corner grazes the faces that meet there; the
+        # corner is in contact, and contact is exterior
         c = cube(1.0)
-        corner = c.positions[:1]
-        interior, failures = points_interior(corner, c.face_clusters, seed=0)
-        assert failures == 1
-        assert not interior[0]
+        cast = recording_rays(monkeypatch)
+        interior, contact = assert_equals_oracle(c.positions[:1], c)
+        assert interior.tolist() == [False] and contact == 1
+        assert cast == []
+
+    def test_band_edge(self, monkeypatch):
+        # within CONTACT_TOL of the surface on either side: contact, exterior,
+        # no ray; farther inside: interior
+        mesh = icosphere(2)
+        gaps = np.array(BAND_GAPS)
+        points = near_face_points(mesh, gaps)
+        cast = recording_rays(monkeypatch)
+        interior, contact = assert_equals_oracle(points, mesh)
+        band = np.abs(gaps) <= refine.CONTACT_TOL
+        assert contact == band.sum() == 4
+        assert interior.tolist() == (gaps > refine.CONTACT_TOL).tolist()
+        assert np.array_equal(cast[0], points[~band])
+
+    def test_grazing_points_draw_again_alone(self, monkeypatch, caplog):
+        # rays from point 1 are made to graze in their first `graze` rounds:
+        # each later round casts from it alone, in a new direction, and it
+        # takes the parity of its first ray that does not graze
+        mesh = icosphere(2, radius=0.5)
+        points = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.45, 0.0], [0.4, 0.4, 0.0]])
+        ray_crossings = refine.ray_crossings
+        for graze, rows, flags in ((2, [4, 1, 1], [True, True, True, False]),
+                                   (refine.MAX_RAY_RETRIES, [4] + [1] * 7,
+                                    [True, False, True, False])):
+            calls = []
+
+            def crossings(origins, dirs, faces):
+                counts, grazing = ray_crossings(origins, dirs, faces)
+                calls.append((origins.copy(), dirs.copy()))
+                if len(calls) <= graze:
+                    grazing = np.where(np.all(origins == points[1], axis=1), 1, grazing)
+                return counts, grazing
+
+            monkeypatch.setattr(refine, "ray_crossings", crossings)
+            caplog.clear()
+            interior, contact = points_interior(points, mesh)
+            assert interior.tolist() == flags and contact == 0
+            assert [len(origins) for origins, _ in calls] == rows
+            assert all(np.array_equal(origins, points[1:2]) for origins, _ in calls[1:])
+            dirs = np.concatenate([calls[0][1][1:2]] + [d for _, d in calls[1:]])
+            assert len(np.unique(dirs, axis=0)) == len(dirs)
+            unresolved = graze == refine.MAX_RAY_RETRIES
+            assert ("ray parity unresolved for 1 points" in caplog.text) == unresolved
 
 
 def point_in_mesh_fixtures():
-    """(points, mesh, seed) of each TestPointInMesh case."""
+    """(points, mesh) of each TestPointInMesh case."""
     rng = np.random.default_rng(0)
     c = cube(1.0, center=(0.2, -0.1, 0.3))
-    cases = [(c.positions.mean(axis=0)[None], c, 0),
-             (np.array([[10.0, 10.0, 10.0]]), cube(1.0), 0),
-             (rng.uniform(-1.3, 1.3, size=(1000, 3)), icosphere(3), 3),
-             (cube(1.0).positions[:1], cube(1.0), 0)]
+    cases = [(c.positions.mean(axis=0)[None], c),
+             (np.array([[10.0, 10.0, 10.0]]), cube(1.0)),
+             (rng.uniform(-1.3, 1.3, size=(1000, 3))[::4], icosphere(3)),
+             (cube(1.0).positions[:1], cube(1.0))]
     rng = np.random.default_rng(1)
     pts = rng.uniform(-0.8, 0.8, size=(64, 3))
-    pts = pts[np.abs(np.linalg.norm(pts, axis=1) - 0.5) > 1e-4]
-    cases += [(pts, icosphere(2, radius=0.5), seed) for seed in range(16)]
+    cases.append((pts[np.abs(np.linalg.norm(pts, axis=1) - 0.5) > 1e-4], icosphere(2, radius=0.5)))
+    cases.append((near_face_points(icosphere(2), BAND_GAPS), icosphere(2)))
     return cases
 
 
@@ -124,23 +183,19 @@ PAIR_DIRECTIONS = [(1.0, 0.0, 0.0), (0.0, 0.6, 0.8), (0.48, -0.6, 0.64)]
 class TestBoxCull:
     """``points_interior`` casts no ray from a point beyond the target's box."""
 
-    def test_flags_equal_uncut_on_point_in_mesh_fixtures(self):
-        for points, mesh, seed in point_in_mesh_fixtures():
-            faces = mesh.face_clusters
-            got = points_interior(points, faces, seed)
-            want = points_interior_uncut(points, faces, seed)
-            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    def test_flags_equal_oracle_on_point_in_mesh_fixtures(self):
+        for points, mesh in point_in_mesh_fixtures():
+            assert_equals_oracle(points, mesh)
 
     @pytest.mark.parametrize("direction", PAIR_DIRECTIONS)
-    def test_flags_equal_uncut_on_overlapping_pairs(self, direction):
+    def test_flags_equal_oracle_on_overlapping_pairs(self, direction):
         target = icosphere(3, radius=0.05)
         source = target.with_positions(target.positions + 0.0875 * np.array(direction))
         for a, b in ((source, target), (target, source)):
-            faces = b.face_clusters
-            interior, failures = points_interior(a.positions, faces, seed=0)
-            want, want_failures = points_interior_uncut(a.positions, faces, seed=0)
-            assert np.array_equal(interior, want) and failures == want_failures
+            interior, _ = points_interior(a.positions, b)
             assert interior.any() and not interior.all()
+            # every 8th vertex against the brute force: a ray tests every face
+            assert_equals_oracle(a.positions[::8], b)
 
     def test_points_beyond_the_slack_cast_no_ray(self, monkeypatch):
         target = icosphere(2, radius=0.5, center=(0.1, -0.2, 0.3))
@@ -153,154 +208,47 @@ class TestBoxCull:
                            [0.1, faces.hi[1] + 0.1, 0.3],
                            [0.1, -0.2, faces.lo[2] - 1.0]])
         within = np.array([extreme + [0.5 * slack[0], 0.0, 0.0], [0.1, -0.2, 0.3]])
-        cast = []
-        ray_crossings = refine.ray_crossings
-        monkeypatch.setattr(refine, "ray_crossings",
-                            lambda *args: cast.extend(map(tuple, args[0])) or ray_crossings(*args))
-        interior, _ = points_interior(np.concatenate([beyond, within]), faces, seed=0)
+        cast = recording_rays(monkeypatch)
+        interior, contact = points_interior(np.concatenate([beyond, within]), target)
         assert not interior[:len(beyond)].any() and interior[-1]
-        assert not set(map(tuple, beyond)) & set(cast)
-        assert set(map(tuple, within)) <= set(cast)
-        # the target's extreme vertex lies on the box: it casts, grazes and
-        # is reported unresolved, as with no cull
+        # the point within the slack of the box lies within CONTACT_TOL of the
+        # surface, so only the center casts
+        assert contact == 1
+        assert [origins.tolist() for origins in cast] == [within[1:].tolist()]
+        # the target's extreme vertex lies on the box and on the surface: it
+        # is in contact, exterior, and casts no ray
         cast.clear()
-        interior, failures = points_interior(extreme[None], faces, seed=0)
-        assert len(cast) == refine.MAX_RAY_RETRIES
-        assert failures == 1 and not interior[0]
+        interior, contact = points_interior(extreme[None], target)
+        assert not interior[0] and contact == 1 and cast == []
 
     def test_empty_soup_is_all_exterior_with_no_ray(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(refine, "ray_crossings", lambda *args: calls.append(args))
+        cast = recording_rays(monkeypatch)
         pts = np.random.default_rng(2).uniform(-1.0, 1.0, size=(10, 3))
-        interior, failures = points_interior(pts, kernels.FaceClusters(np.zeros((0, 3, 3))), 0)
-        assert not interior.any() and failures == 0
-        assert calls == []
+        empty = TriMesh(positions=np.zeros((0, 3)), faces=np.zeros((0, 3), dtype=np.int32))
+        interior, contact = points_interior(pts, empty)
+        assert not interior.any() and contact == 0
+        assert cast == []
 
-
-def near_face_points(mesh, gaps):
-    """Points at each distance of ``gaps`` inside the mesh's first faces, off
-    their centroids along the unit normal. A ray from one grazes its face
-    when it meets the plane within ``_EPS_T``, as most directions do, so
-    these points resolve in assorted rounds or never."""
-    tri = mesh.positions[mesh.faces[:len(gaps)]]
-    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-    return tri.mean(axis=1) - np.asarray(gaps)[:, None] * normal
-
-
-def round_two_point(mesh, n, row, seed):
-    """A point for row ``row`` of ``n`` whose first seeded direction d1 runs
-    from it through a mesh vertex V (``P = V - t d1``, inside the mesh): it
-    grazes in round 1 and resolves in a later round."""
-    d1 = refine._random_directions(n, np.random.default_rng(seed))[row]
-    vertex = mesh.positions[np.argmax(mesh.positions @ d1)]
-    return vertex - 0.5 * np.abs(mesh.positions).max() * d1
-
-
-def batched_rows(cast):
-    """The rows of each ``ray_crossings`` call of ``points_interior`` when
-    point i casts ``cast[i]`` rays: round 1 for the points in the box, then
-    every round left for the points still grazing, read up to the first
-    round where one resolves."""
-    n_rounds = refine.MAX_RAY_RETRIES
-    grazing = [np.count_nonzero(cast > k) for k in range(n_rounds)]  # casting round k + 1
-    rows, k = [], 0
-    while k < n_rounds and grazing[k]:
-        rounds = 1 if k == 0 else n_rounds - k
-        rows.append(rounds * grazing[k])
-        end = k
-        while end + 1 < k + rounds and grazing[end + 1] == grazing[k]:
-            end += 1
-        k = end + 1
-    return rows
-
-
-class TestBatchedRetries:
-    """``points_interior`` casts its retry rounds in few calls, with the
-    flags, failures and warnings of casting each point's rays one at a time,
-    round by round."""
-
-    def assert_equals_ray_by_ray(self, points, faces, seed, caplog, monkeypatch):
-        """Flags, failures and log equal the oracle's, and the library's ray
-        calls are those of ``batched_rows``. Returns the oracle's flags,
-        failures and rays cast per point, and the library's call rows."""
-        rows = []
-        ray_crossings = refine.ray_crossings
-        monkeypatch.setattr(refine, "ray_crossings",
-                            lambda *args: rows.append(len(args[0])) or ray_crossings(*args))
-        caplog.clear()
-        got = points_interior(points, faces, seed)
-        got_log = [r.getMessage() for r in caplog.records]
-        monkeypatch.undo()
-        caplog.clear()
-        interior, failures, cast = oracles.points_interior_ray_by_ray(points, faces, seed)
-        assert np.array_equal(got[0], interior) and got[1] == failures
-        assert got_log == [r.getMessage() for r in caplog.records]
-        assert rows == batched_rows(cast)
-        return interior, failures, cast, rows
-
-    def test_surface_points_never_resolve(self, caplog, monkeypatch):
-        mesh = icosphere(2, radius=0.05)
-        points = mesh.positions[::7]
-        interior, failures, cast, rows = self.assert_equals_ray_by_ray(
-            points, mesh.face_clusters, 0, caplog, monkeypatch)
-        assert failures == len(points) == 24 and not interior.any()
-        assert np.all(cast == refine.MAX_RAY_RETRIES) and rows == [24, 7 * 24]
-        assert "ray parity unresolved for 24 points" in caplog.text
-
-    def test_grazing_point_resolves_after_round_one(self, caplog, monkeypatch):
-        # the point resolves in round 2, the first round of the batched call,
-        # while the surface points go on: they are cast again from the rows
-        # after round 2's
-        mesh = icosphere(2, radius=0.05)
-        points = mesh.positions[:6].copy()
-        points[3] = round_two_point(mesh, len(points), 3, seed=5)
-        faces = mesh.face_clusters
-        _, grazing = kernels.ray_crossings(
-            points[3:4], refine._random_directions(6, np.random.default_rng(5))[3:4], faces)
-        assert grazing[0] == 1
-        interior, failures, cast, rows = self.assert_equals_ray_by_ray(points, faces, 5, caplog,
-                                                                       monkeypatch)
-        assert interior.tolist() == [False, False, False, True, False, False] and failures == 5
-        assert cast.tolist() == [8, 8, 8, 2, 8, 8] and rows == [6, 7 * 6, 6 * 5]
-
-    def test_points_resolving_in_different_rounds(self, caplog, monkeypatch):
+    def test_empty_and_culled_inputs(self, monkeypatch, caplog):
         mesh = icosphere(2)
-        gaps = np.tile([1e-10, 3e-10, 5e-10, 7e-10, -2e-10, -6e-10], 8)
-        points = near_face_points(mesh, gaps)
-        faces = mesh.face_clusters
-        for seed in range(3):
-            interior, failures, cast, rows = self.assert_equals_ray_by_ray(
-                points, faces, seed, caplog, monkeypatch)
-            # points resolve in at least three rounds after the first, and
-            # some never do; the batched calls recast the rounds after each
-            # one that resolves
-            resolved = cast[cast < refine.MAX_RAY_RETRIES]
-            assert len(set(resolved[resolved > 1])) >= 3 and 0 < failures < len(points)
-            assert len(rows) >= 4 and sum(rows) > cast.sum()
-            assert interior[gaps > 0].any() and not interior[gaps < 0].any()
-
-    def test_empty_and_culled_inputs(self, caplog, monkeypatch):
-        faces = icosphere(2).face_clusters
+        cast = recording_rays(monkeypatch)
         for points in (np.zeros((0, 3)), np.full((5, 3), 3.0)):
-            interior, failures, cast, rows = self.assert_equals_ray_by_ray(
-                points, faces, 0, caplog, monkeypatch)
-            assert interior.shape == (len(points),) and not interior.any() and failures == 0
-            assert not cast.any() and rows == [] and caplog.records == []
+            interior, contact = points_interior(points, mesh)
+            assert interior.shape == (len(points),) and not interior.any() and contact == 0
+        assert cast == [] and caplog.records == []
 
 
 def column_passes(a, b, monkeypatch):
     """Both voxel passes of a plausibility report on (a, b): the column
-    pass's flags, the per-center oracle's, and what each pass cast.
+    pass's flags, the per-center flags, and what each pass cast.
 
     Each pass logs the rows of its ``ray_hits`` calls (``columns``), the
     centers it sent to ``points_interior`` (``unsure``) and the origins that
     reached ``ray_crossings`` (``cast``).
     """
     h = refine.VOXEL_CM / 100.0  # the report's voxel edge, in meters
-    faces_a, faces_b = a.face_clusters, b.face_clusters
     axes = refine._voxel_axes(a, b, h)
-    want = voxel_flags_per_center(axes, faces_a, faces_b)
+    want = voxel_flags_per_center(axes, a, b)
     log = []
     ray_hits, ray_crossings = refine.ray_hits, refine.ray_crossings
     points_interior = refine.points_interior
@@ -311,10 +259,19 @@ def column_passes(a, b, monkeypatch):
     monkeypatch.setattr(refine, "points_interior", lambda *args: log[-1]["unsure"].extend(
         map(tuple, args[0])) or points_interior(*args))
     got = [np.ones([x.size for x in axes], dtype=bool)]
-    for faces, pass_seed in ((faces_a, 1), (faces_b, 2)):
+    for mesh in (a, b):
         log.append({"columns": [], "unsure": [], "cast": []})
-        got.append(refine._voxels_interior(axes, h, got[-1], faces, pass_seed))
+        got.append(refine._voxels_interior(axes, h, got[-1], mesh))
+    monkeypatch.undo()
     return got, want, log
+
+
+def assert_per_center_equals_oracle(a, b, want):
+    """The per-center flags of a cube pair equal the brute-force oracle's
+    (12 faces each, so every center can test every face)."""
+    axes = refine._voxel_axes(a, b, refine.VOXEL_CM / 100.0)
+    dense = voxel_flags_per_center(axes, a, b, dense_interior)
+    assert all(np.array_equal(flags, dense_flags) for flags, dense_flags in zip(want, dense))
 
 
 def assert_passes_match_oracle(got, want, log):
@@ -342,7 +299,6 @@ class TestColumnParity:
             got, want, log = column_passes(a, b, monkeypatch)
             assert_passes_match_oracle(got, want, log)
             assert not got[1].all()
-            monkeypatch.undo()
 
     @pytest.mark.parametrize("center_b, columns", [((0.05, 0.05, 0.05), 20),
                                                    ((0.1, 0.05, 0.05), 10)],
@@ -354,6 +310,7 @@ class TestColumnParity:
         b = cube(0.10, center=center_b)
         got, want, log = column_passes(a, b, monkeypatch)
         assert_passes_match_oracle(got, want, log)
+        assert_per_center_equals_oracle(a, b, want)
         assert [len(record["unsure"]) for record in log] == [20 * columns] * 2
         assert got[2].sum() == 8000 * columns // 20
 
@@ -362,21 +319,22 @@ class TestColumnParity:
         b = cube(0.10, center=(0.03, 0.01, 0.0))
         got, want, log = column_passes(a, b, monkeypatch)
         assert_passes_match_oracle(got, want, log)
+        assert_per_center_equals_oracle(a, b, want)
         assert not got[2].all()
 
     def test_centers_near_a_crossing_fall_back(self, monkeypatch):
         # the first center of each column lies on the cube's -x face, where
         # the column's ray crosses it; no column runs along a face diagonal
-        faces = cube(0.10, center=(0.05, 0.05, 0.05)).face_clusters
+        mesh = cube(0.10, center=(0.05, 0.05, 0.05))
         axes = [0.01 * np.arange(10), 0.0123 + 0.02 * np.arange(4), 0.0171 + 0.02 * np.arange(4)]
         unsure = []
         points_interior = refine.points_interior
         monkeypatch.setattr(refine, "points_interior", lambda *args: unsure.extend(
             map(tuple, args[0])) or points_interior(*args))
         cells = np.ones((10, 4, 4), dtype=bool)
-        flags = refine._voxels_interior(axes, 0.01, cells, faces, seed=1)
+        flags = refine._voxels_interior(axes, 0.01, cells, mesh)
         assert len(unsure) == 16 and {p[0] for p in unsure} == {0.0}
-        # a center on the surface never resolves and reads exterior
+        # a center on the surface is in contact and reads exterior
         assert not flags[0].any() and flags[1:].all()
 
 
@@ -675,7 +633,7 @@ class TestRefineMesh:
         assert not result.diverged
 
     @pytest.mark.parametrize("direction, iterations, before_mm", zip(
-        PAIR_DIRECTIONS, (7, 11, 11), (12.446842023327882, 11.936249510422211, 11.994713425330856)))
+        PAIR_DIRECTIONS, (7, 10, 11), (12.446842023327882, 11.936249510422211, 11.994713425330856)))
     def test_pair_placements_resolve_in_pinned_iterations(self, direction, iterations, before_mm):
         # the loop path on perfbench's refine_pairs placements, at the origin:
         # it runs to no interior vertex, in the same steps
@@ -737,12 +695,11 @@ class TestRefineMesh:
         b = icosphere(2, radius=0.03, center=(0.045, 0, 0))
         arap = arap_for(a)
         x = a.positions
-        b_faces = b.face_clusters
         steps = 0
         for _ in range(20):
             current = a.with_positions(x)
             src_idx, tgt_idx = refine._gated_pairs(
-                current, points_interior(x, b_faces, seed=0)[0], b)
+                current, points_interior(x, b)[0], b)
             if src_idx.size == 0:
                 break
             y = b.positions[tgt_idx]
@@ -801,7 +758,7 @@ class TestRefineMesh:
 
     def test_face_clusters_built_per_mesh_not_per_ray_call(self, monkeypatch, caplog):
         # one source vertex sits exactly on a target vertex, so every ray
-        # from it grazes and points_interior spends all its retry rounds
+        # from it would graze; it is in contact instead, and casts none
         source = icosphere(1, radius=0.03)
         target = icosphere(1, radius=0.03, center=(0.045, 0.0, 0.0))
         d2 = np.sum((source.positions[:, None] - target.positions[None]) ** 2, axis=2)
@@ -821,16 +778,37 @@ class TestRefineMesh:
                             lambda mesh: checked.append(mesh) or is_watertight(mesh))
         result = refine_mesh(source, target, RefineConfig())
         assert result.iterations >= 3
-        assert "ray parity unresolved" in caplog.text
-        # against the target, the vertex casts all its rounds, once: the first
-        # iteration reads the flags of the report before
+        assert caplog.records == []
+        # against the target, the vertex casts no ray
+        assert any(faces is target.face_clusters for _, _, faces in cast)
         stuck = sum(int(np.all(rows == positions[k], axis=1).sum())
                     for rows, _, faces in cast if faces is target.face_clusters)
-        assert stuck == refine.MAX_RAY_RETRIES
+        assert stuck == 0
         # the target once for the loop and both reports, the source for the
         # report before, the refined mesh for the report after
         assert len(builds) == 3
         assert len(checked) == 2 and checked[0] is target and checked[1] is source
+        assert points_interior(positions[k:k + 1], target) == (np.array([False]), 1)
+
+    def test_outputs_do_not_depend_on_the_direction_draw(self, monkeypatch):
+        # points_interior draws its rays from a generator it makes: seeded 0,
+        # 1 or 2, it gives the refine_pairs placements the same output bytes
+        default_rng = np.random.default_rng
+        runs = []
+        for seed in range(3):
+            made = []
+            monkeypatch.setattr(np.random, "default_rng",
+                                lambda *_: made.append(seed) or default_rng(seed))
+            outputs = []
+            for direction in PAIR_DIRECTIONS:
+                target = icosphere(3, radius=0.05)
+                source = target.with_positions(target.positions + 0.0875 * np.array(direction))
+                result = refine_mesh(source, target, RefineConfig(max_iters=30))
+                outputs.append((result.mesh.positions.tobytes(), result.before, result.after,
+                                result.iterations, result.stop_reason, result.unpaired_interior))
+            assert made
+            runs.append(outputs)
+        assert runs[0] == runs[1] == runs[2]
 
     def test_config_validation(self):
         with pytest.raises(ArgumentError):
@@ -873,13 +851,18 @@ class TestCaches:
         assert built["faces"] == [1280] * 3
         # one topology: the three meshes share it
         assert built["edge_counts"] == 1 and built["arap"] == 1
-        # one KD-tree per mesh, of its vertices: the target's, for the pairs
-        # and the depth of the source's vertices, and the source's, for the
-        # depth of the target's; no vertex of the target is inside the
-        # refined mesh, so it needs none
-        owners = [[t is m.positions for m in (target, source, result.mesh)].index(True)
-                  for t in built["trees"]]
-        assert owners == [0, 1]
+        # one vertex tree per mesh: the target's, for the pairs and the depth
+        # of the source's vertices, and the source's, for the depth of the
+        # target's; no vertex of the target is inside the refined mesh, so it
+        # needs none
+        meshes = (target, source, result.mesh)
+        owners = tree_owners(built["trees"], meshes)
+        assert None not in owners
+        assert [o for o in owners if o[0] == "vertices"] == [("vertices", 0), ("vertices", 1)]
+        # and each mesh's face center trees, once: the loop's flags and each
+        # report's ask for them
+        assert sorted(o for o in owners if o[0] == "faces") == [
+            ("faces", i) for i, mesh in enumerate(meshes) for _ in mesh.face_trees]
         # a second report on the same meshes builds nothing
         before = {key: list(value) if isinstance(value, list) else value
                   for key, value in built.items()}
