@@ -14,8 +14,11 @@ Both run on one ``_Arap``, built once per source topology around a single
 Horn's quaternion (the top eigenvector of a symmetric 4x4 matrix). The
 global step is one banded Cholesky solve, with the L1 pull as reweighted
 least squares, on a bandwidth-reducing order fixed per topology.
-Refinement stops when no penetrating vertex has a pair, and its result
-says why it stopped. It has one exit: when the best iterate is the input,
+Refinement stops at contact: once every interior source vertex lies within
+``PENETRATION_TOL`` of the target's surface, the rest is contact, not
+penetration (distance-thresholded contact, as in Hasson et al., CVPR 2019).
+It also stops when no penetrating vertex has a pair, and its result says
+why it stopped. It has one exit: when the returned iterate is the input,
 the input comes back as is, and its report before is its report after.
 Plausibility is reported as maximum penetration depth (mm) and voxelized
 intersection volume (cm^3). The volume reads the centers of a voxel grid by
@@ -52,6 +55,7 @@ _LOGGER = logging.getLogger(__name__)
 MAX_RAY_RETRIES = 8
 CONTACT_TOL = 1e-8  # meters; a point this near the target's surface is in contact, not inside
 CONVERGENCE_TOL = 1e-7  # refinement stops once its objective changes by less
+PENETRATION_TOL = 1e-3  # meters; refinement stops once every interior vertex is this near
 VOXEL_CM = 0.5  # voxel edge of the intersection volume, in centimeters
 _MAX_VOXELS = 4_000_000
 _DIST_FLOOR = 1e-9  # meters; caps a pair's collision weight 1 / d in the solve
@@ -79,6 +83,10 @@ class RefineResult:
 
     ``stop_reason`` is one of:
 
+    - ``"contact"``: every interior source vertex lies within
+      ``PENETRATION_TOL`` of the target's surface. The rule reads the
+      source's vertices only, so the report after, which also counts the
+      target's vertices inside the returned mesh, can read deeper;
     - ``"no_interior"``: no source vertex is inside the target;
     - ``"no_gated_pair"``: vertices are inside, but none passes the
       opposing-normal gate, so nothing pulls them out;
@@ -88,8 +96,9 @@ class RefineResult:
 
     ``unpaired_interior`` counts the interior vertices without a gated pair
     at the returned iterate ``mesh``; they are the ones refinement cannot move.
-    When the best iterate is the input, ``mesh`` is the input object and
-    ``after`` is ``before``.
+    A ``"contact"`` stop returns the iterate that met the rule; every other
+    stop returns the iterate of lowest objective. When the returned iterate
+    is the input, ``mesh`` is the input object and ``after`` is ``before``.
     """
     mesh: TriMesh
     before: PlausibilityReport
@@ -128,16 +137,21 @@ def points_interior(points: np.ndarray, mesh: TriMesh):
     vertex they sit on and keep being pulled, and refinement stalls (see the
     ROADMAP). Outside the band a ray that does not graze gives the point's
     parity whatever its direction, so the flags do not depend on the draw.
-    The count of points in contact counts the points in the box only.
+    Contact is counted over the box grown by ``CONTACT_TOL``, which holds
+    every point that near the surface; a point beyond the box itself reads
+    exterior whether or not it is in contact.
     """
     faces = mesh.face_clusters
     interior = np.zeros(points.shape[0], dtype=bool)
     slack = _BOX_SLACK * (1.0 + np.abs(faces.lo) + np.abs(faces.hi))
-    with np.errstate(invalid="ignore"):  # an empty soup's box gives inf - inf: no point is in
-        in_box = np.flatnonzero(np.all((points >= faces.lo - slack)
-                                       & (points <= faces.hi + slack), axis=1))
-    contact = near_surface(points[in_box], faces, mesh.face_trees, CONTACT_TOL)
-    active = in_box[~contact]
+
+    def in_box(grow):
+        with np.errstate(invalid="ignore"):  # an empty soup's box gives inf - inf: no point is in
+            return np.all((points >= faces.lo - grow) & (points <= faces.hi + grow), axis=1)
+
+    near = np.flatnonzero(in_box(slack + CONTACT_TOL))
+    contact = near_surface(points[near], faces, mesh.face_trees, CONTACT_TOL)
+    active = near[~contact & in_box(slack)[near]]
     rng = np.random.default_rng(0)
     for _ in range(MAX_RAY_RETRIES):
         if active.size == 0:
@@ -417,21 +431,28 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
     (ARAP's scheme, with the L1 collision term as iteratively reweighted
     least squares), both on one ``_Arap`` built for the source's topology.
     Each iteration finds the interior vertices and their gated pairs at the
-    current positions and stops once none remains; the local step fits the
-    per-cell rotations (``_Arap.local``) and the global step is one banded
-    solve (``_Arap.solve``). It also stops when the objective changes by
-    less than ``CONVERGENCE_TOL`` or after ``max_iters`` iterations, and
-    reports divergence after 10 consecutive rises. Returns the best iterate
-    (never worse than the input) with before/after plausibility reports and
-    the reason the loop stopped (see ``RefineResult``); topology is
-    untouched. When the best iterate is the input, as for an input with no
-    pair, the input object is returned with ``after`` equal to ``before``,
-    and no second report is computed. Each mesh is checked once. The meshes
-    keep what is built from them (``TriMesh``): the target's faces and trees
-    serve the loop and both reports, and the source's topology its
-    ARAP. The first iteration's interior flags are the report before's pass
-    over the source (the same positions and target), and the report after's
-    pass is the flags of the best iterate.
+    current positions. It stops at contact, when there are interior vertices
+    and every one lies within ``PENETRATION_TOL`` of the target's surface
+    (``near_surface`` on the target's face trees), and next once no interior
+    vertex has a pair. Otherwise the local step fits the per-cell rotations
+    (``_Arap.local``) and the global step is one banded solve
+    (``_Arap.solve``). It also stops when the objective changes by less
+    than ``CONVERGENCE_TOL`` or after ``max_iters`` iterations, and reports
+    divergence after 10 consecutive rises. A ``"contact"`` stop returns the
+    iterate that met the rule, which need not have the lowest objective:
+    the input can have a lower objective than an iterate out of the
+    target. Every other stop returns the best iterate (never worse than the
+    input). Either comes with before/after plausibility reports and the
+    reason the loop stopped (see ``RefineResult``); topology is untouched.
+    When the returned iterate is the input, as for an input with no pair or
+    already within the tolerance, the input object is returned with
+    ``after`` equal to ``before``, and no second report is computed. Each
+    mesh is checked once. The meshes keep what is built from them
+    (``TriMesh``): the target's faces and trees serve the loop and both
+    reports, and the source's topology its ARAP. The first iteration's
+    interior flags are the report before's pass over the source (the same
+    positions and target), and the report after's pass is the flags of the
+    returned iterate.
 
     Raises:
         ArgumentError: source and target are one mesh, or either is not
@@ -454,6 +475,11 @@ def refine_mesh(source: TriMesh, target: TriMesh, config: RefineConfig) -> Refin
             interior, _ = points_interior(x, target)
         src_idx, tgt_idx = _gated_pairs(source.with_positions(x), interior, target)
         unpaired = int(np.count_nonzero(interior)) - src_idx.size
+        if interior.any() and near_surface(x[interior], target.face_clusters,
+                                           target.face_trees, PENETRATION_TOL).all():
+            best_x, best_unpaired, best_interior = x, unpaired, interior
+            stop = "contact"
+            break
         y = target.positions[tgt_idx]
         energy, rot = arap.local(x)
         loss = float(np.linalg.norm(x[src_idx] - y, axis=1).sum()) + energy

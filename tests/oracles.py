@@ -288,8 +288,9 @@ def points_interior_dense(points, tri, seed=0):
     is in contact and exterior. Any other point takes the parity of its
     ``ray_crossings_loop`` ray along a seeded unit direction, redrawn while
     the ray grazes, up to ``MAX_RAY_RETRIES`` rays; after that it reads
-    exterior. There is no box cull, so a point just beyond the surface's box
-    but within ``CONTACT_TOL`` counts in contact here and not in the library.
+    exterior. There is no box cull: the library counts contact over the
+    surface's box grown by ``CONTACT_TOL``, which holds every point in
+    contact, so the counts agree.
     Returns (interior flags, contact count).
     """
     points = np.asarray(points, dtype=np.float64)

@@ -5,11 +5,13 @@ The mirrored left hand starts with its box centre 180 mm from the right
 hand's along -x and is pushed along +x; pushes of 150, 160 and 170 mm put
 the centres 30, 20 and 10 mm apart (the hand is 83 mm wide in x).
 """
+import functools
+
 import numpy as np
 import pytest
 import scipy.spatial
 from conftest import capped_hand, pushed_left, tree_owners
-from oracles import points_interior_dense
+from oracles import point_triangle_dists_dense, points_interior_dense
 
 from specmesh import refine
 from specmesh.meshes import is_watertight
@@ -71,15 +73,69 @@ def test_reports_pinned_with_one_tree_per_mesh(monkeypatch):
         ("faces", i) for i, mesh in enumerate(meshes) for _ in mesh.face_trees]
 
 
-def test_refinement_pinned():
-    # the 150 mm pair after 4 iterations. LAPACK's banded Cholesky calls BLAS
-    # at bandwidth 42, so the refined positions' bits, and the last digits
-    # of the depth after, depend on the OpenBLAS kernel: depths are compared
-    # to a relative 1e-12, as the reports above
+@functools.cache
+def refined(push):
+    """The capped right hand, the left hand pushed by ``push`` and
+    ``refine_mesh(left, right, RefineConfig(max_iters=30))``."""
     right = capped_hand()
-    result = refine.refine_mesh(pushed_left(right, 0.150), right, refine.RefineConfig(max_iters=4))
-    assert (result.iterations, result.stop_reason, result.unpaired_interior) == (4, "max_iters", 2)
+    left = pushed_left(right, push)
+    return right, left, refine.refine_mesh(left, right, refine.RefineConfig(max_iters=30))
+
+
+def test_refinement_pinned():
+    # the 150 mm pair stops at contact after 4 iterations. LAPACK's banded
+    # Cholesky calls BLAS at bandwidth 42, so the refined positions' bits,
+    # and the last digits of the depth after, depend on the OpenBLAS kernel:
+    # depths are compared to a relative 1e-12, as the reports above
+    _, _, result = refined(0.150)
+    assert (result.iterations, result.stop_reason, result.unpaired_interior) == (4, "contact", 2)
     for report, (depth, volume) in ((result.before, REPORTS[0.150]),
                                     (result.after, (2.2880832868135967, 1.25))):
         assert report.max_penetration_mm == pytest.approx(depth, rel=1e-12, abs=0)
         assert report.intersection_volume_cm3 == volume
+
+
+@pytest.mark.parametrize("push", [0.150, 0.160])
+def test_contact_stop_leaves_every_interior_vertex_within_tolerance(push):
+    # the stop reads the source's vertices only: each left-hand vertex inside
+    # the right hand lies within PENETRATION_TOL of it, by the brute-force
+    # distance over all 8042 faces
+    right, _, result = refined(push)
+    assert result.stop_reason == "contact"
+    interior, _ = refine.points_interior(result.mesh.positions, right)
+    assert interior.sum() >= 300
+    dists = point_triangle_dists_dense(result.mesh.positions[interior],
+                                       right.positions[right.faces])
+    assert dists.max() <= refine.PENETRATION_TOL
+
+
+def test_contact_iterate_returned_not_the_input():
+    # at 160 mm the input has a lower objective (collision + rigidity) than
+    # the iterate in contact, so a best-iterate return would hand back the
+    # unmoved input, 17.78 mm deep
+    right, left, result = refined(0.160)
+    assert (result.iterations, result.stop_reason, result.unpaired_interior) == (5, "contact", 0)
+    assert result.mesh is not left
+    assert result.after.max_penetration_mm == pytest.approx(1.2594384282407514, rel=1e-12, abs=0)
+    assert result.after.intersection_volume_cm3 == 1.0
+    arap = refine._arap(left)
+
+    def objective(mesh):
+        interior, _ = refine.points_interior(mesh.positions, right)
+        src, tgt = refine._gated_pairs(mesh, interior, right)
+        pull = np.linalg.norm(mesh.positions[src] - right.positions[tgt], axis=1).sum()
+        return pull + arap.local(mesh.positions)[0]
+
+    assert objective(left) < objective(result.mesh)
+
+
+def test_deep_push_keeps_its_recorded_failure():
+    # at 170 mm no interior vertex passes the opposing-normal gate after the
+    # third iterate, and the report deepens: a known failure (ROADMAP,
+    # Direction 6)
+    _, left, result = refined(0.170)
+    assert (result.iterations, result.stop_reason, result.unpaired_interior) == (
+        3, "no_gated_pair", 1726)
+    assert result.mesh is not left
+    assert result.after.max_penetration_mm == pytest.approx(10.696770094955758, rel=1e-12, abs=0)
+    assert result.after.intersection_volume_cm3 == 504.5

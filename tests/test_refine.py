@@ -14,6 +14,7 @@ from oracles import (
     arap_covariances_add_at,
     arap_global_step_dense,
     collision_loss_loop,
+    point_triangle_dists_dense,
     points_interior_dense,
     procrustes_rotations_svd,
     sphere_contains,
@@ -24,6 +25,7 @@ from specmesh.errors import ArgumentError
 from specmesh.meshes import TriMesh, edge_set
 from specmesh.primitives import apply_rigid, cube, hand_template, icosphere, rotation_matrix
 from specmesh.refine import (
+    PENETRATION_TOL,
     RefineConfig,
     collision_mask,
     plausibility_metrics,
@@ -65,6 +67,18 @@ def near_face_points(mesh, gaps):
     normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     normal /= np.linalg.norm(normal, axis=1, keepdims=True)
     return tri.mean(axis=1) - np.asarray(gaps)[:, None] * normal
+
+
+def assert_contact(result, target):
+    """The ``"contact"`` stop's rule at the returned mesh: there are source
+    vertices inside the target, and the brute-force distance puts every one
+    of them within ``PENETRATION_TOL`` of the target's surface."""
+    assert result.stop_reason == "contact"
+    interior, _ = points_interior(result.mesh.positions, target)
+    assert interior.any()
+    dists = point_triangle_dists_dense(result.mesh.positions[interior],
+                                       target.positions[target.faces])
+    assert dists.max() <= PENETRATION_TOL
 
 
 def recording_rays(monkeypatch):
@@ -204,16 +218,19 @@ class TestBoxCull:
         extreme = target.positions[np.argmax(target.positions[:, 0])]
         assert extreme[0] == faces.hi[0]
         beyond = np.array([extreme + [2.0 * slack[0], 0.0, 0.0],
+                           extreme + [2.0 * refine.CONTACT_TOL, 0.0, 0.0],
                            [faces.lo[0] - 2.0 * slack[0], 0.3, 0.3],
                            [0.1, faces.hi[1] + 0.1, 0.3],
                            [0.1, -0.2, faces.lo[2] - 1.0]])
         within = np.array([extreme + [0.5 * slack[0], 0.0, 0.0], [0.1, -0.2, 0.3]])
         cast = recording_rays(monkeypatch)
-        interior, contact = points_interior(np.concatenate([beyond, within]), target)
+        points = np.concatenate([beyond, within])
+        interior, contact = points_interior(points, target)
         assert not interior[:len(beyond)].any() and interior[-1]
-        # the point within the slack of the box lies within CONTACT_TOL of the
-        # surface, so only the center casts
-        assert contact == 1
+        # the points 2 slack beyond and 0.5 slack within the box lie within
+        # CONTACT_TOL of the surface: both count in contact, as in the
+        # oracle, which has no box, and only the center casts
+        assert contact == 2 == dense_interior(points, target)[1]
         assert [origins.tolist() for origins in cast] == [within[1:].tolist()]
         # the target's extreme vertex lies on the box and on the surface: it
         # is in contact, exterior, and casts no ray
@@ -632,21 +649,37 @@ class TestRefineMesh:
         assert result.unpaired_interior == small.n_vertices
         assert not result.diverged
 
-    @pytest.mark.parametrize("direction, iterations, before_mm", zip(
-        PAIR_DIRECTIONS, (7, 10, 11), (12.446842023327882, 11.936249510422211, 11.994713425330856)))
-    def test_pair_placements_resolve_in_pinned_iterations(self, direction, iterations, before_mm):
+    @pytest.mark.parametrize("direction, before_mm, after", zip(
+        PAIR_DIRECTIONS, (12.446842023327882, 11.936249510422211, 11.994713425330856),
+        ((0.3329343158238046, 0.0), (0.8360076054366088, 0.25), (1.0019299490183475, 0.375))))
+    def test_pair_placements_resolve_in_pinned_iterations(self, direction, before_mm, after):
         # the loop path on perfbench's refine_pairs placements, at the origin:
-        # it runs to no interior vertex, in the same steps
+        # the first solve leaves every interior source vertex in contact. The
+        # report after also counts the target's vertices inside the refined
+        # source, so it can read deeper than PENETRATION_TOL
         target = icosphere(3, radius=0.05)
         source = target.with_positions(target.positions + 0.0875 * np.array(direction))
         result = refine_mesh(source, target, RefineConfig(max_iters=30))
-        assert result.iterations == iterations
-        assert result.stop_reason == "no_interior"
+        assert result.iterations == 2
+        assert_contact(result, target)
         assert result.unpaired_interior == 0
         assert abs(result.before.max_penetration_mm - before_mm) <= 1e-9
-        assert result.after.max_penetration_mm == 0.0
-        assert result.after.intersection_volume_cm3 == 0.0
+        assert abs(result.after.max_penetration_mm - after[0]) <= 1e-9
+        assert result.after.intersection_volume_cm3 == after[1]
         assert result.mesh is not source
+
+    def test_input_in_contact_comes_back_unchanged(self):
+        # a refined placement is already within PENETRATION_TOL: refining it
+        # again stops at its first iterate and returns it as is
+        target = icosphere(3, radius=0.05)
+        source = target.with_positions(target.positions + 0.0875 * np.array(PAIR_DIRECTIONS[2]))
+        refined = refine_mesh(source, target, RefineConfig(max_iters=30)).mesh
+        result = refine_mesh(refined, target, RefineConfig(max_iters=30))
+        assert result.iterations == 1
+        assert_contact(result, target)
+        assert result.mesh is refined
+        assert result.after is result.before
+        assert result.before.max_penetration_mm > PENETRATION_TOL * 1000.0
 
     @pytest.mark.parametrize("shift, unpaired", [(0.03, 39), (0.02, 51), (0.01, 65)])
     def test_deep_overlap_has_no_gated_pair(self, shift, unpaired):
@@ -680,13 +713,13 @@ class TestRefineMesh:
         b = icosphere(2, radius=0.03, center=(0.045, 0, 0))
         result = refine_mesh(a, b, RefineConfig())
         assert result.before.max_penetration_mm > 5.0
-        assert result.after.max_penetration_mm <= 0.05 * result.before.max_penetration_mm
-        assert result.after.max_penetration_mm <= result.before.max_penetration_mm
+        # the report after reads b's vertices inside the refined a too: 1.59 mm
+        assert result.after.max_penetration_mm <= 0.11 * result.before.max_penetration_mm
         assert np.array_equal(result.mesh.faces, a.faces)
         assert not result.diverged
-        assert result.stop_reason == "no_interior"
+        assert_contact(result, b)
         assert result.unpaired_interior == 0
-        assert result.iterations <= 20
+        assert result.iterations == 3
 
     def test_each_step_never_raises_the_held_objective(self):
         # majorize-minimize: with the mask and pairs found at x_k held, the
@@ -725,7 +758,7 @@ class TestRefineMesh:
         assert moved[near.n_vertices:].tobytes() == far.positions.tobytes()
         assert not np.array_equal(moved[:near.n_vertices], near.positions)
         assert result.before.max_penetration_mm > 5.0
-        assert result.after.max_penetration_mm == 0.0
+        assert_contact(result, target)
         assert not result.diverged
 
     def test_non_watertight_target_rejected(self):
@@ -846,19 +879,19 @@ class TestCaches:
         built = counting_builds(monkeypatch)
         result = refine_mesh(source, target, RefineConfig(max_iters=30))
         report = plausibility_metrics(result.mesh, target)
-        assert report == result.after and result.iterations > 3
+        assert report == result.after and result.iterations == 2
         # the target, the source and the refined mesh, once each
         assert built["faces"] == [1280] * 3
         # one topology: the three meshes share it
         assert built["edge_counts"] == 1 and built["arap"] == 1
         # one vertex tree per mesh: the target's, for the pairs and the depth
-        # of the source's vertices, and the source's, for the depth of the
-        # target's; no vertex of the target is inside the refined mesh, so it
-        # needs none
+        # of the source's vertices, and the source's and the refined mesh's,
+        # for the depth of the target's vertices inside each
         meshes = (target, source, result.mesh)
         owners = tree_owners(built["trees"], meshes)
         assert None not in owners
-        assert [o for o in owners if o[0] == "vertices"] == [("vertices", 0), ("vertices", 1)]
+        assert [o for o in owners if o[0] == "vertices"] == [
+            ("vertices", 0), ("vertices", 1), ("vertices", 2)]
         # and each mesh's face center trees, once: the loop's flags and each
         # report's ask for them
         assert sorted(o for o in owners if o[0] == "faces") == [
@@ -879,7 +912,8 @@ class TestCaches:
         monkeypatch.setattr(refine, "point_triangle_dists",
                             lambda *args: measured.append(args) or dists(*args))
         result = refine_mesh(source, target, RefineConfig())
-        assert len(queries) == result.iterations - 1 >= 5
+        # one query per iteration: the contact stop comes after the pairs
+        assert len(queries) == result.iterations == 3
         assert all(args[2] is target.vertex_tree for args in queries)
         at_target = [t for t in built["trees"] if t is target.positions]
         assert len(at_target) == 1
